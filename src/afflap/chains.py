@@ -32,7 +32,10 @@ def normalize_wedge(indices):
     """Canonical form of a wedge word.
 
     Returns ``(sign, monomial)`` with the indices sorted increasingly, or
-    ``None`` when an index repeats (the wedge is zero).
+    ``None`` when an index repeats (the wedge is zero).  This is an insertion
+    sort that flips the sign once per transposition.  The operators below
+    place their signs by ``bisect`` instead; this function is kept as the
+    independent oracle the tests check those signs against.
     """
     seq = list(indices)
     sign = 1
@@ -105,7 +108,14 @@ def _check_support(k: int, chain: Chain) -> None:
 
 def differential(k: int, chain: Chain) -> Chain:
     """Boundary operator of the standard complex: pairs of wedge factors are
-    contracted through the bracket.  Lowers q by one, preserves (w, h)."""
+    contracted through the bracket.  Lowers q by one, preserves (w, h).
+
+    The pair at 0-based positions s < t of a monomial is replaced by
+    eps(i_t - i_s) e_{i_s + i_t} in front of the remaining factors, with the
+    alternating sign (-1)^(s+t+1).  The new index is then moved into place:
+    ``bisect`` finds its position pos among the remaining (sorted) factors,
+    which costs the sign (-1)^pos, and a repeated index gives zero.
+    """
     _check_support(k, chain)
     out: Chain = {}
     for mono, coeff in chain.items():
@@ -116,14 +126,14 @@ def differential(k: int, chain: Chain) -> Chain:
                 e = epsilon(mono[t] - i_s)
                 if not e:
                     continue
-                word = (i_s + mono[t],) + mono[:s] + mono[s + 1:t] + mono[t + 1:]
-                nz = normalize_wedge(word)
-                if nz is None:
+                ni = i_s + mono[t]
+                rest = mono[:s] + mono[s + 1:t] + mono[t + 1:]
+                pos = bisect_left(rest, ni)
+                if pos < len(rest) and rest[pos] == ni:
                     continue
-                sign, nm = nz
-                # alternating sign for the 1-indexed pair (s+1, t+1)
-                c = coeff * e * sign
-                chain_insert(out, nm, -c if (s + t) % 2 == 0 else c)
+                c = coeff * e
+                chain_insert(out, rest[:pos] + (ni,) + rest[pos:],
+                             c if (s + t + pos) % 2 else -c)
     return out
 
 
@@ -143,20 +153,27 @@ def _splitting_pairs(k: int, i: int) -> tuple:
 def codifferential(k: int, chain: Chain) -> Chain:
     """Adjoint of the differential for the monomial inner product.
 
-    Each wedge factor e_i is expanded into the signed sum of splittings
-    e_a ^ e_b with a + b = i and a, b >= k.  Raises q by one, preserves (w, h).
+    Each wedge factor e_i, at 0-based position s, is expanded into the signed
+    sum of splittings e_a ^ e_b with a + b = i and k <= a < b.  The pair is
+    inserted into the remaining factors at the ``bisect`` positions pa <= pb
+    of a and b, with the sign (-1)^(s+pa+pb); a repeated index gives zero.
+    Raises q by one, preserves (w, h).
     """
     _check_support(k, chain)
     out: Chain = {}
     for mono, coeff in chain.items():
         for s, i in enumerate(mono):
-            c_s = coeff if s % 2 == 0 else -coeff
+            rest = mono[:s] + mono[s + 1:]
             for a, b, e in _splitting_pairs(k, i):
-                nz = normalize_wedge(mono[:s] + (a, b) + mono[s + 1:])
-                if nz is None:
+                pa = bisect_left(rest, a)
+                if pa < len(rest) and rest[pa] == a:
                     continue
-                sign, nm = nz
-                chain_insert(out, nm, c_s * e * sign)
+                pb = bisect_left(rest, b, pa)
+                if pb < len(rest) and rest[pb] == b:
+                    continue
+                c = coeff * e
+                chain_insert(out, rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:],
+                             -c if (s + pa + pb) % 2 else c)
     return out
 
 

@@ -1,7 +1,12 @@
 """The graded Laplacian of L(k): constructions, exact spectra, homology.
 
 Two independent constructions are provided.  ``laplacian_by_definition``
-composes the differential with its adjoint; ``laplacian_closed_form``
+assembles Gamma = d delta + delta d from boundary matrices: on every (q, w)
+slice of a degree-h block it builds D_q, the matrix of the differential from
+the (q, w) slice to the (q-1, w) slice, and sets the slice block of Gamma to
+D_q^T D_q + D_{q+1} D_{q+1}^T.  The codifferential matrix is built on its
+own from ``codifferential`` and asserted to equal D_q^T, so the adjointness
+of the two operators is checked, not assumed.  ``laplacian_closed_form``
 evaluates the second-order expression in the grading element, the weight
 operator and the conjugate generator actions.  Their entrywise equality on
 every block is the central cross-check of the package, not an assumption.
@@ -124,7 +129,63 @@ def _closed_apply_twice(k: int, chain: Chain) -> Chain:
 
 
 def laplacian_by_definition(k: int, basis: BlockBasis) -> IntMatrix:
-    return matrix_of(lambda c: laplacian_apply(k, c), basis, basis)
+    """Matrix of Gamma = d delta + delta d on a union of whole (q, w) slices.
+
+    Gamma preserves (q, w, h), so it is assembled one slice at a time.  With
+    D_q the matrix of ``differential`` from the (q, w) slice of the degree
+    ``basis.h`` block to its (q-1, w) slice, the slice block of Gamma is
+    D_q^T D_q + D_{q+1} D_{q+1}^T, and its columns are scattered to the
+    positions of ``basis``.  Each D_q is built once and compared with the
+    matrix of ``codifferential`` from the (q-1, w) slice to the (q, w) slice,
+    built independently; a mismatch raises ClaimFalsified.
+
+    Raises ValueError when ``basis`` holds part of a (q, w) slice but not all
+    of it, or a monomial outside the degree ``basis.h`` block.
+    """
+    h = basis.h
+    full = _full_block(k, h)
+    layout = _slice_layout(k, h)
+
+    def slice_basis(q: int, w: int) -> BlockBasis:
+        return BlockBasis(k, h, [full.monomials[p] for p in layout.get((q, w), ())], w=w)
+
+    groups: dict = {}
+    for m in basis.monomials:
+        groups.setdefault((len(m), weight(m)), []).append(m)
+    slices = {}
+    for (q, w), monos in groups.items():
+        whole = slice_basis(q, w)
+        if sorted(monos) != list(whole.monomials):
+            raise ValueError(
+                f"basis splits the (q, w) = ({q}, {w}) slice of the "
+                f"(k={k}, h={h}) block")
+        slices[(q, w)] = whole
+
+    def boundary(q: int, w: int) -> tuple[IntMatrix, IntMatrix]:
+        """(D_q, D_q^T) on weight w, D_q^T checked against the codifferential."""
+        src, tgt = slice_basis(q, w), slice_basis(q - 1, w)
+        d = matrix_of(lambda c: differential(k, c), src, tgt)
+        dt = d.transpose()
+        if matrix_of(lambda c: codifferential(k, c), tgt, src) != dt:
+            raise ClaimFalsified(
+                f"codifferential is not the transpose of the differential on "
+                f"k={k}, h={h}, q={q}, w={w}")
+        return d, dt
+
+    columns: list = [None] * basis.dim
+    for w in sorted({w for _, w in slices}):
+        carried = None  # (q + 1, D_{q+1}) from the slice just below
+        for q in sorted(q for q, ww in slices if ww == w):
+            d, dt = carried[1] if carried and carried[0] == q else boundary(q, w)
+            u, ut = boundary(q + 1, w)
+            carried = (q + 1, (u, ut))
+            # one column of D_q^T D_q + D_{q+1} D_{q+1}^T at a time: whole
+            # products would hold three slice-sized matrices at once
+            pos = [basis.index[m] for m in slices[(q, w)].monomials]
+            for j, p in enumerate(pos):
+                col = add_chains(dt.apply(d.columns[j]), u.apply(ut.columns[j]))
+                columns[p] = {pos[i]: v for i, v in col.items()}
+    return IntMatrix(basis.dim, basis.dim, columns)
 
 
 def laplacian_closed_form(k: int, basis: BlockBasis) -> IntMatrix:
@@ -423,8 +484,7 @@ def spectrum(k: int, h: int) -> SpectrumResult:
 
 def harmonic_basis(k: int, basis: BlockBasis) -> list[Chain]:
     """Exact basis of the Laplacian kernel on the block, echelon-normalized."""
-    gamma = matrix_of(lambda c: laplacian_apply(k, c), basis, basis)
-    kernel = fraction_kernel(gamma)
+    kernel = fraction_kernel(laplacian_by_definition(k, basis))
     return [{basis.monomials[i]: c for i, c in sorted(vec.items())}
             for vec in kernel]
 

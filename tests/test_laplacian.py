@@ -3,15 +3,18 @@ from fractions import Fraction
 import pytest
 
 from afflap.chains import (
+    BlockBasis,
     adjoint_action,
     block_dim_table,
     codifferential,
     differential,
     enumerate_block,
     matrix_of,
+    weight,
     weight_dim_table,
 )
 from afflap.laplacian import (
+    ClaimFalsified,
     characteristic_polynomial,
     expected_homology,
     find_irrational_spectrum,
@@ -42,6 +45,46 @@ def test_constructions_agree_higher_k():
         for h in range(6):
             basis = enumerate_block(k, h)
             assert laplacian_by_definition(k, basis) == laplacian_closed_form(k, basis)
+
+
+def test_definition_on_slice_basis_is_restriction_of_block():
+    for k in (-1, 2):
+        for h in range(7):
+            full = enumerate_block(k, h)
+            gamma = laplacian_by_definition(k, full)
+            for q, w in sorted({(len(m), weight(m)) for m in full}):
+                basis = enumerate_block(k, h, w).restrict(q=q)
+                pos = [full.index[m] for m in basis]
+                restricted = [{i: gamma.columns[p][r] for i, r in enumerate(pos)
+                               if r in gamma.columns[p]} for p in pos]
+                assert laplacian_by_definition(k, basis).columns == restricted, (k, h, w, q)
+
+
+def test_definition_rejects_split_slices():
+    whole = enumerate_block(2, 4, 0).restrict(q=2)
+    assert whole.dim > 1
+    with pytest.raises(ValueError):
+        laplacian_by_definition(2, BlockBasis(2, 4, whole.monomials[1:]))
+    # a monomial of another degree is not part of any slice of this block
+    with pytest.raises(ValueError):
+        laplacian_by_definition(2, BlockBasis(2, 4, [(2, 3)]))
+
+
+def test_definition_checks_codifferential_against_transpose(monkeypatch):
+    from afflap import laplacian
+
+    real = laplacian.codifferential
+
+    def one_sign_flipped(k, chain):
+        image = real(k, chain)
+        return {m: -c for m, c in image.items()} if chain == {(5,): 1} else image
+
+    basis = enumerate_block(2, 2)
+    assert codifferential(2, {(5,): 1}) == {(2, 3): 1}
+    laplacian_by_definition(2, basis)
+    monkeypatch.setattr(laplacian, "codifferential", one_sign_flipped)
+    with pytest.raises(ClaimFalsified):
+        laplacian_by_definition(2, basis)
 
 
 def test_one_dim_eigenvalues():

@@ -1,0 +1,135 @@
+"""Property tests for the sign conventions of the boundary operators.
+
+``differential`` and ``codifferential`` place their signs by ``bisect``
+insertion.  The references below build the raw replacement word and let the
+insertion sort ``normalize_wedge`` decide its sign, so the two routes share
+no sign logic.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from afflap.chains import (
+    chain_insert,
+    codifferential,
+    differential,
+    enumerate_block,
+    matrix_of,
+    normalize_wedge,
+    weight,
+)
+from afflap.generators import epsilon
+
+# derandomized and without an example database, so the suite stays
+# reproducible and leaves no files behind
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+KS = st.integers(min_value=-1, max_value=4)
+
+
+@st.composite
+def monomials(draw):
+    """(k, monomial) with a monomial of L(k) of at most six factors."""
+    k = draw(KS)
+    indices = draw(st.sets(st.integers(min_value=k, max_value=k + 24), max_size=6))
+    return k, tuple(sorted(indices))
+
+
+@st.composite
+def chains(draw):
+    """(k, chain): a few monomials of L(k) with small nonzero coefficients."""
+    k = draw(KS)
+    monos = draw(st.lists(
+        st.sets(st.integers(min_value=k, max_value=k + 18), max_size=5),
+        min_size=1, max_size=4))
+    coeffs = st.integers(min_value=-3, max_value=3).filter(bool)
+    return k, {tuple(sorted(m)): draw(coeffs) for m in monos}
+
+
+def reference_differential(k: int, chain: dict) -> dict:
+    """Contract the pair (s, t) to e_{i_s + i_t} at the front, with sign
+    (-1)^(s+t+1), and let normalize_wedge sort the word."""
+    out: dict = {}
+    for mono, coeff in chain.items():
+        for s in range(len(mono)):
+            for t in range(s + 1, len(mono)):
+                e = epsilon(mono[t] - mono[s])
+                word = (mono[s] + mono[t],) + mono[:s] + mono[s + 1:t] + mono[t + 1:]
+                nz = normalize_wedge(word)
+                if not e or nz is None:
+                    continue
+                sign, nm = nz
+                chain_insert(out, nm, coeff * e * sign * (-1) ** (s + t + 1))
+    return out
+
+
+def reference_codifferential(k: int, chain: dict) -> dict:
+    """Replace the factor e_i at position s by every splitting e_a ^ e_b,
+    a + b = i, k <= a < b, with sign (-1)^s eps(b - a)."""
+    out: dict = {}
+    for mono, coeff in chain.items():
+        for s, i in enumerate(mono):
+            for a in range(k, i - k + 1):
+                b = i - a
+                if a >= b or not epsilon(b - a):
+                    continue
+                nz = normalize_wedge(mono[:s] + (a, b) + mono[s + 1:])
+                if nz is None:
+                    continue
+                sign, nm = nz
+                chain_insert(out, nm, coeff * epsilon(b - a) * sign * (-1) ** s)
+    return out
+
+
+@PROPERTY
+@given(monomials())
+def test_differential_matches_normalize_wedge_reference(km):
+    k, mono = km
+    assert differential(k, {mono: 1}) == reference_differential(k, {mono: 1})
+
+
+@PROPERTY
+@given(monomials())
+def test_codifferential_matches_normalize_wedge_reference(km):
+    k, mono = km
+    assert codifferential(k, {mono: 1}) == reference_codifferential(k, {mono: 1})
+
+
+@PROPERTY
+@given(chains())
+def test_operators_match_reference_on_chains(kc):
+    k, chain = kc
+    assert differential(k, chain) == reference_differential(k, chain)
+    assert codifferential(k, chain) == reference_codifferential(k, chain)
+
+
+@PROPERTY
+@given(monomials())
+def test_boundary_squares_to_zero(km):
+    k, mono = km
+    assert differential(k, differential(k, {mono: 1})) == {}
+    assert codifferential(k, codifferential(k, {mono: 1})) == {}
+
+
+@st.composite
+def slices(draw):
+    """(k, h, w, q) naming a nonempty (q, w) slice of a degree-h block."""
+    k = draw(KS)
+    h = draw(st.integers(min_value=0, max_value=6))
+    keys = sorted({(len(m), weight(m)) for m in enumerate_block(k, h)})
+    q, w = draw(st.sampled_from(keys))
+    return k, h, w, q
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(slices())
+def test_consecutive_slice_boundaries_compose_to_zero(khwq):
+    """D_q D_{q+1} = 0 on the slice matrices, and the codifferential matrix
+    is the transpose of the differential matrix on each slice pair."""
+    k, h, w, q = khwq
+    block = enumerate_block(k, h, w)
+    below, here, above = (block.restrict(q=q + i) for i in (-1, 0, 1))
+    d_q = matrix_of(lambda c: differential(k, c), here, below)
+    d_up = matrix_of(lambda c: differential(k, c), above, here)
+    assert (d_q * d_up).is_zero()
+    assert matrix_of(lambda c: codifferential(k, c), below, here) == d_q.transpose()
