@@ -48,7 +48,6 @@ from .sl2 import (
     WeightModuleView,
     cg_singular_vector,
     motzkin_sums,
-    rep_mul,
     singular_block_dims,
     singular_block_dims_by_q,
     singular_multiplicities,

@@ -9,6 +9,7 @@ exact over the rationals.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
@@ -345,40 +346,44 @@ def enumerate_block(k: int, h: int, w: int | None = None) -> BlockBasis:
     return BlockBasis(k, h, monos, w=w)
 
 
-@lru_cache(maxsize=None)
-def block_dim_table(k: int, h_max: int) -> dict:
-    """dim C_q^{(w,h)}(L(k)) for all h <= h_max, as a map (q, w, h) -> dim.
+def _dim_rows(k: int, h_max: int, step, unit) -> list[dict]:
+    """Per-degree rows of the product of (1 + t u^weight x^degree) over the
+    generators of L(k) with degree <= h_max: ``rows[h]`` maps a key to the
+    number of monomials of degree h with that key.  The empty monomial has
+    key ``unit``; multiplying by e_a sends a key to ``step(key, epsilon(a))``.
 
-    Computed by a knapsack pass over the generators, matching the coefficient
-    expansion of the product of (1 + t u^weight x^degree) over the generators.
+    Each generator runs over the rows from the highest h down, in place, and
+    never touches an entry with h + deg a > h_max; a degree-zero generator
+    reads a copy of its row.  Counts are Python ints, which do not overflow.
     """
     if k < -1:
         raise ValueError(f"blocks are defined for k >= -1, got k={k}")
-    gens = [a for a in (-1, 0, 1) if a >= k]
-    a = max(k, 2)
-    while generator_degree(a) <= h_max:
-        gens.append(a)
+    rows: list[dict] = [{} for _ in range(h_max + 1)]
+    rows[0][unit] = 1
+    a = k
+    while (d := generator_degree(a)) <= h_max:
+        e = epsilon(a)
+        for h in range(h_max - d, -1, -1):
+            src, dst = (rows[h], rows[h + d]) if d else (dict(rows[h]), rows[h])
+            for key, n in src.items():
+                key = step(key, e)
+                dst[key] = dst.get(key, 0) + n
         a += 1
-    table = {(0, 0, 0): 1}
-    for a in gens:
-        da, wa = generator_degree(a), epsilon(a)
-        updates = {}
-        for (q, w, h), n in table.items():
-            if h + da <= h_max:
-                key = (q + 1, w + wa, h + da)
-                updates[key] = updates.get(key, 0) + n
-        for key, n in updates.items():
-            table[key] = table.get(key, 0) + n
-    return table
+    return rows
+
+
+@lru_cache(maxsize=None)
+def block_dim_table(k: int, h_max: int) -> dict:
+    """dim C_q^{(w,h)}(L(k)) for all h <= h_max, as a map (q, w, h) -> dim."""
+    rows = _dim_rows(k, h_max, lambda qw, e: (qw[0] + 1, qw[1] + e), (0, 0))
+    return {(q, w, h): n for h, row in enumerate(rows) for (q, w), n in row.items()}
 
 
 @lru_cache(maxsize=None)
 def weight_dim_table(k: int, h_max: int) -> dict:
     """dim C^{(w,h)}(L(k)) summed over q, as a map (w, h) -> dim."""
-    out: dict = {}
-    for (q, w, h), n in block_dim_table(k, h_max).items():
-        out[(w, h)] = out.get((w, h), 0) + n
-    return out
+    rows = _dim_rows(k, h_max, operator.add, 0)
+    return {(w, h): n for h, row in enumerate(rows) for w, n in row.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -130,11 +130,6 @@ class RepRingElement:
         return "RepRing(" + " + ".join(parts) + ")"
 
 
-def rep_mul(x: RepRingElement, y: RepRingElement) -> RepRingElement:
-    """Clebsch-Gordan product in the representation ring."""
-    return x * y
-
-
 # ---------------------------------------------------------------------------
 # Laurent polynomials in u^(1/2)
 

@@ -258,13 +258,48 @@ def test_block_dim_table_matches_enumeration():
 
 
 def test_weight_dim_table_consistency():
+    """The q-free table against the q-refined one, built by separate runs."""
     for k in SMALL_KS:
-        per_q = block_dim_table(k, 4)
-        flat = weight_dim_table(k, 4)
         acc: dict = {}
-        for (q, w, h), n in per_q.items():
+        for (q, w, h), n in block_dim_table(k, 30).items():
             acc[(w, h)] = acc.get((w, h), 0) + n
-        assert acc == flat
+        assert acc == weight_dim_table(k, 30)
+
+
+def test_weight_dim_table_matches_enumeration():
+    for k in SMALL_KS:
+        counted: dict = {}
+        for h in range(H_SMALL + 1):
+            for mono in enumerate_block(k, h):
+                key = (weight(mono), h)
+                counted[key] = counted.get(key, 0) + 1
+        assert weight_dim_table(k, H_SMALL) == counted
+
+
+def test_weight_dim_table_prefix_property():
+    """Raising h_max adds rows and never changes the rows below it."""
+    for k in SMALL_KS:
+        big = weight_dim_table(k, 40)
+        for h0 in (0, 1, 7, 25):
+            assert {key: n for key, n in big.items() if key[1] <= h0} == \
+                weight_dim_table(k, h0)
+
+
+def test_weight_dim_table_exact_beyond_int64():
+    """An entry above 2**63, and its degree column against the u = 1 product.
+
+    For k = -1 there are three generators of every degree m >= 0, so the
+    column sums are the coefficients of 8 prod_{m >= 1} (1 + x^m)^3.
+    """
+    h = 253
+    table = weight_dim_table(-1, h)
+    assert table[(-1, h)] == 9304205918454155232 > 2**63
+    poly = [8] + [0] * h
+    for m in range(1, h + 1):
+        for _ in range(3):
+            for e in range(h, m - 1, -1):
+                poly[e] += poly[e - m]
+    assert sum(n for (w, hh), n in table.items() if hh == h) == poly[h]
 
 
 def test_generating_product_equals_enumeration():

@@ -1,4 +1,5 @@
-"""Property tests for the sign conventions of the boundary operators.
+"""Property tests for the sign conventions of the boundary operators and for
+the axioms of the coefficient rings of the series arithmetic.
 
 ``differential`` and ``codifferential`` place their signs by ``bisect``
 insertion.  The references below build the raw replacement word and let the
@@ -19,6 +20,8 @@ from afflap.chains import (
     weight,
 )
 from afflap.generators import epsilon
+from afflap.series import EisensteinInt, EisensteinRing, IntegerRing, LaurentRing, RepRing
+from afflap.sl2 import HalfLaurent, RepRingElement
 
 # derandomized and without an example database, so the suite stays
 # reproducible and leaves no files behind
@@ -133,3 +136,52 @@ def test_consecutive_slice_boundaries_compose_to_zero(khwq):
     d_up = matrix_of(lambda c: differential(k, c), above, here)
     assert (d_q * d_up).is_zero()
     assert matrix_of(lambda c: codifferential(k, c), below, here) == d_q.transpose()
+
+
+# ---------------------------------------------------------------------------
+# ring axioms of the series coefficient rings
+
+SMALL_INTS = st.integers(min_value=-9, max_value=9)
+ELEMENTS = {
+    IntegerRing: st.integers(min_value=-10**12, max_value=10**12),
+    LaurentRing: st.dictionaries(st.integers(min_value=-7, max_value=7), SMALL_INTS,
+                                 max_size=4).map(HalfLaurent),
+    RepRing: st.dictionaries(st.integers(min_value=0, max_value=7), SMALL_INTS,
+                             max_size=4).map(RepRingElement),
+    EisensteinRing: st.builds(EisensteinInt, SMALL_INTS, SMALL_INTS),
+}
+
+
+@st.composite
+def ring_triples(draw):
+    """(ring, x, y, z) with three elements of one coefficient ring."""
+    ring = draw(st.sampled_from(list(ELEMENTS)))
+    return (ring, *(draw(ELEMENTS[ring]) for _ in range(3)))
+
+
+@PROPERTY
+@given(ring_triples())
+def test_ring_multiplication_is_commutative_and_associative(rxyz):
+    _, x, y, z = rxyz
+    assert x * y == y * x
+    assert (x * y) * z == x * (y * z)
+
+
+@PROPERTY
+@given(ring_triples())
+def test_ring_multiplication_distributes_over_addition(rxyz):
+    _, x, y, z = rxyz
+    assert x * (y + z) == x * y + x * z
+    assert (x + y) * z == x * z + y * z
+
+
+@PROPERTY
+@given(ring_triples(), SMALL_INTS)
+def test_ring_unit_zero_and_integer_scalars(rxyz, n):
+    ring, x, _, _ = rxyz
+    one, zero = ring.one(), ring.zero()
+    assert x * one == x and one * x == x
+    assert x + zero == x and zero + x == x
+    assert not x * zero and not zero * x
+    assert x - x == zero
+    assert x * n == n * x == ring.coerce(n) * x

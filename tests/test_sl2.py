@@ -12,7 +12,6 @@ from afflap.sl2 import (
     WeightModuleView,
     cg_singular_vector,
     motzkin_sums,
-    rep_mul,
     singular_block_dims,
     singular_block_dims_by_q,
     singular_multiplicities,
@@ -26,10 +25,10 @@ ONE = RepRingElement.one()
 
 
 def test_rep_mul_examples():
-    assert rep_mul(Z, Z) == RepRingElement({0: 1, 2: 1, 4: 1})
-    assert rep_mul(ONE, Z) == Z
+    assert Z * Z == RepRingElement({0: 1, 2: 1, 4: 1})
+    assert ONE * Z == Z
     half = RepRingElement.simple(1)
-    assert rep_mul(half, half) == RepRingElement({0: 1, 2: 1})
+    assert half * half == RepRingElement({0: 1, 2: 1})
 
 
 def test_rep_ring_axioms_sampled():
@@ -164,7 +163,8 @@ def test_wedge_powers_of_adjoint_triples():
 
 
 def test_singular_characters_multiply():
-    """Singular multiplicities of a tensor product factor through rep_mul."""
+    """Singular multiplicities of a tensor product factor through the
+    Clebsch-Gordan product."""
     import itertools
 
     def wedge_algebra(gen_lists):
@@ -179,7 +179,7 @@ def test_singular_characters_multiply():
     s_a = singular_multiplicities(wedge_algebra([a_gens]))
     s_b = singular_multiplicities(wedge_algebra([b_gens]))
     s_ab = singular_multiplicities(wedge_algebra([a_gens, b_gens]))
-    assert s_ab == rep_mul(s_a, s_b)
+    assert s_ab == s_a * s_b
 
 
 def test_casimir_acts_by_weight_law():
