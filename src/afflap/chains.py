@@ -16,6 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .generators import epsilon, generator_degree
+from .linalg import IntMatrix, add_scaled
 
 Monomial = tuple
 Chain = dict
@@ -69,8 +70,7 @@ def chain_insert(chain: Chain, mono: Monomial, coeff) -> None:
 def add_chains(*chains: Chain) -> Chain:
     out: Chain = {}
     for c in chains:
-        for mono, coeff in c.items():
-            chain_insert(out, mono, coeff)
+        add_scaled(out, c)
     return out
 
 
@@ -395,8 +395,6 @@ def matrix_of(op, source: BlockBasis, target: BlockBasis):
     Columns follow the source order.  Raises when the image of a basis
     monomial does not lie in the span of the target basis.
     """
-    from .linalg import IntMatrix
-
     columns = []
     for mono in source.monomials:
         img = op({mono: 1})

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import __version__
 from .identities import all_identities, verify_identity
-from .laplacian import ClaimFalsified, homology_table, spectrum
+from .laplacian import ClaimFalsified, homology_table, predicted_eigenvalue, spectrum
 from .sl2 import singular_block_dims, singular_block_dims_by_q
 
 USAGE_ERROR = 2
@@ -153,6 +153,7 @@ def cmd_homology(args) -> int:
         return _usage("homology needs --k in {-1, 0, 1, 2}")
     if args.h_max < 0:
         return _usage("--h-max must be non-negative")
+    _jobs_from(args)  # validated like every command; homology runs in-process
     try:
         result = _homology_task((args.k, args.h_max))
     except ClaimFalsified as exc:
@@ -246,9 +247,8 @@ def _singular_task(args: tuple) -> dict:
         dim = singular_block_dims(k, w, h)
         if not dim:
             continue
-        lam = h + (1 if k % 2 else -1) * w * (w + 1) // 2
         rows.append({
-            "w": w, "h": h, "lambda": lam, "dim": dim,
+            "w": w, "h": h, "lambda": predicted_eigenvalue(k, w, h), "dim": dim,
             "by_q": [{"q": q, "dim": d}
                      for q, d in sorted(singular_block_dims_by_q(k, w, h).items())],
         })

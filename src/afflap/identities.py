@@ -460,7 +460,7 @@ def _check_mult_Lminus1(order: int) -> IdentityReport:
     chars = singular_series(-1, order)
     acc = [0] * order
     for h, elem in enumerate(chars):
-        for d, m in elem.mults.items():
+        for d, m in elem.terms.items():
             w = d // 2
             lam = h + w * (w + 1) // 2
             if lam < order:

@@ -12,13 +12,15 @@ operator and the conjugate generator actions.  Their entrywise equality on
 every block is the central cross-check of the package, not an assumption.
 
 Spectra are computed exactly.  For k in {0, 1} the Laplacian is scalar on
-every (weight, degree) block and the scalar is verified entrywise.  For
-k in {-1, 2} the eigenvalues follow the isotypic decomposition under the
-sl2 action; multiplicities are predicted by weight-space dimension counts
-and certified per block, either by exact nullities (fraction-free
-elimination) or, on blocks too large for dense rational elimination, by the
-sandwich of a structural lower bound (sl2 relations and Casimir commutation
-verified as exact matrix identities) and a modular-rank upper bound.
+every (q, w) slice and the scalar is verified entrywise.  For k in {-1, 2}
+``_structure_certificate`` checks, as exact integer matrix identities, that
+the two constructions agree; that the adjoint e_{-1}, e_0, e_1 satisfy the
+sl2 relations, so the Casimir C acts by w(w+1) on the isotypic piece of
+dominant weight w; and that 2 Gamma = 2h I + C for k = -1, 2h I - C for
+k = 2, so Gamma acts on that piece by h +- w(w+1)/2.  ``spectrum`` counts
+the multiplicities from weight-space dimensions and cross-checks each one
+by a per-slice nullity: fraction-free elimination on small slices, modular
+rank (decided exactly on a mismatch) on large ones.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .chains import (
 from .generators import epsilon
 from .linalg import (
     IntMatrix,
+    add_scaled,
     berkowitz_charpoly,
     certify_full_rank,
     exact_nullity,
@@ -52,15 +55,11 @@ from .linalg import (
     nullity_mod_p,
     strip_integer_roots,
 )
+from .sl2 import ClaimFalsified, WeightModuleView
 
-# Blocks up to this dimension get their nullities by exact elimination; the
-# larger ones use the structural certificate plus modular ranks.
+# Slices up to this dimension get their nullities by exact elimination and
+# the residual product check; the larger ones use modular ranks.
 EXACT_NULLITY_CUT = 48
-RESIDUAL_CHECK_CUT = 48
-
-
-class ClaimFalsified(AssertionError):
-    """An exactly computed quantity contradicts a predicted spectral law."""
 
 
 # ---------------------------------------------------------------------------
@@ -278,39 +277,36 @@ def _submatrix(matrix: IntMatrix, positions: list[int]) -> IntMatrix:
 
 
 @lru_cache(maxsize=None)
-def _sl2_matrices(k: int, h: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Matrices of the adjoint e_{-1}, e_0, e_1 on the h-block, k = -1 (mod 3)."""
-    basis = _full_block(k, h)
-    e_m1 = matrix_of(lambda c: adjoint_action(-1, c, k), basis, basis)
-    e_0 = matrix_of(lambda c: adjoint_action(0, c, k), basis, basis)
-    e_1 = matrix_of(lambda c: adjoint_action(1, c, k), basis, basis)
-    return e_m1, e_0, e_1
-
-
-@lru_cache(maxsize=None)
 def _structure_certificate(k: int, h: int) -> bool:
-    """Exact matrix identities backing the isotypic spectral law on a block.
+    """Exact matrix identities that pin the spectrum of the degree-h block.
 
-    Checks, entrywise over the integers: the two Laplacian constructions
-    agree; the three sl2 actions satisfy the defining relations; and the
-    Casimir expression commutes with the raising and lowering actions.
-    Combined with complete reducibility and Schur's lemma this pins the
-    spectrum of the block to the predicted eigenvalue set.
+    Checked entrywise over the integers, for k in {-1, 2}:
+
+    1. the two Laplacian constructions agree, Gamma = Gamma_closed;
+    2. the adjoint actions e_{-1}, e_0, e_1 satisfy the sl2 relations
+       [e_0, e_{+-1}] = +-e_{+-1} and [e_1, e_{-1}] = e_0, so the block is
+       a finite-dimensional sl2-module and C = e_{-1} e_1 + e_0^2 + e_1 e_{-1}
+       acts by w(w+1) on its isotypic piece of dominant weight w;
+    3. 2 Gamma = 2h I + C for k = -1 and 2 Gamma = 2h I - C for k = 2, so
+       Gamma acts on that piece by ``predicted_eigenvalue(k, w, h)``,
+       h +- w(w+1)/2.
+
+    The multiplicity of each piece then follows from weight-space
+    dimensions, which ``spectrum`` counts; its per-slice nullities are the
+    independent cross-check.  Raises ClaimFalsified naming k and h.
     """
-    if k % 3 != 2:
-        raise ValueError("sl2 structure exists for k = -1 (mod 3) only")
-    if definition_matrix(k, h) != closed_matrix(k, h):
+    if k not in (-1, 2):
+        raise ValueError("the Casimir identity holds for k in {-1, 2}")
+    gamma = definition_matrix(k, h)
+    if gamma != closed_matrix(k, h):
         raise ClaimFalsified(f"Laplacian constructions differ on k={k}, h={h}")
-    e_m1, e_0, e_1 = _sl2_matrices(k, h)
-    if (e_0 * e_1 - e_1 * e_0) != e_1:
-        raise ClaimFalsified(f"[e_0, e_1] != e_1 on k={k}, h={h}")
-    if (e_0 * e_m1 - e_m1 * e_0) != e_m1.scale(-1):
-        raise ClaimFalsified(f"[e_0, e_-1] != -e_-1 on k={k}, h={h}")
-    if (e_1 * e_m1 - e_m1 * e_1) != e_0:
-        raise ClaimFalsified(f"[e_1, e_-1] != e_0 on k={k}, h={h}")
-    casimir = e_m1 * e_1 + e_0 * e_0 + e_1 * e_m1
-    if (casimir * e_1) != (e_1 * casimir) or (casimir * e_m1) != (e_m1 * casimir):
-        raise ClaimFalsified(f"Casimir does not commute with sl2 on k={k}, h={h}")
+    view = WeightModuleView.from_basis(k, _full_block(k, h))
+    view.check_relations()
+    sign = 1 if k % 2 else -1
+    twice = IntMatrix.identity(gamma.cols).scale(2 * h) + view.casimir().scale(sign)
+    if gamma.scale(2) != twice:
+        raise ClaimFalsified(
+            f"2 Gamma != 2h I {'+' if sign > 0 else '-'} C on k={k}, h={h}")
     return True
 
 
@@ -369,18 +365,11 @@ class SpectrumResult:
 
 def _residual_annihilates(matrix: IntMatrix, lams: list[int]) -> bool:
     """Apply prod (A - lam I) to every basis vector; exact integers."""
-    n = matrix.cols
-    for j in range(n):
+    for j in range(matrix.cols):
         vec = {j: 1}
         for lam in lams:
             img = matrix.apply(vec)
-            if lam:
-                for i, v in vec.items():
-                    s = img.get(i, 0) - lam * v
-                    if s:
-                        img[i] = s
-                    else:
-                        img.pop(i, None)
+            add_scaled(img, vec, -lam)
             vec = img
             if not vec:
                 break
@@ -423,6 +412,7 @@ def spectrum(k: int, h: int) -> SpectrumResult:
         dims = {key: len(pos) for key, pos in layout.items()}
         for (q, w0), positions in sorted(layout.items()):
             n = len(positions)
+            use_exact = n <= EXACT_NULLITY_CUT
             sub = _submatrix(gamma, positions)
             # dominant weights w' >= |w0| occur with multiplicity
             # dim(q, w') - dim(q, w'+1); each contributes its predicted
@@ -444,13 +434,12 @@ def spectrum(k: int, h: int) -> SpectrumResult:
                         k=k, w=wp, h=h, q=q, dim=n, predicted_lambda=lam,
                         mult=m_pred,
                         kernel_dim=m_pred if lam == 0 else 0,
-                        method="exact" if n <= EXACT_NULLITY_CUT else "modular"))
+                        method="exact" if use_exact else "modular"))
                 wp += 1
             if sum(expected.values()) != n:
                 raise ClaimFalsified(
                     f"predicted eigenvalues do not exhaust k={k}, h={h}, q={q}, w={w0}: "
                     f"{sum(expected.values())} of {n}")
-            use_exact = n <= EXACT_NULLITY_CUT
             for lam, m_pred in sorted(expected.items()):
                 if use_exact:
                     nullity = exact_nullity(sub, lam)
@@ -466,7 +455,7 @@ def spectrum(k: int, h: int) -> SpectrumResult:
                         f"eigenvalue {lam} on k={k}, h={h}, q={q}, w={w0}: "
                         f"nullity {nullity}, predicted {m_pred}")
                 totals[lam] = totals.get(lam, 0) + m_pred
-            if use_exact and n <= RESIDUAL_CHECK_CUT and expected:
+            if use_exact and expected:
                 if not _residual_annihilates(sub, sorted(expected)):
                     raise ClaimFalsified(
                         f"residual product does not annihilate k={k}, h={h}, q={q}, w={w0}")

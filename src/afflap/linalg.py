@@ -19,6 +19,19 @@ DEFAULT_PRIME = 1_000_003
 SECOND_PRIME = 999_983
 
 
+def add_scaled(dst: dict, src: dict, scale=1) -> None:
+    """``dst += scale * src`` for sparse vectors stored as dicts, in place.
+
+    Entries that cancel are removed, so a zero-free ``dst`` stays zero-free.
+    """
+    for key, v in src.items():
+        s = dst.get(key, 0) + scale * v
+        if s:
+            dst[key] = s
+        else:
+            dst.pop(key, None)
+
+
 class IntMatrix:
     """Sparse exact integer matrix (column-major)."""
 
@@ -75,12 +88,7 @@ class IntMatrix:
         cols = []
         for c1, c2 in zip(self.columns, other.columns):
             c = dict(c1)
-            for i, v in c2.items():
-                s = c.get(i, 0) + v
-                if s:
-                    c[i] = s
-                else:
-                    c.pop(i, None)
+            add_scaled(c, c2)
             cols.append(c)
         return IntMatrix(self.rows, self.cols, cols)
 
@@ -97,14 +105,8 @@ class IntMatrix:
         """Image of a sparse column vector {row: value}."""
         out: dict = {}
         for j, v in vec.items():
-            if not v:
-                continue
-            for i, a in self.columns[j].items():
-                s = out.get(i, 0) + a * v
-                if s:
-                    out[i] = s
-                else:
-                    out.pop(i, None)
+            if v:
+                add_scaled(out, self.columns[j], v)
         return out
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
@@ -129,11 +131,7 @@ class IntMatrix:
         cols = []
         for j, col in enumerate(self.columns):
             c = dict(col)
-            s = c.get(j, 0) - lam
-            if s:
-                c[j] = s
-            else:
-                c.pop(j, None)
+            add_scaled(c, {j: 1}, -lam)
             cols.append(c)
         return IntMatrix(self.rows, self.cols, cols)
 
@@ -156,14 +154,18 @@ class IntMatrix:
 # ---------------------------------------------------------------------------
 # exact elimination
 
-def bareiss_rank(dense_rows: list[list[int]]) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination on integer rows."""
-    m = [row[:] for row in dense_rows]
+def _bareiss_forward(m: list[list[int]]) -> list[int]:
+    """Fraction-free (Bareiss) forward elimination of integer rows, in place.
+
+    Returns the pivot columns; pivot ``r`` sits in row ``r``, so their
+    count is the rank over Q.
+    """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    rank = 0
+    pivots: list[int] = []
     prev = 1
     for col in range(ncols):
+        rank = len(pivots)
         piv = None
         for i in range(rank, nrows):
             if m[i][col]:
@@ -173,19 +175,24 @@ def bareiss_rank(dense_rows: list[list[int]]) -> int:
             continue
         if piv != rank:
             m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
         mr = m[rank]
+        pv = mr[col]
         for i in range(rank + 1, nrows):
             mi = m[i]
             f = mi[col]
             # every row below is rescaled, keeping the divisions exact
             for c in range(col, ncols):
                 mi[c] = (pv * mi[c] - f * mr[c]) // prev
+        pivots.append(col)
         prev = pv
-        rank += 1
-        if rank == nrows:
+        if rank + 1 == nrows:
             break
-    return rank
+    return pivots
+
+
+def bareiss_rank(dense_rows: list[list[int]]) -> int:
+    """Rank over Q by fraction-free (Bareiss) elimination on integer rows."""
+    return len(_bareiss_forward([row[:] for row in dense_rows]))
 
 
 def fraction_kernel(matrix: IntMatrix) -> list[dict[int, Fraction]]:
@@ -195,45 +202,19 @@ def fraction_kernel(matrix: IntMatrix) -> list[dict[int, Fraction]]:
     vectors are recovered by rational back-substitution, one per free
     column, with value 1 at their own free column and 0 at the others.
     """
-    nrows, ncols = matrix.rows, matrix.cols
     m = matrix.to_dense_rows()
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        for i in range(rank + 1, nrows):
-            mi = m[i]
-            f = mi[col]
-            mr = m[rank]
-            for c in range(col, ncols):
-                mi[c] = (pv * mi[c] - f * mr[c]) // prev
-        pivots.append((rank, col))
-        prev = pv
-        rank += 1
-        if rank == nrows:
-            break
-    pivot_cols = [c for _, c in pivots]
+    pivot_cols = _bareiss_forward(m)
     pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    free_cols = [c for c in range(matrix.cols) if c not in pivot_set]
     kernel = []
     for fc in free_cols:
         vec: dict[int, Fraction] = {fc: Fraction(1)}
-        for r in range(len(pivots) - 1, -1, -1):
-            row, pc = pivots[r]
+        for row in range(len(pivot_cols) - 1, -1, -1):
+            pc = pivot_cols[row]
             if pc > fc:
                 continue
             s = Fraction(m[row][fc])
-            for c in pivot_cols[r + 1:]:
+            for c in pivot_cols[row + 1:]:
                 if c <= fc and c in vec:
                     s += m[row][c] * vec[c]
             if s:

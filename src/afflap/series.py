@@ -95,7 +95,8 @@ class EisensteinInt:
                 and self.a == other.a and self.b == other.b)
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # a constant equals its int, so it must hash like it
+        return hash((self.a, self.b)) if self.b else hash(self.a)
 
     def __add__(self, other):
         if isinstance(other, int):

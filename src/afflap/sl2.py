@@ -21,125 +21,30 @@ from .chains import (
     matrix_of,
     weight,
 )
-from .linalg import IntMatrix, bareiss_rank
+from .linalg import IntMatrix, add_scaled, bareiss_rank
 
 
-class RepRingElement:
-    """Element of the sl2 representation ring.
+class ClaimFalsified(AssertionError):
+    """An exactly computed quantity contradicts a predicted law."""
 
-    A free Z-module on the simple modules, encoded as a map from doubled
-    dominant weight to multiplicity; multiplication is the Clebsch-Gordan
-    rule extended bilinearly.
-    """
 
-    __slots__ = ("mults",)
+class _SparseRingElement:
+    """Ring element stored as a sparse map key -> nonzero int, key 0 being
+    the unit.  Holds the additive structure, equality and hashing; each
+    ring supplies its own ``__mul__``.  Integers coerce to constants."""
 
-    def __init__(self, mults=None):
-        m = {}
-        if mults:
-            for d, c in mults.items():
-                if d < 0:
-                    raise ValueError(f"negative doubled weight {d}")
-                if c:
-                    m[d] = c
-        self.mults = m
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {e: v for e, v in (terms or {}).items() if v}
 
     @classmethod
-    def zero(cls) -> "RepRingElement":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "RepRingElement":
-        return cls({0: 1})
-
-    @classmethod
-    def simple(cls, two_w: int) -> "RepRingElement":
-        """Class of the simple module with doubled dominant weight ``two_w``."""
-        return cls({two_w: 1})
-
-    def __bool__(self):
-        return bool(self.mults)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = RepRingElement({0: other})
-        return isinstance(other, RepRingElement) and self.mults == other.mults
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.mults.items())))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = RepRingElement({0: other})
-        out = dict(self.mults)
-        for d, c in other.mults.items():
-            s = out.get(d, 0) + c
-            if s:
-                out[d] = s
-            else:
-                del out[d]
-        return RepRingElement(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RepRingElement({d: -c for d, c in self.mults.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = RepRingElement({0: other})
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return RepRingElement({d: c * other for d, c in self.mults.items()})
-        out: dict[int, int] = {}
-        for d1, c1 in self.mults.items():
-            for d2, c2 in other.mults.items():
-                c = c1 * c2
-                for d in range(abs(d1 - d2), d1 + d2 + 1, 2):
-                    s = out.get(d, 0) + c
-                    if s:
-                        out[d] = s
-                    else:
-                        del out[d]
-        return RepRingElement(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def dimension(self) -> int:
-        """Total dimension of a module with these multiplicities."""
-        return sum(c * (d + 1) for d, c in self.mults.items())
-
-    def mult(self, two_w: int) -> int:
-        return self.mults.get(two_w, 0)
-
-    def __repr__(self):
-        if not self.mults:
-            return "RepRing(0)"
-        parts = []
-        for d in sorted(self.mults):
-            wtxt = str(d // 2) if d % 2 == 0 else f"{d}/2"
-            parts.append(f"{self.mults[d]}*z^{wtxt}")
-        return "RepRing(" + " + ".join(parts) + ")"
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials in u^(1/2)
-
-class HalfLaurent:
-    """Laurent polynomial in u^(1/2): map doubled exponent -> int."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs=None):
-        self.c = {e: v for e, v in (coeffs or {}).items() if v}
+    def _of(cls, terms: dict):
+        """Wrap ``terms`` as is: arithmetic results are already zero-free
+        and valid, so they skip the checks of ``__init__``."""
+        elem = object.__new__(cls)
+        elem.terms = terms
+        return elem
 
     @classmethod
     def zero(cls):
@@ -148,6 +53,104 @@ class HalfLaurent:
     @classmethod
     def one(cls):
         return cls({0: 1})
+
+    def _coerce(self, other):
+        return type(self)({0: other}) if isinstance(other, int) else other
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        # a constant equals its int, so it must hash like it
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
+        return hash(tuple(sorted(self.terms.items())))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        add_scaled(out, self._coerce(other).terms)
+        return self._of(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._of({e: -v for e, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -self._coerce(other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __rmul__(self, other):
+        if isinstance(other, int):
+            return self * other
+        return NotImplemented
+
+
+class RepRingElement(_SparseRingElement):
+    """Element of the sl2 representation ring.
+
+    A free Z-module on the simple modules, encoded as a map from doubled
+    dominant weight to multiplicity; multiplication is the Clebsch-Gordan
+    rule extended bilinearly.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, mults=None):
+        if mults and min(mults) < 0:
+            raise ValueError(f"negative doubled weight {min(mults)}")
+        self.terms = {d: c for d, c in mults.items() if c} if mults else {}
+
+    @classmethod
+    def simple(cls, two_w: int) -> "RepRingElement":
+        """Class of the simple module with doubled dominant weight ``two_w``."""
+        return cls({two_w: 1})
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return RepRingElement({d: c * other for d, c in self.terms.items()})
+        out: dict[int, int] = {}
+        for d1, c1 in self.terms.items():
+            for d2, c2 in other.terms.items():
+                c = c1 * c2
+                for d in range(abs(d1 - d2), d1 + d2 + 1, 2):
+                    s = out.get(d, 0) + c
+                    if s:
+                        out[d] = s
+                    else:
+                        del out[d]
+        return RepRingElement._of(out)
+
+    def dimension(self) -> int:
+        """Total dimension of a module with these multiplicities."""
+        return sum(c * (d + 1) for d, c in self.terms.items())
+
+    def mult(self, two_w: int) -> int:
+        return self.terms.get(two_w, 0)
+
+    def __repr__(self):
+        if not self.terms:
+            return "RepRing(0)"
+        parts = []
+        for d in sorted(self.terms):
+            wtxt = str(d // 2) if d % 2 == 0 else f"{d}/2"
+            parts.append(f"{self.terms[d]}*z^{wtxt}")
+        return "RepRing(" + " + ".join(parts) + ")"
+
+
+# ---------------------------------------------------------------------------
+# Laurent polynomials in u^(1/2)
+
+class HalfLaurent(_SparseRingElement):
+    """Laurent polynomial in u^(1/2): map doubled exponent -> int."""
+
+    __slots__ = ()
 
     @classmethod
     def u_power(cls, doubled_exp: int, coeff: int = 1):
@@ -160,80 +163,39 @@ class HalfLaurent:
             raise ValueError("bracket takes a non-negative integer")
         return cls({e: 1 for e in range(-(a - 1), a, 2)})
 
-    def __bool__(self):
-        return bool(self.c)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = HalfLaurent({0: other})
-        return isinstance(other, HalfLaurent) and self.c == other.c
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.c.items())))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = HalfLaurent({0: other})
-        out = dict(self.c)
-        for e, v in other.c.items():
-            s = out.get(e, 0) + v
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return HalfLaurent(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return HalfLaurent({e: -v for e, v in self.c.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = HalfLaurent({0: other})
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
-            return HalfLaurent({e: v * other for e, v in self.c.items()})
+            return HalfLaurent({e: v * other for e, v in self.terms.items()})
         out: dict[int, int] = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
+        for e1, v1 in self.terms.items():
+            for e2, v2 in other.terms.items():
                 e = e1 + e2
                 s = out.get(e, 0) + v1 * v2
                 if s:
                     out[e] = s
                 else:
                     del out[e]
-        return HalfLaurent(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
+        return HalfLaurent._of(out)
 
     def substitute_neg_u(self) -> "HalfLaurent":
         """u -> -u; defined for integer exponents only."""
         out = {}
-        for e, v in self.c.items():
+        for e, v in self.terms.items():
             if e % 2:
                 raise ValueError("u -> -u needs integer exponents")
             out[e] = -v if (e // 2) % 2 else v
         return HalfLaurent(out)
 
     def eval_at_one(self) -> int:
-        return sum(self.c.values())
+        return sum(self.terms.values())
 
     def __repr__(self):
-        if not self.c:
+        if not self.terms:
             return "HalfLaurent(0)"
         parts = []
-        for e in sorted(self.c, reverse=True):
+        for e in sorted(self.terms, reverse=True):
             etxt = str(e // 2) if e % 2 == 0 else f"{e}/2"
-            parts.append(f"{self.c[e]}*u^{etxt}")
+            parts.append(f"{self.terms[e]}*u^{etxt}")
         return "HalfLaurent(" + " + ".join(parts) + ")"
 
 
@@ -243,7 +205,7 @@ def weyl_map(x: RepRingElement) -> HalfLaurent:
     A ring isomorphism onto the span of the brackets.
     """
     out = HalfLaurent.zero()
-    for d, c in x.mults.items():
+    for d, c in x.terms.items():
         out = out + HalfLaurent.bracket(d + 1) * c
     return out
 
@@ -253,13 +215,13 @@ def weyl_inverse(p: HalfLaurent) -> RepRingElement:
 
     Raises when the input is not an integer combination of brackets.
     """
-    rem = HalfLaurent(dict(p.c))
+    rem = HalfLaurent(p.terms)
     mults: dict[int, int] = {}
     while rem:
-        top = max(rem.c)
+        top = max(rem.terms)
         if top < 0:
             raise ValueError("not in the bracket span (negative support left)")
-        c = rem.c[top]
+        c = rem.terms[top]
         mults[top] = mults.get(top, 0) + c
         rem = rem - HalfLaurent.bracket(top + 1) * c
     return RepRingElement(mults)
@@ -371,12 +333,10 @@ class WeightModuleView:
     def from_basis(cls, k: int, basis: BlockBasis) -> "WeightModuleView":
         if k % 3 != 2:
             raise ValueError("chain blocks are sl2-modules for k = -1 (mod 3)")
-        return cls(
-            basis=basis,
-            lower=matrix_of(lambda c: adjoint_action(-1, c, k), basis, basis),
-            diag=matrix_of(lambda c: adjoint_action(0, c, k), basis, basis),
-            raise_=matrix_of(lambda c: adjoint_action(1, c, k), basis, basis),
-        )
+        lower, diag, raise_ = (
+            matrix_of(lambda c, g=g: adjoint_action(g, c, k), basis, basis)
+            for g in (-1, 0, 1))
+        return cls(basis=basis, lower=lower, diag=diag, raise_=raise_)
 
     @classmethod
     def from_block(cls, k: int, h: int) -> "WeightModuleView":
@@ -384,16 +344,20 @@ class WeightModuleView:
         return cls.from_basis(k, enumerate_block(k, h))
 
     def check_relations(self) -> None:
-        """The defining sl2 relations as exact matrix identities."""
+        """The defining sl2 relations as exact matrix identities; a failure
+        raises ClaimFalsified naming the block."""
         e0, e1, em1 = self.diag, self.raise_, self.lower
+        where = f"on k={self.basis.k}, h={self.basis.h}"
         if (e0 * e1 - e1 * e0) != e1:
-            raise AssertionError("[e_0, e_1] != e_1")
+            raise ClaimFalsified(f"[e_0, e_1] != e_1 {where}")
         if (e0 * em1 - em1 * e0) != em1.scale(-1):
-            raise AssertionError("[e_0, e_-1] != -e_-1")
+            raise ClaimFalsified(f"[e_0, e_-1] != -e_-1 {where}")
         if (e1 * em1 - em1 * e1) != e0:
-            raise AssertionError("[e_1, e_-1] != e_0")
+            raise ClaimFalsified(f"[e_1, e_-1] != e_0 {where}")
 
     def casimir(self) -> IntMatrix:
+        """C = e_{-1} e_1 + e_0^2 + e_1 e_{-1}; by the relations it acts by
+        w(w+1) on the isotypic piece of dominant weight w."""
         return self.lower * self.raise_ + self.diag * self.diag + self.raise_ * self.lower
 
 

@@ -16,6 +16,7 @@ def test_usage_errors(capsys):
     assert run(capsys, "singular", "--k", "0", "--h-max", "1")[0] == 2
     assert run(capsys, "verify", "--id", "nope")[0] == 2
     assert run(capsys, "spectrum", "--k", "2", "--h-max", "-3")[0] == 2
+    assert run(capsys, "homology", "--k", "2", "--h-max", "1", "--jobs", "0")[0] == 2
     # argparse-level failures also exit 2
     assert main(["spectrum"]) == 2
     assert main(["unknown-command"]) == 2
@@ -115,6 +116,7 @@ def test_out_file_and_determinism(tmp_path, capsys):
 def test_jobs_env_override(capsys, monkeypatch):
     monkeypatch.setenv("AFFLAP_JOBS", "not-a-number")
     assert run(capsys, "spectrum", "--k", "2", "--h-max", "1")[0] == 2
+    assert run(capsys, "homology", "--k", "2", "--h-max", "1")[0] == 2
     monkeypatch.setenv("AFFLAP_JOBS", "1")
     assert run(capsys, "spectrum", "--k", "2", "--h-max", "1")[0] == 0
 

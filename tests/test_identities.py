@@ -68,7 +68,7 @@ def test_singular_series_coefficients_are_dimensions():
     # every multiplicity in the graded singular character counts a dimension
     for k in (-1, 2):
         for elem in singular_series(k, 40):
-            assert all(m > 0 for m in elem.mults.values())
+            assert all(m > 0 for m in elem.terms.values())
 
 
 def test_weyl_commuting_square():

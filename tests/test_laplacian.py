@@ -87,6 +87,41 @@ def test_definition_checks_codifferential_against_transpose(monkeypatch):
         laplacian_by_definition(2, basis)
 
 
+def test_certificate_checks_gamma_against_casimir(monkeypatch):
+    """Both constructions shifted by I still agree with each other and the
+    sl2 relations still hold, but 2 Gamma = 2h I - C fails."""
+    from afflap import laplacian
+    from afflap.linalg import IntMatrix
+
+    certify = laplacian._structure_certificate.__wrapped__
+    assert certify(2, 4)
+    gamma = laplacian.definition_matrix(2, 4)
+    shifted = gamma + IntMatrix.identity(gamma.cols)
+    monkeypatch.setattr(laplacian, "definition_matrix", lambda k, h: shifted)
+    monkeypatch.setattr(laplacian, "closed_matrix", lambda k, h: shifted)
+    with pytest.raises(ClaimFalsified, match="k=2, h=4"):
+        certify(2, 4)
+
+
+def test_certificate_rejects_a_broken_sl2_relation(monkeypatch):
+    from afflap import laplacian, sl2
+
+    real = sl2.adjoint_action
+    block = enumerate_block(2, 4)
+    target = next(m for m in block if real(1, {m: 1}, 2))
+
+    def one_entry_flipped(g, chain, k):
+        image = real(g, chain, k)
+        if g == 1 and chain == {target: 1}:
+            first = min(image)
+            image = {**image, first: -image[first]}
+        return image
+
+    monkeypatch.setattr(sl2, "adjoint_action", one_entry_flipped)
+    with pytest.raises(ClaimFalsified, match=r"^\[e_.* on k=2, h=4$"):
+        laplacian._structure_certificate.__wrapped__(2, 4)
+
+
 def test_one_dim_eigenvalues():
     assert one_dim_eigenvalue(2, 7) == 1
     assert one_dim_eigenvalue(1, 1) == 0

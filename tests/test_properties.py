@@ -185,3 +185,14 @@ def test_ring_unit_zero_and_integer_scalars(rxyz, n):
     assert not x * zero and not zero * x
     assert x - x == zero
     assert x * n == n * x == ring.coerce(n) * x
+
+
+@PROPERTY
+@given(ring_triples(), SMALL_INTS)
+def test_ring_elements_equal_to_an_int_hash_like_it(rxyz, n):
+    """x == n implies hash(x) == hash(n), so a set or dict key treats them
+    as one."""
+    ring, x, _, _ = rxyz
+    for elem in (x, ring.coerce(n), x - x + n):
+        if elem == n:
+            assert hash(elem) == hash(n) and len({elem, n}) == 1, elem

@@ -133,7 +133,7 @@ def test_eisenstein_ring():
     for w in range(9):
         br = HalfLaurent.bracket(2 * w + 1)
         value = EisensteinRing.zero()
-        for e, c in br.c.items():
+        for e, c in br.terms.items():
             value = value + EisensteinInt.u_to(e // 2) * c
         assert value == EisensteinInt(epsilon(2 * w + 1)), w
 
