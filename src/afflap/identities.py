@@ -17,18 +17,7 @@ from functools import lru_cache
 
 from .chains import enumerate_block, weight_dim_table
 from .generators import epsilon
-from .series import (
-    DEFAULT_ORDER,
-    EisensteinInt,
-    EisensteinRing,
-    IntegerRing,
-    LaurentRing,
-    RepRing,
-    Series,
-    inverse_theta_neg,
-    product_over,
-    theta,
-)
+from .series import DEFAULT_ORDER, EisensteinInt, Series, inverse_theta_neg, product_over, theta
 from .sl2 import HalfLaurent, RepRingElement, singular_block_dims
 
 
@@ -76,14 +65,6 @@ def _mu_at(order: int, n: int) -> int:
     return _mu(order)[n] if 0 <= n < order else 0
 
 
-def _int_to_laurent(s: Series) -> Series:
-    return Series(LaurentRing, s.order, [HalfLaurent({0: c}) for c in s.coeffs])
-
-
-def _int_to_rep(s: Series) -> Series:
-    return Series(RepRing, s.order, [RepRingElement({0: c}) for c in s.coeffs])
-
-
 def _triple_factor_terms(m: int, sign: int):
     """(1 + sign u^{-1} x^m)(1 + sign x^m)(1 + sign u x^m) expanded in x."""
     s = HalfLaurent({-2: 1, 0: 1, 2: 1})
@@ -93,14 +74,11 @@ def _triple_factor_terms(m: int, sign: int):
 @lru_cache(maxsize=None)
 def _weight_series(k: int, order: int) -> Series:
     """sum over (w, h) of dim C^{(w,h)}(L(k)) u^w x^h, from the dimension DP."""
-    coeffs = [HalfLaurent.zero() for _ in range(order)]
     acc: list[dict] = [dict() for _ in range(order)]
     for (w, h), n in weight_dim_table(k, order - 1).items():
         if h < order:
             acc[h][2 * w] = acc[h].get(2 * w, 0) + n
-    for h in range(order):
-        coeffs[h] = HalfLaurent(acc[h])
-    return Series(LaurentRing, order, coeffs)
+    return Series(order, [HalfLaurent(a) for a in acc])
 
 
 @lru_cache(maxsize=None)
@@ -115,11 +93,11 @@ def singular_series(k: int, order: int) -> tuple:
     if k not in (-1, 2):
         raise ValueError("singular characters are computed for k in {-1, 2}")
     z = RepRingElement.simple(2)
-    s = product_over(RepRing, order,
-                     lambda a: [(0, 1), (a, z), (2 * a, z), (3 * a, 1)])
+    s = product_over(order, lambda a: [(0, 1), (a, z), (2 * a, z), (3 * a, 1)])
     if k == -1:
         s = s.scale(RepRingElement({0: 2, 2: 2}))
-    return tuple(s.coeffs)
+    # coefficients no factor reaches are still ints
+    return tuple(RepRingElement() + c for c in s.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +105,7 @@ def singular_series(k: int, order: int) -> tuple:
 
 def _check_gauss_jacobi(order: int) -> IdentityReport:
     """(1-u) prod (1-u^{-1}x^m)(1-x^m)(1-ux^m) = sum (-1)^w u^w x^{w(w-1)/2}."""
-    lhs = product_over(LaurentRing, order,
-                       lambda m: _triple_factor_terms(m, -1))
+    lhs = product_over(order, lambda m: _triple_factor_terms(m, -1))
     lhs = lhs.scale(HalfLaurent.one() - HalfLaurent.u_power(2))
     terms = []
     w = 0
@@ -143,7 +120,7 @@ def _check_gauss_jacobi(order: int) -> IdentityReport:
         if not grown:
             break
         w += 1
-    rhs = Series.from_terms(LaurentRing, order, terms)
+    rhs = Series.from_terms(order, terms)
     return _series_report("gauss_jacobi", order, lhs, rhs,
                           "Gauss-Jacobi identity from the Euler characteristic of L(1)")
 
@@ -157,7 +134,7 @@ def _check_jacobi_traditional(order: int) -> IdentityReport:
         # (1 - u^2 y)(1 - u^-2 y)(1 - z) with y = x^a, z = x^b
         return [(0, 1), (a, -s), (b, -1), (2 * a, 1), (a + b, s), (2 * a + b, -1)]
 
-    lhs = product_over(LaurentRing, order, factor)
+    lhs = product_over(order, factor)
     terms = []
     w = 0
     while w * w < order:
@@ -165,15 +142,15 @@ def _check_jacobi_traditional(order: int) -> IdentityReport:
             sign = 1 if ww % 2 == 0 else -1
             terms.append((ww * ww, HalfLaurent.u_power(4 * ww, sign)))
         w += 1
-    rhs = Series.from_terms(LaurentRing, order, terms)
+    rhs = Series.from_terms(order, terms)
     return _series_report("jacobi_traditional", order, lhs, rhs,
                           "classical form after u -> u^2 x, x -> x^2")
 
 
 def _check_theta_inverse_product(order: int) -> IdentityReport:
     """prod (1+x^m)/(1-x^m) equals the inverse of theta(-x, 1)."""
-    plus = product_over(IntegerRing, order, lambda m: [(0, 1), (m, 1)])
-    minus = product_over(IntegerRing, order, lambda m: [(0, 1), (m, -1)])
+    plus = product_over(order, lambda m: [(0, 1), (m, 1)])
+    minus = product_over(order, lambda m: [(0, 1), (m, -1)])
     lhs = plus * minus.inverse()
     return _series_report("theta_inverse_product", order, lhs, inverse_theta_neg(order),
                           "overpartition generating function")
@@ -193,7 +170,7 @@ def _check_gen_L1(order: int) -> IdentityReport:
     for w in _GEN_L1_WINDOW:
         shift = w * (w - 1) // 2
         dims = [table.get((w, lam + shift), 0) for lam in range(order)]
-        lhs = Series(IntegerRing, order, dims)
+        lhs = Series(order, dims)
         rep = _series_report("gen_L1", order, lhs, rhs, note)
         if not rep.passed:
             mism = dict(rep.first_mismatch)
@@ -222,8 +199,8 @@ def _check_gen_L0(order: int) -> IdentityReport:
         lam = h + w * (w + 1) // 2
         if lam < order:
             acc[lam][2 * w] = acc[lam].get(2 * w, 0) + n
-    lhs = Series(LaurentRing, order, [HalfLaurent(a) for a in acc])
-    rhs = (theta(order, "symmetric") * _int_to_laurent(inverse_theta_neg(order))).scale(2)
+    lhs = Series(order, [HalfLaurent(a) for a in acc])
+    rhs = (theta(order, "symmetric") * inverse_theta_neg(order)).scale(2)
     return _series_report("gen_L0", order, lhs, rhs,
                           "weighted eigenvalue multiplicities of L(0), two-sided theta numerator")
 
@@ -231,8 +208,8 @@ def _check_gen_L0(order: int) -> IdentityReport:
 def _check_mult_L0_product(order: int) -> IdentityReport:
     """theta(x,1)/theta(-x,1) = prod ((1+x^{2m-1})/(1-x^{2m-1}))^2."""
     lhs = theta(order, "u=1") * inverse_theta_neg(order)
-    plus = product_over(IntegerRing, order, lambda m: [(0, 1), (2 * m - 1, 1)])
-    minus = product_over(IntegerRing, order, lambda m: [(0, 1), (2 * m - 1, -1)])
+    plus = product_over(order, lambda m: [(0, 1), (2 * m - 1, 1)])
+    minus = product_over(order, lambda m: [(0, 1), (2 * m - 1, -1)])
     ratio = plus * minus.inverse()
     return _series_report("mult_L0_product", order, lhs, ratio * ratio,
                           "odd-part product form of the multiplicity series")
@@ -252,23 +229,21 @@ def _bracket_rhs_terms(order: int, neg_u: bool):
 
 def _check_L2_gauss_jacobi(order: int) -> IdentityReport:
     """prod (1-u^{-1}x^m)(1-x^m)(1-ux^m) = sum (-1)^w [2w+1]_u x^{w(w+1)/2}."""
-    lhs = product_over(LaurentRing, order,
-                       lambda m: _triple_factor_terms(m, -1))
-    rhs = Series.from_terms(LaurentRing, order, _bracket_rhs_terms(order, False))
+    lhs = product_over(order, lambda m: _triple_factor_terms(m, -1))
+    rhs = Series.from_terms(order, _bracket_rhs_terms(order, False))
     return _series_report("L2_gauss_jacobi", order, lhs, rhs,
                           "character-weighted form attached to the homology of L(2)")
 
 
 def _check_jacobi_cube(order: int) -> IdentityReport:
     """prod (1-x^m)^3 = sum (-1)^w (2w+1) x^{w(w+1)/2}."""
-    lhs = product_over(IntegerRing, order,
-                       lambda m: [(0, 1), (m, -3), (2 * m, 3), (3 * m, -1)])
+    lhs = product_over(order, lambda m: [(0, 1), (m, -3), (2 * m, 3), (3 * m, -1)])
     terms = []
     w = 0
     while w * (w + 1) // 2 < order:
         terms.append((w * (w + 1) // 2, (2 * w + 1) * (1 if w % 2 == 0 else -1)))
         w += 1
-    rhs = Series.from_terms(IntegerRing, order, terms)
+    rhs = Series.from_terms(order, terms)
     return _series_report("jacobi_cube", order, lhs, rhs,
                           "cube of the Euler function")
 
@@ -283,8 +258,8 @@ def _check_euler_pentagonal(order: int) -> IdentityReport:
     def factor(m):
         return [(0, 1), (m, -s), (2 * m, s), (3 * m, -1)]
 
-    lhs = product_over(EisensteinRing, order, factor)
-    cubefree = product_over(EisensteinRing, order, lambda m: [(0, 1), (3 * m, -1)])
+    lhs = product_over(order, factor)
+    cubefree = product_over(order, lambda m: [(0, 1), (3 * m, -1)])
     if lhs != cubefree:
         mism = lhs.first_mismatch(cubefree)
         return IdentityReport("euler_pentagonal", order, False,
@@ -297,7 +272,7 @@ def _check_euler_pentagonal(order: int) -> IdentityReport:
         c = epsilon(2 * w + 1) * (1 if w % 2 == 0 else -1)
         terms.append((w * (w + 1) // 2, EisensteinInt(c)))
         w += 1
-    rhs = Series.from_terms(EisensteinRing, order, terms)
+    rhs = Series.from_terms(order, terms)
     return _series_report("euler_pentagonal", order, lhs, rhs,
                           "pentagonal-theorem specialization at a cube root of unity")
 
@@ -320,15 +295,14 @@ def _check_bracket_sign(order: int) -> IdentityReport:
 def _check_singular_gauss_jacobi(order: int) -> IdentityReport:
     """In R(sl2)[[x]]: prod (1-x^a)(1-(z-1)x^a+x^{2a}) = sum (-1)^w z^w x^{w(w+1)/2}."""
     z = RepRingElement.simple(2)
-    lhs = product_over(RepRing, order,
-                       lambda a: [(0, 1), (a, -z), (2 * a, z), (3 * a, -1)])
+    lhs = product_over(order, lambda a: [(0, 1), (a, -z), (2 * a, z), (3 * a, -1)])
     terms = []
     w = 0
     while w * (w + 1) // 2 < order:
         terms.append((w * (w + 1) // 2,
                       RepRingElement({2 * w: 1 if w % 2 == 0 else -1})))
         w += 1
-    rhs = Series.from_terms(RepRing, order, terms)
+    rhs = Series.from_terms(order, terms)
     return _series_report("singular_gauss_jacobi", order, lhs, rhs,
                           "singular-character form over the representation ring")
 
@@ -336,7 +310,7 @@ def _check_singular_gauss_jacobi(order: int) -> IdentityReport:
 def _check_singular_by_degree_L2(order: int) -> IdentityReport:
     """The degree-graded singular character of L(2) equals
     (1 + sum_w (z^w + 2(-1)^w sum_{r<w} (-1)^r z^r) x^{w(w+1)/2}) / theta(-x,1)."""
-    lhs = Series(RepRing, order, list(singular_series(2, order)))
+    lhs = Series(order, singular_series(2, order))
     terms = [(0, RepRingElement.one())]
     w = 1
     while w * (w + 1) // 2 < order:
@@ -346,7 +320,7 @@ def _check_singular_by_degree_L2(order: int) -> IdentityReport:
             coeff[2 * r] = coeff.get(2 * r, 0) + (sign if r % 2 == 0 else -sign)
         terms.append((w * (w + 1) // 2, RepRingElement(coeff)))
         w += 1
-    rhs = Series.from_terms(RepRing, order, terms) * _int_to_rep(inverse_theta_neg(order))
+    rhs = Series.from_terms(order, terms) * inverse_theta_neg(order)
     return _series_report("singular_by_degree_L2", order, lhs, rhs,
                           "closed form for the (w, h)-graded singular dimensions of L(2)")
 
@@ -420,11 +394,11 @@ def _check_singular_mults_Lminus1(order: int) -> IdentityReport:
 
 def _check_weight_dim_products(order: int) -> IdentityReport:
     """Product form of the weighted block dimensions of L(2) and L(-1)."""
-    inv = _int_to_laurent(inverse_theta_neg(order))
+    inv = inverse_theta_neg(order)
     note = "weighted block-dimension generating functions as products"
     # L(2)
     lhs2 = _weight_series(2, order)
-    rhs2 = Series.from_terms(LaurentRing, order, _bracket_rhs_terms(order, True)) * inv
+    rhs2 = Series.from_terms(order, _bracket_rhs_terms(order, True)) * inv
     rep = _series_report("weight_dim_products", order, lhs2, rhs2, note)
     if not rep.passed:
         mism = dict(rep.first_mismatch)
@@ -440,7 +414,7 @@ def _check_weight_dim_products(order: int) -> IdentityReport:
         if w * (w - 1) // 2 + 2 * w + 1 < order:
             terms.append((w * (w - 1) // 2 + 2 * w + 1, -br))
         w += 1
-    rhs1 = (Series.from_terms(LaurentRing, order, terms) * inv).scale(2)
+    rhs1 = (Series.from_terms(order, terms) * inv).scale(2)
     rep = _series_report("weight_dim_products", order, lhs1, rhs1, note)
     if not rep.passed:
         mism = dict(rep.first_mismatch)
@@ -465,7 +439,7 @@ def _check_mult_Lminus1(order: int) -> IdentityReport:
             lam = h + w * (w + 1) // 2
             if lam < order:
                 acc[lam] += m * (d + 1)
-    lhs = Series(IntegerRing, order, acc)
+    lhs = Series(order, acc)
     rhs = (theta(order, "u=1") * inverse_theta_neg(order)).scale(2)
     rep = _series_report("mult_Lminus1", order, lhs, rhs, note)
     if not rep.passed:
@@ -540,6 +514,3 @@ def verify_identity(name: str, order: int = DEFAULT_ORDER) -> IdentityReport:
         raise ValueError("order must be at least 1")
     return checker(order)
 
-
-def verify_all(order: int = DEFAULT_ORDER, names=None) -> list[IdentityReport]:
-    return [verify_identity(name, order) for name in (names or all_identities())]

@@ -16,7 +16,6 @@ from fractions import Fraction
 import numpy as np
 
 DEFAULT_PRIME = 1_000_003
-SECOND_PRIME = 999_983
 
 
 def add_scaled(dst: dict, src: dict, scale=1) -> None:
@@ -268,10 +267,7 @@ def certify_full_rank(matrix: IntMatrix, lam: int = 0) -> bool:
     A full modular rank is conclusive; a modular rank deficit is not, so the
     caller must fall back to exact elimination in that case.
     """
-    n = matrix.cols
-    if rank_mod_p(matrix, lam, DEFAULT_PRIME) == n:
-        return True
-    return rank_mod_p(matrix, lam, SECOND_PRIME) == n
+    return rank_mod_p(matrix, lam, DEFAULT_PRIME) == matrix.cols
 
 
 # ---------------------------------------------------------------------------

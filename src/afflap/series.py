@@ -1,79 +1,19 @@
-"""Truncated formal power series in x over pluggable coefficient rings.
+"""Truncated formal power series in x.
 
 A series holds its coefficients in a dense list up to an exclusive
 truncation order; multiplication is exact below that order.  Coefficients
-may live in any commutative ring whose elements support +, -, * and mix
-with Python ints; the ring object itself only supplies zero, one and int
-coercion.  Instances are treated as immutable values.
+are Python ints or elements of one commutative coefficient ring
+(``HalfLaurent``, ``RepRingElement``, ``EisensteinInt``).  An int acts as
+the matching constant of every ring, so a series needs no ring object: it
+pads with the int 0, and ``Series.one`` holds the int 1.  Instances are
+treated as immutable values.
 """
 
 from __future__ import annotations
 
-from .sl2 import HalfLaurent, RepRingElement
+from .sl2 import HalfLaurent
 
 DEFAULT_ORDER = 40
-
-
-class IntegerRing:
-    name = "Z"
-
-    @staticmethod
-    def zero():
-        return 0
-
-    @staticmethod
-    def one():
-        return 1
-
-    @staticmethod
-    def coerce(v):
-        if isinstance(v, int):
-            return v
-        raise TypeError(f"not an integer coefficient: {v!r}")
-
-
-class LaurentRing:
-    """Laurent polynomials in u^(1/2) (HalfLaurent coefficients)."""
-
-    name = "Z[u^(1/2), u^(-1/2)]"
-
-    @staticmethod
-    def zero():
-        return HalfLaurent.zero()
-
-    @staticmethod
-    def one():
-        return HalfLaurent.one()
-
-    @staticmethod
-    def coerce(v):
-        if isinstance(v, int):
-            return HalfLaurent({0: v})
-        if isinstance(v, HalfLaurent):
-            return v
-        raise TypeError(f"not a Laurent coefficient: {v!r}")
-
-
-class RepRing:
-    """The sl2 representation ring (Clebsch-Gordan multiplication)."""
-
-    name = "R(sl2)"
-
-    @staticmethod
-    def zero():
-        return RepRingElement.zero()
-
-    @staticmethod
-    def one():
-        return RepRingElement.one()
-
-    @staticmethod
-    def coerce(v):
-        if isinstance(v, int):
-            return RepRingElement({0: v})
-        if isinstance(v, RepRingElement):
-            return v
-        raise TypeError(f"not a representation-ring coefficient: {v!r}")
 
 
 class EisensteinInt:
@@ -88,6 +28,15 @@ class EisensteinInt:
     def __bool__(self):
         return bool(self.a or self.b)
 
+    @staticmethod
+    def _coerce(other) -> "EisensteinInt":
+        """Ints become constants; an element of another ring raises."""
+        if isinstance(other, int):
+            return EisensteinInt(other)
+        if not isinstance(other, EisensteinInt):
+            raise TypeError(f"cannot combine EisensteinInt with {type(other).__name__}")
+        return other
+
     def __eq__(self, other):
         if isinstance(other, int):
             other = EisensteinInt(other)
@@ -99,8 +48,7 @@ class EisensteinInt:
         return hash((self.a, self.b)) if self.b else hash(self.a)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = EisensteinInt(other)
+        other = self._coerce(other)
         return EisensteinInt(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
@@ -109,9 +57,7 @@ class EisensteinInt:
         return EisensteinInt(-self.a, -self.b)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = EisensteinInt(other)
-        return self + (-other)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -119,6 +65,7 @@ class EisensteinInt:
     def __mul__(self, other):
         if isinstance(other, int):
             return EisensteinInt(self.a * other, self.b * other)
+        other = self._coerce(other)
         # (a1 + b1 u)(a2 + b2 u) with u^2 = -1 - u
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         return EisensteinInt(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2)
@@ -142,73 +89,32 @@ class EisensteinInt:
         return EisensteinInt(-1, -1)  # u^2 = -1 - u
 
 
-class EisensteinRing:
-    name = "Z[u]/(u^2+u+1)"
-
-    @staticmethod
-    def zero():
-        return EisensteinInt(0)
-
-    @staticmethod
-    def one():
-        return EisensteinInt(1)
-
-    @staticmethod
-    def coerce(v):
-        if isinstance(v, int):
-            return EisensteinInt(v)
-        if isinstance(v, EisensteinInt):
-            return v
-        raise TypeError(f"not an Eisenstein coefficient: {v!r}")
-
-
 # ---------------------------------------------------------------------------
 
 class Series:
     """Power series in x truncated at an exclusive order."""
 
-    __slots__ = ("ring", "order", "coeffs")
+    __slots__ = ("order", "coeffs")
 
-    def __init__(self, ring, order: int, coeffs=None):
+    def __init__(self, order: int, coeffs=()):
         if order < 1:
             raise ValueError("truncation order must be at least 1")
-        self.ring = ring
         self.order = order
-        if coeffs is None:
-            self.coeffs = [ring.zero()] * order
-        else:
-            coeffs = [ring.coerce(c) for c in coeffs]
-            if len(coeffs) < order:
-                coeffs += [ring.zero()] * (order - len(coeffs))
-            self.coeffs = coeffs[:order]
+        coeffs = list(coeffs[:order])
+        self.coeffs = coeffs + [0] * (order - len(coeffs))
 
     @classmethod
-    def constant(cls, ring, order: int, value=1) -> "Series":
-        s = cls(ring, order)
-        s.coeffs[0] = ring.coerce(value)
-        return s
+    def one(cls, order: int) -> "Series":
+        return cls(order, [1])
 
     @classmethod
-    def one(cls, ring, order: int) -> "Series":
-        return cls.constant(ring, order, 1)
-
-    @classmethod
-    def from_terms(cls, ring, order: int, terms) -> "Series":
+    def from_terms(cls, order: int, terms) -> "Series":
         """Series from sparse (exponent, coefficient) pairs; high terms drop."""
-        s = cls(ring, order)
+        s = cls(order)
         for e, c in terms:
             if 0 <= e < order:
-                s.coeffs[e] = s.coeffs[e] + ring.coerce(c)
+                s.coeffs[e] = s.coeffs[e] + c
         return s
-
-    def coeff(self, n: int):
-        if not 0 <= n < self.order:
-            raise IndexError(f"coefficient {n} beyond truncation {self.order}")
-        return self.coeffs[n]
-
-    def is_one(self) -> bool:
-        one = self.ring.one()
-        return self.coeffs[0] == one and all(not c for c in self.coeffs[1:])
 
     def __eq__(self, other):
         return (isinstance(other, Series) and self.order == other.order
@@ -222,84 +128,55 @@ class Series:
                 return e, self.coeffs[e], other.coeffs[e]
         return None
 
-    def __add__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        return Series(self.ring, n,
-                      [a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])])
-
-    def __sub__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        return Series(self.ring, n,
-                      [a - b for a, b in zip(self.coeffs[:n], other.coeffs[:n])])
-
-    def __neg__(self) -> "Series":
-        return Series(self.ring, self.order, [-c for c in self.coeffs])
-
     def scale(self, factor) -> "Series":
-        f = self.ring.coerce(factor)
-        return Series(self.ring, self.order, [c * f for c in self.coeffs])
+        return Series(self.order, [c * factor for c in self.coeffs])
 
     def __mul__(self, other: "Series") -> "Series":
         n = min(self.order, other.order)
-        out = [self.ring.zero()] * n
+        out = [0] * n
         for i, a in enumerate(self.coeffs[:n]):
             if not a:
                 continue
             for j, b in enumerate(other.coeffs[:n - i]):
                 if b:
                     out[i + j] = out[i + j] + a * b
-        return Series(self.ring, n, out)
+        return Series(n, out)
 
     def mul_terms(self, terms) -> "Series":
         """Multiply by a sparse polynomial given as (exponent, coeff) pairs."""
-        out = [self.ring.zero()] * self.order
+        out = [0] * self.order
         for e, c in terms:
-            if e >= self.order:
-                continue
-            c = self.ring.coerce(c)
-            if not c:
+            if e >= self.order or not c:
                 continue
             for i, a in enumerate(self.coeffs[:self.order - e]):
                 if a:
                     out[i + e] = out[i + e] + a * c
-        return Series(self.ring, self.order, out)
-
-    def shift_up(self, s: int) -> "Series":
-        """Multiply by x^s."""
-        if s < 0:
-            raise ValueError("only upward shifts are defined")
-        return Series(self.ring, self.order,
-                      [self.ring.zero()] * min(s, self.order) + self.coeffs[:self.order - s])
+        return Series(self.order, out)
 
     def inverse(self) -> "Series":
         """Multiplicative inverse; requires constant term equal to one."""
-        if self.coeffs[0] != self.ring.one():
+        if self.coeffs[0] != 1:
             raise ValueError("inverse needs constant term 1")
-        inv = [self.ring.zero()] * self.order
-        inv[0] = self.ring.one()
+        inv = [0] * self.order
+        inv[0] = 1
         for n in range(1, self.order):
-            acc = self.ring.zero()
+            acc = 0
             for i in range(1, n + 1):
                 if self.coeffs[i] and inv[n - i]:
                     acc = acc + self.coeffs[i] * inv[n - i]
             inv[n] = -acc
-        return Series(self.ring, self.order, inv)
-
-    def substitute_neg_x(self) -> "Series":
-        """x -> -x."""
-        return Series(self.ring, self.order,
-                      [c if e % 2 == 0 else -c for e, c in enumerate(self.coeffs)])
+        return Series(self.order, inv)
 
     def __repr__(self):
         terms = [f"({c!r})x^{e}" for e, c in enumerate(self.coeffs) if c]
         body = " + ".join(terms[:6]) + (" + ..." if len(terms) > 6 else "")
-        return f"Series[{self.ring.name}; O(x^{self.order})]({body or '0'})"
+        return f"Series[O(x^{self.order})]({body or '0'})"
 
 
 # ---------------------------------------------------------------------------
 # products and theta series
 
-def product_over(ring, order: int, factor_terms, start: int = 1) -> "Series":
+def product_over(order: int, factor_terms, start: int = 1) -> "Series":
     """Product of the factors ``factor_terms(a)`` for a = start, start+1, ...
 
     Each factor is a sparse term list whose constant coefficient must be one.
@@ -307,13 +184,13 @@ def product_over(ring, order: int, factor_terms, start: int = 1) -> "Series":
     truncation order, so the x-degrees of the factors must eventually grow;
     a family that never trivializes is rejected.
     """
-    out = Series.one(ring, order)
+    out = Series.one(order)
     a = start
     guard = 3 * order + 1000
     while True:
         terms = [(e, c) for e, c in factor_terms(a) if e < order]
         const = [c for e, c in terms if e == 0]
-        if len(const) != 1 or ring.coerce(const[0]) != ring.one():
+        if len(const) != 1 or const[0] != 1:
             raise ValueError(f"factor at a={a} has constant term != 1")
         if not any(e > 0 and c for e, c in terms):
             break
@@ -324,37 +201,25 @@ def product_over(ring, order: int, factor_terms, start: int = 1) -> "Series":
     return out
 
 
-def theta(order: int, mode: str = "u") -> "Series":
-    """The Jacobi theta series 1 + 2 sum u^r x^(r^2) and close relatives.
+def theta(order: int, mode: str) -> "Series":
+    """The Jacobi theta series and its specializations.
 
-    mode "u":         generic, Laurent coefficients;
     mode "symmetric": sum over all integers w of u^w x^(w^2), Laurent
-                      coefficients (coincides with mode "u" at u = 1);
-    mode "u=1":       integer coefficients, theta(x, 1);
+                      coefficients;
+    mode "u=1":       integer coefficients, theta(x, 1) = 1 + 2 sum x^(r^2);
     mode "-x":        integer coefficients, theta(-x, 1).
     """
-    if mode == "u":
-        s = Series.one(LaurentRing, order)
-        r = 1
-        while r * r < order:
-            s.coeffs[r * r] = HalfLaurent({2 * r: 2})
-            r += 1
-        return s
-    if mode == "symmetric":
-        s = Series.one(LaurentRing, order)
-        r = 1
-        while r * r < order:
+    if mode not in ("symmetric", "u=1", "-x"):
+        raise ValueError(f"unknown theta mode {mode!r}")
+    s = Series.one(order)
+    r = 1
+    while r * r < order:
+        if mode == "symmetric":
             s.coeffs[r * r] = HalfLaurent({2 * r: 1, -2 * r: 1})
-            r += 1
-        return s
-    if mode in ("u=1", "-x"):
-        s = Series.one(IntegerRing, order)
-        r = 1
-        while r * r < order:
+        else:
             s.coeffs[r * r] = 2 * (-1) ** r if mode == "-x" else 2
-            r += 1
-        return s
-    raise ValueError(f"unknown theta mode {mode!r}")
+        r += 1
+    return s
 
 
 def inverse_theta_neg(order: int) -> "Series":

@@ -31,7 +31,8 @@ class ClaimFalsified(AssertionError):
 class _SparseRingElement:
     """Ring element stored as a sparse map key -> nonzero int, key 0 being
     the unit.  Holds the additive structure, equality and hashing; each
-    ring supplies its own ``__mul__``.  Integers coerce to constants."""
+    ring supplies its own ``__mul__``.  Integers coerce to constants, and
+    mixing two different rings raises ``TypeError``."""
 
     __slots__ = ("terms",)
 
@@ -55,13 +56,20 @@ class _SparseRingElement:
         return cls({0: 1})
 
     def _coerce(self, other):
-        return type(self)({0: other}) if isinstance(other, int) else other
+        """Ints become constants; an element of another ring raises."""
+        if isinstance(other, int):
+            return type(self)({0: other})
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} "
+                            f"with {type(other).__name__}")
+        return other
 
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
-        other = self._coerce(other)
+        if isinstance(other, int):
+            other = type(self)({0: other})
         return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
@@ -115,6 +123,7 @@ class RepRingElement(_SparseRingElement):
     def __mul__(self, other):
         if isinstance(other, int):
             return RepRingElement({d: c * other for d, c in self.terms.items()})
+        other = self._coerce(other)
         out: dict[int, int] = {}
         for d1, c1 in self.terms.items():
             for d2, c2 in other.terms.items():
@@ -136,12 +145,12 @@ class RepRingElement(_SparseRingElement):
 
     def __repr__(self):
         if not self.terms:
-            return "RepRing(0)"
+            return "RepRingElement(0)"
         parts = []
         for d in sorted(self.terms):
             wtxt = str(d // 2) if d % 2 == 0 else f"{d}/2"
             parts.append(f"{self.terms[d]}*z^{wtxt}")
-        return "RepRing(" + " + ".join(parts) + ")"
+        return "RepRingElement(" + " + ".join(parts) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +175,7 @@ class HalfLaurent(_SparseRingElement):
     def __mul__(self, other):
         if isinstance(other, int):
             return HalfLaurent({e: v * other for e, v in self.terms.items()})
+        other = self._coerce(other)
         out: dict[int, int] = {}
         for e1, v1 in self.terms.items():
             for e2, v2 in other.terms.items():
@@ -185,9 +195,6 @@ class HalfLaurent(_SparseRingElement):
                 raise ValueError("u -> -u needs integer exponents")
             out[e] = -v if (e // 2) % 2 else v
         return HalfLaurent(out)
-
-    def eval_at_one(self) -> int:
-        return sum(self.terms.values())
 
     def __repr__(self):
         if not self.terms:

@@ -1,6 +1,8 @@
 import json
 
+from afflap import cli
 from afflap.cli import main
+from afflap.sl2 import ClaimFalsified
 
 
 def run(capsys, *argv):
@@ -111,6 +113,39 @@ def test_out_file_and_determinism(tmp_path, capsys):
     assert run(capsys, "spectrum", "--k", "2", "--h-max", "4", "--format", "json",
                "--jobs", "2", "--out", str(f2))[0] == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_out_failure_keeps_the_earlier_file(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "report.csv"
+    target.write_bytes(b"earlier report\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    code, out, err = run(capsys, "verify", "--id", "jacobi_cube", "--order", "5",
+                         "--format", "csv", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {target}: disk full\n"
+    assert target.read_bytes() == b"earlier report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+    monkeypatch.undo()
+    assert run(capsys, "verify", "--id", "jacobi_cube", "--order", "5",
+               "--format", "csv", "--out", str(target))[0] == 0
+    assert target.read_text().startswith("identity,order,passed,mismatch\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
+def test_falsified_claim_exits_1(capsys, monkeypatch):
+    def refute(*args):
+        raise ClaimFalsified("x")
+
+    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
+    for name in ("spectrum", "homology_table", "singular_block_dims"):
+        monkeypatch.setattr(cli, name, refute)
+    for command in ("spectrum", "homology", "singular"):
+        code, out, err = run(capsys, command, "--k", "2", "--h-max", "1", "--jobs", "1")
+        assert (code, out, err) == (1, "", "falsified claim: x\n"), command
 
 
 def test_jobs_env_override(capsys, monkeypatch):
