@@ -34,6 +34,7 @@ from .laplacian import (
     laplacian_by_definition,
     laplacian_closed_apply,
     laplacian_closed_form,
+    laplacian_slices,
     lowering_orbit,
     one_dim_eigenvalue,
     spectrum,

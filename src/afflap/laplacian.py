@@ -1,26 +1,34 @@
 """The graded Laplacian of L(k): constructions, exact spectra, homology.
 
-Two independent constructions are provided.  ``laplacian_by_definition``
-assembles Gamma = d delta + delta d from boundary matrices: on every (q, w)
-slice of a degree-h block it builds D_q, the matrix of the differential from
-the (q, w) slice to the (q-1, w) slice, and sets the slice block of Gamma to
-D_q^T D_q + D_{q+1} D_{q+1}^T.  The codifferential matrix is built on its
-own from ``codifferential`` and asserted to equal D_q^T, so the adjointness
-of the two operators is checked, not assumed.  ``laplacian_closed_form``
-evaluates the second-order expression in the grading element, the weight
-operator and the conjugate generator actions.  Their entrywise equality on
-every block is the central cross-check of the package, not an assumption.
+Gamma = d delta + delta d keeps the chain dimension q, the weight w and the
+degree h, so it is built and decomposed one (q, w) slice of a degree-h block
+at a time.  ``laplacian_slices`` yields each slice basis with its block
+D_q^T D_q + D_{q+1} D_{q+1}^T, where D_q is the matrix of the differential
+from the (q, w) slice to the (q-1, w) slice; ``laplacian_by_definition``
+scatters those blocks onto a basis.  ``laplacian_closed_apply`` evaluates
+the paper's second-order closed form monomial by monomial, and its matrix
+``laplacian_closed_form`` is the oracle the slices are tested against.
 
-Spectra are computed exactly.  For k in {0, 1} the Laplacian is scalar on
-every (q, w) slice and the scalar is verified entrywise.  For k in {-1, 2}
-``_structure_certificate`` checks, as exact integer matrix identities, that
-the two constructions agree; that the adjoint e_{-1}, e_0, e_1 satisfy the
-sl2 relations, so the Casimir C acts by w(w+1) on the isotypic piece of
-dominant weight w; and that 2 Gamma = 2h I + C for k = -1, 2h I - C for
-k = 2, so Gamma acts on that piece by h +- w(w+1)/2.  ``spectrum`` counts
-the multiplicities from weight-space dimensions and cross-checks each one
-by a per-slice nullity: fraction-free elimination on small slices, modular
-rank (decided exactly on a mismatch) on large ones.
+Spectra are exact.  For k in {0, 1} Gamma is scalar on every slice, and the
+scalar is checked entrywise.  For k in {-1, 2} every (q, w) slice passes
+these exact integer checks in order; a failure raises ClaimFalsified, and
+checks 1-4 name the k, h, q and w of the slice:
+
+1. the matrix of ``codifferential``, built on its own, equals D_q^T;
+2. E_w, the matrix of the adjoint e_1 from the (q, w) slice, lands in the
+   (q, w+1) slice, and the matrix of e_{-1}, built on its own, equals E_w^T;
+3. E_{w-1} E_{w-1}^T - E_w^T E_w = w I, which is [e_1, e_{-1}] = e_0 (the
+   grading gives the e_0 relations), so the block is a finite-dimensional
+   sl2-module and the Casimir C acts by w'(w'+1) on its isotypic piece of
+   dominant weight w';
+4. 2 Gamma = 2h I + C for k = -1 and 2h I - C for k = 2, with
+   C = E_w^T E_w + w^2 I + E_{w-1} E_{w-1}^T: the paper's closed form, so
+   Gamma acts on that piece by h +- w'(w'+1)/2;
+5. the piece of dominant weight w' >= |w| occurs dim(q, w') - dim(q, w'+1)
+   times in the slice; these weight counts must be non-negative and fill it;
+6. each predicted multiplicity equals the nullity of Gamma - lambda on the
+   slice: fraction-free elimination on small slices, modular rank (decided
+   exactly on a mismatch) on large ones.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ from .linalg import (
     nullity_mod_p,
     strip_integer_roots,
 )
-from .sl2 import ClaimFalsified, WeightModuleView
+from .sl2 import ClaimFalsified
 
 # Slices up to this dimension get their nullities by exact elimination and
 # the residual product check; the larger ones use modular ranks.
@@ -127,42 +135,35 @@ def _closed_apply_twice(k: int, chain: Chain) -> Chain:
     return add_chains(*parts)
 
 
-def laplacian_by_definition(k: int, basis: BlockBasis) -> IntMatrix:
-    """Matrix of Gamma = d delta + delta d on a union of whole (q, w) slices.
-
-    Gamma preserves (q, w, h), so it is assembled one slice at a time.  With
-    D_q the matrix of ``differential`` from the (q, w) slice of the degree
-    ``basis.h`` block to its (q-1, w) slice, the slice block of Gamma is
-    D_q^T D_q + D_{q+1} D_{q+1}^T, and its columns are scattered to the
-    positions of ``basis``.  Each D_q is built once and compared with the
-    matrix of ``codifferential`` from the (q-1, w) slice to the (q, w) slice,
-    built independently; a mismatch raises ClaimFalsified.
-
-    Raises ValueError when ``basis`` holds part of a (q, w) slice but not all
-    of it, or a monomial outside the degree ``basis.h`` block.
-    """
-    h = basis.h
-    full = _full_block(k, h)
-    layout = _slice_layout(k, h)
-
-    def slice_basis(q: int, w: int) -> BlockBasis:
-        return BlockBasis(k, h, [full.monomials[p] for p in layout.get((q, w), ())], w=w)
-
+@lru_cache(maxsize=None)
+def _slice_bases(k: int, h: int) -> dict:
+    """The nonempty (q, w) slices of the degree-h block, keyed in sorted
+    order, each a basis in block order."""
     groups: dict = {}
-    for m in basis.monomials:
+    for m in enumerate_block(k, h).monomials:
         groups.setdefault((len(m), weight(m)), []).append(m)
-    slices = {}
-    for (q, w), monos in groups.items():
-        whole = slice_basis(q, w)
-        if sorted(monos) != list(whole.monomials):
-            raise ValueError(
-                f"basis splits the (q, w) = ({q}, {w}) slice of the "
-                f"(k={k}, h={h}) block")
-        slices[(q, w)] = whole
+    return {(q, w): BlockBasis(k, h, monos, w=w)
+            for (q, w), monos in sorted(groups.items())}
 
+
+def _slice(k: int, h: int, q: int, w: int) -> BlockBasis:
+    return _slice_bases(k, h).get((q, w)) or BlockBasis(k, h, (), w=w)
+
+
+def laplacian_slices(k: int, h: int, keys=None):
+    """Yield ``(q, w, basis, gamma)`` for the (q, w) slices of the degree-h
+    block in sorted order, or for those in ``keys`` only.
+
+    ``gamma`` is the slice block D_q^T D_q + D_{q+1} D_{q+1}^T of
+    Gamma = d delta + delta d, with D_q the matrix of ``differential`` from
+    the (q, w) slice to the (q-1, w) slice.  Each D_q is built once and
+    compared with the matrix of ``codifferential`` from the (q-1, w) slice
+    to the (q, w) slice, built independently; a mismatch raises
+    ClaimFalsified.
+    """
     def boundary(q: int, w: int) -> tuple[IntMatrix, IntMatrix]:
         """(D_q, D_q^T) on weight w, D_q^T checked against the codifferential."""
-        src, tgt = slice_basis(q, w), slice_basis(q - 1, w)
+        src, tgt = _slice(k, h, q, w), _slice(k, h, q - 1, w)
         d = matrix_of(lambda c: differential(k, c), src, tgt)
         dt = d.transpose()
         if matrix_of(lambda c: codifferential(k, c), tgt, src) != dt:
@@ -171,24 +172,100 @@ def laplacian_by_definition(k: int, basis: BlockBasis) -> IntMatrix:
                 f"k={k}, h={h}, q={q}, w={w}")
         return d, dt
 
+    upper: dict = {}  # (q + 1, w) -> (D_{q+1}, D_{q+1}^T), kept for that slice
+    for (q, w), basis in _slice_bases(k, h).items():
+        if keys is not None and (q, w) not in keys:
+            continue
+        d, dt = upper.pop((q, w), None) or boundary(q, w)
+        u, ut = upper[(q + 1, w)] = boundary(q + 1, w)
+        # one column at a time: whole products would hold three slice-sized
+        # matrices at once
+        columns = []
+        for j in range(basis.dim):
+            col = dt.apply(d.columns[j])
+            add_scaled(col, u.apply(ut.columns[j]))
+            columns.append(col)
+        yield q, w, basis, IntMatrix(basis.dim, basis.dim, columns)
+
+
+def laplacian_by_definition(k: int, basis: BlockBasis) -> IntMatrix:
+    """Matrix of Gamma = d delta + delta d on a union of whole (q, w) slices:
+    the ``laplacian_slices`` of the degree ``basis.h`` block, scattered to
+    the positions of ``basis``.
+
+    Raises ValueError when ``basis`` holds part of a (q, w) slice but not all
+    of it, or a monomial outside the degree ``basis.h`` block, and
+    ClaimFalsified when a codifferential matrix is not D_q^T.
+    """
+    h = basis.h
+    groups: dict = {}
+    for m in basis.monomials:
+        groups.setdefault((len(m), weight(m)), []).append(m)
+    for (q, w), monos in groups.items():
+        if sorted(monos) != list(_slice(k, h, q, w).monomials):
+            raise ValueError(
+                f"basis splits the (q, w) = ({q}, {w}) slice of the "
+                f"(k={k}, h={h}) block")
     columns: list = [None] * basis.dim
-    for w in sorted({w for _, w in slices}):
-        carried = None  # (q + 1, D_{q+1}) from the slice just below
-        for q in sorted(q for q, ww in slices if ww == w):
-            d, dt = carried[1] if carried and carried[0] == q else boundary(q, w)
-            u, ut = boundary(q + 1, w)
-            carried = (q + 1, (u, ut))
-            # one column of D_q^T D_q + D_{q+1} D_{q+1}^T at a time: whole
-            # products would hold three slice-sized matrices at once
-            pos = [basis.index[m] for m in slices[(q, w)].monomials]
-            for j, p in enumerate(pos):
-                col = add_chains(dt.apply(d.columns[j]), u.apply(ut.columns[j]))
-                columns[p] = {pos[i]: v for i, v in col.items()}
+    for _, _, whole, gamma in laplacian_slices(k, h, groups):
+        pos = [basis.index[m] for m in whole.monomials]
+        for p, col in zip(pos, gamma.columns):
+            columns[p] = {pos[i]: v for i, v in col.items()}
     return IntMatrix(basis.dim, basis.dim, columns)
 
 
 def laplacian_closed_form(k: int, basis: BlockBasis) -> IntMatrix:
     return matrix_of(lambda c: laplacian_closed_apply(k, c), basis, basis)
+
+
+# ---------------------------------------------------------------------------
+# the sl2 certificate for k in {-1, 2}
+
+def _action_matrix(k: int, g: int, source: BlockBasis, target: BlockBasis,
+                   where: str) -> IntMatrix:
+    try:
+        return matrix_of(lambda c: adjoint_action(g, c, k), source, target)
+    except ValueError as exc:
+        raise ClaimFalsified(
+            f"e_{g} leaves weight {target.w} on {where}: {exc}") from None
+
+
+def _raising_pair(k: int, h: int, q: int, w: int, where: str):
+    """(E_w, E_w^T): the matrix of e_1 from the (q, w) slice to the (q, w+1)
+    slice, and that of e_{-1} back, built on its own and checked to be the
+    transpose (check 2 of the module docstring)."""
+    src, tgt = _slice(k, h, q, w), _slice(k, h, q, w + 1)
+    up = _action_matrix(k, 1, src, tgt, where)
+    down = _action_matrix(k, -1, tgt, src, where)
+    if down != up.transpose():
+        raise ClaimFalsified(f"e_-1 is not the transpose of e_1 on {where}")
+    return up, down
+
+
+def _casimir_certified(k: int, h: int, slices):
+    """Pass the ``laplacian_slices`` of the degree-h block through,
+    certifying each (q, w) slice by checks 2-4 of the module docstring.
+
+    In sorted order E_{w-1} is carried over from the slice just before
+    instead of being rebuilt.  Raises ClaimFalsified naming k, h, q and w.
+    """
+    sign = 1 if k == -1 else -1
+    key, pair = None, None  # (q, w) of the slice just before, and its E_w, E_w^T
+    for q, w, basis, gamma in slices:
+        where = f"k={k}, h={h}, q={q}, w={w}"
+        below = pair if key == (q, w - 1) else _raising_pair(k, h, q, w - 1, where)
+        key, pair = (q, w), _raising_pair(k, h, q, w, where)
+        (up_below, down_below), (up, down) = below, pair
+        raise_lower = up_below * down_below  # e_1 e_-1 on the slice
+        lower_raise = down * up              # e_-1 e_1
+        eye = IntMatrix.identity(basis.dim)
+        if raise_lower - lower_raise != eye.scale(w):
+            raise ClaimFalsified(f"[e_1, e_-1] != w I on {where}")
+        casimir = lower_raise + eye.scale(w * w) + raise_lower
+        if gamma.scale(2) != eye.scale(2 * h) + casimir.scale(sign):
+            raise ClaimFalsified(
+                f"2 Gamma != 2h I {'+' if sign > 0 else '-'} C on {where}")
+        yield q, w, basis, gamma
 
 
 # ---------------------------------------------------------------------------
@@ -227,87 +304,6 @@ def two_dim_pairing_oracle(k: int, pair1: tuple[int, int], pair2: tuple[int, int
     if (a < x and y - a < k) or (x < a and b - x < k):
         return epsilon(b - a) * epsilon(y - x)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# cached per-(k, h) block data
-
-@lru_cache(maxsize=None)
-def _full_block(k: int, h: int) -> BlockBasis:
-    return enumerate_block(k, h)
-
-
-@lru_cache(maxsize=None)
-def definition_matrix(k: int, h: int) -> IntMatrix:
-    """Cached Laplacian-by-definition matrix on the full degree-h block."""
-    return laplacian_by_definition(k, _full_block(k, h))
-
-
-@lru_cache(maxsize=None)
-def closed_matrix(k: int, h: int) -> IntMatrix:
-    """Cached closed-form Laplacian matrix on the full degree-h block."""
-    return laplacian_closed_form(k, _full_block(k, h))
-
-
-@lru_cache(maxsize=None)
-def _slice_layout(k: int, h: int) -> dict:
-    """Positions of the (q, w) slices inside the full h-block."""
-    basis = _full_block(k, h)
-    slices: dict = {}
-    for pos, m in enumerate(basis.monomials):
-        slices.setdefault((len(m), weight(m)), []).append(pos)
-    return slices
-
-
-def _submatrix(matrix: IntMatrix, positions: list[int]) -> IntMatrix:
-    lookup = {p: i for i, p in enumerate(positions)}
-    cols = []
-    for p in positions:
-        col = {}
-        for i, v in matrix.columns[p].items():
-            ni = lookup.get(i)
-            if ni is None:
-                if v:
-                    raise ClaimFalsified(
-                        "operator does not preserve the (q, w) slice")
-            else:
-                col[ni] = v
-        cols.append(col)
-    return IntMatrix(len(positions), len(positions), cols)
-
-
-@lru_cache(maxsize=None)
-def _structure_certificate(k: int, h: int) -> bool:
-    """Exact matrix identities that pin the spectrum of the degree-h block.
-
-    Checked entrywise over the integers, for k in {-1, 2}:
-
-    1. the two Laplacian constructions agree, Gamma = Gamma_closed;
-    2. the adjoint actions e_{-1}, e_0, e_1 satisfy the sl2 relations
-       [e_0, e_{+-1}] = +-e_{+-1} and [e_1, e_{-1}] = e_0, so the block is
-       a finite-dimensional sl2-module and C = e_{-1} e_1 + e_0^2 + e_1 e_{-1}
-       acts by w(w+1) on its isotypic piece of dominant weight w;
-    3. 2 Gamma = 2h I + C for k = -1 and 2 Gamma = 2h I - C for k = 2, so
-       Gamma acts on that piece by ``predicted_eigenvalue(k, w, h)``,
-       h +- w(w+1)/2.
-
-    The multiplicity of each piece then follows from weight-space
-    dimensions, which ``spectrum`` counts; its per-slice nullities are the
-    independent cross-check.  Raises ClaimFalsified naming k and h.
-    """
-    if k not in (-1, 2):
-        raise ValueError("the Casimir identity holds for k in {-1, 2}")
-    gamma = definition_matrix(k, h)
-    if gamma != closed_matrix(k, h):
-        raise ClaimFalsified(f"Laplacian constructions differ on k={k}, h={h}")
-    view = WeightModuleView.from_basis(k, _full_block(k, h))
-    view.check_relations()
-    sign = 1 if k % 2 else -1
-    twice = IntMatrix.identity(gamma.cols).scale(2 * h) + view.casimir().scale(sign)
-    if gamma.scale(2) != twice:
-        raise ClaimFalsified(
-            f"2 Gamma != 2h I {'+' if sign > 0 else '-'} C on k={k}, h={h}")
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -386,34 +382,28 @@ def spectrum(k: int, h: int) -> SpectrumResult:
     """
     if k not in (-1, 0, 1, 2):
         raise ValueError("exact spectra are provided for k in {-1, 0, 1, 2}")
-    basis = _full_block(k, h)
-    layout = _slice_layout(k, h)
-    gamma = definition_matrix(k, h)
-    result = SpectrumResult(k=k, h=h, dim=basis.dim, lines=[], refinement=[])
+    dims = {key: basis.dim for key, basis in _slice_bases(k, h).items()}
+    result = SpectrumResult(k=k, h=h, dim=sum(dims.values()), lines=[], refinement=[])
     totals: dict[int, int] = {}
 
     if k in (0, 1):
-        for (q, w), positions in sorted(layout.items()):
+        for q, w, basis, gamma in laplacian_slices(k, h):
+            n = basis.dim
             lam = predicted_eigenvalue(k, w, h)
             if lam < 0:
                 raise ClaimFalsified(f"negative predicted eigenvalue at k={k}, (q,w,h)=({q},{w},{h})")
-            sub = _submatrix(gamma, positions)
-            if sub != IntMatrix.identity(len(positions)).scale(lam):
+            if gamma != IntMatrix.identity(n).scale(lam):
                 raise ClaimFalsified(
                     f"block k={k}, h={h}, q={q}, w={w} is not scalar {lam}")
-            totals[lam] = totals.get(lam, 0) + len(positions)
+            totals[lam] = totals.get(lam, 0) + n
             result.refinement.append(SpectralBlock(
-                k=k, w=w, h=h, q=q, dim=len(positions), predicted_lambda=lam,
-                mult=len(positions),
-                kernel_dim=len(positions) if lam == 0 else 0, method="scalar"))
+                k=k, w=w, h=h, q=q, dim=n, predicted_lambda=lam,
+                mult=n, kernel_dim=n if lam == 0 else 0, method="scalar"))
             result.exact_slices += 1
     else:
-        _structure_certificate(k, h)
-        dims = {key: len(pos) for key, pos in layout.items()}
-        for (q, w0), positions in sorted(layout.items()):
-            n = len(positions)
+        for q, w0, basis, gamma in _casimir_certified(k, h, laplacian_slices(k, h)):
+            n = basis.dim
             use_exact = n <= EXACT_NULLITY_CUT
-            sub = _submatrix(gamma, positions)
             # dominant weights w' >= |w0| occur with multiplicity
             # dim(q, w') - dim(q, w'+1); each contributes its predicted
             # eigenvalue to this slice exactly once per copy.
@@ -442,28 +432,28 @@ def spectrum(k: int, h: int) -> SpectrumResult:
                     f"{sum(expected.values())} of {n}")
             for lam, m_pred in sorted(expected.items()):
                 if use_exact:
-                    nullity = exact_nullity(sub, lam)
+                    nullity = exact_nullity(gamma, lam)
                     result.exact_slices += 1
                 else:
-                    nullity = nullity_mod_p(sub, lam)
+                    nullity = nullity_mod_p(gamma, lam)
                     result.modular_slices += 1
                     if nullity != m_pred:
                         # modular nullity only bounds from above; decide exactly
-                        nullity = exact_nullity(sub, lam)
+                        nullity = exact_nullity(gamma, lam)
                 if nullity != m_pred:
                     raise ClaimFalsified(
                         f"eigenvalue {lam} on k={k}, h={h}, q={q}, w={w0}: "
                         f"nullity {nullity}, predicted {m_pred}")
                 totals[lam] = totals.get(lam, 0) + m_pred
             if use_exact and expected:
-                if not _residual_annihilates(sub, sorted(expected)):
+                if not _residual_annihilates(gamma, sorted(expected)):
                     raise ClaimFalsified(
                         f"residual product does not annihilate k={k}, h={h}, q={q}, w={w0}")
                 result.residual_checked += 1
 
-    if sum(totals.values()) != basis.dim:
+    if sum(totals.values()) != result.dim:
         raise ClaimFalsified(
-            f"multiplicities sum to {sum(totals.values())} != dim {basis.dim} at k={k}, h={h}")
+            f"multiplicities sum to {sum(totals.values())} != dim {result.dim} at k={k}, h={h}")
     result.lines = sorted(totals.items())
     return result
 
@@ -531,19 +521,16 @@ def homology_table(k: int, h_max: int, with_chains: bool = True) -> HomologyTabl
     entries: dict = {}
     chains: dict = {}
     for h in range(h_max + 1):
-        gamma = definition_matrix(k, h)
-        for (q, w), positions in sorted(_slice_layout(k, h).items()):
-            sub = _submatrix(gamma, positions)
-            if certify_full_rank(sub):
+        for q, w, basis, gamma in laplacian_slices(k, h):
+            if certify_full_rank(gamma):
                 continue
-            kernel = fraction_kernel(sub)
+            kernel = fraction_kernel(gamma)
             if not kernel:
                 continue
             entries[(q, w, h)] = len(kernel)
             if with_chains:
-                basis = _full_block(k, h)
                 chains[(q, w, h)] = [
-                    {basis.monomials[positions[i]]: c for i, c in sorted(vec.items())}
+                    {basis.monomials[i]: c for i, c in sorted(vec.items())}
                     for vec in kernel]
     expected = expected_homology(k, h_max)
     deviations = []
@@ -602,19 +589,17 @@ def find_irrational_spectrum(k: int, h_max: int) -> IrrationalFinding | None:
     after stripping the integer roots of its characteristic polynomial.
     """
     for h in range(1, h_max + 1):
-        gamma = definition_matrix(k, h)
-        for (q, w), positions in sorted(_slice_layout(k, h).items()):
-            sub = _submatrix(gamma, positions)
-            n = len(positions)
-            bound = gershgorin_bound(sub)
+        for q, w, basis, gamma in laplacian_slices(k, h):
+            n = basis.dim
+            bound = gershgorin_bound(gamma)
             total = 0
             for lam in range(bound + 1):
-                total += exact_nullity(sub, lam)
+                total += exact_nullity(gamma, lam)
                 if total == n:
                     break
             if total == n:
                 continue
-            poly = berkowitz_charpoly(sub)
+            poly = berkowitz_charpoly(gamma)
             _, remainder = strip_integer_roots(poly, bound)
             if len(remainder) < 3:
                 raise ClaimFalsified(

@@ -376,6 +376,7 @@ def singular_multiplicities(view: WeightModuleView) -> RepRingElement:
     * consecutive weight-space dimension differences.
     """
     view.check_relations()
+    where = f"k={view.basis.k}, h={view.basis.h}"
     by_weight: dict[int, list[int]] = {}
     for pos, mono in enumerate(view.basis.monomials):
         by_weight.setdefault(weight(mono), []).append(pos)
@@ -397,21 +398,23 @@ def singular_multiplicities(view: WeightModuleView) -> RepRingElement:
             for i, v in col.items():
                 ii = above_index.get(i)
                 if ii is None:
-                    raise AssertionError("raising does not shift weight by one")
+                    raise ClaimFalsified(
+                        f"raising does not shift weight {w} by one on {where}")
                 dense[ii][jj] = v
         kernel_dim = len(here) - (bareiss_rank(dense) if dense and here else 0)
         diff = dims.get(w, 0) - dims.get(w + 1, 0)
         if kernel_dim != diff:
-            raise AssertionError(
-                f"multiplicity methods disagree at weight {w}: "
+            raise ClaimFalsified(
+                f"multiplicity methods disagree at weight {w} on {where}: "
                 f"kernel {kernel_dim}, difference {diff}")
         if kernel_dim:
             mults[2 * w] = kernel_dim
             total += kernel_dim * (2 * w + 1)
         w += 1
     if total != view.basis.dim:
-        raise AssertionError(
-            f"multiplicities account for {total} of {view.basis.dim} dimensions")
+        raise ClaimFalsified(
+            f"multiplicities of weights below {w} account for {total} of "
+            f"{view.basis.dim} dimensions on {where}")
     return RepRingElement(mults)
 
 
@@ -438,8 +441,8 @@ def singular_block_dims(k: int, w: int, h: int) -> int:
     value = max(dims.get(w, 0) - dims.get(w + 1, 0), 0)
     if sum(dims.values()) <= MATRIX_ROUTE_CUT:
         if _matrix_singular_mults(k, h).mult(2 * w) != value:
-            raise AssertionError(
-                f"singular dimension mismatch at k={k}, w={w}, h={h}")
+            raise ClaimFalsified(
+                f"singular dimension mismatch at k={k}, h={h}, w={w}")
     return value
 
 

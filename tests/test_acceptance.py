@@ -12,8 +12,6 @@ from afflap.chains import enumerate_block, weight
 from afflap.cli import main as cli_main
 from afflap.identities import all_identities, verify_identity
 from afflap.laplacian import (
-    closed_matrix,
-    definition_matrix,
     find_irrational_spectrum,
     harmonic_basis,
     homology_table,
@@ -21,6 +19,7 @@ from afflap.laplacian import (
     laplacian_by_definition,
     laplacian_closed_apply,
     laplacian_closed_form,
+    laplacian_slices,
     lowering_orbit,
     one_dim_eigenvalue,
     spectrum,
@@ -40,11 +39,15 @@ H_EQ2 = 8
 
 def test_criterion_1_laplacian_equality():
     """Both constructions agree entrywise: k in {-1,0,1,2} for h <= 12 and
-    k in {3,4} for h <= 8, in under two minutes."""
+    k in {3,4} for h <= 8, in under two minutes.  For k <= 2 the blocks are
+    compared one (q, w) slice at a time; an entry of the closed form
+    between two slices would make ``matrix_of`` raise, so every entry of
+    the block is still compared."""
     start = time.time()
     for k in (-1, 0, 1, 2):
         for h in range(H_FULL + 1):
-            assert definition_matrix(k, h) == closed_matrix(k, h), (k, h)
+            for q, w, basis, gamma in laplacian_slices(k, h):
+                assert gamma == laplacian_closed_form(k, basis), (k, h, q, w)
     for k in (3, 4):
         for h in range(H_EQ2 + 1):
             basis = enumerate_block(k, h)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from afflap import cli
 from afflap.cli import main
 from afflap.sl2 import ClaimFalsified
@@ -146,6 +148,26 @@ def test_falsified_claim_exits_1(capsys, monkeypatch):
     for command in ("spectrum", "homology", "singular"):
         code, out, err = run(capsys, command, "--k", "2", "--h-max", "1", "--jobs", "1")
         assert (code, out, err) == (1, "", "falsified claim: x\n"), command
+
+
+def test_singular_route_disagreement_exits_1(capsys, monkeypatch):
+    """Weight counts that disagree with the matrix route of
+    singular_block_dims raise ClaimFalsified, which main reports."""
+    from afflap import sl2
+
+    real = sl2._weight_dims_at
+
+    def one_more_at_weight_0(k, h):
+        dims = real(k, h)
+        return {**dims, 0: dims.get(0, 0) + 1}
+
+    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
+    monkeypatch.setattr(sl2, "_weight_dims_at", one_more_at_weight_0)
+    with pytest.raises(ClaimFalsified, match="^singular dimension mismatch at k=2, h=0, w=0$"):
+        sl2.singular_block_dims(2, 0, 0)
+    code, out, err = run(capsys, "singular", "--k", "2", "--h-max", "2", "--jobs", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("falsified claim: ")
 
 
 def test_jobs_env_override(capsys, monkeypatch):

@@ -24,6 +24,7 @@ from afflap.laplacian import (
     laplacian_by_definition,
     laplacian_closed_apply,
     laplacian_closed_form,
+    laplacian_slices,
     lowering_orbit,
     one_dim_eigenvalue,
     predicted_eigenvalue,
@@ -87,39 +88,125 @@ def test_definition_checks_codifferential_against_transpose(monkeypatch):
         laplacian_by_definition(2, basis)
 
 
-def test_certificate_checks_gamma_against_casimir(monkeypatch):
-    """Both constructions shifted by I still agree with each other and the
-    sl2 relations still hold, but 2 Gamma = 2h I - C fails."""
+def _first_image_monomial(k, h, g, terms=1):
+    """The first monomial of the degree-h block whose e_g image has at
+    least ``terms`` terms, with that image."""
     from afflap import laplacian
-    from afflap.linalg import IntMatrix
 
-    certify = laplacian._structure_certificate.__wrapped__
-    assert certify(2, 4)
-    gamma = laplacian.definition_matrix(2, 4)
-    shifted = gamma + IntMatrix.identity(gamma.cols)
-    monkeypatch.setattr(laplacian, "definition_matrix", lambda k, h: shifted)
-    monkeypatch.setattr(laplacian, "closed_matrix", lambda k, h: shifted)
-    with pytest.raises(ClaimFalsified, match="k=2, h=4"):
-        certify(2, 4)
+    return next((m, image) for m in enumerate_block(k, h)
+                if len(image := laplacian.adjoint_action(g, {m: 1}, k)) >= terms)
 
 
-def test_certificate_rejects_a_broken_sl2_relation(monkeypatch):
-    from afflap import laplacian, sl2
+def test_certificate_rejects_a_lowering_matrix_that_is_not_the_transpose(monkeypatch):
+    from afflap import laplacian
 
-    real = sl2.adjoint_action
-    block = enumerate_block(2, 4)
-    target = next(m for m in block if real(1, {m: 1}, 2))
+    real = laplacian.adjoint_action
+    target, _ = _first_image_monomial(2, 4, -1)
 
     def one_entry_flipped(g, chain, k):
         image = real(g, chain, k)
-        if g == 1 and chain == {target: 1}:
+        if g == -1 and chain == {target: 1}:
             first = min(image)
             image = {**image, first: -image[first]}
         return image
 
-    monkeypatch.setattr(sl2, "adjoint_action", one_entry_flipped)
-    with pytest.raises(ClaimFalsified, match=r"^\[e_.* on k=2, h=4$"):
-        laplacian._structure_certificate.__wrapped__(2, 4)
+    monkeypatch.setattr(laplacian, "adjoint_action", one_entry_flipped)
+    q, w = len(target), weight(target) - 1
+    with pytest.raises(ClaimFalsified, match=rf"^e_-1 is not the transpose of e_1 "
+                                             rf"on k=2, h=4, q={q}, w={w}$"):
+        spectrum(2, 4)
+
+
+def test_certificate_rejects_a_raising_image_of_the_wrong_weight(monkeypatch):
+    from afflap import laplacian
+
+    real = laplacian.adjoint_action
+    target, _ = _first_image_monomial(2, 4, 1)
+
+    def escapes(g, chain, k):
+        image = real(g, chain, k)
+        return {**image, target: 1} if g == 1 and chain == {target: 1} else image
+
+    monkeypatch.setattr(laplacian, "adjoint_action", escapes)
+    q, w = len(target), weight(target)
+    with pytest.raises(ClaimFalsified, match=rf"^e_1 leaves weight {w + 1} "
+                                             rf"on k=2, h=4, q={q}, w={w}: "):
+        spectrum(2, 4)
+
+
+def test_certificate_rejects_a_broken_sl2_relation(monkeypatch):
+    """One entry of e_1 and the matching entry of e_-1 flipped: the two
+    matrices are still transposes, but [e_1, e_-1] = w I fails.  The e_1
+    column has two terms, so E E^T changes on the slice above."""
+    from afflap import laplacian
+
+    real = laplacian.adjoint_action
+    source, image = _first_image_monomial(2, 4, 1, terms=2)
+    target = min(image)
+
+    def matching_flips(g, chain, k):
+        out = real(g, chain, k)
+        if (g, chain) in ((1, {source: 1}), (-1, {target: 1})):
+            flip = target if g == 1 else source
+            out = {**out, flip: -out[flip]}
+        return out
+
+    monkeypatch.setattr(laplacian, "adjoint_action", matching_flips)
+    q, w = len(source), weight(source)
+    with pytest.raises(ClaimFalsified, match=rf"^\[e_1, e_-1\] != w I "
+                                             rf"on k=2, h=4, q={q}, w=({w}|{w + 1})$"):
+        spectrum(2, 4)
+
+
+def test_certificate_checks_gamma_against_casimir(monkeypatch):
+    """Gamma + I on every slice keeps the sl2 checks passing, but
+    2 Gamma = 2h I - C fails on the first slice."""
+    from afflap import laplacian
+    from afflap.linalg import IntMatrix
+
+    real = laplacian.laplacian_slices
+
+    def shifted(k, h, keys=None):
+        for q, w, basis, gamma in real(k, h, keys):
+            yield q, w, basis, gamma + IntMatrix.identity(basis.dim)
+
+    assert spectrum(2, 4).lines
+    monkeypatch.setattr(laplacian, "laplacian_slices", shifted)
+    q, w = min((len(m), weight(m)) for m in enumerate_block(2, 4))
+    with pytest.raises(ClaimFalsified, match=rf"^2 Gamma != 2h I - C on k=2, h=4, q={q}, w={w}$"):
+        spectrum(2, 4)
+
+
+def test_closed_form_is_h_plus_or_minus_half_casimir():
+    """The chain-composed closed form equals h I +- C/2, with C assembled
+    slice by slice from the e_1 matrices E_w as in the certificate:
+    C = E_w^T E_w + w^2 I + E_{w-1} E_{w-1}^T."""
+    from afflap.linalg import IntMatrix
+
+    for k, sign in ((-1, 1), (2, -1)):
+        for h in range(7):
+            block = enumerate_block(k, h)
+
+            def slice_of(q, w):
+                return BlockBasis(k, h, [m for m in block
+                                         if (len(m), weight(m)) == (q, w)], w=w)
+
+            def raising(source, target):
+                return matrix_of(lambda c: adjoint_action(1, c, k), source, target)
+
+            columns = [None] * block.dim
+            for q, w in sorted({(len(m), weight(m)) for m in block}):
+                here = slice_of(q, w)
+                up = raising(here, slice_of(q, w + 1))
+                up_below = raising(slice_of(q, w - 1), here)
+                eye = IntMatrix.identity(here.dim)
+                casimir = up.transpose() * up + eye.scale(w * w) + up_below * up_below.transpose()
+                twice = eye.scale(2 * h) + casimir.scale(sign)
+                pos = [block.index[m] for m in here]
+                for p, col in zip(pos, twice.columns):
+                    columns[p] = {pos[i]: v for i, v in col.items()}
+            expected = IntMatrix(block.dim, block.dim, columns)
+            assert laplacian_closed_form(k, block).scale(2) == expected, (k, h)
 
 
 def test_one_dim_eigenvalues():
@@ -213,11 +300,11 @@ def test_spectrum_matches_characteristic_polynomial():
     """Independent route: the characteristic polynomial of a whole block,
     with its integer roots stripped, reproduces the spectrum lines."""
     from afflap.linalg import gershgorin_bound, strip_integer_roots
-    from afflap.laplacian import definition_matrix
 
     for k, h in ((2, 5), (1, 4), (-1, 2), (0, 3)):
-        gamma = definition_matrix(k, h)
-        poly = characteristic_polynomial(k, enumerate_block(k, h))
+        block = enumerate_block(k, h)
+        gamma = laplacian_by_definition(k, block)
+        poly = characteristic_polynomial(k, block)
         roots, rest = strip_integer_roots(poly, gershgorin_bound(gamma))
         assert rest == [1], (k, h)  # the spectrum is integral
         assert sorted(roots.items()) == spectrum(k, h).lines, (k, h)
@@ -226,26 +313,19 @@ def test_spectrum_matches_characteristic_polynomial():
 def test_modular_certificates_match_exact_nullities():
     """On slices large enough to take the modular route, redo every nullity
     by fraction-free elimination and require agreement."""
-    from afflap.laplacian import (
-        EXACT_NULLITY_CUT,
-        _slice_layout,
-        _submatrix,
-        definition_matrix,
-    )
+    from afflap.laplacian import EXACT_NULLITY_CUT
     from afflap.linalg import exact_nullity, nullity_mod_p
 
     k, h = -1, 7
     res = spectrum(k, h)
     assert res.modular_slices > 0  # the route under test is actually exercised
-    gamma = definition_matrix(k, h)
-    layout = _slice_layout(k, h)
-    dims = {key: len(pos) for key, pos in layout.items()}
+    slices = list(laplacian_slices(k, h))
+    dims = {(q, w): basis.dim for q, w, basis, _ in slices}
     checked = 0
-    for (q, w0), positions in sorted(layout.items()):
-        n = len(positions)
+    for q, w0, basis, sub in slices:
+        n = basis.dim
         if not EXACT_NULLITY_CUT < n <= 130:
             continue
-        sub = _submatrix(gamma, positions)
         wp = abs(w0)
         while dims.get((q, wp), 0) or dims.get((q, wp + 1), 0):
             m_pred = dims.get((q, wp), 0) - dims.get((q, wp + 1), 0)

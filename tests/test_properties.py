@@ -1,5 +1,6 @@
-"""Property tests for the sign conventions of the boundary operators and for
-the axioms of the coefficient rings of the series arithmetic.
+"""Property tests for the sign conventions of the boundary operators, for
+the transposes the sl2 certificate relies on, and for the axioms of the
+coefficient rings of the series arithmetic.
 
 ``differential`` and ``codifferential`` place their signs by ``bisect``
 insertion.  The references below build the raw replacement word and let the
@@ -14,15 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afflap.chains import (
+    adjoint_action,
     chain_insert,
     codifferential,
+    conjugate_action,
     differential,
     enumerate_block,
     matrix_of,
     normalize_wedge,
+    raising_action,
     weight,
 )
-from afflap.generators import epsilon
+from afflap.generators import epsilon, generator_degree
 from afflap.series import EisensteinInt
 from afflap.sl2 import HalfLaurent, RepRingElement
 
@@ -118,9 +122,9 @@ def test_boundary_squares_to_zero(km):
 
 
 @st.composite
-def slices(draw):
+def slices(draw, ks=KS):
     """(k, h, w, q) naming a nonempty (q, w) slice of a degree-h block."""
-    k = draw(KS)
+    k = draw(ks)
     h = draw(st.integers(min_value=0, max_value=6))
     keys = sorted({(len(m), weight(m)) for m in enumerate_block(k, h)})
     q, w = draw(st.sampled_from(keys))
@@ -139,6 +143,37 @@ def test_consecutive_slice_boundaries_compose_to_zero(khwq):
     d_up = matrix_of(lambda c: differential(k, c), above, here)
     assert (d_q * d_up).is_zero()
     assert matrix_of(lambda c: codifferential(k, c), below, here) == d_q.transpose()
+
+
+def slice_basis(k: int, h: int, w: int, q: int):
+    return enumerate_block(k, h, w).restrict(q=q)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(slices(st.sampled_from((-1, 2))))
+def test_lowering_matrix_is_the_transpose_of_raising(khwq):
+    """For k in {-1, 2} the matrix of e_-1 from (q, w+1) to (q, w) equals
+    the transpose of the matrix of e_1 from (q, w) to (q, w+1), as whole
+    slice matrices, so an entry on either side counts."""
+    k, h, w, q = khwq
+    here, above = slice_basis(k, h, w, q), slice_basis(k, h, w + 1, q)
+    up = matrix_of(lambda c: adjoint_action(1, c, k), here, above)
+    down = matrix_of(lambda c: adjoint_action(-1, c, k), above, here)
+    assert down == up.transpose()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(slices(), st.integers(min_value=1, max_value=6))
+def test_conjugate_action_is_the_transpose_of_raising(khwq, r):
+    """conjugate_action(r) from (q, w + eps(r), h + deg e_r) back to
+    (q, w, h) is the transpose of raising_action(r), as whole slice
+    matrices."""
+    k, h, w, q = khwq
+    here = slice_basis(k, h, w, q)
+    there = slice_basis(k, h + generator_degree(r), w + epsilon(r), q)
+    up = matrix_of(lambda c: raising_action(r, c, k), here, there)
+    back = matrix_of(lambda c: conjugate_action(r, c, k), there, here)
+    assert back == up.transpose()
 
 
 # ---------------------------------------------------------------------------
