@@ -46,7 +46,6 @@ from .series import Series, theta
 from .sl2 import (
     HalfLaurent,
     RepRingElement,
-    WeightModuleView,
     cg_singular_vector,
     motzkin_sums,
     singular_block_dims,

@@ -346,6 +346,16 @@ def enumerate_block(k: int, h: int, w: int | None = None) -> BlockBasis:
     return BlockBasis(k, h, monos, w=w)
 
 
+def slices(basis: BlockBasis) -> dict:
+    """The nonempty (q, w) slices of ``basis``, keyed in sorted order, each a
+    basis in the order of ``basis``."""
+    groups: dict = {}
+    for m in basis.monomials:
+        groups.setdefault((len(m), weight(m)), []).append(m)
+    return {(q, w): BlockBasis(basis.k, basis.h, monos, w=w)
+            for (q, w), monos in sorted(groups.items())}
+
+
 def _dim_rows(k: int, h_max: int, step, unit) -> list[dict]:
     """Per-degree rows of the product of (1 + t u^weight x^degree) over the
     generators of L(k) with degree <= h_max: ``rows[h]`` maps a key to the

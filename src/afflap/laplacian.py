@@ -20,7 +20,7 @@ checks 1-4 name the k, h, q and w of the slice:
 3. E_{w-1} E_{w-1}^T - E_w^T E_w = w I, which is [e_1, e_{-1}] = e_0 (the
    grading gives the e_0 relations), so the block is a finite-dimensional
    sl2-module and the Casimir C acts by w'(w'+1) on its isotypic piece of
-   dominant weight w';
+   dominant weight w' (checks 2-3 and E_w come from ``sl2.sl2_slices``);
 4. 2 Gamma = 2h I + C for k = -1 and 2h I - C for k = 2, with
    C = E_w^T E_w + w^2 I + E_{w-1} E_{w-1}^T: the paper's closed form, so
    Gamma acts on that piece by h +- w'(w'+1)/2;
@@ -49,6 +49,7 @@ from .chains import (
     matrix_of,
     raising_action,
     scale_chain,
+    slices,
     weight,
 )
 from .generators import epsilon
@@ -63,7 +64,7 @@ from .linalg import (
     nullity_mod_p,
     strip_integer_roots,
 )
-from .sl2 import ClaimFalsified
+from .sl2 import ClaimFalsified, sl2_slices
 
 # Slices up to this dimension get their nullities by exact elimination and
 # the residual product check; the larger ones use modular ranks.
@@ -137,13 +138,8 @@ def _closed_apply_twice(k: int, chain: Chain) -> Chain:
 
 @lru_cache(maxsize=None)
 def _slice_bases(k: int, h: int) -> dict:
-    """The nonempty (q, w) slices of the degree-h block, keyed in sorted
-    order, each a basis in block order."""
-    groups: dict = {}
-    for m in enumerate_block(k, h).monomials:
-        groups.setdefault((len(m), weight(m)), []).append(m)
-    return {(q, w): BlockBasis(k, h, monos, w=w)
-            for (q, w), monos in sorted(groups.items())}
+    """The ``slices`` of the degree-h block."""
+    return slices(enumerate_block(k, h))
 
 
 def _slice(k: int, h: int, q: int, w: int) -> BlockBasis:
@@ -198,16 +194,14 @@ def laplacian_by_definition(k: int, basis: BlockBasis) -> IntMatrix:
     ClaimFalsified when a codifferential matrix is not D_q^T.
     """
     h = basis.h
-    groups: dict = {}
-    for m in basis.monomials:
-        groups.setdefault((len(m), weight(m)), []).append(m)
-    for (q, w), monos in groups.items():
-        if sorted(monos) != list(_slice(k, h, q, w).monomials):
+    parts = slices(basis)
+    for (q, w), part in parts.items():
+        if sorted(part.monomials) != list(_slice(k, h, q, w).monomials):
             raise ValueError(
                 f"basis splits the (q, w) = ({q}, {w}) slice of the "
                 f"(k={k}, h={h}) block")
     columns: list = [None] * basis.dim
-    for _, _, whole, gamma in laplacian_slices(k, h, groups):
+    for _, _, whole, gamma in laplacian_slices(k, h, parts):
         pos = [basis.index[m] for m in whole.monomials]
         for p, col in zip(pos, gamma.columns):
             columns[p] = {pos[i]: v for i, v in col.items()}
@@ -221,50 +215,20 @@ def laplacian_closed_form(k: int, basis: BlockBasis) -> IntMatrix:
 # ---------------------------------------------------------------------------
 # the sl2 certificate for k in {-1, 2}
 
-def _action_matrix(k: int, g: int, source: BlockBasis, target: BlockBasis,
-                   where: str) -> IntMatrix:
-    try:
-        return matrix_of(lambda c: adjoint_action(g, c, k), source, target)
-    except ValueError as exc:
-        raise ClaimFalsified(
-            f"e_{g} leaves weight {target.w} on {where}: {exc}") from None
-
-
-def _raising_pair(k: int, h: int, q: int, w: int, where: str):
-    """(E_w, E_w^T): the matrix of e_1 from the (q, w) slice to the (q, w+1)
-    slice, and that of e_{-1} back, built on its own and checked to be the
-    transpose (check 2 of the module docstring)."""
-    src, tgt = _slice(k, h, q, w), _slice(k, h, q, w + 1)
-    up = _action_matrix(k, 1, src, tgt, where)
-    down = _action_matrix(k, -1, tgt, src, where)
-    if down != up.transpose():
-        raise ClaimFalsified(f"e_-1 is not the transpose of e_1 on {where}")
-    return up, down
-
-
-def _casimir_certified(k: int, h: int, slices):
-    """Pass the ``laplacian_slices`` of the degree-h block through,
-    certifying each (q, w) slice by checks 2-4 of the module docstring.
-
-    In sorted order E_{w-1} is carried over from the slice just before
-    instead of being rebuilt.  Raises ClaimFalsified naming k, h, q and w.
+def _casimir_certified(k: int, h: int):
+    """The ``laplacian_slices`` of the degree-h block, walked beside its
+    ``sl2_slices`` (checks 2-3 of the module docstring), each checked to
+    satisfy 2 Gamma = 2h I +- C (check 4).  Raises ClaimFalsified naming k,
+    h, q and w.
     """
     sign = 1 if k == -1 else -1
-    key, pair = None, None  # (q, w) of the slice just before, and its E_w, E_w^T
-    for q, w, basis, gamma in slices:
-        where = f"k={k}, h={h}, q={q}, w={w}"
-        below = pair if key == (q, w - 1) else _raising_pair(k, h, q, w - 1, where)
-        key, pair = (q, w), _raising_pair(k, h, q, w, where)
-        (up_below, down_below), (up, down) = below, pair
-        raise_lower = up_below * down_below  # e_1 e_-1 on the slice
-        lower_raise = down * up              # e_-1 e_1
+    for (q, w, basis, gamma), (*_, casimir) in zip(
+            laplacian_slices(k, h), sl2_slices(k, _slice_bases(k, h))):
         eye = IntMatrix.identity(basis.dim)
-        if raise_lower - lower_raise != eye.scale(w):
-            raise ClaimFalsified(f"[e_1, e_-1] != w I on {where}")
-        casimir = lower_raise + eye.scale(w * w) + raise_lower
         if gamma.scale(2) != eye.scale(2 * h) + casimir.scale(sign):
             raise ClaimFalsified(
-                f"2 Gamma != 2h I {'+' if sign > 0 else '-'} C on {where}")
+                f"2 Gamma != 2h I {'+' if sign > 0 else '-'} C on "
+                f"k={k}, h={h}, q={q}, w={w}")
         yield q, w, basis, gamma
 
 
@@ -401,7 +365,7 @@ def spectrum(k: int, h: int) -> SpectrumResult:
                 mult=n, kernel_dim=n if lam == 0 else 0, method="scalar"))
             result.exact_slices += 1
     else:
-        for q, w0, basis, gamma in _casimir_certified(k, h, laplacian_slices(k, h)):
+        for q, w0, basis, gamma in _casimir_certified(k, h):
             n = basis.dim
             use_exact = n <= EXACT_NULLITY_CUT
             # dominant weights w' >= |w0| occur with multiplicity

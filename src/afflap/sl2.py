@@ -1,5 +1,7 @@
 """Finite-dimensional sl2 machinery: representation ring, characters,
-Clebsch-Gordan singular vectors, and singular multiplicities of chain blocks.
+Clebsch-Gordan singular vectors, and the sl2 action on chain blocks.
+``sl2_slices`` is the one source of the checked e_{+-1} slice matrices: the
+Laplacian certificate takes the Casimir from it, the singular route E_1.
 
 Dominant weights are stored doubled (2w is a non-negative integer), so all
 bookkeeping stays integral even for half-integer weights.  The same doubling
@@ -9,7 +11,6 @@ polynomials in u^(1/2) that carry Weyl characters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,7 +20,7 @@ from .chains import (
     block_dim_table,
     enumerate_block,
     matrix_of,
-    weight,
+    slices,
 )
 from .linalg import IntMatrix, add_scaled, bareiss_rank
 
@@ -325,97 +326,84 @@ def _doubled(w) -> int:
 
 
 # ---------------------------------------------------------------------------
-# chain blocks as sl2-modules
+# chain blocks as sl2-modules, one (q, w) slice at a time
 
-@dataclass(frozen=True)
-class WeightModuleView:
-    """A monomial basis together with the three exact sl2 action matrices."""
-
-    basis: BlockBasis
-    lower: IntMatrix  # e_{-1}
-    diag: IntMatrix   # e_0
-    raise_: IntMatrix  # e_1
-
-    @classmethod
-    def from_basis(cls, k: int, basis: BlockBasis) -> "WeightModuleView":
-        if k % 3 != 2:
-            raise ValueError("chain blocks are sl2-modules for k = -1 (mod 3)")
-        lower, diag, raise_ = (
-            matrix_of(lambda c, g=g: adjoint_action(g, c, k), basis, basis)
-            for g in (-1, 0, 1))
-        return cls(basis=basis, lower=lower, diag=diag, raise_=raise_)
-
-    @classmethod
-    def from_block(cls, k: int, h: int) -> "WeightModuleView":
-        # a full degree block; weight slices are not closed under the actions
-        return cls.from_basis(k, enumerate_block(k, h))
-
-    def check_relations(self) -> None:
-        """The defining sl2 relations as exact matrix identities; a failure
-        raises ClaimFalsified naming the block."""
-        e0, e1, em1 = self.diag, self.raise_, self.lower
-        where = f"on k={self.basis.k}, h={self.basis.h}"
-        if (e0 * e1 - e1 * e0) != e1:
-            raise ClaimFalsified(f"[e_0, e_1] != e_1 {where}")
-        if (e0 * em1 - em1 * e0) != em1.scale(-1):
-            raise ClaimFalsified(f"[e_0, e_-1] != -e_-1 {where}")
-        if (e1 * em1 - em1 * e1) != e0:
-            raise ClaimFalsified(f"[e_1, e_-1] != e_0 {where}")
-
-    def casimir(self) -> IntMatrix:
-        """C = e_{-1} e_1 + e_0^2 + e_1 e_{-1}; by the relations it acts by
-        w(w+1) on the isotypic piece of dominant weight w."""
-        return self.lower * self.raise_ + self.diag * self.diag + self.raise_ * self.lower
-
-
-def singular_multiplicities(view: WeightModuleView) -> RepRingElement:
-    """Isotypic multiplicities of a completely reducible module, computed two
-    independent ways and required to agree:
-
-    * the kernel dimension of the raising operator on each weight space,
-    * consecutive weight-space dimension differences.
-    """
-    view.check_relations()
-    where = f"k={view.basis.k}, h={view.basis.h}"
-    by_weight: dict[int, list[int]] = {}
-    for pos, mono in enumerate(view.basis.monomials):
-        by_weight.setdefault(weight(mono), []).append(pos)
-    dims = {w: len(pos) for w, pos in by_weight.items()}
-    mults: dict[int, int] = {}
-    total = 0
-    w = 0
-    while dims.get(w, 0) or dims.get(w + 1, 0):
-        here = by_weight.get(w, [])
-        above = by_weight.get(w + 1, [])
-        above_index = {p: i for i, p in enumerate(above)}
-        # raising operator restricted to the weight-w space
-        rows = []
-        for j in here:
-            col = view.raise_.columns[j]
-            rows.append(col)
-        dense = [[0] * len(here) for _ in range(len(above))]
-        for jj, col in enumerate(rows):
-            for i, v in col.items():
-                ii = above_index.get(i)
-                if ii is None:
-                    raise ClaimFalsified(
-                        f"raising does not shift weight {w} by one on {where}")
-                dense[ii][jj] = v
-        kernel_dim = len(here) - (bareiss_rank(dense) if dense and here else 0)
-        diff = dims.get(w, 0) - dims.get(w + 1, 0)
-        if kernel_dim != diff:
-            raise ClaimFalsified(
-                f"multiplicity methods disagree at weight {w} on {where}: "
-                f"kernel {kernel_dim}, difference {diff}")
-        if kernel_dim:
-            mults[2 * w] = kernel_dim
-            total += kernel_dim * (2 * w + 1)
-        w += 1
-    if total != view.basis.dim:
+def _action_matrix(k: int, g: int, source: BlockBasis, target: BlockBasis,
+                   where: str) -> IntMatrix:
+    try:
+        return matrix_of(lambda c: adjoint_action(g, c, k), source, target)
+    except ValueError as exc:
         raise ClaimFalsified(
-            f"multiplicities of weights below {w} account for {total} of "
-            f"{view.basis.dim} dimensions on {where}")
-    return RepRingElement(mults)
+            f"e_{g} leaves weight {target.w} on {where}: {exc}") from None
+
+
+def _raising_pair(k: int, source: BlockBasis, target: BlockBasis, where: str):
+    """(E_w, E_w^T): the matrix of e_1 from the (q, w) slice ``source`` to
+    the (q, w+1) slice ``target``, and that of e_{-1} back, built on its own
+    and checked to be the transpose."""
+    up = _action_matrix(k, 1, source, target, where)
+    down = _action_matrix(k, -1, target, source, where)
+    if down != up.transpose():
+        raise ClaimFalsified(f"e_-1 is not the transpose of e_1 on {where}")
+    return up, down
+
+
+def sl2_slices(k: int, parts: dict):
+    """Yield ``(q, w, basis, E_w, C)`` for the slices of ``parts``, the
+    ``slices`` map of a union of whole (q, w) slices, in sorted order.
+
+    E_w is the matrix of e_1 from the (q, w) slice to the (q, w+1) slice and
+    C = E_w^T E_w + w^2 I + E_{w-1} E_{w-1}^T the Casimir on the slice.  Each
+    slice first passes checks 2 and 3 of the ``laplacian`` docstring: E_w
+    lands in the (q, w+1) slice and the matrix of e_{-1} back equals E_w^T,
+    and E_{w-1} E_{w-1}^T - E_w^T E_w = w I, which is [e_1, e_{-1}] = e_0.
+    So the union is an sl2-module, and C acts by w'(w'+1) on its isotypic
+    piece of dominant weight w'.  A failure raises ClaimFalsified naming k,
+    h, q and w.  The (q, w-1) slice, if any, comes just before in sorted
+    order, so its E_w is carried over instead of being rebuilt.
+    """
+    key, pair = None, None  # (q, w) of the slice just before, and its E_w, E_w^T
+    for (q, w), basis in parts.items():
+        h = basis.h
+        where = f"k={k}, h={h}, q={q}, w={w}"
+        below = pair if key == (q, w - 1) else _raising_pair(
+            k, BlockBasis(k, h, (), w=w - 1), basis, where)
+        above = parts.get((q, w + 1)) or BlockBasis(k, h, (), w=w + 1)
+        key, pair = (q, w), _raising_pair(k, basis, above, where)
+        (up_below, down_below), (up, down) = below, pair
+        raise_lower = up_below * down_below  # e_1 e_-1 on the slice
+        lower_raise = down * up              # e_-1 e_1
+        eye = IntMatrix.identity(basis.dim)
+        if raise_lower - lower_raise != eye.scale(w):
+            raise ClaimFalsified(f"[e_1, e_-1] != w I on {where}")
+        yield q, w, basis, up, lower_raise + eye.scale(w * w) + raise_lower
+
+
+def singular_multiplicities(k: int, basis: BlockBasis) -> RepRingElement:
+    """Isotypic multiplicities of ``basis``, a union of whole (q, w) slices
+    closed under the sl2 action, summed over q.  On each (q, w >= 0) slice of
+    ``sl2_slices`` two counts must agree: dim ker E_w, by exact elimination,
+    and dim(q, w) - dim(q, w+1).  The multiplicities must fill the basis.
+    """
+    if k % 3 != 2:
+        raise ValueError("chain blocks are sl2-modules for k = -1 (mod 3)")
+    mults: dict[int, int] = {}
+    for q, w, part, up, _ in sl2_slices(k, slices(basis)):
+        if w < 0:
+            continue
+        kernel = part.dim - bareiss_rank(up.to_dense_rows())
+        diff = part.dim - up.rows  # up.rows = dim(q, w + 1)
+        if kernel != diff:
+            raise ClaimFalsified(
+                f"multiplicity methods disagree on k={k}, h={basis.h}, q={q}, "
+                f"w={w}: kernel {kernel}, difference {diff}")
+        mults[2 * w] = mults.get(2 * w, 0) + kernel
+    result = RepRingElement(mults)
+    if result.dimension() != basis.dim:
+        raise ClaimFalsified(
+            f"multiplicities account for {result.dimension()} of {basis.dim} "
+            f"dimensions on k={k}, h={basis.h}")
+    return result
 
 
 # The blocks we are willing to decompose with dense matrix arithmetic.
@@ -423,40 +411,62 @@ MATRIX_ROUTE_CUT = 220
 
 
 @lru_cache(maxsize=None)
-def _matrix_singular_mults(k: int, h: int) -> RepRingElement:
-    return singular_multiplicities(WeightModuleView.from_block(k, h))
+def _matrix_singular_mults(k: int, h: int) -> dict[int, RepRingElement]:
+    """``singular_multiplicities`` of each chain dimension q of the block."""
+    block = enumerate_block(k, h)
+    return {q: singular_multiplicities(k, block.restrict(q=q))
+            for q in sorted({len(m) for m in block})}
 
 
 def singular_block_dims(k: int, w: int, h: int) -> int:
     """dim of the weight-w singular subspace of the degree-h block of L(k).
 
-    Counted by weight-space dimension differences; on small blocks the full
-    matrix route (singular_multiplicities) is run as well and must agree.
+    Counted by weight-space dimension differences, which must be
+    non-negative; on small blocks the matrix route must agree.
     """
     if k % 3 != 2:
         raise ValueError("singular subspaces need k = -1 (mod 3)")
     if w < 0:
         raise ValueError("dominant weights are non-negative")
     dims = _weight_dims_at(k, h)
-    value = max(dims.get(w, 0) - dims.get(w + 1, 0), 0)
+    value = dims.get(w, 0) - dims.get(w + 1, 0)
+    if value < 0:
+        raise ClaimFalsified(
+            f"weight dimensions not unimodal at k={k}, h={h}, w={w}")
     if sum(dims.values()) <= MATRIX_ROUTE_CUT:
-        if _matrix_singular_mults(k, h).mult(2 * w) != value:
+        by_q = _matrix_singular_mults(k, h).values()
+        if sum(m.mult(2 * w) for m in by_q) != value:
             raise ClaimFalsified(
                 f"singular dimension mismatch at k={k}, h={h}, w={w}")
     return value
 
 
 def singular_block_dims_by_q(k: int, w: int, h: int) -> dict[int, int]:
-    """Per chain-dimension refinement of singular_block_dims."""
+    """Per chain-dimension refinement of singular_block_dims, counted from
+    ``block_dim_table``; on small blocks it must equal the per-q kernel
+    dimensions of the matrix route."""
     if k % 3 != 2:
         raise ValueError("singular subspaces need k = -1 (mod 3)")
-    table = block_dim_table(k, h)
-    out: dict[int, int] = {}
-    for (q, ww, hh), n in table.items():
+    if w < 0:
+        raise ValueError("dominant weights are non-negative")
+    counts: dict[int, int] = {}
+    for (q, ww, hh), n in block_dim_table(k, h).items():
         if hh != h or ww not in (w, w + 1):
             continue
-        out[q] = out.get(q, 0) + (n if ww == w else -n)
-    return {q: v for q, v in sorted(out.items()) if v > 0}
+        counts[q] = counts.get(q, 0) + (n if ww == w else -n)
+    out: dict[int, int] = {}
+    for q, v in sorted(counts.items()):
+        if v < 0:
+            raise ClaimFalsified(
+                f"weight dimensions not unimodal at k={k}, h={h}, q={q}, w={w}")
+        if v:
+            out[q] = v
+    if sum(_weight_dims_at(k, h).values()) <= MATRIX_ROUTE_CUT:
+        by_q = _matrix_singular_mults(k, h).items()
+        if {q: n for q, m in by_q if (n := m.mult(2 * w))} != out:
+            raise ClaimFalsified(
+                f"singular dimensions by q mismatch at k={k}, h={h}, w={w}")
+    return out
 
 
 @lru_cache(maxsize=None)

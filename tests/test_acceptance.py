@@ -8,7 +8,7 @@ import json
 import time
 from fractions import Fraction
 
-from afflap.chains import enumerate_block, weight
+from afflap.chains import enumerate_block, slices
 from afflap.cli import main as cli_main
 from afflap.identities import all_identities, verify_identity
 from afflap.laplacian import (
@@ -27,9 +27,9 @@ from afflap.laplacian import (
     two_dim_pairing_oracle,
 )
 from afflap.sl2 import (
-    WeightModuleView,
     cg_singular_vector,
     motzkin_sums,
+    sl2_slices,
     tensor_power_Q,
 )
 
@@ -170,23 +170,27 @@ def test_criterion_7_sl2_machinery():
     from afflap.linalg import exact_nullity
 
     for k, h in ((2, 2), (2, 3), (2, 4), (-1, 1)):
-        view = WeightModuleView.from_block(k, h)
-        cas = view.casimir()
-        assert cas * view.raise_ == view.raise_ * cas
+        block = enumerate_block(k, h)
         dims: dict = {}
-        for mono in view.basis.monomials:
-            w = weight(mono)
-            dims[w] = dims.get(w, 0) + 1
+        casimirs = []  # C on each (q, w) slice
+        before = None  # (q, w, E_w, C) of the slice just before
+        for q, w, basis, up, cas in sl2_slices(k, slices(block)):
+            if before and before[:2] == (q, w - 1):
+                assert cas * before[2] == before[2] * before[3]  # C e_1 = e_1 C
+            before = (q, w, up, cas)
+            dims[w] = dims.get(w, 0) + basis.dim
+            casimirs.append(cas)
         w = 0
         accounted = 0
         while dims.get(w, 0) or dims.get(w + 1, 0):
             m = dims.get(w, 0) - dims.get(w + 1, 0)
             if m:
                 # distinct dominant weights give distinct Casimir values
-                assert exact_nullity(cas, w * (w + 1)) == m * (2 * w + 1), (k, h, w)
+                nullity = sum(exact_nullity(cas, w * (w + 1)) for cas in casimirs)
+                assert nullity == m * (2 * w + 1), (k, h, w)
                 accounted += m * (2 * w + 1)
             w += 1
-        assert accounted == view.basis.dim
+        assert accounted == block.dim
     # Clebsch-Gordan grid: every output is raising-annihilated by construction
     for d1 in range(7):
         for d2 in range(7):

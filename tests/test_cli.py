@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +169,36 @@ def test_singular_route_disagreement_exits_1(capsys, monkeypatch):
     code, out, err = run(capsys, "singular", "--k", "2", "--h-max", "2", "--jobs", "1")
     assert code == 1 and out == ""
     assert err.startswith("falsified claim: ")
+
+
+def test_singular_rejects_non_unimodal_weight_counts(capsys, monkeypatch):
+    """Above MATRIX_ROUTE_CUT the weight counts are the only route, so a
+    negative difference fails the run instead of printing as zero."""
+    from afflap import sl2
+
+    real = sl2._weight_dims_at
+
+    def dip_at_weight_0(k, h):
+        dims = real(k, h)
+        return {**dims, 1: dims[0] + 1} if (k, h) == (-1, 5) else dims
+
+    assert sum(real(-1, 5).values()) > sl2.MATRIX_ROUTE_CUT
+    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
+    monkeypatch.setattr(sl2, "_weight_dims_at", dip_at_weight_0)
+    code, out, err = run(capsys, "singular", "--k", "-1", "--h-max", "5", "--jobs", "1")
+    assert (code, out) == (1, "")
+    assert err == "falsified claim: weight dimensions not unimodal at k=-1, h=5, w=0\n"
+
+
+@pytest.mark.parametrize("k, name", [(2, "singular_k2_h10.csv"),
+                                     (-1, "singular_km1_h10.csv")])
+def test_singular_csv_matches_golden(capsys, monkeypatch, k, name):
+    golden = Path(__file__).parent / "golden" / name
+    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
+    code, out, err = run(capsys, "singular", "--k", str(k), "--h-max", "10",
+                         "--format", "csv", "--jobs", "1")
+    assert (code, err) == (0, "")
+    assert out.encode() == golden.read_bytes()
 
 
 def test_jobs_env_override(capsys, monkeypatch):

@@ -91,16 +91,14 @@ def test_definition_checks_codifferential_against_transpose(monkeypatch):
 def _first_image_monomial(k, h, g, terms=1):
     """The first monomial of the degree-h block whose e_g image has at
     least ``terms`` terms, with that image."""
-    from afflap import laplacian
-
     return next((m, image) for m in enumerate_block(k, h)
-                if len(image := laplacian.adjoint_action(g, {m: 1}, k)) >= terms)
+                if len(image := adjoint_action(g, {m: 1}, k)) >= terms)
 
 
 def test_certificate_rejects_a_lowering_matrix_that_is_not_the_transpose(monkeypatch):
-    from afflap import laplacian
+    from afflap import sl2
 
-    real = laplacian.adjoint_action
+    real = sl2.adjoint_action
     target, _ = _first_image_monomial(2, 4, -1)
 
     def one_entry_flipped(g, chain, k):
@@ -110,7 +108,7 @@ def test_certificate_rejects_a_lowering_matrix_that_is_not_the_transpose(monkeyp
             image = {**image, first: -image[first]}
         return image
 
-    monkeypatch.setattr(laplacian, "adjoint_action", one_entry_flipped)
+    monkeypatch.setattr(sl2, "adjoint_action", one_entry_flipped)
     q, w = len(target), weight(target) - 1
     with pytest.raises(ClaimFalsified, match=rf"^e_-1 is not the transpose of e_1 "
                                              rf"on k=2, h=4, q={q}, w={w}$"):
@@ -118,29 +116,30 @@ def test_certificate_rejects_a_lowering_matrix_that_is_not_the_transpose(monkeyp
 
 
 def test_certificate_rejects_a_raising_image_of_the_wrong_weight(monkeypatch):
-    from afflap import laplacian
+    from afflap import sl2
 
-    real = laplacian.adjoint_action
+    real = sl2.adjoint_action
     target, _ = _first_image_monomial(2, 4, 1)
 
     def escapes(g, chain, k):
         image = real(g, chain, k)
         return {**image, target: 1} if g == 1 and chain == {target: 1} else image
 
-    monkeypatch.setattr(laplacian, "adjoint_action", escapes)
+    monkeypatch.setattr(sl2, "adjoint_action", escapes)
     q, w = len(target), weight(target)
     with pytest.raises(ClaimFalsified, match=rf"^e_1 leaves weight {w + 1} "
                                              rf"on k=2, h=4, q={q}, w={w}: "):
         spectrum(2, 4)
 
 
-def test_certificate_rejects_a_broken_sl2_relation(monkeypatch):
-    """One entry of e_1 and the matching entry of e_-1 flipped: the two
-    matrices are still transposes, but [e_1, e_-1] = w I fails.  The e_1
-    column has two terms, so E E^T changes on the slice above."""
-    from afflap import laplacian
+def _break_the_bracket(monkeypatch):
+    """Flip one entry of e_1 and the matching entry of e_-1 on the (2, 4)
+    block: the two matrices are still transposes, but [e_1, e_-1] = w I
+    fails.  The e_1 column has two terms, so E E^T changes on the slice
+    above.  Returns the message the bracket check must raise."""
+    from afflap import sl2
 
-    real = laplacian.adjoint_action
+    real = sl2.adjoint_action
     source, image = _first_image_monomial(2, 4, 1, terms=2)
     target = min(image)
 
@@ -151,11 +150,27 @@ def test_certificate_rejects_a_broken_sl2_relation(monkeypatch):
             out = {**out, flip: -out[flip]}
         return out
 
-    monkeypatch.setattr(laplacian, "adjoint_action", matching_flips)
+    monkeypatch.setattr(sl2, "adjoint_action", matching_flips)
     q, w = len(source), weight(source)
-    with pytest.raises(ClaimFalsified, match=rf"^\[e_1, e_-1\] != w I "
-                                             rf"on k=2, h=4, q={q}, w=({w}|{w + 1})$"):
+    return rf"^\[e_1, e_-1\] != w I on k=2, h=4, q={q}, w=({w}|{w + 1})$"
+
+
+def test_certificate_rejects_a_broken_sl2_relation(monkeypatch):
+    with pytest.raises(ClaimFalsified, match=_break_the_bracket(monkeypatch)):
         spectrum(2, 4)
+
+
+def test_singular_route_shares_the_bracket_check(monkeypatch):
+    """The singular multiplicities of a small block take their E_w from the
+    same checked slices as the certificate, so a broken bracket stops them
+    too."""
+    from afflap import sl2
+    from afflap.sl2 import MATRIX_ROUTE_CUT, singular_block_dims
+
+    assert enumerate_block(2, 4).dim <= MATRIX_ROUTE_CUT
+    sl2._matrix_singular_mults.cache_clear()
+    with pytest.raises(ClaimFalsified, match=_break_the_bracket(monkeypatch)):
+        singular_block_dims(2, 0, 4)
 
 
 def test_certificate_checks_gamma_against_casimir(monkeypatch):

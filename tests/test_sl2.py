@@ -3,18 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from afflap.chains import BlockBasis, adjoint_action
+from afflap.chains import BlockBasis, adjoint_action, enumerate_block, slices
 from afflap.linalg import fraction_kernel
 from afflap.sl2 import (
+    ClaimFalsified,
     HalfLaurent,
     RepRingElement,
     SimpleModule,
-    WeightModuleView,
     cg_singular_vector,
     motzkin_sums,
     singular_block_dims,
     singular_block_dims_by_q,
     singular_multiplicities,
+    sl2_slices,
     tensor_power_Q,
     weyl_inverse,
     weyl_map,
@@ -131,23 +132,23 @@ def test_simple_module_lowering_orbit():
 
 
 def test_view_relations_and_singular_mults():
-    view = WeightModuleView.from_block(2, 2)
-    view.check_relations()
-    assert singular_multiplicities(view) == RepRingElement({2: 2})
-    view0 = WeightModuleView.from_block(-1, 0)
-    assert singular_multiplicities(view0) == RepRingElement({0: 2, 2: 2})
+    # the sl2 relations hold slice by slice (sl2_slices raises otherwise)
+    for _ in sl2_slices(2, slices(enumerate_block(2, 2))):
+        pass
+    assert singular_multiplicities(2, enumerate_block(2, 2)) == RepRingElement({2: 2})
+    block0 = enumerate_block(-1, 0)
+    assert singular_multiplicities(-1, block0) == RepRingElement({0: 2, 2: 2})
 
 
-def _view_from_monomials(k, monomials):
-    basis = BlockBasis(k, 0, sorted(monomials))
-    return WeightModuleView.from_basis(k, basis)
+def _basis_from_monomials(monomials):
+    return BlockBasis(2, 0, sorted(monomials))
 
 
 def test_adjoint_triples_are_adjoint_modules():
     # each M_a = span(e_{3a-1}, e_{3a}, e_{3a+1}) is one copy of the adjoint
     for a in (1, 2, 3):
-        view = _view_from_monomials(2, [(3 * a - 1,), (3 * a,), (3 * a + 1,)])
-        assert singular_multiplicities(view) == RepRingElement({2: 1})
+        basis = _basis_from_monomials([(3 * a - 1,), (3 * a,), (3 * a + 1,)])
+        assert singular_multiplicities(2, basis) == RepRingElement({2: 1})
 
 
 def test_wedge_powers_of_adjoint_triples():
@@ -158,8 +159,8 @@ def test_wedge_powers_of_adjoint_triples():
         gens = (3 * a - 1, 3 * a, 3 * a + 1)
         for q, want in ((0, 0), (1, 2), (2, 2), (3, 0)):
             monos = [tuple(sorted(c)) for c in itertools.combinations(gens, q)]
-            view = _view_from_monomials(2, monos)
-            assert singular_multiplicities(view) == RepRingElement({want: 1})
+            basis = _basis_from_monomials(monos)
+            assert singular_multiplicities(2, basis) == RepRingElement({want: 1})
 
 
 def test_singular_characters_multiply():
@@ -172,45 +173,33 @@ def test_singular_characters_multiply():
         monos = []
         for q in range(len(gens) + 1):
             monos.extend(tuple(sorted(c)) for c in itertools.combinations(gens, q))
-        return _view_from_monomials(2, monos)
+        return _basis_from_monomials(monos)
 
     a_gens = (2, 3, 4)
     b_gens = (5, 6, 7)
-    s_a = singular_multiplicities(wedge_algebra([a_gens]))
-    s_b = singular_multiplicities(wedge_algebra([b_gens]))
-    s_ab = singular_multiplicities(wedge_algebra([a_gens, b_gens]))
+    s_a = singular_multiplicities(2, wedge_algebra([a_gens]))
+    s_b = singular_multiplicities(2, wedge_algebra([b_gens]))
+    s_ab = singular_multiplicities(2, wedge_algebra([a_gens, b_gens]))
     assert s_ab == s_a * s_b
 
 
 def test_casimir_acts_by_weight_law():
-    """On each singular vector of weight w the Casimir gives w(w+1)."""
+    """On each singular vector of weight w the Casimir gives w(w+1); it
+    commutes with e_1 and with e_-1 = E^T between neighbouring slices."""
     for k, h in ((2, 2), (2, 3), (-1, 1)):
-        view = WeightModuleView.from_block(k, h)
-        cas = view.casimir()
-        assert cas * view.raise_ == view.raise_ * cas
-        assert cas * view.lower == view.lower * cas
-        from afflap.chains import weight
-
-        by_weight: dict = {}
-        for pos, mono in enumerate(view.basis.monomials):
-            by_weight.setdefault(weight(mono), []).append(pos)
-        for w, positions in by_weight.items():
+        before = None  # (q, w, E_w, C) of the slice just before
+        for q, w, _, up, cas in sl2_slices(k, slices(enumerate_block(k, h))):
+            if before and before[:2] == (q, w - 1):
+                up_below, cas_below = before[2:]
+                assert cas * up_below == up_below * cas_below
+                assert cas_below * up_below.transpose() == up_below.transpose() * cas
+            before = (q, w, up, cas)
             if w < 0:
                 continue
-            # restrict the raising operator to the weight-w slice
-            above = by_weight.get(w + 1, [])
-            above_index = {p: i for i, p in enumerate(above)}
-            from afflap.linalg import IntMatrix
-
-            sub = IntMatrix(len(above), len(positions))
-            for j, p in enumerate(positions):
-                for i, v in view.raise_.columns[p].items():
-                    sub.columns[j][above_index[i]] = v
-            for vec in fraction_kernel(sub):
-                lifted = {positions[i]: c for i, c in vec.items()}
-                image = cas.apply({i: c for i, c in lifted.items()})
-                expect = {i: c * w * (w + 1) for i, c in lifted.items() if w}
-                assert image == expect, (k, h, w)
+            # the kernel of E_w is the singular subspace of the slice
+            for vec in fraction_kernel(up):
+                expect = {i: c * w * (w + 1) for i, c in vec.items() if w}
+                assert cas.apply(vec) == expect, (k, h, w)
 
 
 def test_lowering_orbit_of_chain_singular_vector():
@@ -232,6 +221,32 @@ def test_singular_block_dims_examples():
         singular_block_dims(0, 1, 1)
     with pytest.raises(ValueError):
         singular_block_dims(2, -1, 1)
+    with pytest.raises(ValueError):
+        singular_block_dims_by_q(2, -1, 1)
+
+
+def test_singular_by_q_is_checked(monkeypatch):
+    """One count moved between q = 1 and q = 2 at weight 1 of the (2, 2)
+    block keeps every weight total: the by-q counts then disagree with the
+    matrix route at w = 1 and turn negative at w = 0."""
+    from afflap import sl2
+
+    real = sl2.block_dim_table
+
+    def moved(k, h_max):
+        table = dict(real(k, h_max))
+        if (k, h_max) == (2, 2):
+            table[(1, 1, 2)] -= 1
+            table[(2, 1, 2)] += 1
+        return table
+
+    monkeypatch.setattr(sl2, "block_dim_table", moved)
+    with pytest.raises(ClaimFalsified,
+                       match=r"^singular dimensions by q mismatch at k=2, h=2, w=1$"):
+        singular_block_dims_by_q(2, 1, 2)
+    with pytest.raises(ClaimFalsified,
+                       match=r"^weight dimensions not unimodal at k=2, h=2, q=2, w=0$"):
+        singular_block_dims_by_q(2, 0, 2)
 
 
 def test_singular_block_dims_top_weight():
