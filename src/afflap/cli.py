@@ -2,11 +2,14 @@
 identity verification, with deterministic JSON/CSV/text output.
 
 Exit codes: 0 on success, 1 when an exactly computed quantity falsifies a
-predicted law or an identity fails, 2 on usage errors and on a report that
-cannot be written (--out replaces its file atomically).  Block computations
-are independent per degree and can run on a process pool (--jobs, or the
-AFFLAP_JOBS environment variable, which takes precedence); the output is
-byte-identical for every worker count.
+predicted law or an identity fails, 2 on usage errors, on a report that
+cannot be written (--out replaces its file atomically) and on a worker
+process that dies.  Block computations are independent per degree, so
+spectrum, homology and singular map one task per degree h, and verify one
+per identity, onto a process pool (--jobs, or the AFFLAP_JOBS environment
+variable, which takes precedence).  Results are merged in task order;
+homology compares the merged table with its closed forms once, after the
+merge.  The output is byte-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -19,19 +22,26 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 from . import __version__
 from .identities import all_identities, verify_identity
-from .laplacian import ClaimFalsified, homology_table, predicted_eigenvalue, spectrum
-from .sl2 import singular_block_dims, singular_block_dims_by_q
+from .laplacian import (
+    ClaimFalsified,
+    closed_form_deviations,
+    homology_table,
+    predicted_eigenvalue,
+    spectrum,
+)
+from .sl2 import _weight_dims_at, singular_block_dims, singular_block_dims_by_q
 
 USAGE_ERROR = 2
 CLAIM_ERROR = 1
 
 
-class _UsageError(Exception):
-    pass
+class _CliError(Exception):
+    """A failure reported as one ``error:`` line on stderr, with exit code 2."""
 
 
 def _jobs_from(args) -> int:
@@ -40,13 +50,13 @@ def _jobs_from(args) -> int:
         try:
             jobs = int(env)
         except ValueError:
-            raise _UsageError(f"AFFLAP_JOBS must be an integer, got {env!r}")
+            raise _CliError(f"AFFLAP_JOBS must be an integer, got {env!r}")
     elif args.jobs is not None:
         jobs = args.jobs
     else:
         jobs = os.cpu_count() or 1
     if jobs < 1:
-        raise _UsageError("worker count must be positive")
+        raise _CliError("worker count must be positive")
     return jobs
 
 
@@ -56,11 +66,18 @@ def _usage(message: str) -> int:
 
 
 def _run_tasks(fn, tasks, jobs: int) -> list:
-    """Map fn over tasks, preserving order; pool only when it can help."""
+    """Map fn over tasks, preserving order; pool only when it can help.
+
+    A worker that dies (killed for memory, say) breaks the pool; that is
+    reported as an error with exit code 2, not as a traceback.
+    """
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
+    try:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            return list(pool.map(fn, tasks))
+    except BrokenProcessPool as exc:
+        raise _CliError(f"a worker process died: {exc}") from None
 
 
 def _coeff_str(c) -> str:
@@ -128,22 +145,17 @@ def _spectrum_text(config, results, out) -> None:
 # ---------------------------------------------------------------------------
 # homology
 
-def _homology_task(args: tuple) -> dict:
-    k, h_max = args
-    table = homology_table(k, h_max)
+def _homology_task(args: tuple) -> list:
+    k, h = args
+    table = homology_table(k, h, h)  # the degree-h block alone
     entries = []
-    for (q, w, h), dim in sorted(table.entries.items()):
+    for (q, w, _), dim in sorted(table.entries.items()):
         entry = {"q": q, "w": w, "h": h, "dim": dim}
         chains = table.chains.get((q, w, h))
         if chains:
             entry["chains"] = [_chain_json(c) for c in chains]
         entries.append(entry)
-    return {
-        "entries": entries,
-        "matches_closed_form": table.matches_closed_form,
-        "deviations": [{"q": q, "w": w, "h": h, "dim": got, "expected": want}
-                       for (q, w, h), got, want in table.deviations],
-    }
+    return entries
 
 
 def cmd_homology(args) -> int:
@@ -151,10 +163,21 @@ def cmd_homology(args) -> int:
         return _usage("homology needs --k in {-1, 0, 1, 2}")
     if args.h_max < 0:
         return _usage("--h-max must be non-negative")
-    _jobs_from(args)  # validated like every command; homology runs in-process
-    result = _homology_task((args.k, args.h_max))
+    jobs = _jobs_from(args)
+    by_degree = _run_tasks(_homology_task,
+                           [(args.k, h) for h in range(args.h_max + 1)], jobs)
+    entries = sorted((e for part in by_degree for e in part),
+                     key=lambda e: (e["q"], e["w"], e["h"]))
+    dims = {(e["q"], e["w"], e["h"]): e["dim"] for e in entries}
+    deviations = closed_form_deviations(args.k, dims, 0, args.h_max)
+    result = {
+        "entries": entries,
+        "matches_closed_form": not deviations,
+        "deviations": [{"q": q, "w": w, "h": h, "dim": got, "expected": want}
+                       for (q, w, h), got, want in deviations],
+    }
     _emit(args, "homology", [result], _homology_csv, _homology_text)
-    return 0 if result["matches_closed_form"] else CLAIM_ERROR
+    return CLAIM_ERROR if deviations else 0
 
 
 def _homology_csv(config, results, out) -> None:
@@ -231,11 +254,8 @@ def _verify_text(config, results, out) -> None:
 # singular dimensions
 
 def _singular_task(args: tuple) -> dict:
-    from .chains import weight_dim_table
-
     k, h = args
-    dims = {w: n for (w, hh), n in weight_dim_table(k, h).items() if hh == h}
-    w_top = max((w for w in dims if w >= 0), default=0)
+    w_top = max((w for w in _weight_dims_at(k, h) if w >= 0), default=0)
     rows = []
     for w in range(w_top + 1):
         dim = singular_block_dims(k, w, h)
@@ -315,7 +335,7 @@ def _write_replacing(path: str, text: str) -> None:
     except OSError as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
-        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise _CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,7 +392,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.fn(args)
-    except _UsageError as exc:
+    except _CliError as exc:
         return _usage(str(exc))
     except ClaimFalsified as exc:
         print(f"falsified claim: {exc}", file=sys.stderr)

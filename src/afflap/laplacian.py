@@ -59,8 +59,8 @@ from .linalg import (
     berkowitz_charpoly,
     certify_full_rank,
     exact_nullity,
-    fraction_kernel,
     gershgorin_bound,
+    modular_kernel,
     nullity_mod_p,
     strip_integer_roots,
 )
@@ -427,7 +427,7 @@ def spectrum(k: int, h: int) -> SpectrumResult:
 
 def harmonic_basis(k: int, basis: BlockBasis) -> list[Chain]:
     """Exact basis of the Laplacian kernel on the block, echelon-normalized."""
-    kernel = fraction_kernel(laplacian_by_definition(k, basis))
+    kernel = modular_kernel(laplacian_by_definition(k, basis))
     return [{basis.monomials[i]: c for i, c in sorted(vec.items())}
             for vec in kernel]
 
@@ -474,21 +474,35 @@ def expected_homology(k: int, h_max: int) -> dict:
     return out
 
 
-def homology_table(k: int, h_max: int, with_chains: bool = True) -> HomologyTable:
-    """Exact harmonic dimensions for all blocks with h <= h_max.
+def closed_form_deviations(k: int, entries: dict, h_min: int, h_max: int) -> list:
+    """``((q, w, h), computed, expected)`` for every (q, w, h) with
+    h_min <= h <= h_max where the computed dimensions ``entries`` and
+    ``expected_homology`` differ, sorted by (q, w, h)."""
+    expected = expected_homology(k, h_max)
+    deviations = []
+    for key in sorted(set(entries) | set(expected)):
+        got, want = entries.get(key, 0), expected.get(key, 0)
+        if key[2] >= h_min and got != want:
+            deviations.append((key, got, want))
+    return deviations
+
+
+def homology_table(k: int, h_max: int, h_min: int = 0,
+                   with_chains: bool = True) -> HomologyTable:
+    """Exact harmonic dimensions for all blocks with h_min <= h <= h_max.
 
     Every (q, w, h) slice is certified: a full modular rank proves a trivial
-    kernel, anything else is decided by exact elimination.
+    kernel, and any other kernel is found by ``modular_kernel``.
     """
     if k not in (-1, 0, 1, 2):
         raise ValueError("homology tables are provided for k in {-1, 0, 1, 2}")
     entries: dict = {}
     chains: dict = {}
-    for h in range(h_max + 1):
+    for h in range(h_min, h_max + 1):
         for q, w, basis, gamma in laplacian_slices(k, h):
             if certify_full_rank(gamma):
                 continue
-            kernel = fraction_kernel(gamma)
+            kernel = modular_kernel(gamma)
             if not kernel:
                 continue
             entries[(q, w, h)] = len(kernel)
@@ -496,13 +510,7 @@ def homology_table(k: int, h_max: int, with_chains: bool = True) -> HomologyTabl
                 chains[(q, w, h)] = [
                     {basis.monomials[i]: c for i, c in sorted(vec.items())}
                     for vec in kernel]
-    expected = expected_homology(k, h_max)
-    deviations = []
-    for key in sorted(set(entries) | set(expected)):
-        got = entries.get(key, 0)
-        want = expected.get(key, 0)
-        if got != want:
-            deviations.append((key, got, want))
+    deviations = closed_form_deviations(k, entries, h_min, h_max)
     return HomologyTable(k=k, h_max=h_max, entries=entries, chains=chains,
                          matches_closed_form=not deviations, deviations=deviations)
 

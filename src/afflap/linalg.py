@@ -2,16 +2,21 @@
 
 Matrices are stored column major (one dict per column), which matches how
 operator matrices are assembled from chain images.  Ranks and kernels are
-exact: fraction-free (Bareiss) elimination over the integers for ranks,
-rational back-substitution for kernels, and the division-free Berkowitz
-algorithm for characteristic polynomials.  A fast modular rank (numpy,
-single word prime) is provided as a certified one-sided bound:
-rank over GF(p) never exceeds the rational rank.
+exact: fraction-free (Bareiss) elimination over the integers for ranks, and
+the division-free Berkowitz algorithm for characteristic polynomials.
+Elimination modulo one word-size prime (numpy) serves twice.  The modular
+rank is a certified one-sided bound: rank over GF(p) never exceeds the
+rational rank.  ``modular_kernel`` lifts the echelon kernel basis mod p to Q
+by rational reconstruction and checks every vector exactly, falling back to
+``fraction_kernel`` (Bareiss, then rational back-substitution) when a lift
+or a check fails; its docstring gives the argument that both routes return
+the same basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -228,14 +233,19 @@ def exact_nullity(matrix: IntMatrix, lam: int = 0) -> int:
 
 
 # ---------------------------------------------------------------------------
-# modular rank (certified lower bound on the rational rank)
+# modular elimination (certified one-sided bounds, and kernels checked over Q)
 
-def rank_mod_p(matrix: IntMatrix, lam: int = 0, p: int = DEFAULT_PRIME) -> int:
-    shifted = matrix.shifted(lam) if lam else matrix
-    a = shifted.to_numpy_mod(p)
+def _echelon_mod_p(a: np.ndarray, p: int) -> list[int]:
+    """Forward elimination of the int64 array ``a`` (entries in [0, p)) over
+    GF(p), in place.
+
+    Returns the pivot columns; pivot ``r`` sits in row ``r`` and is scaled
+    to 1, every entry below a pivot is 0 and each row is 0 left of its pivot.
+    """
     nrows, ncols = a.shape
-    rank = 0
+    pivots: list[int] = []
     for col in range(ncols):
+        rank = len(pivots)
         if rank == nrows:
             break
         nz = np.nonzero(a[rank:, col])[0]
@@ -252,8 +262,91 @@ def rank_mod_p(matrix: IntMatrix, lam: int = 0, p: int = DEFAULT_PRIME) -> int:
             a[rank + 1:, col:][mask] = (
                 a[rank + 1:, col:][mask] - np.outer(below[mask], a[rank, col:])
             ) % p
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def rank_mod_p(matrix: IntMatrix, lam: int = 0, p: int = DEFAULT_PRIME) -> int:
+    shifted = matrix.shifted(lam) if lam else matrix
+    return len(_echelon_mod_p(shifted.to_numpy_mod(p), p))
+
+
+def _rational_reconstruction(u: int, p: int, bound: int) -> Fraction | None:
+    """The fraction n/d with |n|, d <= bound and n = d*u (mod p), or None.
+
+    Such a fraction is unique when 2*bound**2 < p.  It is read off the
+    extended Euclidean remainder sequence of (p, u) at the first remainder
+    not above ``bound`` (Wang, Guy and Davenport 1982); every remainder r
+    there satisfies r = s*u (mod p) for its cofactor s.
+    """
+    r0, r1, s0, s1 = p, u % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if not 0 < abs(s1) <= bound:
+        return None
+    return Fraction(r1, s1)
+
+
+def modular_kernel(matrix: IntMatrix) -> list[dict[int, Fraction]]:
+    """The kernel basis of ``fraction_kernel``, found mod p and lifted to Q.
+
+    The matrix is reduced mod ``DEFAULT_PRIME``, brought to echelon form by
+    the forward pass of ``rank_mod_p`` and back-substituted over the pivot
+    rows.  Each free column f gives the vector that is 1 at f, 0 at the
+    other free columns and supported on the pivot columns left of f; its
+    entries are lifted by rational reconstruction with |num|, den <=
+    isqrt(p // 2), and it is checked to lie in the kernel exactly, over the
+    integers after clearing denominators.  If any lift or check fails the
+    result is ``fraction_kernel(matrix)``.
+
+    When every check passes the result equals ``fraction_kernel(matrix)``:
+
+    - for every j, the rank of A[:, :j] mod p is at most its rank over Q;
+    - each lifted vector is an exact kernel vector that is 1 on its free
+      column f, 0 on the other free columns and supported on the pivot
+      columns left of f, so column f lies in the rational span of those;
+      hence the rank of A[:, :j] over Q is at most the number of pivots mod
+      p left of j, which is its rank mod p;
+    - so the two ranks of A[:, :j] agree for every j, the pivot sets (the
+      columns where that rank grows) coincide, and with them the reduced
+      kernel basis, which is unique.
+    """
+    p = DEFAULT_PRIME
+    a = matrix.to_numpy_mod(p)
+    pivots = _echelon_mod_p(a, p)
+    pivot_set = set(pivots)
+    free_cols = [c for c in range(matrix.cols) if c not in pivot_set]
+    if not free_cols:
+        return []
+    # reduce the pivot rows on the free columns only: rows i' < i lose their
+    # multiple of row i, from the last pivot up
+    reduced = a[:len(pivots), free_cols]
+    for i in range(len(pivots) - 1, 0, -1):
+        above = a[:i, pivots[i]]
+        mask = above != 0
+        if mask.any():
+            reduced[:i][mask] = (
+                reduced[:i][mask] - np.outer(above[mask], reduced[i])) % p
+    bound = isqrt(p // 2)
+    kernel = []
+    for j, fc in enumerate(free_cols):
+        vec: dict[int, Fraction] = {fc: Fraction(1)}
+        for i, pc in enumerate(pivots):
+            residue = -int(reduced[i, j]) % p
+            if not residue:
+                continue
+            value = _rational_reconstruction(residue, p, bound)
+            if value is None:
+                return fraction_kernel(matrix)
+            vec[pc] = value
+        den = lcm(*(v.denominator for v in vec.values()))
+        if matrix.apply({c: v.numerator * (den // v.denominator)
+                         for c, v in vec.items()}):
+            return fraction_kernel(matrix)
+        kernel.append(vec)
+    return kernel
 
 
 def nullity_mod_p(matrix: IntMatrix, lam: int = 0, p: int = DEFAULT_PRIME) -> int:

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,29 @@ def test_out_file_and_determinism(tmp_path, capsys):
     assert run(capsys, "spectrum", "--k", "2", "--h-max", "4", "--format", "json",
                "--jobs", "2", "--out", str(f2))[0] == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_homology_is_byte_identical_across_jobs(capsys, monkeypatch):
+    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
+    argv = ["homology", "--k", "2", "--h-max", "8", "--format", "json"]
+    code1, out1, _ = run(capsys, *argv, "--jobs", "1")
+    code2, out2, _ = run(capsys, *argv, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
+def _die(args):
+    os._exit(3)
+
+
+def test_dead_worker_exits_2(capsys, monkeypatch):
+    """A worker that dies breaks the pool: one error line and exit code 2."""
+    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
+    monkeypatch.setattr(cli, "_homology_task", _die)
+    code, out, err = run(capsys, "homology", "--k", "2", "--h-max", "1", "--jobs", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a worker process died: ")
+    assert err.count("\n") == 1
 
 
 def test_out_failure_keeps_the_earlier_file(tmp_path, capsys, monkeypatch):

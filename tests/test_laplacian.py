@@ -413,6 +413,11 @@ def test_homology_tables_match_closed_forms():
     for k in (-1, 0, 1, 2):
         table = homology_table(k, 6)
         assert table.matches_closed_form, table.deviations
+        # a table from degree 3 up is the upper part of the whole one
+        upper = homology_table(k, 6, 3)
+        assert upper.matches_closed_form, upper.deviations
+        assert upper.entries == {key: d for key, d in table.entries.items() if key[2] >= 3}
+        assert upper.chains == {key: c for key, c in table.chains.items() if key[2] >= 3}
 
 
 def test_expected_homology_forms():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from afflap import linalg
 from afflap.linalg import (
     IntMatrix,
     bareiss_rank,
@@ -11,6 +12,7 @@ from afflap.linalg import (
     exact_nullity,
     fraction_kernel,
     gershgorin_bound,
+    modular_kernel,
     nullity_mod_p,
     rank_mod_p,
     strip_integer_roots,
@@ -81,6 +83,72 @@ def test_fraction_kernel_known():
         assert len(kern) == m_ - rational_rank(rows)
         for vec in kern:
             assert mat.apply(vec) == {}
+
+
+def _count_fallbacks(monkeypatch) -> list:
+    calls = []
+    exact = linalg.fraction_kernel
+
+    def counted(matrix):
+        calls.append(matrix)
+        return exact(matrix)
+
+    monkeypatch.setattr(linalg, "fraction_kernel", counted)
+    return calls
+
+
+def test_modular_kernel_equals_fraction_kernel():
+    rng = random.Random(5)
+    for trial in range(200):
+        n, m, r = rng.randint(1, 8), rng.randint(1, 8), rng.randint(0, 5)
+        # a product through an r-dimensional space has rank at most r
+        left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+        right = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(r)]
+        rows = [[sum(row[t] * right[t][j] for t in range(r)) for j in range(m)]
+                for row in left]
+        mat = from_rows(rows)
+        assert modular_kernel(mat) == fraction_kernel(mat), rows
+    assert modular_kernel(IntMatrix(0, 3)) == fraction_kernel(IntMatrix(0, 3))
+    assert modular_kernel(from_rows([[1, 0], [0, 1]])) == []
+
+
+def test_modular_kernel_lifts_without_fallback(monkeypatch):
+    calls = _count_fallbacks(monkeypatch)
+    mat = from_rows([[2, 4, -3, 1], [6, 12, -9, 3]])
+    assert modular_kernel(mat) == [
+        {0: Fraction(-2), 1: Fraction(1)},
+        {0: Fraction(3, 2), 2: Fraction(1)},
+        {0: Fraction(-1, 2), 3: Fraction(1)},
+    ]
+    assert calls == []
+
+
+def test_modular_kernel_reconstruction_failure_falls_back(monkeypatch):
+    # the kernel entry 999/1000 exceeds the bound isqrt(p // 2) = 707
+    calls = _count_fallbacks(monkeypatch)
+    mat = from_rows([[1000, -999]])
+    assert modular_kernel(mat) == [{0: Fraction(999, 1000), 1: Fraction(1)}]
+    assert calls == [mat]
+
+
+def test_modular_kernel_exact_check_catches_a_pivot_lost_mod_p(monkeypatch):
+    # column 0 vanishes mod p, so mod p it is free and {0: 1} fails Av = 0
+    calls = _count_fallbacks(monkeypatch)
+    mat = from_rows([[linalg.DEFAULT_PRIME, 1]])
+    assert modular_kernel(mat) == [
+        {0: Fraction(-1, linalg.DEFAULT_PRIME), 1: Fraction(1)}]
+    assert calls == [mat]
+
+
+def test_modular_kernel_exact_check_catches_a_wrong_lift(monkeypatch):
+    calls = _count_fallbacks(monkeypatch)
+    lift = linalg._rational_reconstruction
+    monkeypatch.setattr(linalg, "_rational_reconstruction",
+                        lambda u, p, bound: lift(u, p, bound) + 1)
+    mat = from_rows([[1, 1, 2], [1, 1, 2]])
+    assert modular_kernel(mat) == [{0: Fraction(-1), 1: Fraction(1)},
+                                   {0: Fraction(-2), 2: Fraction(1)}]
+    assert calls == [mat]
 
 
 def test_exact_nullity_and_modular_bound():
