@@ -8,6 +8,13 @@ by the combinatorial machinery of the package, not by the series closed
 forms they are compared against, and the two independent dimension routes
 (weight-space counting and the Clebsch-Gordan character product) are
 cross-asserted wherever both apply.
+
+A verifier is a generator of ``(label, lhs, rhs)`` comparisons, registered
+with ``_identity``.  Both sides of a comparison are ``Series``, compared by
+power of x, or dict tables, compared by sorted key with 0 for a missing
+key.  ``_report`` runs the comparisons in order and stops at the first
+difference; its position is the label formatted with ``x^e`` or with the
+table key, and a route cross-check names its route in the label.
 """
 
 from __future__ import annotations
@@ -33,27 +40,53 @@ class IdentityReport:
         return self.passed
 
 
-def _series_report(name: str, order: int, lhs: Series, rhs: Series, note: str) -> IdentityReport:
-    mism = lhs.first_mismatch(rhs)
-    if mism is None:
-        return IdentityReport(name, order, True, None, note)
-    e, a, b = mism
-    return IdentityReport(name, order, False,
-                          {"position": f"x^{e}", "lhs": repr(a), "rhs": repr(b)}, note)
-
-
-def _table_report(name: str, order: int, lhs: dict, rhs: dict, note: str,
-                  fmt=lambda key: str(key)) -> IdentityReport:
-    for key in sorted(set(lhs) | set(rhs)):
-        a, b = lhs.get(key, 0), rhs.get(key, 0)
-        if a != b:
-            return IdentityReport(name, order, False,
-                                  {"position": fmt(key), "lhs": repr(a), "rhs": repr(b)}, note)
+def _report(name: str, note: str, order: int, comparisons) -> IdentityReport:
+    """Run the ``(label, lhs, rhs)`` comparisons in order and report the
+    first position where the two sides differ."""
+    for label, lhs, rhs in comparisons:
+        if isinstance(lhs, Series):
+            pairs = ((f"x^{e}", a, b) for e, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)))
+        else:
+            pairs = ((key, lhs.get(key, 0), rhs.get(key, 0))
+                     for key in sorted(set(lhs) | set(rhs)))
+        for key, a, b in pairs:
+            if a != b:
+                return IdentityReport(name, order, False, {
+                    "position": label.format(key), "lhs": repr(a), "rhs": repr(b)}, note)
     return IdentityReport(name, order, True, None, note)
+
+
+_REGISTRY: dict = {}
+
+# Smallest truncation order at which each comparison sees a nontrivial
+# coefficient beyond the constant term; below it the check passes vacuously.
+MINIMAL_ORDER: dict = {}
+
+
+def _identity(name: str, note: str, minimal_order: int = 2):
+    """Register the decorated generator of comparisons as identity ``name``;
+    ``_REGISTRY[name](order)`` runs the whole check."""
+    def register(comparisons):
+        def check(order: int) -> IdentityReport:
+            return _report(name, note, order, comparisons(order))
+
+        _REGISTRY[name] = check
+        MINIMAL_ORDER[name] = minimal_order
+        return comparisons
+
+    return register
 
 
 # ---------------------------------------------------------------------------
 # shared series ingredients
+
+def _triangular(order: int):
+    """Yield ``(w, w(w+1)/2)`` for w = 0, 1, ... while w(w+1)/2 < order."""
+    w = 0
+    while (t := w * (w + 1) // 2) < order:
+        yield w, t
+        w += 1
+
 
 @lru_cache(maxsize=None)
 def _mu(order: int) -> tuple:
@@ -103,29 +136,20 @@ def singular_series(k: int, order: int) -> tuple:
 # ---------------------------------------------------------------------------
 # the identities
 
-def _check_gauss_jacobi(order: int) -> IdentityReport:
+@_identity("gauss_jacobi", "Gauss-Jacobi identity from the Euler characteristic of L(1)")
+def _check_gauss_jacobi(order: int):
     """(1-u) prod (1-u^{-1}x^m)(1-x^m)(1-ux^m) = sum (-1)^w u^w x^{w(w-1)/2}."""
     lhs = product_over(order, lambda m: _triple_factor_terms(m, -1))
     lhs = lhs.scale(HalfLaurent.one() - HalfLaurent.u_power(2))
-    terms = []
-    w = 0
-    while True:
-        grown = False
-        for ww in (w, -w) if w else (0,):
-            e = ww * (ww - 1) // 2
-            if e < order:
-                sign = 1 if ww % 2 == 0 else -1
-                terms.append((e, HalfLaurent.u_power(2 * ww, sign)))
-                grown = True
-        if not grown:
-            break
-        w += 1
-    rhs = Series.from_terms(order, terms)
-    return _series_report("gauss_jacobi", order, lhs, rhs,
-                          "Gauss-Jacobi identity from the Euler characteristic of L(1)")
+    # the weights w = -v and w = v + 1 share the exponent v(v+1)/2
+    rhs = Series.from_terms(order, [
+        (t, HalfLaurent.u_power(-2 * v, (-1) ** v) + HalfLaurent.u_power(2 * v + 2, -(-1) ** v))
+        for v, t in _triangular(order)])
+    yield "{}", lhs, rhs
 
 
-def _check_jacobi_traditional(order: int) -> IdentityReport:
+@_identity("jacobi_traditional", "classical form after u -> u^2 x, x -> x^2")
+def _check_jacobi_traditional(order: int):
     """prod (1-u^{-2}x^{2m-1})(1-x^{2m})(1-u^2 x^{2m-1}) = sum (-1)^w u^{2w} x^{w^2}."""
     s = HalfLaurent.u_power(4) + HalfLaurent.u_power(-4)
 
@@ -142,51 +166,40 @@ def _check_jacobi_traditional(order: int) -> IdentityReport:
             sign = 1 if ww % 2 == 0 else -1
             terms.append((ww * ww, HalfLaurent.u_power(4 * ww, sign)))
         w += 1
-    rhs = Series.from_terms(order, terms)
-    return _series_report("jacobi_traditional", order, lhs, rhs,
-                          "classical form after u -> u^2 x, x -> x^2")
+    yield "{}", lhs, Series.from_terms(order, terms)
 
 
-def _check_theta_inverse_product(order: int) -> IdentityReport:
+@_identity("theta_inverse_product", "overpartition generating function")
+def _check_theta_inverse_product(order: int):
     """prod (1+x^m)/(1-x^m) equals the inverse of theta(-x, 1)."""
     plus = product_over(order, lambda m: [(0, 1), (m, 1)])
     minus = product_over(order, lambda m: [(0, 1), (m, -1)])
-    lhs = plus * minus.inverse()
-    return _series_report("theta_inverse_product", order, lhs, inverse_theta_neg(order),
-                          "overpartition generating function")
+    yield "{}", plus * minus.inverse(), inverse_theta_neg(order)
 
 
 _GEN_L1_WINDOW = (-4, -2, -1, 0, 1, 2, 3, 4)
 _GEN_L1_ANCHOR = 8
 
 
-def _check_gen_L1(order: int) -> IdentityReport:
+@_identity("gen_L1", "eigenvalue multiplicities of L(1) are independent of the weight")
+def _check_gen_L1(order: int):
     """For every weight w, the chain dimensions of L(1) along the eigenvalue
     grading reproduce the inverse theta series, independently of w."""
     rhs = inverse_theta_neg(order)
-    note = "eigenvalue multiplicities of L(1) are independent of the weight"
     shift_max = max(w * (w - 1) // 2 for w in _GEN_L1_WINDOW)
     table = weight_dim_table(1, order - 1 + shift_max)
+    anchor = min(_GEN_L1_ANCHOR, order)
     for w in _GEN_L1_WINDOW:
         shift = w * (w - 1) // 2
         dims = [table.get((w, lam + shift), 0) for lam in range(order)]
-        lhs = Series(order, dims)
-        rep = _series_report("gen_L1", order, lhs, rhs, note)
-        if not rep.passed:
-            mism = dict(rep.first_mismatch)
-            mism["position"] = f"(w={w}, {mism['position']})"
-            return IdentityReport("gen_L1", order, False, mism, note)
+        yield f"(w={w}, {{}})", Series(order, dims), rhs
         # anchor the DP against explicit monomial enumeration
-        for lam in range(min(_GEN_L1_ANCHOR, order)):
-            if enumerate_block(1, lam + shift, w).dim != dims[lam]:
-                return IdentityReport(
-                    "gen_L1", order, False,
-                    {"position": f"(w={w}, x^{lam})", "lhs": str(dims[lam]),
-                     "rhs": "enumeration disagrees with dimension table"}, note)
-    return IdentityReport("gen_L1", order, True, None, note)
+        yield (f"(w={w}, {{}}) via enumeration", Series(anchor, dims),
+               Series(anchor, [enumerate_block(1, lam + shift, w).dim for lam in range(anchor)]))
 
 
-def _check_gen_L0(order: int) -> IdentityReport:
+@_identity("gen_L0", "weighted eigenvalue multiplicities of L(0), two-sided theta numerator")
+def _check_gen_L0(order: int):
     """Weighted eigenvalue multiplicities of L(0) as a theta quotient.
 
     The correct numerator is the two-sided theta sum over all integer
@@ -200,55 +213,48 @@ def _check_gen_L0(order: int) -> IdentityReport:
         if lam < order:
             acc[lam][2 * w] = acc[lam].get(2 * w, 0) + n
     lhs = Series(order, [HalfLaurent(a) for a in acc])
-    rhs = (theta(order, "symmetric") * inverse_theta_neg(order)).scale(2)
-    return _series_report("gen_L0", order, lhs, rhs,
-                          "weighted eigenvalue multiplicities of L(0), two-sided theta numerator")
+    yield "{}", lhs, (theta(order, "symmetric") * inverse_theta_neg(order)).scale(2)
 
 
-def _check_mult_L0_product(order: int) -> IdentityReport:
+@_identity("mult_L0_product", "odd-part product form of the multiplicity series")
+def _check_mult_L0_product(order: int):
     """theta(x,1)/theta(-x,1) = prod ((1+x^{2m-1})/(1-x^{2m-1}))^2."""
     lhs = theta(order, "u=1") * inverse_theta_neg(order)
     plus = product_over(order, lambda m: [(0, 1), (2 * m - 1, 1)])
     minus = product_over(order, lambda m: [(0, 1), (2 * m - 1, -1)])
     ratio = plus * minus.inverse()
-    return _series_report("mult_L0_product", order, lhs, ratio * ratio,
-                          "odd-part product form of the multiplicity series")
+    yield "{}", lhs, ratio * ratio
 
 
 def _bracket_rhs_terms(order: int, neg_u: bool):
     terms = []
-    w = 0
-    while w * (w + 1) // 2 < order:
+    for w, t in _triangular(order):
         br = HalfLaurent.bracket(2 * w + 1)
         if neg_u:
             br = br.substitute_neg_u()
-        terms.append((w * (w + 1) // 2, br * (1 if w % 2 == 0 else -1)))
-        w += 1
+        terms.append((t, br * (1 if w % 2 == 0 else -1)))
     return terms
 
 
-def _check_L2_gauss_jacobi(order: int) -> IdentityReport:
+@_identity("L2_gauss_jacobi", "character-weighted form attached to the homology of L(2)")
+def _check_L2_gauss_jacobi(order: int):
     """prod (1-u^{-1}x^m)(1-x^m)(1-ux^m) = sum (-1)^w [2w+1]_u x^{w(w+1)/2}."""
     lhs = product_over(order, lambda m: _triple_factor_terms(m, -1))
-    rhs = Series.from_terms(order, _bracket_rhs_terms(order, False))
-    return _series_report("L2_gauss_jacobi", order, lhs, rhs,
-                          "character-weighted form attached to the homology of L(2)")
+    yield "{}", lhs, Series.from_terms(order, _bracket_rhs_terms(order, False))
 
 
-def _check_jacobi_cube(order: int) -> IdentityReport:
+@_identity("jacobi_cube", "cube of the Euler function")
+def _check_jacobi_cube(order: int):
     """prod (1-x^m)^3 = sum (-1)^w (2w+1) x^{w(w+1)/2}."""
     lhs = product_over(order, lambda m: [(0, 1), (m, -3), (2 * m, 3), (3 * m, -1)])
-    terms = []
-    w = 0
-    while w * (w + 1) // 2 < order:
-        terms.append((w * (w + 1) // 2, (2 * w + 1) * (1 if w % 2 == 0 else -1)))
-        w += 1
-    rhs = Series.from_terms(order, terms)
-    return _series_report("jacobi_cube", order, lhs, rhs,
-                          "cube of the Euler function")
+    rhs = Series.from_terms(order, [(t, (2 * w + 1) * (1 if w % 2 == 0 else -1))
+                                    for w, t in _triangular(order)])
+    yield "{}", lhs, rhs
 
 
-def _check_euler_pentagonal(order: int) -> IdentityReport:
+@_identity("euler_pentagonal", "pentagonal-theorem specialization at a cube root of unity",
+           minimal_order=4)
+def _check_euler_pentagonal(order: int):
     """In Z[u]/(u^2+u+1): the triple product collapses to prod (1-x^{3m}) and
     the bracket coefficients collapse to the period-3 signs."""
     u = EisensteinInt(0, 1)
@@ -260,177 +266,119 @@ def _check_euler_pentagonal(order: int) -> IdentityReport:
 
     lhs = product_over(order, factor)
     cubefree = product_over(order, lambda m: [(0, 1), (3 * m, -1)])
-    if lhs != cubefree:
-        mism = lhs.first_mismatch(cubefree)
-        return IdentityReport("euler_pentagonal", order, False,
-                              {"position": f"x^{mism[0]}", "lhs": repr(mism[1]),
-                               "rhs": repr(mism[2])},
-                              "triple product did not collapse to cube-free form")
-    terms = []
-    w = 0
-    while w * (w + 1) // 2 < order:
-        c = epsilon(2 * w + 1) * (1 if w % 2 == 0 else -1)
-        terms.append((w * (w + 1) // 2, EisensteinInt(c)))
-        w += 1
-    rhs = Series.from_terms(order, terms)
-    return _series_report("euler_pentagonal", order, lhs, rhs,
-                          "pentagonal-theorem specialization at a cube root of unity")
+    yield "{} via cube-free stage", lhs, cubefree
+    rhs = Series.from_terms(order, [
+        (t, EisensteinInt(epsilon(2 * w + 1) * (1 if w % 2 == 0 else -1)))
+        for w, t in _triangular(order)])
+    yield "{}", lhs, rhs
 
 
-def _check_bracket_sign(order: int) -> IdentityReport:
+@_identity("bracket_sign", "sign-flip expansion of the odd brackets", minimal_order=1)
+def _check_bracket_sign(order: int):
     """[2w+1]_{-u} = (-1)^w [2w+1]_u + 2 sum_{r<w} (-1)^r [2r+1]_u for w > 0."""
-    note = "sign-flip expansion of the odd brackets"
+    lhs, rhs = {}, {}
     partial = HalfLaurent.zero()
     for w in range(1, min(order, 24) + 1):
         partial = partial + HalfLaurent.bracket(2 * w - 1) * (1 if (w - 1) % 2 == 0 else -1)
-        lhs = HalfLaurent.bracket(2 * w + 1).substitute_neg_u()
-        rhs = HalfLaurent.bracket(2 * w + 1) * (1 if w % 2 == 0 else -1) + partial * 2
-        if lhs != rhs:
-            return IdentityReport("bracket_sign", order, False,
-                                  {"position": f"w={w}", "lhs": repr(lhs),
-                                   "rhs": repr(rhs)}, note)
-    return IdentityReport("bracket_sign", order, True, None, note)
+        lhs[w] = HalfLaurent.bracket(2 * w + 1).substitute_neg_u()
+        rhs[w] = HalfLaurent.bracket(2 * w + 1) * (1 if w % 2 == 0 else -1) + partial * 2
+    yield "w={}", lhs, rhs
 
 
-def _check_singular_gauss_jacobi(order: int) -> IdentityReport:
+@_identity("singular_gauss_jacobi", "singular-character form over the representation ring")
+def _check_singular_gauss_jacobi(order: int):
     """In R(sl2)[[x]]: prod (1-x^a)(1-(z-1)x^a+x^{2a}) = sum (-1)^w z^w x^{w(w+1)/2}."""
     z = RepRingElement.simple(2)
     lhs = product_over(order, lambda a: [(0, 1), (a, -z), (2 * a, z), (3 * a, -1)])
-    terms = []
-    w = 0
-    while w * (w + 1) // 2 < order:
-        terms.append((w * (w + 1) // 2,
-                      RepRingElement({2 * w: 1 if w % 2 == 0 else -1})))
-        w += 1
-    rhs = Series.from_terms(order, terms)
-    return _series_report("singular_gauss_jacobi", order, lhs, rhs,
-                          "singular-character form over the representation ring")
+    rhs = Series.from_terms(order, [(t, RepRingElement({2 * w: 1 if w % 2 == 0 else -1}))
+                                    for w, t in _triangular(order)])
+    yield "{}", lhs, rhs
 
 
-def _check_singular_by_degree_L2(order: int) -> IdentityReport:
+@_identity("singular_by_degree_L2",
+           "closed form for the (w, h)-graded singular dimensions of L(2)")
+def _check_singular_by_degree_L2(order: int):
     """The degree-graded singular character of L(2) equals
     (1 + sum_w (z^w + 2(-1)^w sum_{r<w} (-1)^r z^r) x^{w(w+1)/2}) / theta(-x,1)."""
-    lhs = Series(order, singular_series(2, order))
-    terms = [(0, RepRingElement.one())]
-    w = 1
-    while w * (w + 1) // 2 < order:
+    terms = []
+    for w, t in _triangular(order):
         coeff: dict[int, int] = {2 * w: 1}
         sign = 2 if w % 2 == 0 else -2
         for r in range(w):
             coeff[2 * r] = coeff.get(2 * r, 0) + (sign if r % 2 == 0 else -sign)
-        terms.append((w * (w + 1) // 2, RepRingElement(coeff)))
-        w += 1
+        terms.append((t, RepRingElement(coeff)))
     rhs = Series.from_terms(order, terms) * inverse_theta_neg(order)
-    return _series_report("singular_by_degree_L2", order, lhs, rhs,
-                          "closed form for the (w, h)-graded singular dimensions of L(2)")
+    yield "{}", Series(order, singular_series(2, order)), rhs
 
 
 _SINGULAR_REGION_LAMBDA = 10
 _SINGULAR_REGION_W = 6
 
 
-def _check_singular_mults_L2(order: int) -> IdentityReport:
-    """Closed form for sum dim S^{[w,lambda]}(L(2)) z^w x^lambda on the
-    verification region lambda <= 10, w <= 6, with the dimensions produced by
-    weight-space counting and cross-checked against the character product."""
+def _singular_mults(k: int, order: int, closed_form):
+    """Comparisons of dim S^{[w,lambda]}(L(k)) on the verification region
+    lambda <= 10, w <= 6: the dimensions by weight-space counting against
+    the character product, then against ``closed_form(w, lam, mu)``, where
+    ``mu(n)`` is the n-th overpartition number (0 for n < 0)."""
     lam_max = min(order - 1, _SINGULAR_REGION_LAMBDA)
-    w_max = _SINGULAR_REGION_W
-    h_top = lam_max + w_max * (w_max + 1) // 2 + 1
-    chars = singular_series(2, h_top)
-    mu_order = lam_max + 1
-    lhs: dict = {}
-    rhs: dict = {}
-    for w in range(w_max + 1):
-        for lam in range(lam_max + 1):
-            h = lam + w * (w + 1) // 2
-            got = singular_block_dims(2, w, h)
-            if chars[h].mult(2 * w) != got:
-                return IdentityReport(
-                    "singular_mults_L2", order, False,
-                    {"position": f"(w={w}, lambda={lam})", "lhs": str(got),
-                     "rhs": "character product disagrees with weight counting"},
-                    "internal dimension routes disagree")
-            lhs[(w, lam)] = got
-            val = _mu_at(mu_order, lam)
-            r = 1
-            while r * (r + 1) // 2 + r * w <= lam:
-                val += 2 * (-1) ** r * _mu_at(mu_order, lam - r * (r + 1) // 2 - r * w)
-                r += 1
-            rhs[(w, lam)] = val
-    return _table_report("singular_mults_L2", order, lhs, rhs,
-                         "eigenvalue-graded singular dimensions of L(2)",
-                         fmt=lambda key: f"(w={key[0]}, lambda={key[1]})")
+    # the degree of eigenvalue lambda is lambda - w(w+1)/2 for k = -1 and
+    # lambda + w(w+1)/2 for k = 2; negative degrees hold nothing
+    sign = 1 if k == 2 else -1
+    degree = {(w, lam): lam + sign * (w * (w + 1) // 2)
+              for w in range(_SINGULAR_REGION_W + 1) for lam in range(lam_max + 1)}
+    chars = singular_series(k, max(degree.values()) + 1)
+    counted = {key: singular_block_dims(k, key[0], h) for key, h in degree.items() if h >= 0}
+    label = "(w={0[0]}, lambda={0[1]})"
+    yield (label + " via character product", counted,
+           {key: chars[degree[key]].mult(2 * key[0]) for key in counted})
+
+    def mu(n):
+        return _mu_at(lam_max + 1, n)
+
+    yield label, counted, {(w, lam): closed_form(w, lam, mu) for w, lam in degree}
 
 
-def _check_singular_mults_Lminus1(order: int) -> IdentityReport:
+@_identity("singular_mults_L2", "eigenvalue-graded singular dimensions of L(2)")
+def _check_singular_mults_L2(order: int):
+    """Closed form for sum dim S^{[w,lambda]}(L(2)) z^w x^lambda:
+    mu(lambda) + 2 sum_{r>0} (-1)^r mu(lambda - r(r+1)/2 - rw)."""
+    return _singular_mults(2, order, lambda w, lam, mu: sum(
+        (-1) ** r * (2 if r else 1) * mu(lam - t - r * w) for r, t in _triangular(lam + 1)))
+
+
+@_identity("singular_mults_Lminus1", "eigenvalue-graded singular dimensions of L(-1)")
+def _check_singular_mults_Lminus1(order: int):
     """Closed form 2 sum z^w (x^{w^2} - x^{(w+1)^2}) / theta(-x,1) for the
-    eigenvalue-graded singular dimensions of L(-1), same region as for L(2)."""
-    lam_max = min(order - 1, _SINGULAR_REGION_LAMBDA)
-    w_max = _SINGULAR_REGION_W
-    chars = singular_series(-1, lam_max + 1)
-    mu_order = lam_max + 1
-    lhs: dict = {}
-    rhs: dict = {}
-    for w in range(w_max + 1):
-        for lam in range(lam_max + 1):
-            h = lam - w * (w + 1) // 2
-            if h < 0:
-                got = 0
-            else:
-                got = singular_block_dims(-1, w, h)
-                if chars[h].mult(2 * w) != got:
-                    return IdentityReport(
-                        "singular_mults_Lminus1", order, False,
-                        {"position": f"(w={w}, lambda={lam})", "lhs": str(got),
-                         "rhs": "character product disagrees with weight counting"},
-                        "internal dimension routes disagree")
-            lhs[(w, lam)] = got
-            rhs[(w, lam)] = 2 * (_mu_at(mu_order, lam - w * w)
-                                 - _mu_at(mu_order, lam - (w + 1) * (w + 1)))
-    return _table_report("singular_mults_Lminus1", order, lhs, rhs,
-                         "eigenvalue-graded singular dimensions of L(-1)",
-                         fmt=lambda key: f"(w={key[0]}, lambda={key[1]})")
+    eigenvalue-graded singular dimensions of L(-1)."""
+    return _singular_mults(-1, order, lambda w, lam, mu: 2 * (
+        mu(lam - w * w) - mu(lam - (w + 1) * (w + 1))))
 
 
-def _check_weight_dim_products(order: int) -> IdentityReport:
+@_identity("weight_dim_products", "weighted block-dimension generating functions as products")
+def _check_weight_dim_products(order: int):
     """Product form of the weighted block dimensions of L(2) and L(-1)."""
     inv = inverse_theta_neg(order)
-    note = "weighted block-dimension generating functions as products"
-    # L(2)
-    lhs2 = _weight_series(2, order)
     rhs2 = Series.from_terms(order, _bracket_rhs_terms(order, True)) * inv
-    rep = _series_report("weight_dim_products", order, lhs2, rhs2, note)
-    if not rep.passed:
-        mism = dict(rep.first_mismatch)
-        mism["position"] = f"(k=2, {mism['position']})"
-        return IdentityReport("weight_dim_products", order, False, mism, note)
-    # L(-1)
-    lhs1 = _weight_series(-1, order)
+    yield "(k=2, {})", _weight_series(2, order), rhs2
     terms = []
     w = 0
     while w * (w - 1) // 2 < order:
         br = HalfLaurent.bracket(2 * w + 1)
         terms.append((w * (w - 1) // 2, br))
-        if w * (w - 1) // 2 + 2 * w + 1 < order:
-            terms.append((w * (w - 1) // 2 + 2 * w + 1, -br))
+        terms.append((w * (w - 1) // 2 + 2 * w + 1, -br))
         w += 1
     rhs1 = (Series.from_terms(order, terms) * inv).scale(2)
-    rep = _series_report("weight_dim_products", order, lhs1, rhs1, note)
-    if not rep.passed:
-        mism = dict(rep.first_mismatch)
-        mism["position"] = f"(k=-1, {mism['position']})"
-        return IdentityReport("weight_dim_products", order, False, mism, note)
-    return IdentityReport("weight_dim_products", order, True, None, note)
+    yield "(k=-1, {})", _weight_series(-1, order), rhs1
 
 
 _MULT_ANCHOR_H = 5
 
 
-def _check_mult_Lminus1(order: int) -> IdentityReport:
+@_identity("mult_Lminus1", "eigenvalue multiplicities of L(-1) match those of L(0)")
+def _check_mult_Lminus1(order: int):
     """Total eigenvalue multiplicities of L(-1): sum over blocks of isotypic
     dimensions equals 2 theta(x,1)/theta(-x,1); anchored on small degrees
     against the exact block spectra."""
-    note = "eigenvalue multiplicities of L(-1) match those of L(0)"
     chars = singular_series(-1, order)
     acc = [0] * order
     for h, elem in enumerate(chars):
@@ -440,65 +388,17 @@ def _check_mult_Lminus1(order: int) -> IdentityReport:
             if lam < order:
                 acc[lam] += m * (d + 1)
     lhs = Series(order, acc)
-    rhs = (theta(order, "u=1") * inverse_theta_neg(order)).scale(2)
-    rep = _series_report("mult_Lminus1", order, lhs, rhs, note)
-    if not rep.passed:
-        return rep
+    yield "{}", lhs, (theta(order, "u=1") * inverse_theta_neg(order)).scale(2)
     from .laplacian import spectrum
 
-    anchor: dict[int, int] = {}
-    for h in range(min(_MULT_ANCHOR_H, order - 1) + 1):
+    # blocks with h > lambda cannot contribute to eigenvalue lambda
+    anchor_order = min(_MULT_ANCHOR_H, order - 1) + 1
+    anchor = [0] * anchor_order
+    for h in range(anchor_order):
         for lam, mult in spectrum(-1, h).lines:
-            anchor[lam] = anchor.get(lam, 0) + mult
-    for lam in range(min(_MULT_ANCHOR_H, order - 1) + 1):
-        # blocks with h > lam cannot contribute to this eigenvalue
-        if anchor.get(lam, 0) != acc[lam]:
-            return IdentityReport(
-                "mult_Lminus1", order, False,
-                {"position": f"x^{lam}", "lhs": str(acc[lam]),
-                 "rhs": f"exact block spectra give {anchor.get(lam, 0)}"}, note)
-    return rep
-
-
-_REGISTRY = {
-    "gauss_jacobi": _check_gauss_jacobi,
-    "jacobi_traditional": _check_jacobi_traditional,
-    "theta_inverse_product": _check_theta_inverse_product,
-    "gen_L1": _check_gen_L1,
-    "gen_L0": _check_gen_L0,
-    "mult_L0_product": _check_mult_L0_product,
-    "L2_gauss_jacobi": _check_L2_gauss_jacobi,
-    "jacobi_cube": _check_jacobi_cube,
-    "euler_pentagonal": _check_euler_pentagonal,
-    "bracket_sign": _check_bracket_sign,
-    "singular_gauss_jacobi": _check_singular_gauss_jacobi,
-    "singular_by_degree_L2": _check_singular_by_degree_L2,
-    "singular_mults_L2": _check_singular_mults_L2,
-    "singular_mults_Lminus1": _check_singular_mults_Lminus1,
-    "weight_dim_products": _check_weight_dim_products,
-    "mult_Lminus1": _check_mult_Lminus1,
-}
-
-# Smallest truncation order at which each comparison sees a nontrivial
-# coefficient beyond the constant term; below it the check passes vacuously.
-MINIMAL_ORDER = {
-    "gauss_jacobi": 2,
-    "jacobi_traditional": 2,
-    "theta_inverse_product": 2,
-    "gen_L1": 2,
-    "gen_L0": 2,
-    "mult_L0_product": 2,
-    "L2_gauss_jacobi": 2,
-    "jacobi_cube": 2,
-    "euler_pentagonal": 4,
-    "bracket_sign": 1,
-    "singular_gauss_jacobi": 2,
-    "singular_by_degree_L2": 2,
-    "singular_mults_L2": 2,
-    "singular_mults_Lminus1": 2,
-    "weight_dim_products": 2,
-    "mult_Lminus1": 2,
-}
+            if lam < anchor_order:
+                anchor[lam] += mult
+    yield "{} via block spectra", Series(anchor_order, acc), Series(anchor_order, anchor)
 
 
 def all_identities() -> tuple:
@@ -513,4 +413,3 @@ def verify_identity(name: str, order: int = DEFAULT_ORDER) -> IdentityReport:
     if order < 1:
         raise ValueError("order must be at least 1")
     return checker(order)
-

@@ -184,6 +184,26 @@ def laplacian_slices(k: int, h: int, keys=None):
         yield q, w, basis, IntMatrix(basis.dim, basis.dim, columns)
 
 
+def _whole_slices(k: int, basis: BlockBasis) -> dict:
+    """The ``slices`` of ``basis``, each checked to be a whole (q, w) slice
+    of the degree ``basis.h`` block; raises ValueError otherwise."""
+    parts = slices(basis)
+    for (q, w), part in parts.items():
+        if sorted(part.monomials) != list(_slice(k, basis.h, q, w).monomials):
+            raise ValueError(
+                f"basis splits the (q, w) = ({q}, {w}) slice of the "
+                f"(k={k}, h={basis.h}) block")
+    return parts
+
+
+def _scatter(columns: list, index: dict, whole: BlockBasis, gamma: IntMatrix) -> None:
+    """Write ``gamma``, a matrix on the basis ``whole``, into ``columns`` at
+    the positions that ``index`` gives the monomials of ``whole``."""
+    pos = [index[m] for m in whole.monomials]
+    for p, col in zip(pos, gamma.columns):
+        columns[p] = {pos[i]: v for i, v in col.items()}
+
+
 def laplacian_by_definition(k: int, basis: BlockBasis) -> IntMatrix:
     """Matrix of Gamma = d delta + delta d on a union of whole (q, w) slices:
     the ``laplacian_slices`` of the degree ``basis.h`` block, scattered to
@@ -193,18 +213,9 @@ def laplacian_by_definition(k: int, basis: BlockBasis) -> IntMatrix:
     of it, or a monomial outside the degree ``basis.h`` block, and
     ClaimFalsified when a codifferential matrix is not D_q^T.
     """
-    h = basis.h
-    parts = slices(basis)
-    for (q, w), part in parts.items():
-        if sorted(part.monomials) != list(_slice(k, h, q, w).monomials):
-            raise ValueError(
-                f"basis splits the (q, w) = ({q}, {w}) slice of the "
-                f"(k={k}, h={h}) block")
     columns: list = [None] * basis.dim
-    for _, _, whole, gamma in laplacian_slices(k, h, parts):
-        pos = [basis.index[m] for m in whole.monomials]
-        for p, col in zip(pos, gamma.columns):
-            columns[p] = {pos[i]: v for i, v in col.items()}
+    for _, _, whole, gamma in laplacian_slices(k, basis.h, _whole_slices(k, basis)):
+        _scatter(columns, basis.index, whole, gamma)
     return IntMatrix(basis.dim, basis.dim, columns)
 
 
@@ -426,10 +437,24 @@ def spectrum(k: int, h: int) -> SpectrumResult:
 # harmonic chains and homology
 
 def harmonic_basis(k: int, basis: BlockBasis) -> list[Chain]:
-    """Exact basis of the Laplacian kernel on the block, echelon-normalized."""
-    kernel = modular_kernel(laplacian_by_definition(k, basis))
-    return [{basis.monomials[i]: c for i, c in sorted(vec.items())}
-            for vec in kernel]
+    """Exact basis of the Laplacian kernel on a union of whole (q, w) slices,
+    echelon-normalized: the ``modular_kernel`` of each slice in the order of
+    ``basis``, with the vectors in the order of their free monomials.
+
+    Gamma is block diagonal over the slices, so this is the reduced kernel
+    basis of the whole matrix.  Raises ValueError as
+    ``laplacian_by_definition`` does.
+    """
+    parts = _whole_slices(k, basis)
+    chains = []
+    for q, w, whole, gamma in laplacian_slices(k, basis.h, parts):
+        part = parts[(q, w)]
+        columns: list = [None] * part.dim
+        _scatter(columns, part.index, whole, gamma)
+        kernel = modular_kernel(IntMatrix(part.dim, part.dim, columns))
+        chains += [{part.monomials[i]: c for i, c in sorted(vec.items())} for vec in kernel]
+    # a reduced kernel vector ends on its free monomial
+    return sorted(chains, key=lambda chain: basis.index[next(reversed(chain))])
 
 
 @dataclass
@@ -487,8 +512,7 @@ def closed_form_deviations(k: int, entries: dict, h_min: int, h_max: int) -> lis
     return deviations
 
 
-def homology_table(k: int, h_max: int, h_min: int = 0,
-                   with_chains: bool = True) -> HomologyTable:
+def homology_table(k: int, h_max: int, h_min: int = 0) -> HomologyTable:
     """Exact harmonic dimensions for all blocks with h_min <= h <= h_max.
 
     Every (q, w, h) slice is certified: a full modular rank proves a trivial
@@ -506,10 +530,9 @@ def homology_table(k: int, h_max: int, h_min: int = 0,
             if not kernel:
                 continue
             entries[(q, w, h)] = len(kernel)
-            if with_chains:
-                chains[(q, w, h)] = [
-                    {basis.monomials[i]: c for i, c in sorted(vec.items())}
-                    for vec in kernel]
+            chains[(q, w, h)] = [
+                {basis.monomials[i]: c for i, c in sorted(vec.items())}
+                for vec in kernel]
     deviations = closed_form_deviations(k, entries, h_min, h_max)
     return HomologyTable(k=k, h_max=h_max, entries=entries, chains=chains,
                          matches_closed_form=not deviations, deviations=deviations)

@@ -266,9 +266,10 @@ def _echelon_mod_p(a: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
-def rank_mod_p(matrix: IntMatrix, lam: int = 0, p: int = DEFAULT_PRIME) -> int:
+def rank_mod_p(matrix: IntMatrix, lam: int = 0) -> int:
+    """Rank of (A - lam I) over GF(``DEFAULT_PRIME``)."""
     shifted = matrix.shifted(lam) if lam else matrix
-    return len(_echelon_mod_p(shifted.to_numpy_mod(p), p))
+    return len(_echelon_mod_p(shifted.to_numpy_mod(DEFAULT_PRIME), DEFAULT_PRIME))
 
 
 def _rational_reconstruction(u: int, p: int, bound: int) -> Fraction | None:
@@ -349,9 +350,9 @@ def modular_kernel(matrix: IntMatrix) -> list[dict[int, Fraction]]:
     return kernel
 
 
-def nullity_mod_p(matrix: IntMatrix, lam: int = 0, p: int = DEFAULT_PRIME) -> int:
+def nullity_mod_p(matrix: IntMatrix, lam: int = 0) -> int:
     """n - rank over GF(p); an upper bound on the rational nullity."""
-    return matrix.cols - rank_mod_p(matrix, lam, p)
+    return matrix.cols - rank_mod_p(matrix, lam)
 
 
 def certify_full_rank(matrix: IntMatrix, lam: int = 0) -> bool:
@@ -360,7 +361,7 @@ def certify_full_rank(matrix: IntMatrix, lam: int = 0) -> bool:
     A full modular rank is conclusive; a modular rank deficit is not, so the
     caller must fall back to exact elimination in that case.
     """
-    return rank_mod_p(matrix, lam, DEFAULT_PRIME) == matrix.cols
+    return rank_mod_p(matrix, lam) == matrix.cols
 
 
 # ---------------------------------------------------------------------------

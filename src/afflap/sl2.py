@@ -444,7 +444,8 @@ def singular_block_dims(k: int, w: int, h: int) -> int:
 def singular_block_dims_by_q(k: int, w: int, h: int) -> dict[int, int]:
     """Per chain-dimension refinement of singular_block_dims, counted from
     ``block_dim_table``; on small blocks it must equal the per-q kernel
-    dimensions of the matrix route."""
+    dimensions of the matrix route, and on every block it must sum to the
+    weight count dim(w) - dim(w+1)."""
     if k % 3 != 2:
         raise ValueError("singular subspaces need k = -1 (mod 3)")
     if w < 0:
@@ -466,6 +467,11 @@ def singular_block_dims_by_q(k: int, w: int, h: int) -> dict[int, int]:
         if {q: n for q, m in by_q if (n := m.mult(2 * w))} != out:
             raise ClaimFalsified(
                 f"singular dimensions by q mismatch at k={k}, h={h}, w={w}")
+    dims = _weight_dims_at(k, h)
+    if sum(out.values()) != dims.get(w, 0) - dims.get(w + 1, 0):
+        raise ClaimFalsified(
+            f"singular dimensions by q do not sum to the weight count at "
+            f"k={k}, h={h}, w={w}")
     return out
 
 

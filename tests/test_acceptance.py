@@ -105,9 +105,9 @@ def test_criterion_4_homology_closed_forms():
     """Computed harmonic dimensions reproduce the four closed forms up to
     h = 12 (which reaches q = 4 for L(2))."""
     for k in (-1, 0, 1, 2):
-        table = homology_table(k, H_FULL, with_chains=False)
+        table = homology_table(k, H_FULL)
         assert table.matches_closed_form, (k, table.deviations)
-    qs = {q for (q, _, _) in homology_table(2, H_FULL, with_chains=False).entries}
+    qs = {q for (q, _, _) in homology_table(2, H_FULL).entries}
     assert max(qs) == 4
     print("ACCEPTANCE 4: homology tables h<=12 match the closed forms  PASS")
 

@@ -214,6 +214,29 @@ def test_singular_rejects_non_unimodal_weight_counts(capsys, monkeypatch):
     assert err == "falsified claim: weight dimensions not unimodal at k=-1, h=5, w=0\n"
 
 
+def test_singular_rejects_by_q_counts_that_miss_the_weight_count(capsys, monkeypatch):
+    """Above MATRIX_ROUTE_CUT nothing else ties the by_q column to dim: one
+    more (q, w) = (3, 0) monomial in degree 10 makes the w = 0 counts sum to
+    one more than dim(0) - dim(1)."""
+    from afflap import sl2
+
+    real = sl2.block_dim_table
+
+    def one_more_at_q3_w0(k, h):
+        table = real(k, h)
+        if (k, h) != (2, 10):
+            return table
+        return {**table, (3, 0, 10): table.get((3, 0, 10), 0) + 1}
+
+    assert sum(sl2._weight_dims_at(2, 10).values()) > sl2.MATRIX_ROUTE_CUT
+    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
+    monkeypatch.setattr(sl2, "block_dim_table", one_more_at_q3_w0)
+    code, out, err = run(capsys, "singular", "--k", "2", "--h-max", "10", "--jobs", "1")
+    assert (code, out) == (1, "")
+    assert err == ("falsified claim: singular dimensions by q do not sum to the weight "
+                   "count at k=2, h=10, w=0\n")
+
+
 @pytest.mark.parametrize("k, name", [(2, "singular_k2_h10.csv"),
                                      (-1, "singular_km1_h10.csv")])
 def test_singular_csv_matches_golden(capsys, monkeypatch, k, name):
@@ -221,6 +244,16 @@ def test_singular_csv_matches_golden(capsys, monkeypatch, k, name):
     monkeypatch.delenv("AFFLAP_JOBS", raising=False)
     code, out, err = run(capsys, "singular", "--k", str(k), "--h-max", "10",
                          "--format", "csv", "--jobs", "1")
+    assert (code, err) == (0, "")
+    assert out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("fmt, name", [("csv", "verify_o40.csv"), ("text", "verify_o40.txt")])
+def test_verify_matches_golden(capsys, monkeypatch, fmt, name):
+    golden = Path(__file__).parent / "golden" / name
+    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
+    code, out, err = run(capsys, "verify", "--all", "--order", "40", "--format", fmt,
+                         "--jobs", "1")
     assert (code, err) == (0, "")
     assert out.encode() == golden.read_bytes()
 

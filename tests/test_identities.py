@@ -121,11 +121,139 @@ def test_weight_series_agrees_with_generator_product():
         assert prod.first_mismatch(_weight_series(k, order)) is None, k
 
 
-def test_report_shape_on_failure():
-    # compare two honest series that differ, through the report helper
-    from afflap.identities import _series_report
+def test_report_names_the_first_difference_of_each_comparison_kind():
+    from afflap.identities import _report
+
     a = Series.from_terms(5, [(0, 1), (2, 3)])
     b = Series.from_terms(5, [(0, 1), (2, 4)])
-    rep = _series_report("demo", 5, a, b, "demo")
+    rep = _report("demo", "a note", 5, iter([("{}", a, a), ("(k=2, {})", a, b)]))
+    assert rep == IdentityReport("demo", 5, False,
+                                 {"position": "(k=2, x^2)", "lhs": "3", "rhs": "4"}, "a note")
+    # tables compare by sorted key, a missing key counting as 0
+    rep = _report("demo", "a note", 5, [("(w={0[0]}, lambda={0[1]})",
+                                         {(0, 1): 2, (1, 0): 5}, {(0, 1): 2, (0, 2): 7})])
+    assert rep.first_mismatch == {"position": "(w=0, lambda=2)", "lhs": "0", "rhs": "7"}
+    # the comparisons after the first difference are never run
+    def comparisons():
+        yield "{}", a, b
+        raise AssertionError("ran past the first difference")
+
+    assert not _report("demo", "a note", 5, comparisons())
+    assert _report("demo", "a note", 5, [("{}", a, a), ("w={}", {1: 2}, {1: 2})]) == \
+        IdentityReport("demo", 5, True, None, "a note")
+
+
+def _bumped(series, e, by=1):
+    coeffs = list(series.coeffs)
+    coeffs[e] = coeffs[e] + by
+    return Series(series.order, coeffs)
+
+
+def test_plain_series_failure(monkeypatch):
+    from afflap import identities
+
+    real = identities.inverse_theta_neg
+    monkeypatch.setattr(identities, "inverse_theta_neg", lambda order: _bumped(real(order), 3))
+    rep = verify_identity("theta_inverse_product", 12)
+    assert (rep.passed, rep.note) == (False, "overpartition generating function")
+    assert rep.first_mismatch == {"position": "x^3", "lhs": "8", "rhs": "9"}
+
+
+def test_labelled_series_failure(monkeypatch):
+    from afflap import identities
+    from afflap.sl2 import HalfLaurent
+
+    real = identities._weight_series
+    monkeypatch.setattr(identities, "_weight_series", lambda k, order: _bumped(
+        real(k, order), 2, HalfLaurent.u_power(2)) if k == -1 else real(k, order))
+    rep = verify_identity("weight_dim_products", 12)
     assert not rep.passed
-    assert rep.first_mismatch["position"] == "x^2"
+    assert rep.first_mismatch["position"] == "(k=-1, x^2)"
+    want = real(-1, 12).coeffs[2]
+    assert rep.first_mismatch["lhs"] == repr(want + HalfLaurent.u_power(2))
+    assert rep.first_mismatch["rhs"] == repr(want)
+
+
+def test_table_failure(monkeypatch):
+    from afflap import identities
+
+    real = identities._mu_at
+    monkeypatch.setattr(identities, "_mu_at", lambda order, n: real(order, n) + (n == 3))
+    rep = verify_identity("singular_mults_L2", 12)
+    assert (rep.passed, rep.note) == (False, "eigenvalue-graded singular dimensions of L(2)")
+    got = singular_block_dims(2, 0, 3)
+    assert rep.first_mismatch == {"position": "(w=0, lambda=3)",
+                                  "lhs": repr(got), "rhs": repr(got + 1)}
+
+
+def test_gen_L1_enumeration_anchor_failure(monkeypatch):
+    from types import SimpleNamespace
+
+    from afflap import identities
+
+    real = identities.enumerate_block
+    # w = -4 shifts the degree by 10, so eigenvalue 3 sits in degree 13
+    monkeypatch.setattr(identities, "enumerate_block", lambda k, h, w: SimpleNamespace(
+        dim=real(k, h, w).dim + ((w, h) == (-4, 13))))
+    rep = verify_identity("gen_L1", 12)
+    assert not rep.passed
+    assert rep.note == "eigenvalue multiplicities of L(1) are independent of the weight"
+    dim = real(1, 13, -4).dim
+    assert rep.first_mismatch == {"position": "(w=-4, x^3) via enumeration",
+                                  "lhs": repr(dim), "rhs": repr(dim + 1)}
+
+
+@pytest.mark.parametrize("name, k, lam", [("singular_mults_L2", 2, 2),
+                                          ("singular_mults_Lminus1", -1, 4)])
+def test_singular_mults_character_product_failure(monkeypatch, name, k, lam):
+    """One more copy of the weight-1 simple module in the degree-3 character
+    is caught at the eigenvalue lambda of (w, h) = (1, 3)."""
+    from afflap import identities
+
+    real = identities.singular_series
+
+    def patched(kk, order):
+        chars = list(real(kk, order))
+        chars[3] = chars[3] + RepRingElement.simple(2)
+        return tuple(chars)
+
+    monkeypatch.setattr(identities, "singular_series", patched)
+    rep = verify_identity(name, 12)
+    assert not rep.passed
+    assert rep.note == f"eigenvalue-graded singular dimensions of L({k})"
+    got = singular_block_dims(k, 1, 3)
+    assert rep.first_mismatch == {"position": f"(w=1, lambda={lam}) via character product",
+                                  "lhs": repr(got), "rhs": repr(got + 1)}
+
+
+def test_mult_Lminus1_spectrum_anchor_failure(monkeypatch):
+    from types import SimpleNamespace
+
+    from afflap import laplacian
+
+    real = laplacian.spectrum
+    lam, mult = real(-1, 2).lines[0]
+    monkeypatch.setattr(laplacian, "spectrum", lambda k, h: SimpleNamespace(lines=[
+        (ll, m + (h == 2 and ll == lam)) for ll, m in real(k, h).lines]))
+    rep = verify_identity("mult_Lminus1", 12)
+    assert not rep.passed
+    assert rep.note == "eigenvalue multiplicities of L(-1) match those of L(0)"
+    assert rep.first_mismatch["position"] == f"x^{lam} via block spectra"
+    assert int(rep.first_mismatch["rhs"]) == int(rep.first_mismatch["lhs"]) + 1
+
+
+def test_euler_pentagonal_cube_free_stage_failure(monkeypatch):
+    from afflap import identities
+
+    real = identities.product_over
+
+    def patched(order, factor, *rest):
+        out = real(order, factor, *rest)
+        return _bumped(out, 3) if factor(1) == [(0, 1), (3, -1)] else out
+
+    monkeypatch.setattr(identities, "product_over", patched)
+    rep = verify_identity("euler_pentagonal", 12)
+    assert not rep.passed
+    assert rep.note == "pentagonal-theorem specialization at a cube root of unity"
+    assert rep.first_mismatch == {"position": "x^3 via cube-free stage",
+                                  "lhs": "-1", "rhs": "0"}

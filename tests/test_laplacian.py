@@ -292,6 +292,29 @@ def test_harmonic_basis_examples():
     assert [set(v) for v in kern] == [{(2,)}, {(3,)}, {(4,)}]
 
 
+def test_harmonic_basis_is_the_reduced_kernel_of_the_whole_block():
+    """The per-slice kernels come back in the order of the reduced kernel
+    basis of the whole-block matrix, whose slices interleave.  For L(1) that
+    order is not the (q, w) order of the slices: at h = 1 the kernel of
+    (q, w) = (2, 2) ends on (1, 4), before the (2,) of (1, -1).  A shuffled
+    basis changes the free monomials, and with them the basis.  For L(-1)
+    only h = 0 has a kernel; h <= 4 keeps ``fraction_kernel`` on the whole
+    block under a second."""
+    import random
+
+    from afflap.linalg import fraction_kernel
+
+    rng = random.Random(0)
+    for k, h_max in ((-1, 4), (1, 6), (2, 6)):
+        for h in range(h_max + 1):
+            block = enumerate_block(k, h)
+            shuffled = rng.sample(block.monomials, block.dim)
+            for basis in (block, BlockBasis(k, h, shuffled)):
+                want = [{basis.monomials[i]: c for i, c in sorted(vec.items())}
+                        for vec in fraction_kernel(laplacian_by_definition(k, basis))]
+                assert harmonic_basis(k, basis) == want, (k, h, basis.monomials)
+
+
 def test_spectrum_small_blocks():
     assert spectrum(2, 2).lines == [(1, 6)]
     assert spectrum(1, 1).lines == [(0, 2), (1, 4)]
