@@ -28,7 +28,16 @@ checks 1-4 name the k, h, q and w of the slice:
    times in the slice; these weight counts must be non-negative and fill it;
 6. each predicted multiplicity equals the nullity of Gamma - lambda on the
    slice: fraction-free elimination on small slices, modular rank (decided
-   exactly on a mismatch) on large ones.
+   exactly on a mismatch) on large ones.  The modular ranks of one slice
+   come from one ``nullity_mod_p`` call for all its lambdas.  Gamma - lambda
+   has the same sparsity components for every lambda, since row i is joined
+   to column i, and permuting rows and columns makes it block diagonal over
+   them, so its rank mod p is the sum of the ranks of its shifted
+   components.  A fraction-free step replaces a row r by pv r - f s, with s
+   the pivot row and pv != 0 mod p: an invertible row operation over GF(p),
+   so the rank mod p is kept.  Each nullity is therefore the one that
+   eliminating the whole shifted slice mod p gives, and the check is
+   unchanged.
 """
 
 from __future__ import annotations
@@ -405,12 +414,15 @@ def spectrum(k: int, h: int) -> SpectrumResult:
                 raise ClaimFalsified(
                     f"predicted eigenvalues do not exhaust k={k}, h={h}, q={q}, w={w0}: "
                     f"{sum(expected.values())} of {n}")
-            for lam, m_pred in sorted(expected.items()):
+            lams = sorted(expected)
+            modular = [] if use_exact else nullity_mod_p(gamma, lams)
+            for i, lam in enumerate(lams):
+                m_pred = expected[lam]
                 if use_exact:
                     nullity = exact_nullity(gamma, lam)
                     result.exact_slices += 1
                 else:
-                    nullity = nullity_mod_p(gamma, lam)
+                    nullity = modular[i]
                     result.modular_slices += 1
                     if nullity != m_pred:
                         # modular nullity only bounds from above; decide exactly
@@ -421,7 +433,7 @@ def spectrum(k: int, h: int) -> SpectrumResult:
                         f"nullity {nullity}, predicted {m_pred}")
                 totals[lam] = totals.get(lam, 0) + m_pred
             if use_exact and expected:
-                if not _residual_annihilates(gamma, sorted(expected)):
+                if not _residual_annihilates(gamma, lams):
                     raise ClaimFalsified(
                         f"residual product does not annihilate k={k}, h={h}, q={q}, w={w0}")
                 result.residual_checked += 1

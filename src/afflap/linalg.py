@@ -6,7 +6,9 @@ exact: fraction-free (Bareiss) elimination over the integers for ranks, and
 the division-free Berkowitz algorithm for characteristic polynomials.
 Elimination modulo one word-size prime (numpy) serves twice.  The modular
 rank is a certified one-sided bound: rank over GF(p) never exceeds the
-rational rank.  ``modular_kernel`` lifts the echelon kernel basis mod p to Q
+rational rank, and ``rank_mod_p`` eliminates the connected components of a
+matrix's sparsity graph one shape at a time, all shifts at once.
+``modular_kernel`` lifts the echelon kernel basis mod p to Q
 by rational reconstruction and checks every vector exactly, falling back to
 ``fraction_kernel`` (Bareiss, then rational back-substitution) when a lift
 or a check fails; its docstring gives the argument that both routes return
@@ -235,41 +237,132 @@ def exact_nullity(matrix: IntMatrix, lam: int = 0) -> int:
 # ---------------------------------------------------------------------------
 # modular elimination (certified one-sided bounds, and kernels checked over Q)
 
-def _echelon_mod_p(a: np.ndarray, p: int) -> list[int]:
-    """Forward elimination of the int64 array ``a`` (entries in [0, p)) over
-    GF(p), in place.
+def _echelon_mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """Forward elimination over GF(p) of each matrix in the int64 stack ``a``
+    (shape (m, rows, cols), entries in [0, p)), in place.
 
-    Returns the pivot columns; pivot ``r`` sits in row ``r`` and is scaled
-    to 1, every entry below a pivot is 0 and each row is 0 left of its pivot.
+    Rows are never swapped.  At each column every matrix takes as its pivot
+    the first row that is nonzero there and holds no earlier pivot, and each
+    other such row r becomes pv * r - f * pivot_row (mod p), with pv the
+    pivot and f the entry of r in that column: a fraction-free update whose
+    products stay below p**2 < 2**63.  Rows that hold no pivot end zero, and
+    a pivot row is zero left of its pivot and on every later pivot column.
+
+    Returns an (m, cols) array: the row that holds the pivot of each column,
+    or -1 for a column without one.
     """
-    nrows, ncols = a.shape
-    pivots: list[int] = []
+    m, nrows, ncols = a.shape
+    held = np.full((m, ncols), -1, dtype=np.int64)
+    if not nrows:
+        return held
+    free = np.ones((m, nrows), dtype=bool)
+    ids = np.arange(m)
     for col in range(ncols):
-        rank = len(pivots)
-        if rank == nrows:
-            break
-        nz = np.nonzero(a[rank:, col])[0]
-        if nz.size == 0:
+        cand = (a[:, :, col] != 0) & free
+        rows = cand.argmax(axis=1)
+        live = cand[ids, rows]
+        if not live.any():
             continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank, col:] = (a[rank, col:] * inv) % p
-        below = a[rank + 1:, col]
-        mask = below != 0
-        if mask.any():
-            a[rank + 1:, col:][mask] = (
-                a[rank + 1:, col:][mask] - np.outer(below[mask], a[rank, col:])
-            ) % p
-        pivots.append(col)
-    return pivots
+        pm, pr = ids[live], rows[live]
+        held[pm, col] = pr
+        free[pm, pr] = False
+        cand[pm, pr] = False
+        mi, ri = np.nonzero(cand)
+        if mi.size:
+            pivot = a[mi, rows[mi], col:]
+            a[mi, ri, col:] = (pivot[:, :1] * a[mi, ri, col:]
+                               - a[mi, ri, col, None] * pivot) % p
+    return held
 
 
-def rank_mod_p(matrix: IntMatrix, lam: int = 0) -> int:
-    """Rank of (A - lam I) over GF(``DEFAULT_PRIME``)."""
-    shifted = matrix.shifted(lam) if lam else matrix
-    return len(_echelon_mod_p(shifted.to_numpy_mod(DEFAULT_PRIME), DEFAULT_PRIME))
+def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """For each of ``n`` vertices, the least vertex of its connected
+    component in the graph with the edges (u[e], v[e])."""
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[u], label[v])
+        new = label.copy()
+        np.minimum.at(new, u, low)
+        np.minimum.at(new, v, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _local_index(comp: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Position of each vertex among the vertices of its component, in
+    increasing order."""
+    order = np.argsort(comp, kind="stable")
+    local = np.empty_like(comp)
+    local[order] = np.arange(comp.size) - (np.cumsum(count) - count)[comp[order]]
+    return local
+
+
+def rank_mod_p(matrix: IntMatrix, lams) -> list[int]:
+    """The rank of A - lam I over GF(``DEFAULT_PRIME``) for each lam in ``lams``.
+
+    The rows and columns of A are the vertices of its sparsity graph: each
+    nonzero A[i, j] joins row i to column j, and on a square matrix row i is
+    also joined to column i, so A - lam I has the same connected components
+    for every lam.  Permuting its rows and columns makes A - lam I block
+    diagonal over those components, so its rank is the sum of their ranks.
+    The components are grouped by shape, and each group is eliminated by one
+    ``_echelon_mod_p`` pass over the stack of its (lam, component) matrices.
+    A stack holds at most rows * cols entries, as the dense matrix would;
+    past that bound the group is eliminated in turns.  A nonzero lam needs a
+    square matrix.
+    """
+    p = DEFAULT_PRIME
+    nrows, ncols = matrix.rows, matrix.cols
+    square = nrows == ncols
+    if not square and any(lams):
+        raise ValueError("shift needs a square matrix")
+    shifts = np.array([lam % p for lam in lams], dtype=np.int64)
+    ranks = np.zeros(len(shifts), dtype=np.int64)
+    row_of: list[int] = []
+    col_of: list[int] = []
+    vals: list[int] = []
+    for j, col in enumerate(matrix.columns):
+        row_of += col
+        col_of += [j] * len(col)
+        vals += [v % p for v in col.values()]
+    row_of = np.array(row_of, dtype=np.int64)
+    col_of = np.array(col_of, dtype=np.int64)
+    vals = np.array(vals, dtype=np.int64)
+    # vertices: rows 0..nrows-1, then columns nrows..nrows+ncols-1
+    u, v = row_of, nrows + col_of
+    if square:
+        u = np.concatenate((u, np.arange(nrows)))
+        v = np.concatenate((v, nrows + np.arange(ncols)))
+    labels, comp = np.unique(_component_labels(nrows + ncols, u, v), return_inverse=True)
+    row_comp, col_comp = comp[:nrows], comp[nrows:]
+    row_count = np.bincount(row_comp, minlength=labels.size)
+    col_count = np.bincount(col_comp, minlength=labels.size)
+    local_row = _local_index(row_comp, row_count)
+    local_col = _local_index(col_comp, col_count)
+    nz_comp = row_comp[row_of]
+    for sr, sc in sorted({*zip(row_count.tolist(), col_count.tolist())}):
+        if not sr or not sc:
+            continue
+        group = np.nonzero((row_count == sr) & (col_count == sc))[0]
+        slot = np.full(labels.size, -1)
+        slot[group] = np.arange(group.size)
+        nz = slot[nz_comp] >= 0
+        base = np.zeros((group.size, sr, sc), dtype=np.int64)
+        base[slot[nz_comp[nz]], local_row[row_of[nz]], local_col[col_of[nz]]] = vals[nz]
+        diag = np.arange(sr)
+        total = shifts.size * group.size
+        turn = max(1, nrows * ncols // (sr * sc))
+        for start in range(0, total, turn):
+            k = np.arange(start, min(total, start + turn))
+            stack = base[k % group.size]
+            if square:
+                stack[:, diag, diag] = (stack[:, diag, diag]
+                                        - shifts[k // group.size, None]) % p
+            held = _echelon_mod_p(stack, p)
+            np.add.at(ranks, k // group.size, (held >= 0).sum(axis=1))
+    return ranks.tolist()
 
 
 def _rational_reconstruction(u: int, p: int, bound: int) -> Fraction | None:
@@ -293,14 +386,15 @@ def _rational_reconstruction(u: int, p: int, bound: int) -> Fraction | None:
 def modular_kernel(matrix: IntMatrix) -> list[dict[int, Fraction]]:
     """The kernel basis of ``fraction_kernel``, found mod p and lifted to Q.
 
-    The matrix is reduced mod ``DEFAULT_PRIME``, brought to echelon form by
-    the forward pass of ``rank_mod_p`` and back-substituted over the pivot
-    rows.  Each free column f gives the vector that is 1 at f, 0 at the
-    other free columns and supported on the pivot columns left of f; its
-    entries are lifted by rational reconstruction with |num|, den <=
-    isqrt(p // 2), and it is checked to lie in the kernel exactly, over the
-    integers after clearing denominators.  If any lift or check fails the
-    result is ``fraction_kernel(matrix)``.
+    The matrix is reduced mod ``DEFAULT_PRIME`` and brought to echelon form
+    by ``_echelon_mod_p``, the forward pass of ``rank_mod_p``; its pivot
+    rows, each scaled to a leading 1, are back-substituted.  Each free
+    column f gives the vector that is 1 at f, 0 at the other free columns
+    and supported on the pivot columns left of f; its entries are lifted by
+    rational reconstruction with |num|, den <= isqrt(p // 2), and it is
+    checked to lie in the kernel exactly, over the integers after clearing
+    denominators.  If any lift or check fails the result is
+    ``fraction_kernel(matrix)``.
 
     When every check passes the result equals ``fraction_kernel(matrix)``:
 
@@ -316,14 +410,19 @@ def modular_kernel(matrix: IntMatrix) -> list[dict[int, Fraction]]:
     """
     p = DEFAULT_PRIME
     a = matrix.to_numpy_mod(p)
-    pivots = _echelon_mod_p(a, p)
+    held = _echelon_mod_p(a[None], p)[0]
+    pivots = np.nonzero(held >= 0)[0].tolist()
     pivot_set = set(pivots)
     free_cols = [c for c in range(matrix.cols) if c not in pivot_set]
     if not free_cols:
         return []
+    # the echelon rows in pivot order, each pivot scaled to 1
+    a = a[held[pivots]]
+    inverses = [pow(int(a[i, pc]), p - 2, p) for i, pc in enumerate(pivots)]
+    a = a * np.array(inverses, dtype=np.int64)[:, None] % p
     # reduce the pivot rows on the free columns only: rows i' < i lose their
     # multiple of row i, from the last pivot up
-    reduced = a[:len(pivots), free_cols]
+    reduced = a[:, free_cols]
     for i in range(len(pivots) - 1, 0, -1):
         above = a[:i, pivots[i]]
         mask = above != 0
@@ -350,18 +449,19 @@ def modular_kernel(matrix: IntMatrix) -> list[dict[int, Fraction]]:
     return kernel
 
 
-def nullity_mod_p(matrix: IntMatrix, lam: int = 0) -> int:
-    """n - rank over GF(p); an upper bound on the rational nullity."""
-    return matrix.cols - rank_mod_p(matrix, lam)
+def nullity_mod_p(matrix: IntMatrix, lams) -> list[int]:
+    """n - rank of A - lam I over GF(p) for each lam in ``lams``; each is an
+    upper bound on the rational nullity."""
+    return [matrix.cols - rank for rank in rank_mod_p(matrix, lams)]
 
 
-def certify_full_rank(matrix: IntMatrix, lam: int = 0) -> bool:
-    """True when the rational kernel of (A - lam I) is provably trivial.
+def certify_full_rank(matrix: IntMatrix) -> bool:
+    """True when the rational kernel of A is provably trivial.
 
     A full modular rank is conclusive; a modular rank deficit is not, so the
     caller must fall back to exact elimination in that case.
     """
-    return rank_mod_p(matrix, lam) == matrix.cols
+    return rank_mod_p(matrix, [0]) == [matrix.cols]
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,26 @@ def test_ranks_agree_on_random_matrices():
         rows = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
         want = rational_rank(rows)
         assert bareiss_rank(rows) == want
-        assert rank_mod_p(from_rows(rows)) == want
+        assert rank_mod_p(from_rows(rows), [0]) == [want]
+
+
+def test_rank_mod_p_bounds_its_stacks(monkeypatch):
+    """A stack of (shift, component) matrices holds at most n^2 entries, so
+    one dense component under several shifts is eliminated in turns."""
+    sizes = []
+    echelon = linalg._echelon_mod_p
+
+    def recording(a, p):
+        sizes.append(a.size)
+        return echelon(a, p)
+
+    monkeypatch.setattr(linalg, "_echelon_mod_p", recording)
+    m = from_rows([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+    assert rank_mod_p(m, [1, 4, 0, 1]) == [1, 2, 3, 1]
+    assert sizes == [9] * 4
+    # four 1x1 components under two shifts fit one stack of 8 <= 16 entries
+    assert rank_mod_p(IntMatrix.identity(4), [1, 0]) == [0, 4]
+    assert sizes[4:] == [8]
 
 
 def test_fraction_kernel_known():
@@ -156,9 +175,9 @@ def test_exact_nullity_and_modular_bound():
     assert exact_nullity(m, 2) == 2
     assert exact_nullity(m, 5) == 1
     assert exact_nullity(m, 3) == 0
-    assert nullity_mod_p(m, 2) == 2
-    assert certify_full_rank(m, 3)
-    assert not certify_full_rank(m, 2)
+    assert nullity_mod_p(m, [2, 5, 3]) == [2, 1, 0]
+    assert certify_full_rank(m.shifted(3))
+    assert not certify_full_rank(m.shifted(2))
 
 
 def test_charpoly_small_cases():

@@ -1,6 +1,7 @@
 """Property tests for the sign conventions of the boundary operators, for
-the transposes the sl2 certificate relies on, and for the axioms of the
-coefficient rings of the series arithmetic.
+the transposes the sl2 certificate relies on, for the modular nullities of
+the cross-check, and for the axioms of the coefficient rings of the series
+arithmetic.
 
 ``differential`` and ``codifferential`` place their signs by ``bisect``
 insertion.  The references below build the raw replacement word and let the
@@ -11,7 +12,7 @@ no sign logic.
 import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afflap.chains import (
@@ -27,6 +28,7 @@ from afflap.chains import (
     weight,
 )
 from afflap.generators import epsilon, generator_degree
+from afflap.linalg import IntMatrix, exact_nullity, nullity_mod_p
 from afflap.series import EisensteinInt
 from afflap.sl2 import HalfLaurent, RepRingElement
 
@@ -174,6 +176,59 @@ def test_conjugate_action_is_the_transpose_of_raising(khwq, r):
     up = matrix_of(lambda c: raising_action(r, c, k), here, there)
     back = matrix_of(lambda c: conjugate_action(r, c, k), there, here)
     assert back == up.transpose()
+
+
+# ---------------------------------------------------------------------------
+# modular nullities, one sparsity component at a time
+
+def permuted_blocks(blocks: list, perm: list) -> IntMatrix:
+    """The block-diagonal matrix of ``blocks`` (square lists of rows), with
+    index i renamed perm[i] on both rows and columns."""
+    columns: list = [{} for _ in perm]
+    offset = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            for j, v in enumerate(row):
+                if v:
+                    columns[perm[offset + j]][perm[offset + i]] = v
+        offset += len(block)
+    return IntMatrix(len(perm), len(perm), columns)
+
+
+ENTRIES = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 5))
+
+
+@st.composite
+def shifted_block_matrices(draw):
+    """(matrix, lams): random integer blocks conjugated by a random
+    permutation, and shifts drawn mostly from the block diagonals, so some
+    of them are eigenvalues."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=6), max_size=6))
+    blocks = [[[draw(ENTRIES) for _ in range(n)] for _ in range(n)] for n in sizes]
+    perm = draw(st.permutations(range(sum(sizes))))
+    diagonal = [row[i] for block in blocks for i, row in enumerate(block)]
+    lams = draw(st.lists(st.sampled_from(diagonal + [0, 1, -2]), min_size=1, max_size=5))
+    return permuted_blocks(blocks, perm), lams
+
+
+def _ring(n: int) -> list:
+    """A fixed permutation of range(n), for n prime to 7."""
+    return [(i * 7 + 3) % n for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(shifted_block_matrices())
+@example((IntMatrix(5, 5), [0, 3]))  # no nonzeros: empty index arrays
+@example((permuted_blocks([[[3]]], [0]), [3, 0, -1]))
+@example((permuted_blocks([[[1] * 8] * 8], _ring(8)), [0, 8, 1, 0]))  # one component
+@example((permuted_blocks([[[2] * 6] * 6] + [[[i % 3]] for i in range(20)], _ring(26)),
+          [0, 1, 2, 12]))  # one large component beside singletons
+def test_modular_nullities_match_exact_on_permuted_blocks(case):
+    """nullity_mod_p eliminates each connected component of the sparsity
+    graph on its own; the nullities must be those of exact elimination on
+    the whole matrix, for every shift."""
+    matrix, lams = case
+    assert nullity_mod_p(matrix, lams) == [exact_nullity(matrix, lam) for lam in lams]
 
 
 # ---------------------------------------------------------------------------
