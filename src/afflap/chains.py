@@ -15,8 +15,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
+
 from .generators import epsilon, generator_degree
-from .linalg import IntMatrix, add_scaled
+from .linalg import Coo, IntMatrix, add_scaled, coo_from_keys
 
 Monomial = tuple
 Chain = dict
@@ -422,3 +424,164 @@ def matrix_of(op, source: BlockBasis, target: BlockBasis):
             col[pos] = c
         columns.append(col)
     return IntMatrix(target.dim, source.dim, columns)
+
+
+# ---------------------------------------------------------------------------
+# whole levels: the operator matrices as int64 coordinate arrays
+
+_EPS = np.array([0, 1, -1], dtype=np.int64)  # epsilon by residue mod 3
+KEY_BITS = 16  # a lookup key holds each index minus k in this many bits
+
+
+class Level:
+    """The chain-dimension-q monomials of a union of whole (q, w) slices of
+    one degree-h block, as an (N, q) int64 array ``monos``.
+
+    Rows follow the slices in increasing w, each in its own order, so a
+    matrix that keeps w is block diagonal over the slices; ``span(w)`` is
+    the row range of a slice.  Monomials are looked up by keys of q
+    fixed-width big-endian uint16 indices viewed as one ``np.void``, which
+    sort and ``searchsorted`` in the lexicographic order of the monomials.
+    """
+
+    __slots__ = ("k", "h", "q", "slices", "monos", "weights", "bounds", "_keys", "_order")
+
+    def __init__(self, k: int, h: int, q: int, parts=()):
+        self.k, self.h, self.q = k, h, q
+        self.slices = list(parts)
+        monos = [m for part in self.slices for m in part.monomials]
+        self.monos = np.array(monos, dtype=np.int64).reshape(len(monos), q)
+        sizes = [part.dim for part in self.slices]
+        self.weights = np.repeat(np.array([part.w for part in self.slices], dtype=np.int64), sizes)
+        ends = np.cumsum(sizes, dtype=np.int64).tolist()
+        self.bounds = {part.w: (end - part.dim, end) for part, end in zip(self.slices, ends)}
+        keys = self.pack(self.monos)
+        self._order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._order]
+
+    def __len__(self) -> int:
+        return len(self.monos)
+
+    def span(self, w: int) -> tuple[int, int]:
+        return self.bounds.get(w, (0, 0))
+
+    def pack(self, monos: np.ndarray) -> np.ndarray:
+        """The lookup keys of the rows of ``monos``, an (n, q) array."""
+        shifted = monos - self.k
+        if shifted.size and (shifted.min() < 0 or shifted.max() >> KEY_BITS):
+            raise OverflowError(f"monomial indices do not fit {KEY_BITS}-bit keys at "
+                                f"k={self.k}, h={self.h}, q={self.q}")
+        if not self.q:
+            return np.zeros(len(monos), dtype="V1")
+        return np.ascontiguousarray(shifted, dtype=">u2").view(f"V{2 * self.q}").ravel()
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """The row of each key; -1 for a monomial outside the level."""
+        if not len(self):
+            return np.full(keys.size, -1, dtype=np.int64)
+        at = np.minimum(np.searchsorted(self._keys, keys), len(self) - 1)
+        return np.where(self._keys[at] == keys, self._order[at], -1)
+
+
+def levels(parts: dict) -> dict:
+    """The ``Level`` of each q of ``parts``, a ``slices`` map of whole
+    (q, w) slices of one block, in increasing q."""
+    grouped: dict = {}
+    for (q, _), part in parts.items():
+        grouped.setdefault(q, []).append(part)
+    return {q: Level(group[0].k, group[0].h, q, group) for q, group in sorted(grouped.items())}
+
+
+def _entry_keys(src: Level, tgt: Level, cols: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """The keys col * len(tgt) + row of the entries in the columns ``cols``
+    at the rows of the monomials ``images`` of ``tgt``; raises ValueError,
+    as ``matrix_of`` does, for an image outside ``tgt``."""
+    rows = tgt.find(tgt.pack(images))
+    if (rows < 0).any():
+        i = int(np.argmax(rows < 0))
+        raise ValueError(
+            f"image term {tuple(images[i].tolist())} of {tuple(src.monos[cols[i]].tolist())} "
+            f"is outside the target level (k={tgt.k}, h={tgt.h}, q={tgt.q})")
+    return cols * len(tgt) + rows
+
+
+def _matrix(src: Level, tgt: Level, entries: list) -> Coo:
+    """The compressed matrix that sums the (keys, vals) of ``entries``."""
+    empty = np.zeros(0, dtype=np.int64)
+    keys, vals = zip((empty, empty), *entries)
+    return coo_from_keys((len(tgt), len(src)), np.concatenate(keys), np.concatenate(vals))
+
+
+def _replaced(src: Level, tgt: Level, rest: np.ndarray, ni: np.ndarray, e: np.ndarray,
+              parity) -> tuple:
+    """The entries (keys, vals) of the images rest[r, g] with the index
+    ni[r, g] inserted, for the monomials r of ``src`` and the groups g of
+    factors they replace, with the coefficient e (-1)^(parity + pos), where
+    pos is the ``bisect`` position of ni among rest; none where e is 0 or
+    ni repeats.  ``rest`` has shape (N, G, r), the others broadcast to
+    (N, G)."""
+    keep = (e != 0) & (rest != ni[..., None]).all(axis=-1)
+    row, group = np.nonzero(keep)
+    rest, ni, e = rest[row, group], ni[row, group], e[row, group]
+    parity = np.broadcast_to(parity, keep.shape)[row, group] + (rest < ni[:, None]).sum(axis=1)
+    return (_entry_keys(src, tgt, row, np.sort(np.concatenate((rest, ni[:, None]), axis=1), axis=1)),
+            np.where(parity % 2, -e, e))
+
+
+def _without(q: int, drop) -> list:
+    return [c for c in range(q) if c not in drop]
+
+
+def differential_coo(k: int, src: Level, tgt: Level) -> Coo:
+    """Matrix of ``differential`` from the level ``src`` to the level
+    ``tgt`` of dimension q - 1, by its rule, one first factor s at a time,
+    over all monomials and all second factors t > s."""
+    m, q = src.monos, src.q
+    entries = []
+    for s in range(q - 1):
+        ts = np.arange(s + 1, q)
+        rest = m[:, [_without(q, (s, t)) for t in ts.tolist()]]
+        entries.append(_replaced(src, tgt, rest, m[:, s, None] + m[:, ts],
+                                 _EPS[(m[:, ts] - m[:, s, None]) % 3], s + ts + 1))
+    return _matrix(src, tgt, entries)
+
+
+def codifferential_coo(k: int, src: Level, tgt: Level) -> Coo:
+    """Matrix of ``codifferential`` from the level ``src`` to the level
+    ``tgt`` of dimension q + 1, by its splitting rule, one factor position
+    at a time over all monomials and all their splittings."""
+    m = src.monos
+    entries = []
+    for s in range(src.q):
+        i = m[:, s]
+        count = np.maximum((i - 1) // 2 - k + 1, 0)  # the a with k <= a and 2a < i
+        row = np.repeat(np.arange(len(m)), count)
+        a = k + np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+        b = i[row] - a
+        e = _EPS[(b - a) % 3]
+        row, a, b, e = row[e != 0], a[e != 0], b[e != 0], e[e != 0]
+        rest = m[:, _without(src.q, (s,))][row]
+        keep = (rest != a[:, None]).all(axis=1) & (rest != b[:, None]).all(axis=1)
+        row, a, b, e, rest = row[keep], a[keep], b[keep], e[keep], rest[keep]
+        parity = s + (rest < a[:, None]).sum(axis=1) + (rest < b[:, None]).sum(axis=1)
+        entries.append((_entry_keys(src, tgt, row, np.sort(np.column_stack((rest, a, b)), axis=1)),
+                        np.where(parity % 2, -e, e)))
+    return _matrix(src, tgt, entries)
+
+
+def adjoint_coo(g: int, k: int, level: Level) -> Coo:
+    """Matrix of ``adjoint_action(g, ., k)`` for g in {-1, 1} on the
+    level, by its image rule e_i -> epsilon(i - g) e_{i+g}, over all
+    monomials and factor positions s at once; its images keep q and h but
+    may have any weight.  Raises ValueError as ``adjoint_action`` does when
+    an image leaves L(k)."""
+    m, q = level.monos, level.q
+    if not q:
+        return Coo.empty((len(level), len(level)))
+    e = _EPS[(m - g) % 3]
+    out = (e != 0) & (m + g < k)
+    if out.any():
+        i = int(m.flat[np.argmax(out)])
+        raise ValueError(f"action of e_{g} leaves L({k}): e_{i} -> e_{i + g}")
+    rest = m[:, [_without(q, (s,)) for s in range(q)]]
+    return _matrix(level, level, [_replaced(level, level, rest, m + g, e, np.arange(q))])

@@ -1,26 +1,39 @@
 """The graded Laplacian of L(k): constructions, exact spectra, homology.
 
 Gamma = d delta + delta d keeps the chain dimension q, the weight w and the
-degree h, so it is built and decomposed one (q, w) slice of a degree-h block
-at a time.  ``laplacian_slices`` yields each slice basis with its block
-D_q^T D_q + D_{q+1} D_{q+1}^T, where D_q is the matrix of the differential
-from the (q, w) slice to the (q-1, w) slice; ``laplacian_by_definition``
-scatters those blocks onto a basis.  ``laplacian_closed_apply`` evaluates
-the paper's second-order closed form monomial by monomial, and its matrix
+degree h.  Its matrices are built one (q, h) level at a time, as int64
+coordinate arrays over the level's monomial array (``chains.Level``): D_q,
+the matrix of the differential from level q to level q-1, the
+codifferential and Gamma keep w, so their level matrices are block
+diagonal over the (q, w) slices, and e_{+-1} shift w by exactly one.
+``_gamma_levels`` forms D_q^T D_q + D_{q+1} D_{q+1}^T on a level as one
+``linalg.gram``; ``laplacian_slices`` cuts it into the slice blocks that
+are decomposed one at a time, and ``laplacian_by_definition`` scatters
+those onto a basis.  ``laplacian_closed_apply`` evaluates the paper's
+second-order closed form monomial by monomial, and its matrix
 ``laplacian_closed_form`` is the oracle the slices are tested against.
+The arrays stay exact: no floating point is used, ``gram`` raises before a
+sum could pass 2^62, and ``Level`` before an index overflows its key, each
+naming k, h and q.
 
 Spectra are exact.  For k in {0, 1} Gamma is scalar on every slice, and the
 scalar is checked entrywise.  For k in {-1, 2} every (q, w) slice passes
-these exact integer checks in order; a failure raises ClaimFalsified, and
-checks 1-4 name the k, h, q and w of the slice:
+these exact integer checks in order; a failure raises ClaimFalsified.
+Checks 1-4 are statements about one slice.  Each is checked on a whole
+level at once, which checks it on every slice of the level, since the level
+matrices are block diagonal over the slices (E_1 sends each slice into the
+next); a failure names the k, h, q and w of the slice of the first failing
+column:
 
-1. the matrix of ``codifferential``, built on its own, equals D_q^T;
+1. the matrix of the codifferential, built on its own by its splitting
+   rule, equals D_q^T;
 2. E_w, the matrix of the adjoint e_1 from the (q, w) slice, lands in the
-   (q, w+1) slice, and the matrix of e_{-1}, built on its own, equals E_w^T;
+   (q, w+1) slice, and the matrix of e_{-1}, built on its own by its image
+   rule, equals E_w^T;
 3. E_{w-1} E_{w-1}^T - E_w^T E_w = w I, which is [e_1, e_{-1}] = e_0 (the
    grading gives the e_0 relations), so the block is a finite-dimensional
    sl2-module and the Casimir C acts by w'(w'+1) on its isotypic piece of
-   dominant weight w' (checks 2-3 and E_w come from ``sl2.sl2_slices``);
+   dominant weight w' (checks 2-3 and E_w come from ``sl2.sl2_levels``);
 4. 2 Gamma = 2h I + C for k = -1 and 2h I - C for k = 2, with
    C = E_w^T E_w + w^2 I + E_{w-1} E_{w-1}^T: the paper's closed form, so
    Gamma acts on that piece by h +- w'(w'+1)/2;
@@ -46,15 +59,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .chains import (
     BlockBasis,
     Chain,
+    Level,
     add_chains,
     adjoint_action,
     codifferential,
+    codifferential_coo,
     conjugate_action,
     differential,
+    differential_coo,
     enumerate_block,
+    levels,
     matrix_of,
     raising_action,
     scale_chain,
@@ -63,17 +82,21 @@ from .chains import (
 )
 from .generators import epsilon
 from .linalg import (
+    Coo,
     IntMatrix,
     add_scaled,
     berkowitz_charpoly,
     certify_full_rank,
+    coo_diag,
+    coo_sum,
     exact_nullity,
     gershgorin_bound,
+    gram,
     modular_kernel,
     nullity_mod_p,
     strip_integer_roots,
 )
-from .sl2 import ClaimFalsified, sl2_slices
+from .sl2 import ClaimFalsified, sl2_levels
 
 # Slices up to this dimension get their nullities by exact elimination and
 # the residual product check; the larger ones use modular ranks.
@@ -155,42 +178,59 @@ def _slice(k: int, h: int, q: int, w: int) -> BlockBasis:
     return _slice_bases(k, h).get((q, w)) or BlockBasis(k, h, (), w=w)
 
 
+def _gamma_levels(k: int, h: int, qs=None):
+    """Yield ``(level, gamma)`` for the levels of the degree-h block in
+    increasing q, or for the q in ``qs`` only: gamma is D_q^T D_q +
+    D_{q+1} D_{q+1}^T on the whole level, one ``gram`` over the stacked
+    D_q and D_{q+1}^T.  Each D_q is built once and compared with the matrix
+    of the codifferential from level q-1, built on its own by its splitting
+    rule; a mismatch raises ClaimFalsified naming the (q, w) of its first
+    column.
+    """
+    by_q = levels(_slice_bases(k, h))
+
+    def boundary(q: int) -> Coo:
+        src = by_q.get(q) or Level(k, h, q)
+        if not q:
+            return Coo.empty((0, len(src)))
+        tgt = by_q.get(q - 1) or Level(k, h, q - 1)
+        d = differential_coo(k, src, tgt)
+        diff = coo_sum(d.shape, d, codifferential_coo(k, tgt, src).T.scaled(-1))
+        if diff.vals.size:
+            raise ClaimFalsified(
+                f"codifferential is not the transpose of the differential on "
+                f"k={k}, h={h}, q={q}, w={src.weights[diff.cols[0]]}")
+        return d
+
+    upper: dict = {}  # q + 1 -> D_{q+1}, kept for that level
+    for q, level in by_q.items():
+        if qs is not None and q not in qs:
+            continue
+        d = upper.pop(q, None) or boundary(q)
+        u = upper[q + 1] = boundary(q + 1)
+        gamma = gram([d, u.T], f"k={k}, h={h}, q={q}")
+        del d  # not held while the consumer works on the level
+        yield level, gamma
+
+
+def _diagonal_block(matrix: Coo, level: Level, w: int) -> IntMatrix:
+    return matrix.block(*level.span(w), *level.span(w))
+
+
 def laplacian_slices(k: int, h: int, keys=None):
     """Yield ``(q, w, basis, gamma)`` for the (q, w) slices of the degree-h
     block in sorted order, or for those in ``keys`` only.
 
     ``gamma`` is the slice block D_q^T D_q + D_{q+1} D_{q+1}^T of
-    Gamma = d delta + delta d, with D_q the matrix of ``differential`` from
-    the (q, w) slice to the (q-1, w) slice.  Each D_q is built once and
-    compared with the matrix of ``codifferential`` from the (q-1, w) slice
-    to the (q, w) slice, built independently; a mismatch raises
-    ClaimFalsified.
+    Gamma = d delta + delta d, with D_q the matrix of the differential from
+    the (q, w) slice to the (q-1, w) slice, cut from the level matrices of
+    ``_gamma_levels`` (check 1 runs there).
     """
-    def boundary(q: int, w: int) -> tuple[IntMatrix, IntMatrix]:
-        """(D_q, D_q^T) on weight w, D_q^T checked against the codifferential."""
-        src, tgt = _slice(k, h, q, w), _slice(k, h, q - 1, w)
-        d = matrix_of(lambda c: differential(k, c), src, tgt)
-        dt = d.transpose()
-        if matrix_of(lambda c: codifferential(k, c), tgt, src) != dt:
-            raise ClaimFalsified(
-                f"codifferential is not the transpose of the differential on "
-                f"k={k}, h={h}, q={q}, w={w}")
-        return d, dt
-
-    upper: dict = {}  # (q + 1, w) -> (D_{q+1}, D_{q+1}^T), kept for that slice
-    for (q, w), basis in _slice_bases(k, h).items():
-        if keys is not None and (q, w) not in keys:
-            continue
-        d, dt = upper.pop((q, w), None) or boundary(q, w)
-        u, ut = upper[(q + 1, w)] = boundary(q + 1, w)
-        # one column at a time: whole products would hold three slice-sized
-        # matrices at once
-        columns = []
-        for j in range(basis.dim):
-            col = dt.apply(d.columns[j])
-            add_scaled(col, u.apply(ut.columns[j]))
-            columns.append(col)
-        yield q, w, basis, IntMatrix(basis.dim, basis.dim, columns)
+    qs = None if keys is None else {q for q, _ in keys}
+    for level, gamma in _gamma_levels(k, h, qs):
+        for basis in level.slices:
+            if keys is None or (level.q, basis.w) in keys:
+                yield level.q, basis.w, basis, _diagonal_block(gamma, level, basis.w)
 
 
 def _whole_slices(k: int, basis: BlockBasis) -> dict:
@@ -236,20 +276,26 @@ def laplacian_closed_form(k: int, basis: BlockBasis) -> IntMatrix:
 # the sl2 certificate for k in {-1, 2}
 
 def _casimir_certified(k: int, h: int):
-    """The ``laplacian_slices`` of the degree-h block, walked beside its
-    ``sl2_slices`` (checks 2-3 of the module docstring), each checked to
-    satisfy 2 Gamma = 2h I +- C (check 4).  Raises ClaimFalsified naming k,
-    h, q and w.
+    """The ``laplacian_slices`` of the degree-h block.  Each level of
+    ``_gamma_levels`` (check 1) is walked beside its ``sl2_levels`` (checks
+    2-3 of the module docstring) and checked to satisfy 2 Gamma = 2h I +- C
+    (check 4) before it is cut into slices.  Raises ClaimFalsified naming k,
+    h, q and the w of the first failing column.
     """
     sign = 1 if k == -1 else -1
-    for (q, w, basis, gamma), (*_, casimir) in zip(
-            laplacian_slices(k, h), sl2_slices(k, _slice_bases(k, h))):
-        eye = IntMatrix.identity(basis.dim)
-        if gamma.scale(2) != eye.scale(2 * h) + casimir.scale(sign):
+    checked = sl2_levels(k, _slice_bases(k, h))
+    for level, gamma in _gamma_levels(k, h):
+        casimir = next(checked)[2]
+        n = len(level)
+        diff = coo_sum((n, n), gamma.scaled(2), coo_diag(np.full(n, -2 * h)),
+                       casimir.scaled(-sign))
+        del casimir  # only gamma is cut into slices
+        if diff.vals.size:
             raise ClaimFalsified(
                 f"2 Gamma != 2h I {'+' if sign > 0 else '-'} C on "
-                f"k={k}, h={h}, q={q}, w={w}")
-        yield q, w, basis, gamma
+                f"k={k}, h={h}, q={level.q}, w={level.weights[diff.cols[0]]}")
+        for basis in level.slices:
+            yield level.q, basis.w, basis, _diagonal_block(gamma, level, basis.w)
 
 
 # ---------------------------------------------------------------------------

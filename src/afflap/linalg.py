@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,6 +156,132 @@ class IntMatrix:
             for i, v in col.items():
                 a[i, j] = v % p
         return a
+
+
+# ---------------------------------------------------------------------------
+# int64 coordinate arrays: sums, transposes and Gram sums of whole levels
+
+# expanded (row, col) pairs held at once by one chunk of ``gram``
+GRAM_PAIR_BUDGET = 1 << 14
+
+
+class Coo(NamedTuple):
+    """A sparse integer matrix as int64 coordinate arrays.
+
+    ``coo_sum`` and ``gram`` return it compressed: no repeated (row, col),
+    no zero value, sorted by column and then by row.
+    """
+
+    shape: tuple
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def empty(cls, shape: tuple) -> "Coo":
+        return cls(shape, *(np.zeros(0, dtype=np.int64),) * 3)
+
+    @property
+    def T(self) -> "Coo":
+        return Coo(self.shape[::-1], self.cols, self.rows, self.vals)
+
+    def scaled(self, s: int) -> "Coo":
+        return self._replace(vals=self.vals * s)
+
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> IntMatrix:
+        """Rows r0..r1-1 and columns c0..c1-1 of a compressed matrix as an
+        ``IntMatrix``; raises ValueError when those columns have an entry in
+        another row."""
+        lo, hi = np.searchsorted(self.cols, (c0, c1))
+        rows = self.rows[lo:hi] - r0
+        if rows.size and (rows.min() < 0 or rows.max() >= r1 - r0):
+            raise ValueError(f"columns {c0}..{c1 - 1} have entries outside rows {r0}..{r1 - 1}")
+        counts = np.bincount(self.cols[lo:hi] - c0, minlength=c1 - c0).tolist()
+        rows, vals = rows.tolist(), self.vals[lo:hi].tolist()
+        columns, at = [], 0
+        for n in counts:
+            columns.append(dict(zip(rows[at:at + n], vals[at:at + n])))
+            at += n
+        return IntMatrix(r1 - r0, c1 - c0, columns)
+
+
+def coo_diag(values) -> Coo:
+    values = np.asarray(values, dtype=np.int64)
+    idx = np.arange(values.size)
+    return Coo((values.size, values.size), idx, idx, values)
+
+
+def coo_from_keys(shape: tuple, key: np.ndarray, vals: np.ndarray) -> Coo:
+    """The compressed matrix that sums vals[i] at the position with key
+    col * shape[0] + row equal to key[i]."""
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], vals[order]
+    if key.size:
+        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        key, vals = key[first], np.add.reduceat(vals, first)
+        keep = vals != 0
+        key, vals = key[keep], vals[keep]
+    nrows = max(shape[0], 1)
+    return Coo(shape, key % nrows, key // nrows, vals)
+
+
+def coo_sum(shape: tuple, *parts: Coo) -> Coo:
+    """The compressed sum of matrices of one shape."""
+    return coo_from_keys(shape, np.concatenate([p.cols * shape[0] + p.rows for p in parts]),
+                         np.concatenate([p.vals for p in parts]))
+
+
+def gram(parts: list, where: str) -> Coo:
+    """The compressed sum of A^T A over the matrices A in ``parts``, which
+    share their column count n.
+
+    Stacking the parts makes this one Gram sum, expanded, sorted and
+    compressed (Bell, Dalton and Olson 2012): each entry A[r, j] pairs with
+    every entry A[r, i] of its row, giving A[r, i] A[r, j] at (i, j).  The
+    output columns are taken in chunks of at most ``GRAM_PAIR_BUDGET`` pairs
+    (a column never splits), so terms of different parts that cancel do so
+    before the next chunk is expanded.  A sum of at most c terms of size at
+    most m^2, where c is the largest number of entries of a column and m the
+    largest |A[r, i]|, stays below 2^62 when m^2 c does; otherwise this
+    raises OverflowError naming ``where``.  Integer arithmetic throughout.
+    """
+    n = parts[0].shape[1]
+    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+    inner = np.concatenate([p.rows + off for p, off in zip(parts, offsets)])
+    outer = np.concatenate([p.cols for p in parts])
+    vals = np.concatenate([p.vals for p in parts])
+    if not vals.size:
+        return Coo.empty((n, n))
+    big = int(np.abs(vals).max()) ** 2 * int(np.bincount(outer).max())
+    if big >= 1 << 62:
+        raise OverflowError(f"int64 Gram sum could overflow on {where}")
+    order = np.argsort(inner, kind="stable")
+    inner, outer, vals = inner[order], outer[order], vals[order]
+    starts = np.flatnonzero(np.diff(inner, prepend=-1))
+    sizes = np.diff(starts, append=inner.size)
+    # each entry, taken as the column side, with the start and size of its row
+    by_col = np.argsort(outer, kind="stable")
+    start, size = np.repeat(starts, sizes)[by_col], np.repeat(sizes, sizes)[by_col]
+    col, val = outer[by_col], vals[by_col]
+    del order, inner, by_col  # freed before the chunks are expanded
+    ends = np.cumsum(size)
+    col_ends = np.flatnonzero(np.append(col[1:] != col[:-1], True))
+    pairs_to = ends[col_ends]
+    out = []
+    lo = 0
+    while lo < col.size:
+        base = ends[lo] - size[lo]
+        cut = np.searchsorted(pairs_to, base + GRAM_PAIR_BUDGET, side="right")
+        hi = col_ends[max(cut - 1, np.searchsorted(col_ends, lo))] + 1
+        m = size[lo:hi]
+        total = int(m.sum())
+        pos = np.arange(total) - np.repeat(ends[lo:hi] - m - base, m)
+        partner = np.repeat(start[lo:hi], m) + pos
+        key = np.repeat(col[lo:hi], m) * n + outer[partner]
+        out.append(coo_from_keys((n, n), key, np.repeat(val[lo:hi], m) * vals[partner]))
+        lo = hi
+    return Coo((n, n), *(np.concatenate([getattr(chunk, field) for chunk in out])
+                         for field in ("rows", "cols", "vals")))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Finite-dimensional sl2 machinery: representation ring, characters,
 Clebsch-Gordan singular vectors, and the sl2 action on chain blocks.
-``sl2_slices`` is the one source of the checked e_{+-1} slice matrices: the
-Laplacian certificate takes the Casimir from it, the singular route E_1.
+``sl2_levels`` is the one source of the checked e_{+-1} matrices: the
+Laplacian certificate takes the level Casimir from it, and the singular
+route the E_1 slices that ``sl2_slices`` cuts from it.
 
 Dominant weights are stored doubled (2w is a non-negative integer), so all
 bookkeeping stays integral even for half-integer weights.  The same doubling
@@ -14,15 +15,18 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .chains import (
     BlockBasis,
-    adjoint_action,
+    Level,
+    adjoint_coo,
     block_dim_table,
     enumerate_block,
-    matrix_of,
+    levels,
     slices,
 )
-from .linalg import IntMatrix, add_scaled, bareiss_rank
+from .linalg import Coo, add_scaled, bareiss_rank, coo_diag, coo_sum, gram
 
 
 class ClaimFalsified(AssertionError):
@@ -326,57 +330,74 @@ def _doubled(w) -> int:
 
 
 # ---------------------------------------------------------------------------
-# chain blocks as sl2-modules, one (q, w) slice at a time
+# chain blocks as sl2-modules, one (q, h) level at a time
 
-def _action_matrix(k: int, g: int, source: BlockBasis, target: BlockBasis,
-                   where: str) -> IntMatrix:
-    try:
-        return matrix_of(lambda c: adjoint_action(g, c, k), source, target)
-    except ValueError as exc:
+def _check_lands(matrix: Coo, level: Level, g: int, where: str) -> None:
+    """Check 2, one half: every image of e_g from weight w has weight
+    w + g.  A failure names the slice of the first failing column's pair of
+    weights {w, w + g} where the e_1 matrix starts: the lower one."""
+    weights = level.weights
+    bad = np.flatnonzero(weights[matrix.rows] != weights[matrix.cols] + g)
+    if bad.size:
+        i = bad[np.argmin(matrix.cols[bad])]
+        row, col = matrix.rows[i], matrix.cols[i]
+        w = int(weights[col])
         raise ClaimFalsified(
-            f"e_{g} leaves weight {target.w} on {where}: {exc}") from None
+            f"e_{g} leaves weight {w + g} on {where}, w={min(w, w + g)}: image term "
+            f"{tuple(level.monos[row].tolist())} of {tuple(level.monos[col].tolist())} "
+            f"is outside the target block (k={level.k}, h={level.h}, w={w + g})")
 
 
-def _raising_pair(k: int, source: BlockBasis, target: BlockBasis, where: str):
-    """(E_w, E_w^T): the matrix of e_1 from the (q, w) slice ``source`` to
-    the (q, w+1) slice ``target``, and that of e_{-1} back, built on its own
-    and checked to be the transpose."""
-    up = _action_matrix(k, 1, source, target, where)
-    down = _action_matrix(k, -1, target, source, where)
-    if down != up.transpose():
-        raise ClaimFalsified(f"e_-1 is not the transpose of e_1 on {where}")
-    return up, down
+def sl2_levels(k: int, parts: dict):
+    """Yield ``(level, E, C)`` for the ``levels`` of ``parts``, the
+    ``slices`` map of a union of whole (q, w) slices, in increasing q.
+
+    E is the matrix of e_1 on the level, built by its image rule, and
+    C = E^T E + w^2 I + E E^T the Casimir; both keep q, E raises w by one
+    and C keeps it.  Each level first passes checks 2 and 3 of the
+    ``laplacian`` docstring: E lands in weight w + 1 and the matrix of
+    e_{-1}, built on its own by its image rule, equals E^T; and
+    E E^T - E^T E = w I, which is [e_1, e_{-1}] = e_0.  So the union is an
+    sl2-module, and C acts by w'(w'+1) on its isotypic piece of dominant
+    weight w'.  A failure raises ClaimFalsified naming k, h, q and the w of
+    the first failing column of the e_1 matrix.
+    """
+    for level in levels(parts).values():
+        yield (level, *_raising_and_casimir(k, level))
+
+
+def _raising_and_casimir(k: int, level: Level) -> tuple[Coo, Coo]:
+    """(E, C) on one level, after checks 2 and 3; its temporaries are
+    freed before ``sl2_levels`` yields the level."""
+    n, weights = len(level), level.weights
+    where = f"k={k}, h={level.h}, q={level.q}"
+    up = adjoint_coo(1, k, level)
+    _check_lands(up, level, 1, where)
+    down = adjoint_coo(-1, k, level)
+    _check_lands(down, level, -1, where)
+    diff = coo_sum((n, n), up, down.T.scaled(-1))
+    if diff.vals.size:
+        raise ClaimFalsified(
+            f"e_-1 is not the transpose of e_1 on {where}, w={weights[diff.cols[0]]}")
+    lower_raise = gram([up], where)     # e_-1 e_1 = E^T E
+    raise_lower = gram([up.T], where)   # e_1 e_-1 = E E^T
+    diff = coo_sum((n, n), raise_lower, lower_raise.scaled(-1), coo_diag(-weights))
+    if diff.vals.size:
+        raise ClaimFalsified(f"[e_1, e_-1] != w I on {where}, w={weights[diff.cols[0]]}")
+    return up, coo_sum((n, n), lower_raise, coo_diag(weights * weights), raise_lower)
 
 
 def sl2_slices(k: int, parts: dict):
-    """Yield ``(q, w, basis, E_w, C)`` for the slices of ``parts``, the
-    ``slices`` map of a union of whole (q, w) slices, in sorted order.
-
-    E_w is the matrix of e_1 from the (q, w) slice to the (q, w+1) slice and
-    C = E_w^T E_w + w^2 I + E_{w-1} E_{w-1}^T the Casimir on the slice.  Each
-    slice first passes checks 2 and 3 of the ``laplacian`` docstring: E_w
-    lands in the (q, w+1) slice and the matrix of e_{-1} back equals E_w^T,
-    and E_{w-1} E_{w-1}^T - E_w^T E_w = w I, which is [e_1, e_{-1}] = e_0.
-    So the union is an sl2-module, and C acts by w'(w'+1) on its isotypic
-    piece of dominant weight w'.  A failure raises ClaimFalsified naming k,
-    h, q and w.  The (q, w-1) slice, if any, comes just before in sorted
-    order, so its E_w is carried over instead of being rebuilt.
+    """Yield ``(q, w, basis, E_w, C)`` for the slices of ``parts`` in sorted
+    order, cut from ``sl2_levels``: E_w is the matrix of e_1 from the (q, w)
+    slice to the (q, w+1) slice and C = E_w^T E_w + w^2 I + E_{w-1} E_{w-1}^T
+    the Casimir on the slice.
     """
-    key, pair = None, None  # (q, w) of the slice just before, and its E_w, E_w^T
-    for (q, w), basis in parts.items():
-        h = basis.h
-        where = f"k={k}, h={h}, q={q}, w={w}"
-        below = pair if key == (q, w - 1) else _raising_pair(
-            k, BlockBasis(k, h, (), w=w - 1), basis, where)
-        above = parts.get((q, w + 1)) or BlockBasis(k, h, (), w=w + 1)
-        key, pair = (q, w), _raising_pair(k, basis, above, where)
-        (up_below, down_below), (up, down) = below, pair
-        raise_lower = up_below * down_below  # e_1 e_-1 on the slice
-        lower_raise = down * up              # e_-1 e_1
-        eye = IntMatrix.identity(basis.dim)
-        if raise_lower - lower_raise != eye.scale(w):
-            raise ClaimFalsified(f"[e_1, e_-1] != w I on {where}")
-        yield q, w, basis, up, lower_raise + eye.scale(w * w) + raise_lower
+    for level, up, casimir in sl2_levels(k, parts):
+        for basis in level.slices:
+            span = level.span(basis.w)
+            yield (level.q, basis.w, basis, up.block(*level.span(basis.w + 1), *span),
+                   casimir.block(*span, *span))
 
 
 def singular_multiplicities(k: int, basis: BlockBasis) -> RepRingElement:

@@ -1,6 +1,8 @@
 import pytest
 
 from afflap.chains import (
+    BlockBasis,
+    Level,
     adjoint_action,
     block_dim_table,
     codifferential,
@@ -325,3 +327,17 @@ def test_generating_product_equals_enumeration():
                 key = (len(mono), weight(mono), h)
                 poly[key] = poly.get(key, 0) - 1
         assert all(v == 0 for v in poly.values())
+
+
+def test_level_keys_refuse_indices_past_their_width():
+    """Keys hold each index minus k in 16 bits; a monomial outside that
+    range is refused with k, h and q named, not wrapped into a false match."""
+    import numpy as np
+
+    top = (1 << 16) - 1
+    level = Level(0, 1, 2, [BlockBasis(0, 1, [(0, top)], w=0)])
+    assert level.find(level.pack(np.array([[0, top]]))).tolist() == [0]
+    with pytest.raises(OverflowError, match="k=0, h=1, q=2"):
+        Level(0, 1, 2, [BlockBasis(0, 1, [(0, top + 1)], w=0)])
+    with pytest.raises(OverflowError, match="k=0, h=1, q=2"):
+        level.pack(np.array([[-1, 3]]))

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from afflap.chains import (
@@ -31,6 +32,7 @@ from afflap.laplacian import (
     spectrum,
     two_dim_pairing_oracle,
 )
+from afflap.linalg import Coo, coo_diag, coo_sum
 
 
 def test_constructions_agree_small():
@@ -71,19 +73,32 @@ def test_definition_rejects_split_slices():
         laplacian_by_definition(2, BlockBasis(2, 4, [(2, 3)]))
 
 
+def _row(level, mono) -> int:
+    """The row of ``mono`` in the level, or -1."""
+    if len(mono) != level.q:
+        return -1
+    return int(level.find(level.pack(np.array([mono], dtype=np.int64)))[0])
+
+
+def _flipped(matrix, level_rows, level_cols, image, source):
+    """``matrix`` with the sign of its (image, source) entry flipped."""
+    row, col = _row(level_rows, image), _row(level_cols, source)
+    hit = (matrix.rows == row) & (matrix.cols == col) & (col >= 0)
+    return matrix._replace(vals=np.where(hit, -matrix.vals, matrix.vals))
+
+
 def test_definition_checks_codifferential_against_transpose(monkeypatch):
     from afflap import laplacian
 
-    real = laplacian.codifferential
+    real = laplacian.codifferential_coo
 
-    def one_sign_flipped(k, chain):
-        image = real(k, chain)
-        return {m: -c for m, c in image.items()} if chain == {(5,): 1} else image
+    def one_sign_flipped(k, src, tgt):
+        return _flipped(real(k, src, tgt), tgt, src, (2, 3), (5,))
 
     basis = enumerate_block(2, 2)
     assert codifferential(2, {(5,): 1}) == {(2, 3): 1}
     laplacian_by_definition(2, basis)
-    monkeypatch.setattr(laplacian, "codifferential", one_sign_flipped)
+    monkeypatch.setattr(laplacian, "codifferential_coo", one_sign_flipped)
     with pytest.raises(ClaimFalsified):
         laplacian_by_definition(2, basis)
 
@@ -98,17 +113,14 @@ def _first_image_monomial(k, h, g, terms=1):
 def test_certificate_rejects_a_lowering_matrix_that_is_not_the_transpose(monkeypatch):
     from afflap import sl2
 
-    real = sl2.adjoint_action
-    target, _ = _first_image_monomial(2, 4, -1)
+    real = sl2.adjoint_coo
+    target, image = _first_image_monomial(2, 4, -1)
 
-    def one_entry_flipped(g, chain, k):
-        image = real(g, chain, k)
-        if g == -1 and chain == {target: 1}:
-            first = min(image)
-            image = {**image, first: -image[first]}
-        return image
+    def one_entry_flipped(g, k, level):
+        matrix = real(g, k, level)
+        return _flipped(matrix, level, level, min(image), target) if g == -1 else matrix
 
-    monkeypatch.setattr(sl2, "adjoint_action", one_entry_flipped)
+    monkeypatch.setattr(sl2, "adjoint_coo", one_entry_flipped)
     q, w = len(target), weight(target) - 1
     with pytest.raises(ClaimFalsified, match=rf"^e_-1 is not the transpose of e_1 "
                                              rf"on k=2, h=4, q={q}, w={w}$"):
@@ -118,14 +130,18 @@ def test_certificate_rejects_a_lowering_matrix_that_is_not_the_transpose(monkeyp
 def test_certificate_rejects_a_raising_image_of_the_wrong_weight(monkeypatch):
     from afflap import sl2
 
-    real = sl2.adjoint_action
+    real = sl2.adjoint_coo
     target, _ = _first_image_monomial(2, 4, 1)
 
-    def escapes(g, chain, k):
-        image = real(g, chain, k)
-        return {**image, target: 1} if g == 1 and chain == {target: 1} else image
+    def escapes(g, k, level):
+        matrix = real(g, k, level)
+        at = _row(level, target)
+        if g != 1 or at < 0:
+            return matrix
+        return Coo(matrix.shape, np.append(matrix.rows, at), np.append(matrix.cols, at),
+                   np.append(matrix.vals, 1))
 
-    monkeypatch.setattr(sl2, "adjoint_action", escapes)
+    monkeypatch.setattr(sl2, "adjoint_coo", escapes)
     q, w = len(target), weight(target)
     with pytest.raises(ClaimFalsified, match=rf"^e_1 leaves weight {w + 1} "
                                              rf"on k=2, h=4, q={q}, w={w}: "):
@@ -139,18 +155,17 @@ def _break_the_bracket(monkeypatch):
     above.  Returns the message the bracket check must raise."""
     from afflap import sl2
 
-    real = sl2.adjoint_action
+    real = sl2.adjoint_coo
     source, image = _first_image_monomial(2, 4, 1, terms=2)
     target = min(image)
 
-    def matching_flips(g, chain, k):
-        out = real(g, chain, k)
-        if (g, chain) in ((1, {source: 1}), (-1, {target: 1})):
-            flip = target if g == 1 else source
-            out = {**out, flip: -out[flip]}
-        return out
+    def matching_flips(g, k, level):
+        matrix = real(g, k, level)
+        if g == 1:
+            return _flipped(matrix, level, level, target, source)
+        return _flipped(matrix, level, level, source, target)
 
-    monkeypatch.setattr(sl2, "adjoint_action", matching_flips)
+    monkeypatch.setattr(sl2, "adjoint_coo", matching_flips)
     q, w = len(source), weight(source)
     return rf"^\[e_1, e_-1\] != w I on k=2, h=4, q={q}, w=({w}|{w + 1})$"
 
@@ -174,19 +189,18 @@ def test_singular_route_shares_the_bracket_check(monkeypatch):
 
 
 def test_certificate_checks_gamma_against_casimir(monkeypatch):
-    """Gamma + I on every slice keeps the sl2 checks passing, but
+    """Gamma + I on every level keeps the sl2 checks passing, but
     2 Gamma = 2h I - C fails on the first slice."""
     from afflap import laplacian
-    from afflap.linalg import IntMatrix
 
-    real = laplacian.laplacian_slices
+    real = laplacian.gram
 
-    def shifted(k, h, keys=None):
-        for q, w, basis, gamma in real(k, h, keys):
-            yield q, w, basis, gamma + IntMatrix.identity(basis.dim)
+    def shifted(parts, where):
+        gamma = real(parts, where)
+        return coo_sum(gamma.shape, gamma, coo_diag(np.ones(gamma.shape[0], dtype=np.int64)))
 
     assert spectrum(2, 4).lines
-    monkeypatch.setattr(laplacian, "laplacian_slices", shifted)
+    monkeypatch.setattr(laplacian, "gram", shifted)
     q, w = min((len(m), weight(m)) for m in enumerate_block(2, 4))
     with pytest.raises(ClaimFalsified, match=rf"^2 Gamma != 2h I - C on k=2, h=4, q={q}, w={w}$"):
         spectrum(2, 4)

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from afflap import linalg
 from afflap.linalg import (
+    Coo,
     IntMatrix,
     bareiss_rank,
     berkowitz_charpoly,
@@ -12,6 +14,7 @@ from afflap.linalg import (
     exact_nullity,
     fraction_kernel,
     gershgorin_bound,
+    gram,
     modular_kernel,
     nullity_mod_p,
     rank_mod_p,
@@ -243,3 +246,46 @@ def test_gershgorin():
     m = from_rows([[3, -1], [2, 0]])
     assert gershgorin_bound(m) == 4
     assert gershgorin_bound(IntMatrix(2, 2)) == 0
+
+
+def _coo(rows: int, cols: int, entries: dict) -> Coo:
+    """A Coo from {(i, j): value}."""
+    keys = list(entries)
+    return Coo((rows, cols), np.array([i for i, _ in keys], dtype=np.int64),
+               np.array([j for _, j in keys], dtype=np.int64),
+               np.array(list(entries.values()), dtype=np.int64))
+
+
+def test_gram_is_the_sum_of_the_products(monkeypatch):
+    """gram(parts) equals the sum of A^T A over the parts, with chunk
+    budgets from one pair (every column its own chunk) to all of them."""
+    rng = random.Random(11)
+    for budget in (1, 3, 40, 1 << 14):
+        monkeypatch.setattr(linalg, "GRAM_PAIR_BUDGET", budget)
+        for _ in range(25):
+            n = rng.randint(1, 7)
+            parts, want = [], IntMatrix.zero(n, n)
+            for _ in range(rng.randint(1, 3)):
+                r = rng.randint(0, 6)
+                entries = {(i, j): rng.choice((-2, -1, 1, 3)) for i in range(r) for j in range(n)
+                           if rng.random() < 0.4}
+                parts.append(_coo(r, n, entries))
+                a = IntMatrix(r, n, [{i: v for (i, jj), v in entries.items() if jj == j}
+                                     for j in range(n)])
+                want = want + a.transpose() * a
+            got = gram(parts, "test")
+            assert got.block(0, n, 0, n) == want
+            assert np.all(got.vals != 0)
+            assert np.all(np.diff(got.cols * n + got.rows) > 0)
+
+
+def test_gram_refuses_sums_that_could_overflow_int64():
+    """max|v|^2 times the largest column count must stay below 2^62."""
+    edge = (1 << 31) - 1
+    assert gram([_coo(1, 1, {(0, 0): edge})], "x").vals.tolist() == [edge * edge]
+    with pytest.raises(OverflowError, match="k=5, h=7, q=3"):
+        gram([_coo(1, 2, {(0, 0): 1 << 31, (0, 1): 1})], "k=5, h=7, q=3")
+    three = {(i, 0): 1 << 30 for i in range(3)}
+    assert gram([_coo(3, 1, three)], "x").vals.tolist() == [3 << 60]
+    with pytest.raises(OverflowError, match="k=5, h=7, q=3"):
+        gram([_coo(3, 1, three), _coo(1, 1, {(0, 0): 1})], "k=5, h=7, q=3")

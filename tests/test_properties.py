@@ -16,17 +16,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afflap.chains import (
+    BlockBasis,
+    Level,
     adjoint_action,
+    adjoint_coo,
     chain_insert,
     codifferential,
+    codifferential_coo,
     conjugate_action,
     differential,
+    differential_coo,
     enumerate_block,
+    levels,
     matrix_of,
     normalize_wedge,
     raising_action,
     weight,
 )
+from afflap.chains import slices as slices_of
 from afflap.generators import epsilon, generator_degree
 from afflap.linalg import IntMatrix, exact_nullity, nullity_mod_p
 from afflap.series import EisensteinInt
@@ -176,6 +183,58 @@ def test_conjugate_action_is_the_transpose_of_raising(khwq, r):
     up = matrix_of(lambda c: raising_action(r, c, k), here, there)
     back = matrix_of(lambda c: conjugate_action(r, c, k), there, here)
     assert back == up.transpose()
+
+
+def _slice_matrices(op, parts: dict, src, shift: tuple) -> dict:
+    """The ``matrix_of`` of ``op`` from each (q, w) slice of the level
+    ``src`` to the (q + dq, w + dw) slice of ``parts``, for
+    ``shift`` = (dq, dw), keyed by w; None when ``op`` raises ValueError on
+    some slice."""
+    k, h, q = src.k, src.h, src.q
+    try:
+        return {basis.w: matrix_of(op, basis, parts.get((q + shift[0], basis.w + shift[1]))
+                                   or BlockBasis(k, h, (), w=basis.w + shift[1]))
+                for basis in src.slices}
+    except ValueError:
+        return None
+
+
+def _array_slices(build, src, tgt, dw: int) -> dict:
+    """The slices of the level matrix ``build()`` in the layout of
+    ``_slice_matrices``; None when ``build`` raises ValueError."""
+    try:
+        matrix = build()
+    except ValueError:
+        return None
+    return {basis.w: matrix.block(*tgt.span(basis.w + dw), *src.span(basis.w))
+            for basis in src.slices}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(KS, st.integers(min_value=0, max_value=9))
+@example(-1, 0)  # h = 0: the level q = 0 holds the empty monomial
+@example(2, 1)   # one level, q = 1, between two empty ones
+@example(-1, 9)
+def test_level_arrays_match_the_per_monomial_operators(k, h):
+    """Every slice of the level arrays D_q, delta, E_1 and E_-1 equals the
+    ``matrix_of`` of ``differential``, ``codifferential`` and
+    ``adjoint_action``.  The levels run from q = 0 to one past the top of
+    the block, so empty levels and empty neighbours are included; an entry
+    outside the compared slice makes ``Coo.block`` raise.  For k other than
+    -1 and 2, e_-1 can leave L(k): then both routes raise ValueError."""
+    parts = slices_of(enumerate_block(k, h))
+    by_q = levels(parts)
+    level = {q: by_q.get(q) or Level(k, h, q) for q in range(max(by_q) + 3)}
+    for q in range(max(by_q) + 2):
+        src = level[q]
+        if q:
+            assert (_array_slices(lambda: differential_coo(k, src, level[q - 1]), src, level[q - 1], 0)
+                    == _slice_matrices(lambda c: differential(k, c), parts, src, (-1, 0)))
+        assert (_array_slices(lambda: codifferential_coo(k, src, level[q + 1]), src, level[q + 1], 0)
+                == _slice_matrices(lambda c: codifferential(k, c), parts, src, (1, 0)))
+        for g in (1, -1):
+            assert (_array_slices(lambda: adjoint_coo(g, k, src), src, src, g)
+                    == _slice_matrices(lambda c: adjoint_action(g, c, k), parts, src, (0, g)))
 
 
 # ---------------------------------------------------------------------------
