@@ -16,9 +16,10 @@ The arrays stay exact: no floating point is used, ``gram`` raises before a
 sum could pass 2^62, and ``Level`` before an index overflows its key, each
 naming k, h and q.
 
-Spectra are exact.  For k in {0, 1} Gamma is scalar on every slice, and the
-scalar is checked entrywise.  For k in {-1, 2} every (q, w) slice passes
-these exact integer checks in order; a failure raises ClaimFalsified.
+Spectra are exact.  For k in {0, 1} Gamma is scalar on every slice, and
+each level of Gamma is compared entrywise with the diagonal matrix of its
+slices' scalars.  For k in {-1, 2} every (q, w) slice passes these exact
+integer checks in order; a failure raises ClaimFalsified.
 Checks 1-4 are statements about one slice.  Each is checked on a whole
 level at once, which checks it on every slice of the level, since the level
 matrices are block diagonal over the slices (E_1 sends each slice into the
@@ -39,18 +40,28 @@ column:
    Gamma acts on that piece by h +- w'(w'+1)/2;
 5. the piece of dominant weight w' >= |w| occurs dim(q, w') - dim(q, w'+1)
    times in the slice; these weight counts must be non-negative and fill it;
-6. each predicted multiplicity equals the nullity of Gamma - lambda on the
-   slice: fraction-free elimination on small slices, modular rank (decided
-   exactly on a mismatch) on large ones.  The modular ranks of one slice
-   come from one ``nullity_mod_p`` call for all its lambdas.  Gamma - lambda
-   has the same sparsity components for every lambda, since row i is joined
-   to column i, and permuting rows and columns makes it block diagonal over
-   them, so its rank mod p is the sum of the ranks of its shifted
-   components.  A fraction-free step replaces a row r by pv r - f s, with s
-   the pivot row and pv != 0 mod p: an invertible row operation over GF(p),
-   so the rank mod p is kept.  Each nullity is therefore the one that
-   eliminating the whole shifted slice mod p gives, and the check is
-   unchanged.
+6. each predicted multiplicity m_lambda equals the nullity of Gamma - lambda
+   on the slice.  One ``level_ranks_mod_p`` call gives the rank mod p of
+   Gamma - lambda for every lambda of every slice of a level.  Gamma -
+   lambda has the same sparsity components for every lambda, since row i
+   is joined to column i; they never cross a slice, since the level matrix
+   is block diagonal over the slices; and permuting rows and columns makes
+   it block diagonal over them, so its rank mod p on a slice is the sum of
+   the ranks of the slice's shifted components.  A fraction-free step
+   replaces a row r by pv r - f s, with s the pivot row and pv != 0 mod p:
+   an invertible row operation over GF(p), so the rank mod p is kept.  The
+   rank mod p never exceeds the rank over Q, so each modular nullity
+   null_p bounds null_Q from above; where it differs from m_lambda,
+   fraction-free elimination decides exactly.  On slices of dimension at
+   most ``EXACT_NULLITY_CUT`` the residual product prod (Gamma - lambda I)
+   over the slice's distinct lambdas is also checked to be zero, exactly,
+   and that makes every nullity exact:
+   - the product is zero, so Gamma is diagonalizable on the slice with
+     eigenvalues among the lambdas, and sum_lambda null_Q = n;
+   - null_Q <= null_p = m_lambda for each lambda (or null_Q = m_lambda
+     where elimination decided it);
+   - sum_lambda m_lambda = n (check 5), so null_Q = m_lambda for every
+     lambda.
 """
 
 from __future__ import annotations
@@ -86,20 +97,21 @@ from .linalg import (
     IntMatrix,
     add_scaled,
     berkowitz_charpoly,
-    certify_full_rank,
     coo_diag,
     coo_sum,
     exact_nullity,
     gershgorin_bound,
     gram,
+    level_ranks_mod_p,
     modular_kernel,
-    nullity_mod_p,
+    nullity_mod_p,  # noqa: F401  (perfbench/tracer.py wraps it here)
     strip_integer_roots,
 )
 from .sl2 import ClaimFalsified, sl2_levels
 
-# Slices up to this dimension get their nullities by exact elimination and
-# the residual product check; the larger ones use modular ranks.
+# Slices up to this dimension get exact nullities from their modular ranks
+# and the residual product check; on larger ones a modular nullity that
+# matches its prediction is taken as it is (check 6).
 EXACT_NULLITY_CUT = 48
 
 
@@ -276,11 +288,11 @@ def laplacian_closed_form(k: int, basis: BlockBasis) -> IntMatrix:
 # the sl2 certificate for k in {-1, 2}
 
 def _casimir_certified(k: int, h: int):
-    """The ``laplacian_slices`` of the degree-h block.  Each level of
-    ``_gamma_levels`` (check 1) is walked beside its ``sl2_levels`` (checks
-    2-3 of the module docstring) and checked to satisfy 2 Gamma = 2h I +- C
-    (check 4) before it is cut into slices.  Raises ClaimFalsified naming k,
-    h, q and the w of the first failing column.
+    """The ``_gamma_levels`` of the degree-h block (check 1), each walked
+    beside its ``sl2_levels`` (checks 2-3 of the module docstring) and
+    checked to satisfy 2 Gamma = 2h I +- C (check 4) before it is yielded.
+    Raises ClaimFalsified naming k, h, q and the w of the first failing
+    column.
     """
     sign = 1 if k == -1 else -1
     checked = sl2_levels(k, _slice_bases(k, h))
@@ -289,13 +301,12 @@ def _casimir_certified(k: int, h: int):
         n = len(level)
         diff = coo_sum((n, n), gamma.scaled(2), coo_diag(np.full(n, -2 * h)),
                        casimir.scaled(-sign))
-        del casimir  # only gamma is cut into slices
+        del casimir  # only gamma is passed on
         if diff.vals.size:
             raise ClaimFalsified(
                 f"2 Gamma != 2h I {'+' if sign > 0 else '-'} C on "
                 f"k={k}, h={h}, q={level.q}, w={level.weights[diff.cols[0]]}")
-        for basis in level.slices:
-            yield level.q, basis.w, basis, _diagonal_block(gamma, level, basis.w)
+        yield level, gamma
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +415,103 @@ def _residual_annihilates(matrix: IntMatrix, lams: list[int]) -> bool:
     return True
 
 
+def _scalar_level(k: int, h: int, level: Level, gamma: Coo, result: SpectrumResult,
+                  totals: dict) -> None:
+    """Check that Gamma is the scalar ``predicted_eigenvalue`` on every slice
+    of a level of L(0) or L(1), in one comparison with the diagonal matrix
+    of those scalars, and record the slices."""
+    lams = [predicted_eigenvalue(k, basis.w, h) for basis in level.slices]
+    n = len(level)
+    scalars = coo_diag(np.repeat(lams, [basis.dim for basis in level.slices]))
+    diff = coo_sum((n, n), gamma, scalars.scaled(-1))
+    failing = level.weights[diff.cols[0]] if diff.vals.size else None
+    q = level.q
+    for basis, lam in zip(level.slices, lams):
+        w, n = basis.w, basis.dim
+        if lam < 0:
+            raise ClaimFalsified(f"negative predicted eigenvalue at k={k}, (q,w,h)=({q},{w},{h})")
+        if w == failing:
+            raise ClaimFalsified(f"block k={k}, h={h}, q={q}, w={w} is not scalar {lam}")
+        totals[lam] = totals.get(lam, 0) + n
+        result.refinement.append(SpectralBlock(
+            k=k, w=w, h=h, q=q, dim=n, predicted_lambda=lam,
+            mult=n, kernel_dim=n if lam == 0 else 0, method="scalar"))
+        result.exact_slices += 1
+
+
+def _predicted_multiplicities(k: int, h: int, q: int, basis: BlockBasis, dims: dict,
+                              result: SpectrumResult) -> dict:
+    """Check 5 on the (q, w0) slice: the multiplicity of each predicted
+    eigenvalue on it, recorded in ``result.refinement``."""
+    n, w0 = basis.dim, basis.w
+    # dominant weights w' >= |w0| occur with multiplicity
+    # dim(q, w') - dim(q, w'+1); each contributes its predicted
+    # eigenvalue to this slice exactly once per copy.
+    expected: dict[int, int] = {}
+    wp = abs(w0)
+    while dims.get((q, wp), 0) or dims.get((q, wp + 1), 0):
+        m_pred = dims.get((q, wp), 0) - dims.get((q, wp + 1), 0)
+        if m_pred < 0:
+            raise ClaimFalsified(
+                f"weight dimensions not unimodal at k={k}, h={h}, q={q}, w'={wp}")
+        if m_pred:
+            lam = predicted_eigenvalue(k, wp, h)
+            if lam < 0:
+                raise ClaimFalsified(
+                    f"negative predicted eigenvalue at k={k}, h={h}, w'={wp}")
+            expected[lam] = expected.get(lam, 0) + m_pred
+            result.refinement.append(SpectralBlock(
+                k=k, w=wp, h=h, q=q, dim=n, predicted_lambda=lam,
+                mult=m_pred,
+                kernel_dim=m_pred if lam == 0 else 0,
+                method="exact" if n <= EXACT_NULLITY_CUT else "modular"))
+        wp += 1
+    if sum(expected.values()) != n:
+        raise ClaimFalsified(
+            f"predicted eigenvalues do not exhaust k={k}, h={h}, q={q}, w={w0}: "
+            f"{sum(expected.values())} of {n}")
+    return expected
+
+
+def _certify_level(k: int, h: int, level: Level, gamma: Coo, dims: dict,
+                   result: SpectrumResult, totals: dict) -> None:
+    """Checks 5 and 6 on every slice of a level of L(-1) or L(2): one
+    ``level_ranks_mod_p`` pass gives every slice's modular nullities."""
+    q = level.q
+    expected = [_predicted_multiplicities(k, h, q, basis, dims, result)
+                for basis in level.slices]
+    lams = [sorted(want) for want in expected]
+    ranks = level_ranks_mod_p(gamma, [(basis.dim, basis.dim) for basis in level.slices], lams)
+    for basis, want, slice_lams, slice_ranks in zip(level.slices, expected, lams, ranks):
+        n, w0 = basis.dim, basis.w
+        small = n <= EXACT_NULLITY_CUT
+        block = None
+        for lam, rank in zip(slice_lams, slice_ranks):
+            m_pred = want[lam]
+            nullity = n - rank
+            if nullity != m_pred:
+                # modular nullity only bounds from above; decide exactly
+                if block is None:
+                    block = _diagonal_block(gamma, level, w0)
+                nullity = exact_nullity(block, lam)
+            if nullity != m_pred:
+                raise ClaimFalsified(
+                    f"eigenvalue {lam} on k={k}, h={h}, q={q}, w={w0}: "
+                    f"nullity {nullity}, predicted {m_pred}")
+            if small:
+                result.exact_slices += 1
+            else:
+                result.modular_slices += 1
+            totals[lam] = totals.get(lam, 0) + m_pred
+        if small:
+            if block is None:
+                block = _diagonal_block(gamma, level, w0)
+            if not _residual_annihilates(block, slice_lams):
+                raise ClaimFalsified(
+                    f"residual product does not annihilate k={k}, h={h}, q={q}, w={w0}")
+            result.residual_checked += 1
+
+
 def spectrum(k: int, h: int) -> SpectrumResult:
     """Complete exact spectral decomposition of the degree-h block.
 
@@ -417,73 +525,11 @@ def spectrum(k: int, h: int) -> SpectrumResult:
     totals: dict[int, int] = {}
 
     if k in (0, 1):
-        for q, w, basis, gamma in laplacian_slices(k, h):
-            n = basis.dim
-            lam = predicted_eigenvalue(k, w, h)
-            if lam < 0:
-                raise ClaimFalsified(f"negative predicted eigenvalue at k={k}, (q,w,h)=({q},{w},{h})")
-            if gamma != IntMatrix.identity(n).scale(lam):
-                raise ClaimFalsified(
-                    f"block k={k}, h={h}, q={q}, w={w} is not scalar {lam}")
-            totals[lam] = totals.get(lam, 0) + n
-            result.refinement.append(SpectralBlock(
-                k=k, w=w, h=h, q=q, dim=n, predicted_lambda=lam,
-                mult=n, kernel_dim=n if lam == 0 else 0, method="scalar"))
-            result.exact_slices += 1
+        for level, gamma in _gamma_levels(k, h):
+            _scalar_level(k, h, level, gamma, result, totals)
     else:
-        for q, w0, basis, gamma in _casimir_certified(k, h):
-            n = basis.dim
-            use_exact = n <= EXACT_NULLITY_CUT
-            # dominant weights w' >= |w0| occur with multiplicity
-            # dim(q, w') - dim(q, w'+1); each contributes its predicted
-            # eigenvalue to this slice exactly once per copy.
-            expected: dict[int, int] = {}
-            wp = abs(w0)
-            while dims.get((q, wp), 0) or dims.get((q, wp + 1), 0):
-                m_pred = dims.get((q, wp), 0) - dims.get((q, wp + 1), 0)
-                if m_pred < 0:
-                    raise ClaimFalsified(
-                        f"weight dimensions not unimodal at k={k}, h={h}, q={q}, w'={wp}")
-                if m_pred:
-                    lam = predicted_eigenvalue(k, wp, h)
-                    if lam < 0:
-                        raise ClaimFalsified(
-                            f"negative predicted eigenvalue at k={k}, h={h}, w'={wp}")
-                    expected[lam] = expected.get(lam, 0) + m_pred
-                    result.refinement.append(SpectralBlock(
-                        k=k, w=wp, h=h, q=q, dim=n, predicted_lambda=lam,
-                        mult=m_pred,
-                        kernel_dim=m_pred if lam == 0 else 0,
-                        method="exact" if use_exact else "modular"))
-                wp += 1
-            if sum(expected.values()) != n:
-                raise ClaimFalsified(
-                    f"predicted eigenvalues do not exhaust k={k}, h={h}, q={q}, w={w0}: "
-                    f"{sum(expected.values())} of {n}")
-            lams = sorted(expected)
-            modular = [] if use_exact else nullity_mod_p(gamma, lams)
-            for i, lam in enumerate(lams):
-                m_pred = expected[lam]
-                if use_exact:
-                    nullity = exact_nullity(gamma, lam)
-                    result.exact_slices += 1
-                else:
-                    nullity = modular[i]
-                    result.modular_slices += 1
-                    if nullity != m_pred:
-                        # modular nullity only bounds from above; decide exactly
-                        nullity = exact_nullity(gamma, lam)
-                if nullity != m_pred:
-                    raise ClaimFalsified(
-                        f"eigenvalue {lam} on k={k}, h={h}, q={q}, w={w0}: "
-                        f"nullity {nullity}, predicted {m_pred}")
-                totals[lam] = totals.get(lam, 0) + m_pred
-            if use_exact and expected:
-                if not _residual_annihilates(gamma, lams):
-                    raise ClaimFalsified(
-                        f"residual product does not annihilate k={k}, h={h}, q={q}, w={w0}")
-                result.residual_checked += 1
-
+        for level, gamma in _casimir_certified(k, h):
+            _certify_level(k, h, level, gamma, dims, result, totals)
     if sum(totals.values()) != result.dim:
         raise ClaimFalsified(
             f"multiplicities sum to {sum(totals.values())} != dim {result.dim} at k={k}, h={h}")
@@ -574,23 +620,28 @@ def homology_table(k: int, h_max: int, h_min: int = 0) -> HomologyTable:
     """Exact harmonic dimensions for all blocks with h_min <= h <= h_max.
 
     Every (q, w, h) slice is certified: a full modular rank proves a trivial
-    kernel, and any other kernel is found by ``modular_kernel``.
+    kernel, and one ``level_ranks_mod_p`` pass decides that for every slice
+    of a level; any other kernel is found by ``modular_kernel``.
     """
     if k not in (-1, 0, 1, 2):
         raise ValueError("homology tables are provided for k in {-1, 0, 1, 2}")
     entries: dict = {}
     chains: dict = {}
     for h in range(h_min, h_max + 1):
-        for q, w, basis, gamma in laplacian_slices(k, h):
-            if certify_full_rank(gamma):
-                continue
-            kernel = modular_kernel(gamma)
-            if not kernel:
-                continue
-            entries[(q, w, h)] = len(kernel)
-            chains[(q, w, h)] = [
-                {basis.monomials[i]: c for i, c in sorted(vec.items())}
-                for vec in kernel]
+        for level, gamma in _gamma_levels(k, h):
+            shapes = [(basis.dim, basis.dim) for basis in level.slices]
+            ranks = level_ranks_mod_p(gamma, shapes, [[0]] * len(shapes))
+            for basis, (rank,) in zip(level.slices, ranks):
+                if rank == basis.dim:
+                    continue
+                q, w = level.q, basis.w
+                kernel = modular_kernel(_diagonal_block(gamma, level, w))
+                if not kernel:
+                    continue
+                entries[(q, w, h)] = len(kernel)
+                chains[(q, w, h)] = [
+                    {basis.monomials[i]: c for i, c in sorted(vec.items())}
+                    for vec in kernel]
     deviations = closed_form_deviations(k, entries, h_min, h_max)
     return HomologyTable(k=k, h_max=h_max, entries=entries, chains=chains,
                          matches_closed_form=not deviations, deviations=deviations)

@@ -6,8 +6,10 @@ exact: fraction-free (Bareiss) elimination over the integers for ranks, and
 the division-free Berkowitz algorithm for characteristic polynomials.
 Elimination modulo one word-size prime (numpy) serves twice.  The modular
 rank is a certified one-sided bound: rank over GF(p) never exceeds the
-rational rank, and ``rank_mod_p`` eliminates the connected components of a
-matrix's sparsity graph one shape at a time, all shifts at once.
+rational rank, and ``level_ranks_mod_p`` eliminates the connected
+components of the sparsity graph of a block-diagonal matrix one shape at a
+time, over all blocks and all their shifts at once; ``rank_mod_p``,
+``nullity_mod_p`` and ``certify_full_rank`` are its one-block forms.
 ``modular_kernel`` lifts the echelon kernel basis mod p to Q
 by rational reconstruction and checks every vector exactly, falling back to
 ``fraction_kernel`` (Bareiss, then rational back-substitution) when a lift
@@ -364,6 +366,10 @@ def exact_nullity(matrix: IntMatrix, lam: int = 0) -> int:
 # ---------------------------------------------------------------------------
 # modular elimination (certified one-sided bounds, and kernels checked over Q)
 
+# entries of one stack of ``_echelon_mod_p`` in ``level_ranks_mod_p``
+STACK_BUDGET = 1 << 18
+
+
 def _echelon_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     """Forward elimination over GF(p) of each matrix in the int64 stack ``a``
     (shape (m, rows, cols), entries in [0, p)), in place.
@@ -426,70 +432,109 @@ def _local_index(comp: np.ndarray, count: np.ndarray) -> np.ndarray:
     return local
 
 
-def rank_mod_p(matrix: IntMatrix, lams) -> list[int]:
-    """The rank of A - lam I over GF(``DEFAULT_PRIME``) for each lam in ``lams``.
+def level_ranks_mod_p(matrix: Coo, shapes, lams) -> list[list[int]]:
+    """The rank of S - lam I over GF(``DEFAULT_PRIME``) for each lam in
+    ``lams[s]``, for each diagonal block S of ``matrix``: the blocks have
+    the (rows, cols) ``shapes`` in order and ``matrix`` holds no entry
+    outside them.
 
-    The rows and columns of A are the vertices of its sparsity graph: each
-    nonzero A[i, j] joins row i to column j, and on a square matrix row i is
-    also joined to column i, so A - lam I has the same connected components
-    for every lam.  Permuting its rows and columns makes A - lam I block
-    diagonal over those components, so its rank is the sum of their ranks.
-    The components are grouped by shape, and each group is eliminated by one
-    ``_echelon_mod_p`` pass over the stack of its (lam, component) matrices.
-    A stack holds at most rows * cols entries, as the dense matrix would;
-    past that bound the group is eliminated in turns.  A nonzero lam needs a
-    square matrix.
+    The rows and columns of the matrix are the vertices of its sparsity
+    graph: each entry [i, j] joins row i to column j, and in a square block
+    row i is also joined to column i, so S - lam I has the same connected
+    components for every lam.  Permuting its rows and columns makes S - lam I
+    block diagonal over those components, so its rank is the sum of their
+    ranks.  The components of all blocks are grouped by shape, and each
+    group is eliminated by ``_echelon_mod_p`` passes over stacks of its
+    (component, lam) matrices.  A stack holds at most the entries of the
+    dense blocks, and at most ``STACK_BUDGET``, unless one component alone
+    needs more.  Raises ValueError when a component crosses two blocks (an
+    entry lies outside them) or a nonzero lam comes with a non-square block.
     """
     p = DEFAULT_PRIME
-    nrows, ncols = matrix.rows, matrix.cols
-    square = nrows == ncols
-    if not square and any(lams):
+    shapes = np.array(shapes, dtype=np.int64).reshape(-1, 2)
+    blocks = np.arange(len(shapes))
+    nrows, ncols = (int(n) for n in shapes.sum(axis=0))
+    if tuple(matrix.shape) != (nrows, ncols):
+        raise ValueError(f"blocks of shape {nrows}x{ncols} do not tile a "
+                         f"{matrix.shape[0]}x{matrix.shape[1]} matrix")
+    square = shapes[:, 0] == shapes[:, 1]
+    if any(lam for s in np.flatnonzero(~square) for lam in lams[s]):
         raise ValueError("shift needs a square matrix")
-    shifts = np.array([lam % p for lam in lams], dtype=np.int64)
-    ranks = np.zeros(len(shifts), dtype=np.int64)
-    row_of: list[int] = []
-    col_of: list[int] = []
-    vals: list[int] = []
-    for j, col in enumerate(matrix.columns):
-        row_of += col
-        col_of += [j] * len(col)
-        vals += [v % p for v in col.values()]
-    row_of = np.array(row_of, dtype=np.int64)
-    col_of = np.array(col_of, dtype=np.int64)
-    vals = np.array(vals, dtype=np.int64)
+    row_block = np.repeat(blocks, shapes[:, 0])
+    col_block = np.repeat(blocks, shapes[:, 1])
+    crossing = np.flatnonzero(row_block[matrix.rows] != col_block[matrix.cols])
+    if crossing.size:
+        r, c = int(matrix.rows[crossing[0]]), int(matrix.cols[crossing[0]])
+        raise ValueError(f"entry ({r}, {c}) joins a component of block {row_block[r]} "
+                         f"to one of block {col_block[c]}")
     # vertices: rows 0..nrows-1, then columns nrows..nrows+ncols-1
-    u, v = row_of, nrows + col_of
-    if square:
-        u = np.concatenate((u, np.arange(nrows)))
-        v = np.concatenate((v, nrows + np.arange(ncols)))
+    diag = np.flatnonzero(square[row_block])
+    starts = np.cumsum(shapes, axis=0) - shapes
+    diag_col = diag - starts[row_block[diag], 0] + starts[row_block[diag], 1]
+    u = np.concatenate((matrix.rows, diag))
+    v = nrows + np.concatenate((matrix.cols, diag_col))
     labels, comp = np.unique(_component_labels(nrows + ncols, u, v), return_inverse=True)
     row_comp, col_comp = comp[:nrows], comp[nrows:]
     row_count = np.bincount(row_comp, minlength=labels.size)
     col_count = np.bincount(col_comp, minlength=labels.size)
-    local_row = _local_index(row_comp, row_count)
-    local_col = _local_index(col_comp, col_count)
-    nz_comp = row_comp[row_of]
-    for sr, sc in sorted({*zip(row_count.tolist(), col_count.tolist())}):
+    comp_block = np.zeros(labels.size, dtype=np.int64)  # read for components with rows only
+    comp_block[row_comp] = row_block
+    # components in order of shape; their entries sorted the same way
+    order = np.lexsort((col_count, row_count))
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    entry_pos = pos[row_comp[matrix.rows]]
+    by_pos = np.argsort(entry_pos, kind="stable")
+    entry_pos = entry_pos[by_pos]
+    entry_row = _local_index(row_comp, row_count)[matrix.rows[by_pos]]
+    entry_col = _local_index(col_comp, col_count)[matrix.cols[by_pos]]
+    entry_val = matrix.vals[by_pos] % p
+    # the (block, lam) pairs, flattened
+    count = np.array([len(block_lams) for block_lams in lams], dtype=np.int64)
+    first = np.cumsum(count) - count
+    shifts = np.array([lam % p for block_lams in lams for lam in block_lams], dtype=np.int64)
+    ranks = np.zeros(shifts.size, dtype=np.int64)
+    budget = min(int(shapes.prod(axis=1).sum()), STACK_BUDGET)
+    shape_of = np.stack((row_count[order], col_count[order]), axis=1)
+    group_starts = np.flatnonzero(np.any(np.diff(shape_of, axis=0, prepend=-1) != 0, axis=1))
+    for g0, g1 in zip(group_starts.tolist(), [*group_starts[1:].tolist(), order.size]):
+        sr, sc = shape_of[g0].tolist()
         if not sr or not sc:
             continue
-        group = np.nonzero((row_count == sr) & (col_count == sc))[0]
-        slot = np.full(labels.size, -1)
-        slot[group] = np.arange(group.size)
-        nz = slot[nz_comp] >= 0
-        base = np.zeros((group.size, sr, sc), dtype=np.int64)
-        base[slot[nz_comp[nz]], local_row[row_of[nz]], local_col[col_of[nz]]] = vals[nz]
-        diag = np.arange(sr)
-        total = shifts.size * group.size
-        turn = max(1, nrows * ncols // (sr * sc))
-        for start in range(0, total, turn):
-            k = np.arange(start, min(total, start + turn))
-            stack = base[k % group.size]
-            if square:
-                stack[:, diag, diag] = (stack[:, diag, diag]
-                                        - shifts[k // group.size, None]) % p
-            held = _echelon_mod_p(stack, p)
-            np.add.at(ranks, k // group.size, (held >= 0).sum(axis=1))
-    return ranks.tolist()
+        turn = max(1, budget // (sr * sc))
+        for a in range(g0, g1, turn):
+            b = min(g1, a + turn)
+            lo, hi = np.searchsorted(entry_pos, (a, b))
+            base = np.zeros((b - a, sr, sc), dtype=np.int64)
+            base[entry_pos[lo:hi] - a, entry_row[lo:hi], entry_col[lo:hi]] = entry_val[lo:hi]
+            # each component of this chunk under each lam of its block
+            blk = comp_block[order[a:b]]
+            n = count[blk]
+            slot = np.repeat(np.arange(b - a), n)
+            out = np.repeat(first[blk] - np.cumsum(n) + n, n) + np.arange(slot.size)
+            for t in range(0, slot.size, turn):
+                stack = base[slot[t:t + turn]]
+                if sr == sc:
+                    d = np.arange(sr)
+                    stack[:, d, d] = (stack[:, d, d] - shifts[out[t:t + turn], None]) % p
+                held = _echelon_mod_p(stack, p)
+                np.add.at(ranks, out[t:t + turn], (held >= 0).sum(axis=1))
+    return [ranks[i:i + n].tolist() for i, n in zip(first.tolist(), count.tolist())]
+
+
+def rank_mod_p(matrix: IntMatrix, lams) -> list[int]:
+    """The rank of A - lam I over GF(``DEFAULT_PRIME``) for each lam in
+    ``lams``: ``level_ranks_mod_p`` on A as one block.  A nonzero lam needs
+    a square matrix."""
+    p = DEFAULT_PRIME
+    rows, cols, vals = [], [], []
+    for j, col in enumerate(matrix.columns):
+        rows += col
+        cols += [j] * len(col)
+        vals += [v % p for v in col.values()]
+    coo = Coo((matrix.rows, matrix.cols),
+              *(np.array(a, dtype=np.int64) for a in (rows, cols, vals)))
+    return level_ranks_mod_p(coo, [coo.shape], [list(lams)])[0]
 
 
 def _rational_reconstruction(u: int, p: int, bound: int) -> Fraction | None:
@@ -514,7 +559,7 @@ def modular_kernel(matrix: IntMatrix) -> list[dict[int, Fraction]]:
     """The kernel basis of ``fraction_kernel``, found mod p and lifted to Q.
 
     The matrix is reduced mod ``DEFAULT_PRIME`` and brought to echelon form
-    by ``_echelon_mod_p``, the forward pass of ``rank_mod_p``; its pivot
+    by ``_echelon_mod_p``, the forward pass of ``level_ranks_mod_p``; its pivot
     rows, each scaled to a leading 1, are back-substituted.  Each free
     column f gives the vector that is 1 at f, 0 at the other free columns
     and supported on the pivot columns left of f; its entries are lifted by

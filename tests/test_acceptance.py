@@ -107,7 +107,7 @@ def test_criterion_4_homology_closed_forms():
     for k in (-1, 0, 1, 2):
         table = homology_table(k, H_FULL)
         assert table.matches_closed_form, (k, table.deviations)
-    qs = {q for (q, _, _) in homology_table(2, H_FULL).entries}
+    qs = {q for (q, _, _) in table.entries}  # the L(2) table of the last pass
     assert max(qs) == 4
     print("ACCEPTANCE 4: homology tables h<=12 match the closed forms  PASS")
 

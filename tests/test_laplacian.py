@@ -363,30 +363,119 @@ def test_spectrum_matches_characteristic_polynomial():
 
 
 def test_modular_certificates_match_exact_nullities():
-    """On slices large enough to take the modular route, redo every nullity
-    by fraction-free elimination and require agreement."""
+    """Redo every nullity of the slices up to dimension 130 by fraction-free
+    elimination and require agreement with the prediction and with the
+    modular rank: the small slices, whose nullities the modular ranks and
+    the residual product prove, and the larger ones of the modular route."""
     from afflap.laplacian import EXACT_NULLITY_CUT
     from afflap.linalg import exact_nullity, nullity_mod_p
 
-    k, h = -1, 7
-    res = spectrum(k, h)
-    assert res.modular_slices > 0  # the route under test is actually exercised
-    slices = list(laplacian_slices(k, h))
-    dims = {(q, w): basis.dim for q, w, basis, _ in slices}
-    checked = 0
-    for q, w0, basis, sub in slices:
-        n = basis.dim
-        if not EXACT_NULLITY_CUT < n <= 130:
-            continue
-        wp = abs(w0)
-        while dims.get((q, wp), 0) or dims.get((q, wp + 1), 0):
-            m_pred = dims.get((q, wp), 0) - dims.get((q, wp + 1), 0)
-            if m_pred:
-                lam = predicted_eigenvalue(k, wp, h)
-                assert exact_nullity(sub, lam) == m_pred == nullity_mod_p(sub, [lam])[0]
-                checked += 1
-            wp += 1
-    assert checked >= 3
+    h = 7
+    for k in (-1, 2):
+        res = spectrum(k, h)
+        assert res.exact_slices > 0
+        assert res.modular_slices > 0 or k == 2  # L(2) has no slice above the cut here
+        slices = list(laplacian_slices(k, h))
+        dims = {(q, w): basis.dim for q, w, basis, _ in slices}
+        checked = {True: 0, False: 0}
+        for q, w0, basis, sub in slices:
+            n = basis.dim
+            if n > 130:
+                continue
+            wp = abs(w0)
+            while dims.get((q, wp), 0) or dims.get((q, wp + 1), 0):
+                m_pred = dims.get((q, wp), 0) - dims.get((q, wp + 1), 0)
+                if m_pred:
+                    lam = predicted_eigenvalue(k, wp, h)
+                    assert exact_nullity(sub, lam) == m_pred == nullity_mod_p(sub, [lam])[0]
+                    checked[n <= EXACT_NULLITY_CUT] += 1
+                wp += 1
+        assert checked[True] == res.exact_slices
+        assert checked[False] >= (3 if k == -1 else 0)
+
+
+def test_a_modular_rank_deficit_is_decided_exactly(monkeypatch):
+    """A modular nullity above its prediction is only an upper bound, on
+    small and large slices alike: one rank too few for the first lambda of
+    the first small and of the first large slice sends those (slice, lambda),
+    and only those, to exact elimination, and the result does not change."""
+    from afflap import laplacian
+
+    want = spectrum(-1, 7)
+    real_ranks, real_nullity = laplacian.level_ranks_mod_p, laplacian.exact_nullity
+    lowered = {}  # small -> (block, lambda), in the order the slices are met
+    decided = []
+
+    def one_too_few(gamma, shapes, lams):
+        ranks = real_ranks(gamma, shapes, lams)
+        start = 0
+        for s, ((n, _), slice_lams) in enumerate(zip(shapes, lams)):
+            small = n <= laplacian.EXACT_NULLITY_CUT
+            if slice_lams and ranks[s][0] and small not in lowered:
+                ranks[s][0] -= 1
+                lowered[small] = (gamma.block(start, start + n, start, start + n), slice_lams[0])
+            start += n
+        return ranks
+
+    def recording(matrix, lam=0):
+        decided.append((matrix, lam))
+        return real_nullity(matrix, lam)
+
+    monkeypatch.setattr(laplacian, "level_ranks_mod_p", one_too_few)
+    monkeypatch.setattr(laplacian, "exact_nullity", recording)
+    assert spectrum(-1, 7) == want
+    assert len(lowered) == 2
+    assert decided == list(lowered.values())
+
+
+def test_residual_product_gates_the_small_slices(monkeypatch):
+    """The modular ranks of a small slice prove its nullities only together
+    with prod (Gamma - lambda I) = 0: a block that differs from the level
+    Gamma by I fails that product, although its modular ranks match."""
+    from afflap import laplacian
+    from afflap.linalg import IntMatrix
+
+    real = laplacian._diagonal_block
+    shifted = []
+
+    def plus_identity(matrix, level, w):
+        block = real(matrix, level, w)
+        if shifted:
+            return block
+        shifted.append((level.q, w))
+        return block + IntMatrix.identity(block.cols)
+
+    monkeypatch.setattr(laplacian, "_diagonal_block", plus_identity)
+    with pytest.raises(ClaimFalsified, match=r"^residual product does not annihilate "
+                                             r"k=-1, h=7, q=\d+, w=-?\d+$") as err:
+        spectrum(-1, 7)
+    q, w = shifted[0]
+    assert str(err.value).endswith(f"q={q}, w={w}")
+
+
+def test_scalar_law_names_the_first_failing_slice(monkeypatch):
+    """Gamma + 1 on the last diagonal entry of every level of L(1) breaks
+    the scalar law on the last slice of each level only; the level
+    comparison names that slice of the first level, and the message keeps
+    its form."""
+    from afflap import laplacian
+
+    real = laplacian.gram
+
+    def last_entry_shifted(parts, where):
+        gamma = real(parts, where)
+        n = gamma.shape[0]
+        return coo_sum(gamma.shape, gamma, Coo((n, n), *np.array([[n - 1]] * 3)))
+
+    q = min(len(m) for m in enumerate_block(1, 3))
+    w = max(weight(m) for m in enumerate_block(1, 3) if len(m) == q)
+    assert w > min(weight(m) for m in enumerate_block(1, 3) if len(m) == q)
+    lam = predicted_eigenvalue(1, w, 3)
+    assert spectrum(1, 3).lines
+    monkeypatch.setattr(laplacian, "gram", last_entry_shifted)
+    with pytest.raises(ClaimFalsified,
+                       match=rf"^block k=1, h=3, q={q}, w={w} is not scalar {lam}$"):
+        spectrum(1, 3)
 
 
 def test_multiplicities_of_Lminus1_match_L0():

@@ -1,7 +1,7 @@
 """Property tests for the sign conventions of the boundary operators, for
 the transposes the sl2 certificate relies on, for the modular nullities of
-the cross-check, and for the axioms of the coefficient rings of the series
-arithmetic.
+the cross-check (per slice and per level), and for the axioms of the
+coefficient rings of the series arithmetic.
 
 ``differential`` and ``codifferential`` place their signs by ``bisect``
 insertion.  The references below build the raw replacement word and let the
@@ -11,6 +11,7 @@ no sign logic.
 
 import operator
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -35,7 +36,16 @@ from afflap.chains import (
 )
 from afflap.chains import slices as slices_of
 from afflap.generators import epsilon, generator_degree
-from afflap.linalg import IntMatrix, exact_nullity, nullity_mod_p
+from afflap.linalg import (
+    DEFAULT_PRIME,
+    IntMatrix,
+    bareiss_rank,
+    coo_from_keys,
+    exact_nullity,
+    level_ranks_mod_p,
+    nullity_mod_p,
+    rank_mod_p,
+)
 from afflap.series import EisensteinInt
 from afflap.sl2 import HalfLaurent, RepRingElement
 
@@ -288,6 +298,66 @@ def test_modular_nullities_match_exact_on_permuted_blocks(case):
     the whole matrix, for every shift."""
     matrix, lams = case
     assert nullity_mod_p(matrix, lams) == [exact_nullity(matrix, lam) for lam in lams]
+
+
+def level_of(matrices: list):
+    """The compressed block-diagonal ``Coo`` with ``matrices`` on its
+    diagonal, in order."""
+    rows, cols, vals = [], [], []
+    offset = 0
+    for matrix in matrices:
+        for j, col in enumerate(matrix.columns):
+            rows += [offset + i for i in col]
+            cols += [offset + j] * len(col)
+            vals += col.values()
+        offset += matrix.rows
+    key = np.array(cols, dtype=np.int64) * offset + np.array(rows, dtype=np.int64)
+    return coo_from_keys((offset, offset), key, np.array(vals, dtype=np.int64))
+
+
+def _small_representative(lam: int) -> int:
+    """The integer of least absolute value congruent to lam mod p."""
+    r = lam % DEFAULT_PRIME
+    return r - DEFAULT_PRIME if r > DEFAULT_PRIME // 2 else r
+
+
+@st.composite
+def block_diagonal_levels(draw):
+    """[(slice, lams)]: slices as in ``shifted_block_matrices``, so their
+    components have mixed shapes, each with a lam list of its own, possibly
+    empty, holding negative lams and multiples of p."""
+    slices = draw(st.lists(shifted_block_matrices(), min_size=1, max_size=4))
+    p = DEFAULT_PRIME
+    return [(matrix, draw(st.lists(st.sampled_from(lams + [-2, p, -3 * p]), max_size=4)))
+            for matrix, lams in slices]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(block_diagonal_levels())
+@example([(permuted_blocks([[[3]]], [0]), []),  # 1x1 slices, an empty lam list
+          (permuted_blocks([[[2]], [[-1]]], [1, 0]), [-1, 2, DEFAULT_PRIME, 0])])
+@example([(permuted_blocks([[[1, 2, 0], [0, 1, 0], [5, 0, 1]], [[-3]], [[2, 1], [1, 2]]],
+                           _ring(6)), [1, -3, 3, -DEFAULT_PRIME]),  # 3x3, 1x1 and 2x2 components
+          (IntMatrix(2, 2), [0, 5])])
+def test_level_ranks_match_the_slice_ranks(case):
+    """One ``level_ranks_mod_p`` pass over a block-diagonal level gives each
+    slice the ranks of ``rank_mod_p`` on the slice alone, and those of exact
+    elimination with each lam replaced by ``_small_representative(lam)``."""
+    matrices = [matrix for matrix, _ in case]
+    lams = [slice_lams for _, slice_lams in case]
+    got = level_ranks_mod_p(level_of(matrices), [(m.rows, m.cols) for m in matrices], lams)
+    assert got == [rank_mod_p(matrix, slice_lams) for matrix, slice_lams in case]
+    assert got == [[bareiss_rank(matrix.shifted(_small_representative(lam)).to_dense_rows())
+                    for lam in slice_lams] for matrix, slice_lams in case]
+
+
+def test_level_ranks_refuse_a_component_across_two_slices():
+    """Entries (0, 0) and (0, 2) join column 2 to row 0: one component over
+    both 2x2 slices, which the whole 4x4 matrix as one slice allows."""
+    level = coo_from_keys((4, 4), np.array([0, 8]), np.array([1, 1]))
+    assert level_ranks_mod_p(level, [(4, 4)], [[0, 1]]) == [[1, 3]]
+    with pytest.raises(ValueError, match="component"):
+        level_ranks_mod_p(level, [(2, 2), (2, 2)], [[0], [0]])
 
 
 # ---------------------------------------------------------------------------
