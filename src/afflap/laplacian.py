@@ -95,9 +95,10 @@ from .generators import epsilon
 from .linalg import (
     Coo,
     IntMatrix,
-    add_scaled,
     berkowitz_charpoly,
+    column_image,
     coo_diag,
+    coo_from_keys,
     coo_sum,
     exact_nullity,
     gershgorin_bound,
@@ -225,7 +226,7 @@ def _gamma_levels(k: int, h: int, qs=None):
         yield level, gamma
 
 
-def _diagonal_block(matrix: Coo, level: Level, w: int) -> IntMatrix:
+def _diagonal_block(matrix: Coo, level: Level, w: int) -> Coo:
     return matrix.block(*level.span(w), *level.span(w))
 
 
@@ -257,26 +258,20 @@ def _whole_slices(k: int, basis: BlockBasis) -> dict:
     return parts
 
 
-def _scatter(columns: list, index: dict, whole: BlockBasis, gamma: IntMatrix) -> None:
-    """Write ``gamma``, a matrix on the basis ``whole``, into ``columns`` at
-    the positions that ``index`` gives the monomials of ``whole``."""
-    pos = [index[m] for m in whole.monomials]
-    for p, col in zip(pos, gamma.columns):
-        columns[p] = {pos[i]: v for i, v in col.items()}
-
-
 def laplacian_by_definition(k: int, basis: BlockBasis) -> IntMatrix:
     """Matrix of Gamma = d delta + delta d on a union of whole (q, w) slices:
     the ``laplacian_slices`` of the degree ``basis.h`` block, scattered to
-    the positions of ``basis``.
+    the positions of ``basis``, as the oracle type ``IntMatrix``.
 
     Raises ValueError when ``basis`` holds part of a (q, w) slice but not all
     of it, or a monomial outside the degree ``basis.h`` block, and
     ClaimFalsified when a codifferential matrix is not D_q^T.
     """
-    columns: list = [None] * basis.dim
+    columns: list = [{} for _ in range(basis.dim)]
     for _, _, whole, gamma in laplacian_slices(k, basis.h, _whole_slices(k, basis)):
-        _scatter(columns, basis.index, whole, gamma)
+        pos = [basis.index[m] for m in whole.monomials]
+        for i, j, v in zip(gamma.rows.tolist(), gamma.cols.tolist(), gamma.vals.tolist()):
+            columns[pos[j]][pos[i]] = v
     return IntMatrix(basis.dim, basis.dim, columns)
 
 
@@ -400,14 +395,17 @@ class SpectrumResult:
     residual_checked: int = 0
 
 
-def _residual_annihilates(matrix: IntMatrix, lams: list[int]) -> bool:
-    """Apply prod (A - lam I) to every basis vector; exact integers."""
-    for j in range(matrix.cols):
+def _residual_annihilates(matrix: Coo, lams: list[int]) -> bool:
+    """Apply prod (A - lam I) to every basis vector; exact integers, on the
+    sparse columns of A."""
+    columns = matrix.columns()
+    for j in range(matrix.shape[1]):
         vec = {j: 1}
         for lam in lams:
-            img = matrix.apply(vec)
-            add_scaled(img, vec, -lam)
-            vec = img
+            img = column_image(columns, vec)
+            for i, x in vec.items():
+                img[i] = img.get(i, 0) - lam * x
+            vec = {i: x for i, x in img.items() if x}
             if not vec:
                 break
         if vec:
@@ -540,6 +538,12 @@ def spectrum(k: int, h: int) -> SpectrumResult:
 # ---------------------------------------------------------------------------
 # harmonic chains and homology
 
+def _kernel_chains(gamma: Coo, basis: BlockBasis) -> list[Chain]:
+    """The ``modular_kernel`` of a slice matrix on ``basis``, as chains."""
+    return [{basis.monomials[i]: c for i, c in sorted(vec.items())}
+            for vec in modular_kernel(gamma)]
+
+
 def harmonic_basis(k: int, basis: BlockBasis) -> list[Chain]:
     """Exact basis of the Laplacian kernel on a union of whole (q, w) slices,
     echelon-normalized: the ``modular_kernel`` of each slice in the order of
@@ -553,10 +557,10 @@ def harmonic_basis(k: int, basis: BlockBasis) -> list[Chain]:
     chains = []
     for q, w, whole, gamma in laplacian_slices(k, basis.h, parts):
         part = parts[(q, w)]
-        columns: list = [None] * part.dim
-        _scatter(columns, part.index, whole, gamma)
-        kernel = modular_kernel(IntMatrix(part.dim, part.dim, columns))
-        chains += [{part.monomials[i]: c for i, c in sorted(vec.items())} for vec in kernel]
+        pos = np.array([part.index[m] for m in whole.monomials], dtype=np.int64)
+        in_part = coo_from_keys(gamma.shape, pos[gamma.cols] * part.dim + pos[gamma.rows],
+                                gamma.vals)
+        chains += _kernel_chains(in_part, part)
     # a reduced kernel vector ends on its free monomial
     return sorted(chains, key=lambda chain: basis.index[next(reversed(chain))])
 
@@ -635,13 +639,10 @@ def homology_table(k: int, h_max: int, h_min: int = 0) -> HomologyTable:
                 if rank == basis.dim:
                     continue
                 q, w = level.q, basis.w
-                kernel = modular_kernel(_diagonal_block(gamma, level, w))
-                if not kernel:
-                    continue
-                entries[(q, w, h)] = len(kernel)
-                chains[(q, w, h)] = [
-                    {basis.monomials[i]: c for i, c in sorted(vec.items())}
-                    for vec in kernel]
+                kernel = _kernel_chains(_diagonal_block(gamma, level, w), basis)
+                if kernel:
+                    entries[(q, w, h)] = len(kernel)
+                    chains[(q, w, h)] = kernel
     deviations = closed_form_deviations(k, entries, h_min, h_max)
     return HomologyTable(k=k, h_max=h_max, entries=entries, chains=chains,
                          matches_closed_form=not deviations, deviations=deviations)
@@ -669,7 +670,7 @@ def lowering_orbit(q: int, r: int) -> Chain:
 def characteristic_polynomial(k: int, basis: BlockBasis) -> list[int]:
     """Exact characteristic polynomial (ascending coefficients) of the
     Laplacian on the block."""
-    return berkowitz_charpoly(laplacian_by_definition(k, basis))
+    return berkowitz_charpoly(laplacian_by_definition(k, basis).to_dense_rows())
 
 
 @dataclass(frozen=True)
@@ -703,7 +704,7 @@ def find_irrational_spectrum(k: int, h_max: int) -> IrrationalFinding | None:
                     break
             if total == n:
                 continue
-            poly = berkowitz_charpoly(gamma)
+            poly = berkowitz_charpoly(gamma.dense().tolist())
             _, remainder = strip_integer_roots(poly, bound)
             if len(remainder) < 3:
                 raise ClaimFalsified(

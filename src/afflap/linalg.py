@@ -1,9 +1,13 @@
 """Exact sparse integer matrices and the elimination routines used on them.
 
-Matrices are stored column major (one dict per column), which matches how
-operator matrices are assembled from chain images.  Ranks and kernels are
-exact: fraction-free (Bareiss) elimination over the integers for ranks, and
-the division-free Berkowitz algorithm for characteristic polynomials.
+``Coo``, int64 coordinate arrays, is the computation type: operator
+matrices, Gram sums and whole (q, h) levels are built as ``Coo``, and the
+(q, w) slices are cut from them as ``Coo``.  Dense rows of Python ints feed
+the exact eliminators: fraction-free (Bareiss) elimination over the
+integers for ranks and kernels, and the division-free Berkowitz algorithm
+for characteristic polynomials.  ``IntMatrix`` (one dict per column) is the
+oracle type: ``chains.matrix_of`` builds it from per-monomial chain
+operators, and tests compare the two routes with ``==``.
 Elimination modulo one word-size prime (numpy) serves twice.  The modular
 rank is a certified one-sided bound: rank over GF(p) never exceeds the
 rational rank, and ``level_ranks_mod_p`` eliminates the connected
@@ -60,14 +64,7 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, [{i: 1} for i in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols)
-
     # -- inspection ---------------------------------------------------
-    def entry(self, i: int, j: int) -> int:
-        return self.columns[j].get(i, 0)
-
     def nnz(self) -> int:
         return sum(len(c) for c in self.columns)
 
@@ -101,12 +98,9 @@ class IntMatrix:
             cols.append(c)
         return IntMatrix(self.rows, self.cols, cols)
 
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + other.scale(-1)
-
     def scale(self, s: int) -> "IntMatrix":
         if s == 0:
-            return IntMatrix.zero(self.rows, self.cols)
+            return IntMatrix(self.rows, self.cols)
         return IntMatrix(self.rows, self.cols,
                          [{i: v * s for i, v in c.items()} for c in self.columns])
 
@@ -131,19 +125,6 @@ class IntMatrix:
                 cols[i][j] = v
         return IntMatrix(self.cols, self.rows, cols)
 
-    def shifted(self, lam: int) -> "IntMatrix":
-        """self - lam * I (square matrices only)."""
-        if self.rows != self.cols:
-            raise ValueError("shift needs a square matrix")
-        if lam == 0:
-            return self
-        cols = []
-        for j, col in enumerate(self.columns):
-            c = dict(col)
-            add_scaled(c, {j: 1}, -lam)
-            cols.append(c)
-        return IntMatrix(self.rows, self.cols, cols)
-
     # -- conversions ----------------------------------------------------
     def to_dense_rows(self) -> list[list[int]]:
         rows = [[0] * self.cols for _ in range(self.rows)]
@@ -151,13 +132,6 @@ class IntMatrix:
             for i, v in col.items():
                 rows[i][j] = v
         return rows
-
-    def to_numpy_mod(self, p: int) -> np.ndarray:
-        a = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for j, col in enumerate(self.columns):
-            for i, v in col.items():
-                a[i, j] = v % p
-        return a
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +164,39 @@ class Coo(NamedTuple):
     def scaled(self, s: int) -> "Coo":
         return self._replace(vals=self.vals * s)
 
-    def block(self, r0: int, r1: int, c0: int, c1: int) -> IntMatrix:
-        """Rows r0..r1-1 and columns c0..c1-1 of a compressed matrix as an
-        ``IntMatrix``; raises ValueError when those columns have an entry in
-        another row."""
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> "Coo":
+        """Rows r0..r1-1 and columns c0..c1-1 of a compressed matrix, as a
+        compressed matrix indexed from (0, 0); raises ValueError when those
+        columns have an entry in another row."""
         lo, hi = np.searchsorted(self.cols, (c0, c1))
         rows = self.rows[lo:hi] - r0
         if rows.size and (rows.min() < 0 or rows.max() >= r1 - r0):
             raise ValueError(f"columns {c0}..{c1 - 1} have entries outside rows {r0}..{r1 - 1}")
-        counts = np.bincount(self.cols[lo:hi] - c0, minlength=c1 - c0).tolist()
-        rows, vals = rows.tolist(), self.vals[lo:hi].tolist()
-        columns, at = [], 0
-        for n in counts:
-            columns.append(dict(zip(rows[at:at + n], vals[at:at + n])))
-            at += n
-        return IntMatrix(r1 - r0, c1 - c0, columns)
+        return Coo((r1 - r0, c1 - c0), rows, self.cols[lo:hi] - c0, self.vals[lo:hi])
+
+    def dense(self) -> np.ndarray:
+        """The matrix as an int64 array; repeated coordinates are summed."""
+        out = np.zeros(self.shape, dtype=np.int64)
+        np.add.at(out, (self.rows, self.cols), self.vals)
+        return out
+
+    def columns(self) -> list:
+        """The (row, value) entries of each column of a column-sorted
+        matrix, as Python ints; ``searchsorted`` finds where each column
+        starts."""
+        starts = np.searchsorted(self.cols, np.arange(self.shape[1] + 1)).tolist()
+        entries = list(zip(self.rows.tolist(), self.vals.tolist()))
+        return [entries[a:b] for a, b in zip(starts, starts[1:])]
+
+
+def column_image(columns: list, vec: dict) -> dict:
+    """A v for the sparse vector v = {col: value} and the matrix A given by
+    its ``Coo.columns``; exact Python ints, zero entries kept."""
+    out: dict = {}
+    for j, x in vec.items():
+        for i, v in columns[j]:
+            out[i] = out.get(i, 0) + v * x
+    return out
 
 
 def coo_diag(values) -> Coo:
@@ -330,17 +322,18 @@ def bareiss_rank(dense_rows: list[list[int]]) -> int:
     return len(_bareiss_forward([row[:] for row in dense_rows]))
 
 
-def fraction_kernel(matrix: IntMatrix) -> list[dict[int, Fraction]]:
-    """Exact kernel basis in reduced echelon form, deterministic.
+def fraction_kernel(dense_rows: list[list[int]]) -> list[dict[int, Fraction]]:
+    """Exact kernel basis in reduced echelon form, deterministic, of the
+    matrix with these integer rows (at least one).
 
     Forward elimination is fraction-free over the integers; the kernel
     vectors are recovered by rational back-substitution, one per free
     column, with value 1 at their own free column and 0 at the others.
     """
-    m = matrix.to_dense_rows()
+    m = [row[:] for row in dense_rows]
     pivot_cols = _bareiss_forward(m)
     pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(matrix.cols) if c not in pivot_set]
+    free_cols = [c for c in range(len(m[0])) if c not in pivot_set]
     kernel = []
     for fc in free_cols:
         vec: dict[int, Fraction] = {fc: Fraction(1)}
@@ -358,9 +351,15 @@ def fraction_kernel(matrix: IntMatrix) -> list[dict[int, Fraction]]:
     return kernel
 
 
-def exact_nullity(matrix: IntMatrix, lam: int = 0) -> int:
-    shifted = matrix.shifted(lam) if lam else matrix
-    return matrix.cols - bareiss_rank(shifted.to_dense_rows())
+def exact_nullity(matrix: Coo, lam: int = 0) -> int:
+    """The nullity of A - lam I over Q, shifted and eliminated on rows of
+    Python ints."""
+    rows = matrix.dense().tolist()
+    if lam and matrix.shape[0] != matrix.shape[1]:
+        raise ValueError("shift needs a square matrix")
+    for i, row in enumerate(rows):
+        row[i] -= lam
+    return matrix.shape[1] - bareiss_rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -522,19 +521,11 @@ def level_ranks_mod_p(matrix: Coo, shapes, lams) -> list[list[int]]:
     return [ranks[i:i + n].tolist() for i, n in zip(first.tolist(), count.tolist())]
 
 
-def rank_mod_p(matrix: IntMatrix, lams) -> list[int]:
+def rank_mod_p(matrix: Coo, lams) -> list[int]:
     """The rank of A - lam I over GF(``DEFAULT_PRIME``) for each lam in
-    ``lams``: ``level_ranks_mod_p`` on A as one block.  A nonzero lam needs
-    a square matrix."""
-    p = DEFAULT_PRIME
-    rows, cols, vals = [], [], []
-    for j, col in enumerate(matrix.columns):
-        rows += col
-        cols += [j] * len(col)
-        vals += [v % p for v in col.values()]
-    coo = Coo((matrix.rows, matrix.cols),
-              *(np.array(a, dtype=np.int64) for a in (rows, cols, vals)))
-    return level_ranks_mod_p(coo, [coo.shape], [list(lams)])[0]
+    ``lams``: ``level_ranks_mod_p`` on the compressed matrix A as one block.
+    A nonzero lam needs a square matrix."""
+    return level_ranks_mod_p(matrix, [matrix.shape], [list(lams)])[0]
 
 
 def _rational_reconstruction(u: int, p: int, bound: int) -> Fraction | None:
@@ -555,20 +546,21 @@ def _rational_reconstruction(u: int, p: int, bound: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def modular_kernel(matrix: IntMatrix) -> list[dict[int, Fraction]]:
+def modular_kernel(matrix: Coo) -> list[dict[int, Fraction]]:
     """The kernel basis of ``fraction_kernel``, found mod p and lifted to Q.
 
-    The matrix is reduced mod ``DEFAULT_PRIME`` and brought to echelon form
-    by ``_echelon_mod_p``, the forward pass of ``level_ranks_mod_p``; its pivot
-    rows, each scaled to a leading 1, are back-substituted.  Each free
-    column f gives the vector that is 1 at f, 0 at the other free columns
-    and supported on the pivot columns left of f; its entries are lifted by
-    rational reconstruction with |num|, den <= isqrt(p // 2), and it is
-    checked to lie in the kernel exactly, over the integers after clearing
-    denominators.  If any lift or check fails the result is
-    ``fraction_kernel(matrix)``.
+    The compressed matrix is reduced mod ``DEFAULT_PRIME`` and brought to
+    echelon form by ``_echelon_mod_p``, the forward pass of
+    ``level_ranks_mod_p``; its pivot rows, each scaled to a leading 1, are
+    back-substituted.  Each free column f gives the vector that is 1 at f,
+    0 at the other free columns and supported on the pivot columns left of
+    f; its entries are lifted by rational reconstruction with |num|,
+    den <= isqrt(p // 2), and it is checked to lie in the kernel exactly,
+    over the integers after clearing denominators, on the columns of its
+    support.  If any lift or check fails the result is ``fraction_kernel``
+    of the matrix's dense rows.
 
-    When every check passes the result equals ``fraction_kernel(matrix)``:
+    When every check passes the result equals that ``fraction_kernel``:
 
     - for every j, the rank of A[:, :j] mod p is at most its rank over Q;
     - each lifted vector is an exact kernel vector that is 1 on its free
@@ -581,11 +573,12 @@ def modular_kernel(matrix: IntMatrix) -> list[dict[int, Fraction]]:
       kernel basis, which is unique.
     """
     p = DEFAULT_PRIME
-    a = matrix.to_numpy_mod(p)
+    dense = matrix.dense()
+    a = dense % p
     held = _echelon_mod_p(a[None], p)[0]
     pivots = np.nonzero(held >= 0)[0].tolist()
     pivot_set = set(pivots)
-    free_cols = [c for c in range(matrix.cols) if c not in pivot_set]
+    free_cols = [c for c in range(matrix.shape[1]) if c not in pivot_set]
     if not free_cols:
         return []
     # the echelon rows in pivot order, each pivot scaled to 1
@@ -602,6 +595,7 @@ def modular_kernel(matrix: IntMatrix) -> list[dict[int, Fraction]]:
             reduced[:i][mask] = (
                 reduced[:i][mask] - np.outer(above[mask], reduced[i])) % p
     bound = isqrt(p // 2)
+    columns = matrix.columns()
     kernel = []
     for j, fc in enumerate(free_cols):
         vec: dict[int, Fraction] = {fc: Fraction(1)}
@@ -611,42 +605,43 @@ def modular_kernel(matrix: IntMatrix) -> list[dict[int, Fraction]]:
                 continue
             value = _rational_reconstruction(residue, p, bound)
             if value is None:
-                return fraction_kernel(matrix)
+                return fraction_kernel(dense.tolist())
             vec[pc] = value
         den = lcm(*(v.denominator for v in vec.values()))
-        if matrix.apply({c: v.numerator * (den // v.denominator)
-                         for c, v in vec.items()}):
-            return fraction_kernel(matrix)
+        if any(column_image(columns, {c: v.numerator * (den // v.denominator)
+                                      for c, v in vec.items()}).values()):
+            return fraction_kernel(dense.tolist())
         kernel.append(vec)
     return kernel
 
 
-def nullity_mod_p(matrix: IntMatrix, lams) -> list[int]:
+def nullity_mod_p(matrix: Coo, lams) -> list[int]:
     """n - rank of A - lam I over GF(p) for each lam in ``lams``; each is an
     upper bound on the rational nullity."""
-    return [matrix.cols - rank for rank in rank_mod_p(matrix, lams)]
+    return [matrix.shape[1] - rank for rank in rank_mod_p(matrix, lams)]
 
 
-def certify_full_rank(matrix: IntMatrix) -> bool:
+def certify_full_rank(matrix: Coo) -> bool:
     """True when the rational kernel of A is provably trivial.
 
     A full modular rank is conclusive; a modular rank deficit is not, so the
     caller must fall back to exact elimination in that case.
     """
-    return rank_mod_p(matrix, [0]) == [matrix.cols]
+    return rank_mod_p(matrix, [0]) == [matrix.shape[1]]
 
 
 # ---------------------------------------------------------------------------
 # characteristic polynomials
 
-def berkowitz_charpoly(matrix: IntMatrix) -> list[int]:
-    """Characteristic polynomial det(tI - A), division-free.
+def berkowitz_charpoly(dense_rows: list[list[int]]) -> list[int]:
+    """Characteristic polynomial det(tI - A), division-free, of the matrix
+    A with these integer rows.
 
     Returns coefficients ascending in t, so the leading entry (for t^n) is 1.
     """
-    a = matrix.to_dense_rows()
-    n = matrix.rows
-    if n != matrix.cols:
+    a = dense_rows
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise ValueError("characteristic polynomial needs a square matrix")
     if n == 0:
         return [1]
@@ -711,10 +706,6 @@ def _synthetic_divide(coeffs: list[int], root: int) -> list[int]:
     return out
 
 
-def gershgorin_bound(matrix: IntMatrix) -> int:
+def gershgorin_bound(matrix: Coo) -> int:
     """Upper bound on the absolute value of any eigenvalue."""
-    sums: dict[int, int] = {}
-    for col in matrix.columns:
-        for i, v in col.items():
-            sums[i] = sums.get(i, 0) + abs(v)
-    return max(sums.values(), default=0)
+    return max((sum(map(abs, row)) for row in matrix.dense().tolist()), default=0)

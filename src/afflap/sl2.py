@@ -412,8 +412,8 @@ def singular_multiplicities(k: int, basis: BlockBasis) -> RepRingElement:
     for q, w, part, up, _ in sl2_slices(k, slices(basis)):
         if w < 0:
             continue
-        kernel = part.dim - bareiss_rank(up.to_dense_rows())
-        diff = part.dim - up.rows  # up.rows = dim(q, w + 1)
+        kernel = part.dim - bareiss_rank(up.dense().tolist())
+        diff = part.dim - up.shape[0]  # dim(q, w + 1)
         if kernel != diff:
             raise ClaimFalsified(
                 f"multiplicity methods disagree on k={k}, h={basis.h}, q={q}, "

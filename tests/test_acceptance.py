@@ -32,6 +32,7 @@ from afflap.sl2 import (
     sl2_slices,
     tensor_power_Q,
 )
+from test_linalg import int_matrix
 
 H_FULL = 12
 H_EQ2 = 8
@@ -47,7 +48,7 @@ def test_criterion_1_laplacian_equality():
     for k in (-1, 0, 1, 2):
         for h in range(H_FULL + 1):
             for q, w, basis, gamma in laplacian_slices(k, h):
-                assert gamma == laplacian_closed_form(k, basis), (k, h, q, w)
+                assert int_matrix(gamma) == laplacian_closed_form(k, basis), (k, h, q, w)
     for k in (3, 4):
         for h in range(H_EQ2 + 1):
             basis = enumerate_block(k, h)
@@ -175,11 +176,12 @@ def test_criterion_7_sl2_machinery():
         casimirs = []  # C on each (q, w) slice
         before = None  # (q, w, E_w, C) of the slice just before
         for q, w, basis, up, cas in sl2_slices(k, slices(block)):
+            casimirs.append(cas)
+            up, cas = int_matrix(up), int_matrix(cas)
             if before and before[:2] == (q, w - 1):
                 assert cas * before[2] == before[2] * before[3]  # C e_1 = e_1 C
             before = (q, w, up, cas)
             dims[w] = dims.get(w, 0) + basis.dim
-            casimirs.append(cas)
         w = 0
         accounted = 0
         while dims.get(w, 0) or dims.get(w + 1, 0):

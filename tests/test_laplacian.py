@@ -33,6 +33,7 @@ from afflap.laplacian import (
     two_dim_pairing_oracle,
 )
 from afflap.linalg import Coo, coo_diag, coo_sum
+from test_linalg import int_matrix
 
 
 def test_constructions_agree_small():
@@ -325,7 +326,8 @@ def test_harmonic_basis_is_the_reduced_kernel_of_the_whole_block():
             shuffled = rng.sample(block.monomials, block.dim)
             for basis in (block, BlockBasis(k, h, shuffled)):
                 want = [{basis.monomials[i]: c for i, c in sorted(vec.items())}
-                        for vec in fraction_kernel(laplacian_by_definition(k, basis))]
+                        for vec in fraction_kernel(
+                            laplacian_by_definition(k, basis).to_dense_rows())]
                 assert harmonic_basis(k, basis) == want, (k, h, basis.monomials)
 
 
@@ -350,14 +352,16 @@ def test_spectrum_degree_zero_blocks():
 
 def test_spectrum_matches_characteristic_polynomial():
     """Independent route: the characteristic polynomial of a whole block,
-    with its integer roots stripped, reproduces the spectrum lines."""
+    with its integer roots stripped, reproduces the spectrum lines.  The
+    block is block diagonal over its slices, so the largest slice bound
+    bounds its eigenvalues."""
     from afflap.linalg import gershgorin_bound, strip_integer_roots
 
     for k, h in ((2, 5), (1, 4), (-1, 2), (0, 3)):
         block = enumerate_block(k, h)
-        gamma = laplacian_by_definition(k, block)
+        bound = max(gershgorin_bound(gamma) for *_, gamma in laplacian_slices(k, h))
         poly = characteristic_polynomial(k, block)
-        roots, rest = strip_integer_roots(poly, gershgorin_bound(gamma))
+        roots, rest = strip_integer_roots(poly, bound)
         assert rest == [1], (k, h)  # the spectrum is integral
         assert sorted(roots.items()) == spectrum(k, h).lines, (k, h)
 
@@ -394,17 +398,14 @@ def test_modular_certificates_match_exact_nullities():
         assert checked[False] >= (3 if k == -1 else 0)
 
 
-def test_a_modular_rank_deficit_is_decided_exactly(monkeypatch):
-    """A modular nullity above its prediction is only an upper bound, on
-    small and large slices alike: one rank too few for the first lambda of
-    the first small and of the first large slice sends those (slice, lambda),
-    and only those, to exact elimination, and the result does not change."""
+def _one_rank_too_few(monkeypatch) -> dict:
+    """Make the level pass report one rank too few for the first lambda of
+    the first small and of the first large slice; returns small -> (block,
+    lambda) of those two, filled in as the slices are met."""
     from afflap import laplacian
 
-    want = spectrum(-1, 7)
-    real_ranks, real_nullity = laplacian.level_ranks_mod_p, laplacian.exact_nullity
-    lowered = {}  # small -> (block, lambda), in the order the slices are met
-    decided = []
+    real_ranks = laplacian.level_ranks_mod_p
+    lowered = {}
 
     def one_too_few(gamma, shapes, lams):
         ranks = real_ranks(gamma, shapes, lams)
@@ -417,15 +418,54 @@ def test_a_modular_rank_deficit_is_decided_exactly(monkeypatch):
             start += n
         return ranks
 
+    monkeypatch.setattr(laplacian, "level_ranks_mod_p", one_too_few)
+    return lowered
+
+
+def test_a_modular_rank_deficit_is_decided_exactly(monkeypatch):
+    """A modular nullity above its prediction is only an upper bound, on
+    small and large slices alike: one rank too few for the first lambda of
+    the first small and of the first large slice sends those (slice, lambda),
+    and only those, to exact elimination, and the result does not change."""
+    from afflap import laplacian
+
+    want = spectrum(-1, 7)
+    real_nullity = laplacian.exact_nullity
+    decided = []
+
     def recording(matrix, lam=0):
         decided.append((matrix, lam))
         return real_nullity(matrix, lam)
 
-    monkeypatch.setattr(laplacian, "level_ranks_mod_p", one_too_few)
+    lowered = _one_rank_too_few(monkeypatch)
     monkeypatch.setattr(laplacian, "exact_nullity", recording)
     assert spectrum(-1, 7) == want
     assert len(lowered) == 2
-    assert decided == list(lowered.values())
+    assert ([(int_matrix(block), lam) for block, lam in decided]
+            == [(int_matrix(block), lam) for block, lam in lowered.values()])
+
+
+def test_certified_paths_build_no_int_matrix(monkeypatch):
+    """Spectra, homology and singular multiplicities keep every slice a
+    ``Coo``, also where a modular rank deficit sends a slice to exact
+    elimination: ``IntMatrix`` is only the oracle type."""
+    from afflap import linalg
+    from afflap.sl2 import singular_multiplicities
+
+    want = spectrum(-1, 7)
+    block = enumerate_block(2, 6)
+
+    def refuse(self, *args):
+        raise AssertionError("an IntMatrix was built")
+
+    monkeypatch.setattr(linalg.IntMatrix, "__init__", refuse)
+    assert spectrum(-1, 7) == want
+    assert spectrum(1, 6).lines
+    assert homology_table(2, 8).matches_closed_form
+    assert singular_multiplicities(2, block).dimension() == block.dim
+    lowered = _one_rank_too_few(monkeypatch)
+    assert spectrum(-1, 7) == want
+    assert len(lowered) == 2
 
 
 def test_residual_product_gates_the_small_slices(monkeypatch):
@@ -433,7 +473,6 @@ def test_residual_product_gates_the_small_slices(monkeypatch):
     with prod (Gamma - lambda I) = 0: a block that differs from the level
     Gamma by I fails that product, although its modular ranks match."""
     from afflap import laplacian
-    from afflap.linalg import IntMatrix
 
     real = laplacian._diagonal_block
     shifted = []
@@ -443,7 +482,7 @@ def test_residual_product_gates_the_small_slices(monkeypatch):
         if shifted:
             return block
         shifted.append((level.q, w))
-        return block + IntMatrix.identity(block.cols)
+        return coo_sum(block.shape, block, coo_diag([1] * block.shape[0]))
 
     monkeypatch.setattr(laplacian, "_diagonal_block", plus_identity)
     with pytest.raises(ClaimFalsified, match=r"^residual product does not annihilate "

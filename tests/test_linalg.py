@@ -11,6 +11,7 @@ from afflap.linalg import (
     bareiss_rank,
     berkowitz_charpoly,
     certify_full_rank,
+    coo_diag,
     exact_nullity,
     fraction_kernel,
     gershgorin_bound,
@@ -22,13 +23,11 @@ from afflap.linalg import (
 )
 
 
-def from_rows(rows):
-    m = IntMatrix(len(rows), len(rows[0]) if rows else 0)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                m.columns[j][i] = v
-    return m
+def from_rows(rows) -> Coo:
+    """The compressed Coo with these integer rows (at least one)."""
+    a = np.array(rows, dtype=np.int64)
+    c, r = np.nonzero(a.T)  # sorted by column, then by row
+    return Coo(a.shape, r, c, a[r, c])
 
 
 def rational_rank(rows):
@@ -49,16 +48,44 @@ def rational_rank(rows):
 
 
 def test_matrix_basics():
-    a = from_rows([[1, 2], [3, 4]])
-    b = from_rows([[0, 1], [1, 0]])
-    assert (a * b) == from_rows([[2, 1], [4, 3]])
-    assert a.transpose() == from_rows([[1, 3], [2, 4]])
-    assert (a - a).is_zero()
-    assert IntMatrix.identity(3).entry(1, 1) == 1
-    assert a.shifted(1) == from_rows([[0, 2], [3, 3]])
+    a = int_matrix(from_rows([[1, 2], [3, 4]]))
+    b = int_matrix(from_rows([[0, 1], [1, 0]]))
+    assert (a * b) == int_matrix(from_rows([[2, 1], [4, 3]]))
+    assert a.transpose() == int_matrix(from_rows([[1, 3], [2, 4]]))
+    assert (a + a.scale(-1)).is_zero()
     assert a.apply({0: 1, 1: 1}) == {0: 3, 1: 7}
     assert not a.is_symmetric()
-    assert from_rows([[1, 2], [2, 5]]).is_symmetric()
+    assert int_matrix(from_rows([[1, 2], [2, 5]])).is_symmetric()
+
+
+def test_coo_block_cuts_one_slice():
+    """``Coo.block`` re-bases the entries of its columns and refuses a
+    column with an entry outside its rows: a slice never reaches into its
+    neighbour."""
+    level = from_rows([[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 5, 0], [0, 0, 6, 7]])
+    lower = level.block(2, 4, 2, 4)
+    assert lower.shape == (2, 2)
+    assert lower.dense().tolist() == [[5, 0], [6, 7]]
+    assert np.array_equal(lower.cols, [0, 0, 1]) and np.array_equal(lower.rows, [0, 1, 1])
+    assert level.block(0, 2, 0, 2).dense().tolist() == [[1, 2], [3, 4]]
+    assert level.block(0, 4, 3, 3).shape == (4, 0)
+    with pytest.raises(ValueError, match=r"columns 0..1 have entries outside rows 0..0"):
+        level.block(0, 1, 0, 2)
+    with pytest.raises(ValueError, match=r"columns 2..3 have entries outside rows 3..3"):
+        level.block(3, 4, 2, 4)
+    with pytest.raises(ValueError, match="outside"):
+        level.block(0, 2, 1, 3)
+
+
+def test_coo_dense_sums_repeated_coordinates_exactly():
+    """2^60 + 1 has no float64 form, so a float accumulation would show."""
+    big = 1 << 60
+    m = Coo((2, 3), np.array([0, 1, 0, 1]), np.array([2, 0, 2, 0]),
+            np.array([big, -4, 1, 4], dtype=np.int64))
+    dense = m.dense()
+    assert dense.dtype == np.int64
+    assert dense.tolist() == [[0, 0, big + 1], [0, 0, 0]]
+    assert Coo.empty((0, 3)).dense().shape == (0, 3)
 
 
 def test_ranks_agree_on_random_matrices():
@@ -86,25 +113,23 @@ def test_rank_mod_p_bounds_its_stacks(monkeypatch):
     assert rank_mod_p(m, [1, 4, 0, 1]) == [1, 2, 3, 1]
     assert sizes == [9] * 4
     # four 1x1 components under two shifts fit one stack of 8 <= 16 entries
-    assert rank_mod_p(IntMatrix.identity(4), [1, 0]) == [0, 4]
+    assert rank_mod_p(coo_diag([1] * 4), [1, 0]) == [0, 4]
     assert sizes[4:] == [8]
 
 
 def test_fraction_kernel_known():
-    m = from_rows([[1, 1], [1, 1]])
-    kern = fraction_kernel(m)
+    kern = fraction_kernel([[1, 1], [1, 1]])
     assert kern == [{0: Fraction(-1), 1: Fraction(1)}]
-    assert fraction_kernel(from_rows([[1, 0], [0, 1]])) == []
+    assert fraction_kernel([[1, 0], [0, 1]]) == []
     # kernel vectors actually lie in the kernel
     rng = random.Random(3)
     for trial in range(25):
         n, m_ = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[rng.randint(-3, 3) for _ in range(m_)] for _ in range(n)]
-        mat = from_rows(rows)
-        kern = fraction_kernel(mat)
+        kern = fraction_kernel(rows)
         assert len(kern) == m_ - rational_rank(rows)
         for vec in kern:
-            assert mat.apply(vec) == {}
+            assert int_matrix(from_rows(rows)).apply(vec) == {}
 
 
 def _count_fallbacks(monkeypatch) -> list:
@@ -128,9 +153,9 @@ def test_modular_kernel_equals_fraction_kernel():
         right = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(r)]
         rows = [[sum(row[t] * right[t][j] for t in range(r)) for j in range(m)]
                 for row in left]
-        mat = from_rows(rows)
-        assert modular_kernel(mat) == fraction_kernel(mat), rows
-    assert modular_kernel(IntMatrix(0, 3)) == fraction_kernel(IntMatrix(0, 3))
+        assert modular_kernel(from_rows(rows)) == fraction_kernel(rows), rows
+    # a 0x3 matrix has the kernel of a zero 1x3 one
+    assert modular_kernel(Coo.empty((0, 3))) == fraction_kernel([[0, 0, 0]])
     assert modular_kernel(from_rows([[1, 0], [0, 1]])) == []
 
 
@@ -148,18 +173,18 @@ def test_modular_kernel_lifts_without_fallback(monkeypatch):
 def test_modular_kernel_reconstruction_failure_falls_back(monkeypatch):
     # the kernel entry 999/1000 exceeds the bound isqrt(p // 2) = 707
     calls = _count_fallbacks(monkeypatch)
-    mat = from_rows([[1000, -999]])
-    assert modular_kernel(mat) == [{0: Fraction(999, 1000), 1: Fraction(1)}]
-    assert calls == [mat]
+    rows = [[1000, -999]]
+    assert modular_kernel(from_rows(rows)) == [{0: Fraction(999, 1000), 1: Fraction(1)}]
+    assert calls == [rows]
 
 
 def test_modular_kernel_exact_check_catches_a_pivot_lost_mod_p(monkeypatch):
     # column 0 vanishes mod p, so mod p it is free and {0: 1} fails Av = 0
     calls = _count_fallbacks(monkeypatch)
-    mat = from_rows([[linalg.DEFAULT_PRIME, 1]])
-    assert modular_kernel(mat) == [
+    rows = [[linalg.DEFAULT_PRIME, 1]]
+    assert modular_kernel(from_rows(rows)) == [
         {0: Fraction(-1, linalg.DEFAULT_PRIME), 1: Fraction(1)}]
-    assert calls == [mat]
+    assert calls == [rows]
 
 
 def test_modular_kernel_exact_check_catches_a_wrong_lift(monkeypatch):
@@ -167,10 +192,10 @@ def test_modular_kernel_exact_check_catches_a_wrong_lift(monkeypatch):
     lift = linalg._rational_reconstruction
     monkeypatch.setattr(linalg, "_rational_reconstruction",
                         lambda u, p, bound: lift(u, p, bound) + 1)
-    mat = from_rows([[1, 1, 2], [1, 1, 2]])
-    assert modular_kernel(mat) == [{0: Fraction(-1), 1: Fraction(1)},
-                                   {0: Fraction(-2), 2: Fraction(1)}]
-    assert calls == [mat]
+    rows = [[1, 1, 2], [1, 1, 2]]
+    assert modular_kernel(from_rows(rows)) == [{0: Fraction(-1), 1: Fraction(1)},
+                                               {0: Fraction(-2), 2: Fraction(1)}]
+    assert calls == [rows]
 
 
 def test_exact_nullity_and_modular_bound():
@@ -179,18 +204,17 @@ def test_exact_nullity_and_modular_bound():
     assert exact_nullity(m, 5) == 1
     assert exact_nullity(m, 3) == 0
     assert nullity_mod_p(m, [2, 5, 3]) == [2, 1, 0]
-    assert certify_full_rank(m.shifted(3))
-    assert not certify_full_rank(m.shifted(2))
+    assert certify_full_rank(from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 2]]))  # m - 3I
+    assert not certify_full_rank(from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 3]]))  # m - 2I
 
 
 def test_charpoly_small_cases():
-    ident = IntMatrix.identity(6)
+    ident = IntMatrix.identity(6).to_dense_rows()
     # (t - 1)^6, ascending coefficients
     assert berkowitz_charpoly(ident) == [1, -6, 15, -20, 15, -6, 1]
-    m = from_rows([[0, 1], [1, 0]])
-    assert berkowitz_charpoly(m) == [-1, 0, 1]
-    assert berkowitz_charpoly(IntMatrix(0, 0)) == [1]
-    assert berkowitz_charpoly(from_rows([[5]])) == [-5, 1]
+    assert berkowitz_charpoly([[0, 1], [1, 0]]) == [-1, 0, 1]
+    assert berkowitz_charpoly([]) == [1]
+    assert berkowitz_charpoly([[5]]) == [-5, 1]
 
 
 def test_charpoly_matches_eigen_structure():
@@ -200,7 +224,7 @@ def test_charpoly_matches_eigen_structure():
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         # symmetrize so eigenvalues are real and trace identities are easy
         rows = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
-        poly = berkowitz_charpoly(from_rows(rows))
+        poly = berkowitz_charpoly(rows)
         assert len(poly) == n + 1 and poly[-1] == 1
         trace = sum(rows[i][i] for i in range(n))
         assert poly[-2] == -trace
@@ -245,7 +269,7 @@ def test_strip_integer_roots():
 def test_gershgorin():
     m = from_rows([[3, -1], [2, 0]])
     assert gershgorin_bound(m) == 4
-    assert gershgorin_bound(IntMatrix(2, 2)) == 0
+    assert gershgorin_bound(Coo.empty((2, 2))) == 0
 
 
 def _coo(rows: int, cols: int, entries: dict) -> Coo:
@@ -256,6 +280,15 @@ def _coo(rows: int, cols: int, entries: dict) -> Coo:
                np.array(list(entries.values()), dtype=np.int64))
 
 
+def int_matrix(matrix: Coo) -> IntMatrix:
+    """The oracle form of a ``Coo``, for comparison with ``IntMatrix``
+    results by ``==``; repeated coordinates are summed."""
+    columns = [{} for _ in range(matrix.shape[1])]
+    for i, j, v in zip(matrix.rows.tolist(), matrix.cols.tolist(), matrix.vals.tolist()):
+        columns[j][i] = columns[j].get(i, 0) + v
+    return IntMatrix(*matrix.shape, [{i: v for i, v in c.items() if v} for c in columns])
+
+
 def test_gram_is_the_sum_of_the_products(monkeypatch):
     """gram(parts) equals the sum of A^T A over the parts, with chunk
     budgets from one pair (every column its own chunk) to all of them."""
@@ -264,7 +297,7 @@ def test_gram_is_the_sum_of_the_products(monkeypatch):
         monkeypatch.setattr(linalg, "GRAM_PAIR_BUDGET", budget)
         for _ in range(25):
             n = rng.randint(1, 7)
-            parts, want = [], IntMatrix.zero(n, n)
+            parts, want = [], IntMatrix(n, n)
             for _ in range(rng.randint(1, 3)):
                 r = rng.randint(0, 6)
                 entries = {(i, j): rng.choice((-2, -1, 1, 3)) for i in range(r) for j in range(n)
@@ -274,7 +307,7 @@ def test_gram_is_the_sum_of_the_products(monkeypatch):
                                      for j in range(n)])
                 want = want + a.transpose() * a
             got = gram(parts, "test")
-            assert got.block(0, n, 0, n) == want
+            assert int_matrix(got) == want
             assert np.all(got.vals != 0)
             assert np.all(np.diff(got.cols * n + got.rows) > 0)
 

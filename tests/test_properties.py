@@ -38,7 +38,7 @@ from afflap.chains import slices as slices_of
 from afflap.generators import epsilon, generator_degree
 from afflap.linalg import (
     DEFAULT_PRIME,
-    IntMatrix,
+    Coo,
     bareiss_rank,
     coo_from_keys,
     exact_nullity,
@@ -48,6 +48,7 @@ from afflap.linalg import (
 )
 from afflap.series import EisensteinInt
 from afflap.sl2 import HalfLaurent, RepRingElement
+from test_linalg import int_matrix
 
 # derandomized and without an example database, so the suite stays
 # reproducible and leaves no files behind
@@ -216,7 +217,7 @@ def _array_slices(build, src, tgt, dw: int) -> dict:
         matrix = build()
     except ValueError:
         return None
-    return {basis.w: matrix.block(*tgt.span(basis.w + dw), *src.span(basis.w))
+    return {basis.w: int_matrix(matrix.block(*tgt.span(basis.w + dw), *src.span(basis.w)))
             for basis in src.slices}
 
 
@@ -250,18 +251,19 @@ def test_level_arrays_match_the_per_monomial_operators(k, h):
 # ---------------------------------------------------------------------------
 # modular nullities, one sparsity component at a time
 
-def permuted_blocks(blocks: list, perm: list) -> IntMatrix:
-    """The block-diagonal matrix of ``blocks`` (square lists of rows), with
-    index i renamed perm[i] on both rows and columns."""
-    columns: list = [{} for _ in perm]
+def permuted_blocks(blocks: list, perm: list) -> Coo:
+    """The compressed block-diagonal matrix of ``blocks`` (square lists of
+    rows), with index i renamed perm[i] on both rows and columns."""
+    keys, vals = [], []
     offset = 0
     for block in blocks:
         for i, row in enumerate(block):
             for j, v in enumerate(row):
-                if v:
-                    columns[perm[offset + j]][perm[offset + i]] = v
+                keys.append(perm[offset + j] * len(perm) + perm[offset + i])
+                vals.append(v)
         offset += len(block)
-    return IntMatrix(len(perm), len(perm), columns)
+    return coo_from_keys((len(perm), len(perm)), np.array(keys, dtype=np.int64),
+                         np.array(vals, dtype=np.int64))
 
 
 ENTRIES = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 5))
@@ -287,7 +289,7 @@ def _ring(n: int) -> list:
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(shifted_block_matrices())
-@example((IntMatrix(5, 5), [0, 3]))  # no nonzeros: empty index arrays
+@example((Coo.empty((5, 5)), [0, 3]))  # no nonzeros: empty index arrays
 @example((permuted_blocks([[[3]]], [0]), [3, 0, -1]))
 @example((permuted_blocks([[[1] * 8] * 8], _ring(8)), [0, 8, 1, 0]))  # one component
 @example((permuted_blocks([[[2] * 6] * 6] + [[[i % 3]] for i in range(20)], _ring(26)),
@@ -300,19 +302,14 @@ def test_modular_nullities_match_exact_on_permuted_blocks(case):
     assert nullity_mod_p(matrix, lams) == [exact_nullity(matrix, lam) for lam in lams]
 
 
-def level_of(matrices: list):
-    """The compressed block-diagonal ``Coo`` with ``matrices`` on its
-    diagonal, in order."""
-    rows, cols, vals = [], [], []
-    offset = 0
-    for matrix in matrices:
-        for j, col in enumerate(matrix.columns):
-            rows += [offset + i for i in col]
-            cols += [offset + j] * len(col)
-            vals += col.values()
-        offset += matrix.rows
-    key = np.array(cols, dtype=np.int64) * offset + np.array(rows, dtype=np.int64)
-    return coo_from_keys((offset, offset), key, np.array(vals, dtype=np.int64))
+def level_of(matrices: list) -> Coo:
+    """The compressed block-diagonal ``Coo`` with the square ``matrices`` on
+    its diagonal, in order."""
+    offsets = np.cumsum([0] + [matrix.shape[0] for matrix in matrices])
+    n = int(offsets[-1])
+    key = np.concatenate([(m.cols + off) * n + m.rows + off
+                          for m, off in zip(matrices, offsets)])
+    return coo_from_keys((n, n), key, np.concatenate([m.vals for m in matrices]))
 
 
 def _small_representative(lam: int) -> int:
@@ -338,16 +335,17 @@ def block_diagonal_levels(draw):
           (permuted_blocks([[[2]], [[-1]]], [1, 0]), [-1, 2, DEFAULT_PRIME, 0])])
 @example([(permuted_blocks([[[1, 2, 0], [0, 1, 0], [5, 0, 1]], [[-3]], [[2, 1], [1, 2]]],
                            _ring(6)), [1, -3, 3, -DEFAULT_PRIME]),  # 3x3, 1x1 and 2x2 components
-          (IntMatrix(2, 2), [0, 5])])
+          (Coo.empty((2, 2)), [0, 5])])
 def test_level_ranks_match_the_slice_ranks(case):
     """One ``level_ranks_mod_p`` pass over a block-diagonal level gives each
     slice the ranks of ``rank_mod_p`` on the slice alone, and those of exact
     elimination with each lam replaced by ``_small_representative(lam)``."""
     matrices = [matrix for matrix, _ in case]
     lams = [slice_lams for _, slice_lams in case]
-    got = level_ranks_mod_p(level_of(matrices), [(m.rows, m.cols) for m in matrices], lams)
+    got = level_ranks_mod_p(level_of(matrices), [m.shape for m in matrices], lams)
     assert got == [rank_mod_p(matrix, slice_lams) for matrix, slice_lams in case]
-    assert got == [[bareiss_rank(matrix.shifted(_small_representative(lam)).to_dense_rows())
+    assert got == [[bareiss_rank((matrix.dense() - _small_representative(lam)
+                                  * np.eye(matrix.shape[0], dtype=np.int64)).tolist())
                     for lam in slice_lams] for matrix, slice_lams in case]
 
 
