@@ -97,6 +97,7 @@ from .linalg import (
     IntMatrix,
     berkowitz_charpoly,
     column_image,
+    component_kernel,
     coo_diag,
     coo_from_keys,
     coo_sum,
@@ -104,7 +105,6 @@ from .linalg import (
     gershgorin_bound,
     gram,
     level_ranks_mod_p,
-    modular_kernel,
     nullity_mod_p,  # noqa: F401  (perfbench/tracer.py wraps it here)
     strip_integer_roots,
 )
@@ -538,20 +538,29 @@ def spectrum(k: int, h: int) -> SpectrumResult:
 # ---------------------------------------------------------------------------
 # harmonic chains and homology
 
-def _kernel_chains(gamma: Coo, basis: BlockBasis) -> list[Chain]:
-    """The ``modular_kernel`` of a slice matrix on ``basis``, as chains."""
-    return [{basis.monomials[i]: c for i, c in sorted(vec.items())}
-            for vec in modular_kernel(gamma)]
+def _kernel_chains(k: int, q: int, gamma: Coo, basis: BlockBasis) -> list[Chain]:
+    """The ``component_kernel`` of the (q, w) slice matrix ``gamma`` on
+    ``basis``, as chains.  Each vector v is checked to satisfy Gamma v = 0
+    exactly; a failure raises ClaimFalsified naming k, h, q and w."""
+    columns = gamma.columns()
+    chains = []
+    for vec in component_kernel(gamma):
+        if any(column_image(columns, vec).values()):
+            raise ClaimFalsified(f"kernel vector is not annihilated by Gamma on "
+                                 f"k={k}, h={basis.h}, q={q}, w={basis.w}")
+        chains.append({basis.monomials[i]: c for i, c in sorted(vec.items())})
+    return chains
 
 
 def harmonic_basis(k: int, basis: BlockBasis) -> list[Chain]:
     """Exact basis of the Laplacian kernel on a union of whole (q, w) slices,
-    echelon-normalized: the ``modular_kernel`` of each slice in the order of
-    ``basis``, with the vectors in the order of their free monomials.
+    echelon-normalized: the ``component_kernel`` of each slice in the order
+    of ``basis``, with the vectors in the order of their free monomials.
 
     Gamma is block diagonal over the slices, so this is the reduced kernel
     basis of the whole matrix.  Raises ValueError as
-    ``laplacian_by_definition`` does.
+    ``laplacian_by_definition`` does, and ClaimFalsified as
+    ``_kernel_chains`` does.
     """
     parts = _whole_slices(k, basis)
     chains = []
@@ -560,7 +569,7 @@ def harmonic_basis(k: int, basis: BlockBasis) -> list[Chain]:
         pos = np.array([part.index[m] for m in whole.monomials], dtype=np.int64)
         in_part = coo_from_keys(gamma.shape, pos[gamma.cols] * part.dim + pos[gamma.rows],
                                 gamma.vals)
-        chains += _kernel_chains(in_part, part)
+        chains += _kernel_chains(k, q, in_part, part)
     # a reduced kernel vector ends on its free monomial
     return sorted(chains, key=lambda chain: basis.index[next(reversed(chain))])
 
@@ -570,7 +579,7 @@ class HomologyTable:
     k: int
     h_max: int
     entries: dict  # (q, w, h) -> dim, only nonzero
-    chains: dict   # (q, w, h) -> list of Chain, for small verified blocks
+    chains: dict   # (q, w, h) -> list of Chain, the reduced kernel basis of each entry
     matches_closed_form: bool
     deviations: list
 
@@ -625,7 +634,8 @@ def homology_table(k: int, h_max: int, h_min: int = 0) -> HomologyTable:
 
     Every (q, w, h) slice is certified: a full modular rank proves a trivial
     kernel, and one ``level_ranks_mod_p`` pass decides that for every slice
-    of a level; any other kernel is found by ``modular_kernel``.
+    of a level.  Every other kernel is found exactly by ``_kernel_chains``,
+    which checks each of its vectors.
     """
     if k not in (-1, 0, 1, 2):
         raise ValueError("homology tables are provided for k in {-1, 0, 1, 2}")
@@ -639,7 +649,7 @@ def homology_table(k: int, h_max: int, h_min: int = 0) -> HomologyTable:
                 if rank == basis.dim:
                     continue
                 q, w = level.q, basis.w
-                kernel = _kernel_chains(_diagonal_block(gamma, level, w), basis)
+                kernel = _kernel_chains(k, q, _diagonal_block(gamma, level, w), basis)
                 if kernel:
                     entries[(q, w, h)] = len(kernel)
                     chains[(q, w, h)] = kernel

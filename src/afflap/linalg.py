@@ -8,23 +8,21 @@ integers for ranks and kernels, and the division-free Berkowitz algorithm
 for characteristic polynomials.  ``IntMatrix`` (one dict per column) is the
 oracle type: ``chains.matrix_of`` builds it from per-monomial chain
 operators, and tests compare the two routes with ``==``.
-Elimination modulo one word-size prime (numpy) serves twice.  The modular
-rank is a certified one-sided bound: rank over GF(p) never exceeds the
-rational rank, and ``level_ranks_mod_p`` eliminates the connected
-components of the sparsity graph of a block-diagonal matrix one shape at a
-time, over all blocks and all their shifts at once; ``rank_mod_p``,
-``nullity_mod_p`` and ``certify_full_rank`` are its one-block forms.
-``modular_kernel`` lifts the echelon kernel basis mod p to Q
-by rational reconstruction and checks every vector exactly, falling back to
-``fraction_kernel`` (Bareiss, then rational back-substitution) when a lift
-or a check fails; its docstring gives the argument that both routes return
-the same basis.
+Elimination modulo one word-size prime (numpy) gives certified one-sided
+bounds: rank over GF(p) never exceeds the rational rank.
+``level_ranks_mod_p`` eliminates the connected components of the sparsity
+graph of a block-diagonal matrix one shape at a time, over all blocks and
+all their shifts at once; ``rank_mod_p``, ``nullity_mod_p`` and
+``certify_full_rank`` are its one-block forms.  Kernels are exact:
+``component_kernel`` runs ``fraction_kernel`` (Bareiss, then rational
+back-substitution) on each sparsity component of a square matrix, and its
+docstring gives the argument that this is the reduced kernel basis of the
+whole matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -351,6 +349,52 @@ def fraction_kernel(dense_rows: list[list[int]]) -> list[dict[int, Fraction]]:
     return kernel
 
 
+def component_kernel(matrix: Coo) -> list[dict[int, Fraction]]:
+    """The ``fraction_kernel`` of a square compressed matrix, found one
+    sparsity component at a time.
+
+    The vertices of the sparsity graph are the indices 0..n-1, row i and
+    column i being one vertex, and each entry A[i, j] joins i to j.
+    ``fraction_kernel`` runs on the dense rows of each connected component
+    (its indices in increasing order); each vector is mapped back to the
+    indices of the matrix, and the vectors are returned in the order of
+    their free columns, which are their largest keys.  Raises ValueError
+    for a matrix that is not square.
+
+    This is the reduced kernel basis of the whole matrix.  The symmetric
+    permutation that groups the components makes A block diagonal over
+    them, so the rank of A[:, :j] is the sum of the ranks of the
+    components' columns left of j, and a column is a pivot (a column where
+    that rank grows) exactly when it is one within its own component.  The
+    component vector of a free column f, padded with zeros, is then a
+    kernel vector of A that is 1 at f, 0 at every other free column and
+    supported on pivot columns left of f.  Two such vectors differ by a
+    kernel vector supported on pivot columns only, which is zero since the
+    pivot columns are independent; so it is the reduced basis vector of f.
+    """
+    n, m = matrix.shape
+    if n != m:
+        raise ValueError(f"component kernel needs a square matrix, not {n}x{m}")
+    comp = np.unique(_component_labels(n, matrix.rows, matrix.cols), return_inverse=True)[1]
+    count = np.bincount(comp)
+    local = _local_index(comp, count)
+    members = np.argsort(comp, kind="stable").tolist()
+    # the entries grouped by component, in local indices
+    order = np.argsort(comp[matrix.rows], kind="stable")
+    rows, cols, vals = local[matrix.rows[order]], local[matrix.cols[order]], matrix.vals[order]
+    ends = np.cumsum(np.bincount(comp[matrix.rows], minlength=count.size)).tolist()
+    kernel = []
+    lo = start = 0
+    for size, hi in zip(count.tolist(), ends):
+        dense = np.zeros((size, size), dtype=np.int64)
+        dense[rows[lo:hi], cols[lo:hi]] = vals[lo:hi]
+        index = members[start:start + size]
+        kernel += [{index[i]: x for i, x in vec.items()}
+                   for vec in fraction_kernel(dense.tolist())]
+        lo, start = hi, start + size
+    return sorted(kernel, key=max)
+
+
 def exact_nullity(matrix: Coo, lam: int = 0) -> int:
     """The nullity of A - lam I over Q, shifted and eliminated on rows of
     Python ints."""
@@ -363,30 +407,26 @@ def exact_nullity(matrix: Coo, lam: int = 0) -> int:
 
 
 # ---------------------------------------------------------------------------
-# modular elimination (certified one-sided bounds, and kernels checked over Q)
+# modular elimination (certified one-sided bounds)
 
 # entries of one stack of ``_echelon_mod_p`` in ``level_ranks_mod_p``
 STACK_BUDGET = 1 << 18
 
 
 def _echelon_mod_p(a: np.ndarray, p: int) -> np.ndarray:
-    """Forward elimination over GF(p) of each matrix in the int64 stack ``a``
-    (shape (m, rows, cols), entries in [0, p)), in place.
+    """The rank over GF(p) of each matrix in the int64 stack ``a`` (shape
+    (m, rows, cols), entries in [0, p)), an (m,) array; ``a`` is eliminated
+    in place.
 
     Rows are never swapped.  At each column every matrix takes as its pivot
     the first row that is nonzero there and holds no earlier pivot, and each
     other such row r becomes pv * r - f * pivot_row (mod p), with pv the
     pivot and f the entry of r in that column: a fraction-free update whose
-    products stay below p**2 < 2**63.  Rows that hold no pivot end zero, and
-    a pivot row is zero left of its pivot and on every later pivot column.
-
-    Returns an (m, cols) array: the row that holds the pivot of each column,
-    or -1 for a column without one.
+    products stay below p**2 < 2**63.
     """
     m, nrows, ncols = a.shape
-    held = np.full((m, ncols), -1, dtype=np.int64)
     if not nrows:
-        return held
+        return np.zeros(m, dtype=np.int64)
     free = np.ones((m, nrows), dtype=bool)
     ids = np.arange(m)
     for col in range(ncols):
@@ -396,7 +436,6 @@ def _echelon_mod_p(a: np.ndarray, p: int) -> np.ndarray:
         if not live.any():
             continue
         pm, pr = ids[live], rows[live]
-        held[pm, col] = pr
         free[pm, pr] = False
         cand[pm, pr] = False
         mi, ri = np.nonzero(cand)
@@ -404,7 +443,7 @@ def _echelon_mod_p(a: np.ndarray, p: int) -> np.ndarray:
             pivot = a[mi, rows[mi], col:]
             a[mi, ri, col:] = (pivot[:, :1] * a[mi, ri, col:]
                                - a[mi, ri, col, None] * pivot) % p
-    return held
+    return nrows - free.sum(axis=1)
 
 
 def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -516,8 +555,7 @@ def level_ranks_mod_p(matrix: Coo, shapes, lams) -> list[list[int]]:
                 if sr == sc:
                     d = np.arange(sr)
                     stack[:, d, d] = (stack[:, d, d] - shifts[out[t:t + turn], None]) % p
-                held = _echelon_mod_p(stack, p)
-                np.add.at(ranks, out[t:t + turn], (held >= 0).sum(axis=1))
+                np.add.at(ranks, out[t:t + turn], _echelon_mod_p(stack, p))
     return [ranks[i:i + n].tolist() for i, n in zip(first.tolist(), count.tolist())]
 
 
@@ -526,93 +564,6 @@ def rank_mod_p(matrix: Coo, lams) -> list[int]:
     ``lams``: ``level_ranks_mod_p`` on the compressed matrix A as one block.
     A nonzero lam needs a square matrix."""
     return level_ranks_mod_p(matrix, [matrix.shape], [list(lams)])[0]
-
-
-def _rational_reconstruction(u: int, p: int, bound: int) -> Fraction | None:
-    """The fraction n/d with |n|, d <= bound and n = d*u (mod p), or None.
-
-    Such a fraction is unique when 2*bound**2 < p.  It is read off the
-    extended Euclidean remainder sequence of (p, u) at the first remainder
-    not above ``bound`` (Wang, Guy and Davenport 1982); every remainder r
-    there satisfies r = s*u (mod p) for its cofactor s.
-    """
-    r0, r1, s0, s1 = p, u % p, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if not 0 < abs(s1) <= bound:
-        return None
-    return Fraction(r1, s1)
-
-
-def modular_kernel(matrix: Coo) -> list[dict[int, Fraction]]:
-    """The kernel basis of ``fraction_kernel``, found mod p and lifted to Q.
-
-    The compressed matrix is reduced mod ``DEFAULT_PRIME`` and brought to
-    echelon form by ``_echelon_mod_p``, the forward pass of
-    ``level_ranks_mod_p``; its pivot rows, each scaled to a leading 1, are
-    back-substituted.  Each free column f gives the vector that is 1 at f,
-    0 at the other free columns and supported on the pivot columns left of
-    f; its entries are lifted by rational reconstruction with |num|,
-    den <= isqrt(p // 2), and it is checked to lie in the kernel exactly,
-    over the integers after clearing denominators, on the columns of its
-    support.  If any lift or check fails the result is ``fraction_kernel``
-    of the matrix's dense rows.
-
-    When every check passes the result equals that ``fraction_kernel``:
-
-    - for every j, the rank of A[:, :j] mod p is at most its rank over Q;
-    - each lifted vector is an exact kernel vector that is 1 on its free
-      column f, 0 on the other free columns and supported on the pivot
-      columns left of f, so column f lies in the rational span of those;
-      hence the rank of A[:, :j] over Q is at most the number of pivots mod
-      p left of j, which is its rank mod p;
-    - so the two ranks of A[:, :j] agree for every j, the pivot sets (the
-      columns where that rank grows) coincide, and with them the reduced
-      kernel basis, which is unique.
-    """
-    p = DEFAULT_PRIME
-    dense = matrix.dense()
-    a = dense % p
-    held = _echelon_mod_p(a[None], p)[0]
-    pivots = np.nonzero(held >= 0)[0].tolist()
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(matrix.shape[1]) if c not in pivot_set]
-    if not free_cols:
-        return []
-    # the echelon rows in pivot order, each pivot scaled to 1
-    a = a[held[pivots]]
-    inverses = [pow(int(a[i, pc]), p - 2, p) for i, pc in enumerate(pivots)]
-    a = a * np.array(inverses, dtype=np.int64)[:, None] % p
-    # reduce the pivot rows on the free columns only: rows i' < i lose their
-    # multiple of row i, from the last pivot up
-    reduced = a[:, free_cols]
-    for i in range(len(pivots) - 1, 0, -1):
-        above = a[:i, pivots[i]]
-        mask = above != 0
-        if mask.any():
-            reduced[:i][mask] = (
-                reduced[:i][mask] - np.outer(above[mask], reduced[i])) % p
-    bound = isqrt(p // 2)
-    columns = matrix.columns()
-    kernel = []
-    for j, fc in enumerate(free_cols):
-        vec: dict[int, Fraction] = {fc: Fraction(1)}
-        for i, pc in enumerate(pivots):
-            residue = -int(reduced[i, j]) % p
-            if not residue:
-                continue
-            value = _rational_reconstruction(residue, p, bound)
-            if value is None:
-                return fraction_kernel(dense.tolist())
-            vec[pc] = value
-        den = lcm(*(v.denominator for v in vec.values()))
-        if any(column_image(columns, {c: v.numerator * (den // v.denominator)
-                                      for c, v in vec.items()}).values()):
-            return fraction_kernel(dense.tolist())
-        kernel.append(vec)
-    return kernel
 
 
 def nullity_mod_p(matrix: Coo, lams) -> list[int]:

@@ -120,14 +120,6 @@ class Series:
         return (isinstance(other, Series) and self.order == other.order
                 and all(a == b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def first_mismatch(self, other: "Series"):
-        """Smallest exponent where the two series differ, or None."""
-        n = min(self.order, other.order)
-        for e in range(n):
-            if self.coeffs[e] != other.coeffs[e]:
-                return e, self.coeffs[e], other.coeffs[e]
-        return None
-
     def scale(self, factor) -> "Series":
         return Series(self.order, [c * factor for c in self.coeffs])
 

@@ -331,6 +331,45 @@ def test_harmonic_basis_is_the_reduced_kernel_of_the_whole_block():
                 assert harmonic_basis(k, basis) == want, (k, h, basis.monomials)
 
 
+def test_homology_kernels_run_only_on_rank_deficient_slices(monkeypatch):
+    """The level pass proves every other slice of homology_table(2, 12)
+    trivial: ``component_kernel`` runs once for each of the 25 slices whose
+    modular rank falls short, and each of them has homology."""
+    from afflap import laplacian
+
+    calls = []
+    kernel = laplacian.component_kernel
+    monkeypatch.setattr(laplacian, "component_kernel",
+                        lambda gamma: calls.append(gamma.shape) or kernel(gamma))
+    assert len(homology_table(2, 12).entries) == len(calls) == 25
+
+
+def test_a_wrong_kernel_vector_is_a_falsified_claim(monkeypatch, capsys):
+    """Each kernel vector is checked to satisfy Gamma v = 0 exactly.  With
+    the free entry of every ``fraction_kernel`` vector doubled, the first
+    vector of a slice whose free column Gamma does not annihilate fails that
+    check: homology_table and harmonic_basis raise, and the CLI exits 1."""
+    from afflap import cli, linalg
+
+    exact = linalg.fraction_kernel
+
+    def doubled(rows):
+        return [{**vec, max(vec): 2 * vec[max(vec)]} for vec in exact(rows)]
+
+    monkeypatch.setattr(linalg, "fraction_kernel", doubled)
+    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
+    message = "^kernel vector is not annihilated by Gamma on k=2, h=3, q=2, w=-1$"
+    with pytest.raises(ClaimFalsified, match=message):
+        homology_table(2, 3)
+    with pytest.raises(ClaimFalsified, match=message):
+        harmonic_basis(2, enumerate_block(2, 3))
+    assert cli.main(["homology", "--k", "2", "--h-max", "3", "--jobs", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("falsified claim: kernel vector is not annihilated by Gamma "
+                   "on k=2, h=3, q=2, w=-1\n")
+
+
 def test_spectrum_small_blocks():
     assert spectrum(2, 2).lines == [(1, 6)]
     assert spectrum(1, 1).lines == [(0, 2), (1, 4)]

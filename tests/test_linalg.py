@@ -11,12 +11,12 @@ from afflap.linalg import (
     bareiss_rank,
     berkowitz_charpoly,
     certify_full_rank,
+    component_kernel,
     coo_diag,
     exact_nullity,
     fraction_kernel,
     gershgorin_bound,
     gram,
-    modular_kernel,
     nullity_mod_p,
     rank_mod_p,
     strip_integer_roots,
@@ -132,70 +132,45 @@ def test_fraction_kernel_known():
             assert int_matrix(from_rows(rows)).apply(vec) == {}
 
 
-def _count_fallbacks(monkeypatch) -> list:
-    calls = []
-    exact = linalg.fraction_kernel
-
-    def counted(matrix):
-        calls.append(matrix)
-        return exact(matrix)
-
-    monkeypatch.setattr(linalg, "fraction_kernel", counted)
-    return calls
-
-
 def test_modular_kernel_equals_fraction_kernel():
+    """``component_kernel`` returns the reduced kernel basis that
+    ``fraction_kernel`` finds on the whole matrix, and rejects a matrix that
+    is not square."""
     rng = random.Random(5)
     for trial in range(200):
-        n, m, r = rng.randint(1, 8), rng.randint(1, 8), rng.randint(0, 5)
-        # a product through an r-dimensional space has rank at most r
+        n, r = rng.randint(1, 8), rng.randint(0, 5)
+        # a square product through an r-dimensional space has rank at most r
         left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
-        right = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(r)]
-        rows = [[sum(row[t] * right[t][j] for t in range(r)) for j in range(m)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        rows = [[sum(row[t] * right[t][j] for t in range(r)) for j in range(n)]
                 for row in left]
-        assert modular_kernel(from_rows(rows)) == fraction_kernel(rows), rows
-    # a 0x3 matrix has the kernel of a zero 1x3 one
-    assert modular_kernel(Coo.empty((0, 3))) == fraction_kernel([[0, 0, 0]])
-    assert modular_kernel(from_rows([[1, 0], [0, 1]])) == []
+        assert component_kernel(from_rows(rows)) == fraction_kernel(rows), rows
+    assert component_kernel(Coo.empty((0, 0))) == []
+    assert component_kernel(Coo.empty((2, 2))) == fraction_kernel([[0, 0], [0, 0]])
+    assert component_kernel(from_rows([[1, 0], [0, 1]])) == []
+    with pytest.raises(ValueError, match="^component kernel needs a square matrix, not 2x3$"):
+        component_kernel(from_rows([[1, 2, 3], [2, 4, 6]]))
 
 
-def test_modular_kernel_lifts_without_fallback(monkeypatch):
-    calls = _count_fallbacks(monkeypatch)
-    mat = from_rows([[2, 4, -3, 1], [6, 12, -9, 3]])
-    assert modular_kernel(mat) == [
-        {0: Fraction(-2), 1: Fraction(1)},
-        {0: Fraction(3, 2), 2: Fraction(1)},
-        {0: Fraction(-1, 2), 3: Fraction(1)},
-    ]
-    assert calls == []
-
-
-def test_modular_kernel_reconstruction_failure_falls_back(monkeypatch):
-    # the kernel entry 999/1000 exceeds the bound isqrt(p // 2) = 707
-    calls = _count_fallbacks(monkeypatch)
-    rows = [[1000, -999]]
-    assert modular_kernel(from_rows(rows)) == [{0: Fraction(999, 1000), 1: Fraction(1)}]
-    assert calls == [rows]
-
-
-def test_modular_kernel_exact_check_catches_a_pivot_lost_mod_p(monkeypatch):
-    # column 0 vanishes mod p, so mod p it is free and {0: 1} fails Av = 0
-    calls = _count_fallbacks(monkeypatch)
-    rows = [[linalg.DEFAULT_PRIME, 1]]
-    assert modular_kernel(from_rows(rows)) == [
-        {0: Fraction(-1, linalg.DEFAULT_PRIME), 1: Fraction(1)}]
-    assert calls == [rows]
-
-
-def test_modular_kernel_exact_check_catches_a_wrong_lift(monkeypatch):
-    calls = _count_fallbacks(monkeypatch)
-    lift = linalg._rational_reconstruction
-    monkeypatch.setattr(linalg, "_rational_reconstruction",
-                        lambda u, p, bound: lift(u, p, bound) + 1)
-    rows = [[1, 1, 2], [1, 1, 2]]
-    assert modular_kernel(from_rows(rows)) == [{0: Fraction(-1), 1: Fraction(1)},
-                                               {0: Fraction(-2), 2: Fraction(1)}]
-    assert calls == [rows]
+def test_component_kernel_interleaves_the_free_columns_of_its_components(monkeypatch):
+    """Components {0, 2, 4} and {1, 3, 5} have the free columns 0, 4 and 3,
+    5: the basis alternates between them, in the order of the whole
+    matrix's reduced basis, and each component is eliminated once."""
+    a = [[0, 1, 1], [0, 1, 1], [0, 0, 0]]  # local column 0 is zero
+    b = [[2, 1, 3], [4, 2, 6], [0, 0, 0]]
+    rows = [[0] * 6 for _ in range(6)]
+    for block, index in ((a, (0, 2, 4)), (b, (1, 3, 5))):
+        for i, row in enumerate(block):
+            for j, v in enumerate(row):
+                rows[index[i]][index[j]] = v
+    calls = []
+    exact = linalg.fraction_kernel
+    monkeypatch.setattr(linalg, "fraction_kernel", lambda m: calls.append(m) or exact(m))
+    kernel = component_kernel(from_rows(rows))
+    assert calls == [a, b]
+    assert [max(vec) for vec in kernel] == [0, 3, 4, 5]
+    assert kernel == exact(rows)
+    assert kernel[1] == {1: Fraction(-1, 2), 3: Fraction(1)}
 
 
 def test_exact_nullity_and_modular_bound():

@@ -40,8 +40,12 @@ from afflap.linalg import (
     DEFAULT_PRIME,
     Coo,
     bareiss_rank,
+    component_kernel,
+    coo_diag,
     coo_from_keys,
+    coo_sum,
     exact_nullity,
+    fraction_kernel,
     level_ranks_mod_p,
     nullity_mod_p,
     rank_mod_p,
@@ -295,11 +299,17 @@ def _ring(n: int) -> list:
 @example((permuted_blocks([[[2] * 6] * 6] + [[[i % 3]] for i in range(20)], _ring(26)),
           [0, 1, 2, 12]))  # one large component beside singletons
 def test_modular_nullities_match_exact_on_permuted_blocks(case):
-    """nullity_mod_p eliminates each connected component of the sparsity
-    graph on its own; the nullities must be those of exact elimination on
-    the whole matrix, for every shift."""
+    """nullity_mod_p and component_kernel eliminate each connected component
+    of the sparsity graph on its own; the nullities must be those of exact
+    elimination on the whole matrix, and the kernel its reduced kernel
+    basis, for every shift."""
     matrix, lams = case
     assert nullity_mod_p(matrix, lams) == [exact_nullity(matrix, lam) for lam in lams]
+    n = matrix.shape[0]
+    for lam in lams:
+        shifted = coo_sum(matrix.shape, matrix, coo_diag([-lam] * n))
+        rows = shifted.dense().tolist()
+        assert component_kernel(shifted) == (fraction_kernel(rows) if n else []), lam
 
 
 def level_of(matrices: list) -> Coo:

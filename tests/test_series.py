@@ -70,14 +70,6 @@ def test_series_arithmetic():
         Series(0)
 
 
-def test_first_mismatch():
-    a = Series.from_terms(5, [(0, 1), (3, 7)])
-    b = Series.from_terms(5, [(0, 1), (3, 8)])
-    assert a.first_mismatch(b) == (3, 7, 8)
-    assert a.first_mismatch(a) is None
-    assert a != b
-
-
 def test_eisenstein_ring():
     u = EisensteinInt(0, 1)
     assert u * u == EisensteinInt(-1, -1)
