@@ -18,7 +18,7 @@ from .chains import (
     normalize_wedge,
     weight_dim_table,
 )
-from .generators import bracket, epsilon, generator_degree, generator_weight
+from .generators import bracket, epsilon, generator_degree
 from .identities import IdentityReport, all_identities, verify_identity
 from .laplacian import (
     ClaimFalsified,

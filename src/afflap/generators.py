@@ -12,16 +12,12 @@ from __future__ import annotations
 
 
 def epsilon(m: int) -> int:
-    """Period-3 sign of an index: -1, 0, +1 for m = -1, 0, 1 (mod 3)."""
+    """Period-3 sign of an index: -1, 0, +1 for m = -1, 0, 1 (mod 3); also
+    the weight of e_m, its eigenvalue under the adjoint e_0 action."""
     r = m % 3
     if r == 0:
         return 0
     return 1 if r == 1 else -1
-
-
-def generator_weight(a: int) -> int:
-    """Weight of e_a, the eigenvalue of the adjoint e_0 action."""
-    return epsilon(a)
 
 
 def generator_degree(a: int) -> int:

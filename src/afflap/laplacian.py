@@ -6,8 +6,10 @@ coordinate arrays over the level's monomial array (``chains.Level``): D_q,
 the matrix of the differential from level q to level q-1, the
 codifferential and Gamma keep w, so their level matrices are block
 diagonal over the (q, w) slices, and e_{+-1} shift w by exactly one.
-``_gamma_levels`` forms D_q^T D_q + D_{q+1} D_{q+1}^T on a level as one
-``linalg.gram``; ``laplacian_slices`` cuts it into the slice blocks that
+Each walk builds the levels of its block once (``_block_levels``) and
+passes the same ``Level`` to ``_gamma_levels``, which forms
+D_q^T D_q + D_{q+1} D_{q+1}^T on it as one ``linalg.gram``, and to
+``sl2.sl2_level``.  ``laplacian_slices`` cuts Gamma into the slice blocks that
 are decomposed one at a time, and ``laplacian_by_definition`` scatters
 those onto a basis.  ``laplacian_closed_apply`` evaluates the paper's
 second-order closed form monomial by monomial, and its matrix
@@ -19,7 +21,8 @@ naming k, h and q.
 Spectra are exact.  For k in {0, 1} Gamma is scalar on every slice, and
 each level of Gamma is compared entrywise with the diagonal matrix of its
 slices' scalars.  For k in {-1, 2} every (q, w) slice passes these exact
-integer checks in order; a failure raises ClaimFalsified.
+integer checks in order, level by level: check 1 in ``_gamma_levels``,
+then checks 2-6 in ``_certify_level``; a failure raises ClaimFalsified.
 Checks 1-4 are statements about one slice.  Each is checked on a whole
 level at once, which checks it on every slice of the level, since the level
 matrices are block diagonal over the slices (E_1 sends each slice into the
@@ -34,7 +37,7 @@ column:
 3. E_{w-1} E_{w-1}^T - E_w^T E_w = w I, which is [e_1, e_{-1}] = e_0 (the
    grading gives the e_0 relations), so the block is a finite-dimensional
    sl2-module and the Casimir C acts by w'(w'+1) on its isotypic piece of
-   dominant weight w' (checks 2-3 and E_w come from ``sl2.sl2_levels``);
+   dominant weight w' (checks 2-3 and E_w come from ``sl2.sl2_level``);
 4. 2 Gamma = 2h I + C for k = -1 and 2h I - C for k = 2, with
    C = E_w^T E_w + w^2 I + E_{w-1} E_{w-1}^T: the paper's closed form, so
    Gamma acts on that piece by h +- w'(w'+1)/2;
@@ -68,7 +71,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -108,7 +110,7 @@ from .linalg import (
     nullity_mod_p,  # noqa: F401  (perfbench/tracer.py wraps it here)
     strip_integer_roots,
 )
-from .sl2 import ClaimFalsified, sl2_levels
+from .sl2 import ClaimFalsified, sl2_level
 
 # Slices up to this dimension get exact nullities from their modular ranks
 # and the residual product check; on larger ones a modular nullity that
@@ -181,26 +183,20 @@ def _closed_apply_twice(k: int, chain: Chain) -> Chain:
     return add_chains(*parts)
 
 
-@lru_cache(maxsize=None)
-def _slice_bases(k: int, h: int) -> dict:
-    """The ``slices`` of the degree-h block."""
-    return slices(enumerate_block(k, h))
+def _block_levels(k: int, h: int) -> dict:
+    """The ``Level`` of each q of the degree-h block, in increasing q."""
+    return levels(slices(enumerate_block(k, h)))
 
 
-def _slice(k: int, h: int, q: int, w: int) -> BlockBasis:
-    return _slice_bases(k, h).get((q, w)) or BlockBasis(k, h, (), w=w)
-
-
-def _gamma_levels(k: int, h: int, qs=None):
-    """Yield ``(level, gamma)`` for the levels of the degree-h block in
-    increasing q, or for the q in ``qs`` only: gamma is D_q^T D_q +
-    D_{q+1} D_{q+1}^T on the whole level, one ``gram`` over the stacked
-    D_q and D_{q+1}^T.  Each D_q is built once and compared with the matrix
-    of the codifferential from level q-1, built on its own by its splitting
-    rule; a mismatch raises ClaimFalsified naming the (q, w) of its first
-    column.
+def _gamma_levels(k: int, h: int, by_q: dict, qs=None):
+    """Yield ``(level, gamma)`` for the levels ``by_q`` of the degree-h
+    block (its ``_block_levels``) in increasing q, or for the q in ``qs``
+    only: gamma is D_q^T D_q + D_{q+1} D_{q+1}^T on the whole level, one
+    ``gram`` over the stacked D_q and D_{q+1}^T.  Each D_q is built once and
+    compared with the matrix of the codifferential from level q-1, built on
+    its own by its splitting rule; a mismatch raises ClaimFalsified naming
+    the (q, w) of its first column.
     """
-    by_q = levels(_slice_bases(k, h))
 
     def boundary(q: int) -> Coo:
         src = by_q.get(q) or Level(k, h, q)
@@ -240,7 +236,7 @@ def laplacian_slices(k: int, h: int, keys=None):
     ``_gamma_levels`` (check 1 runs there).
     """
     qs = None if keys is None else {q for q, _ in keys}
-    for level, gamma in _gamma_levels(k, h, qs):
+    for level, gamma in _gamma_levels(k, h, _block_levels(k, h), qs):
         for basis in level.slices:
             if keys is None or (level.q, basis.w) in keys:
                 yield level.q, basis.w, basis, _diagonal_block(gamma, level, basis.w)
@@ -250,10 +246,11 @@ def _whole_slices(k: int, basis: BlockBasis) -> dict:
     """The ``slices`` of ``basis``, each checked to be a whole (q, w) slice
     of the degree ``basis.h`` block; raises ValueError otherwise."""
     parts = slices(basis)
-    for (q, w), part in parts.items():
-        if sorted(part.monomials) != list(_slice(k, basis.h, q, w).monomials):
+    block = slices(enumerate_block(k, basis.h))
+    for key, part in parts.items():
+        if key not in block or sorted(part.monomials) != list(block[key].monomials):
             raise ValueError(
-                f"basis splits the (q, w) = ({q}, {w}) slice of the "
+                f"basis splits the (q, w) = {key} slice of the "
                 f"(k={k}, h={basis.h}) block")
     return parts
 
@@ -277,31 +274,6 @@ def laplacian_by_definition(k: int, basis: BlockBasis) -> IntMatrix:
 
 def laplacian_closed_form(k: int, basis: BlockBasis) -> IntMatrix:
     return matrix_of(lambda c: laplacian_closed_apply(k, c), basis, basis)
-
-
-# ---------------------------------------------------------------------------
-# the sl2 certificate for k in {-1, 2}
-
-def _casimir_certified(k: int, h: int):
-    """The ``_gamma_levels`` of the degree-h block (check 1), each walked
-    beside its ``sl2_levels`` (checks 2-3 of the module docstring) and
-    checked to satisfy 2 Gamma = 2h I +- C (check 4) before it is yielded.
-    Raises ClaimFalsified naming k, h, q and the w of the first failing
-    column.
-    """
-    sign = 1 if k == -1 else -1
-    checked = sl2_levels(k, _slice_bases(k, h))
-    for level, gamma in _gamma_levels(k, h):
-        casimir = next(checked)[2]
-        n = len(level)
-        diff = coo_sum((n, n), gamma.scaled(2), coo_diag(np.full(n, -2 * h)),
-                       casimir.scaled(-sign))
-        del casimir  # only gamma is passed on
-        if diff.vals.size:
-            raise ClaimFalsified(
-                f"2 Gamma != 2h I {'+' if sign > 0 else '-'} C on "
-                f"k={k}, h={h}, q={level.q}, w={level.weights[diff.cols[0]]}")
-        yield level, gamma
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +445,19 @@ def _predicted_multiplicities(k: int, h: int, q: int, basis: BlockBasis, dims: d
 
 def _certify_level(k: int, h: int, level: Level, gamma: Coo, dims: dict,
                    result: SpectrumResult, totals: dict) -> None:
-    """Checks 5 and 6 on every slice of a level of L(-1) or L(2): one
-    ``level_ranks_mod_p`` pass gives every slice's modular nullities."""
-    q = level.q
+    """Checks 2-6 on every slice of a level of L(-1) or L(2), in order: 2-3
+    in ``sl2_level``, then 4, then 5 and 6, with one ``level_ranks_mod_p``
+    pass giving every slice's modular nullities."""
+    q, n = level.q, len(level)
+    sign = 1 if k == -1 else -1
+    casimir = sl2_level(k, level)[1]
+    diff = coo_sum((n, n), gamma.scaled(2), coo_diag(np.full(n, -2 * h)),
+                   casimir.scaled(-sign))
+    del casimir  # not held through checks 5 and 6
+    if diff.vals.size:
+        raise ClaimFalsified(
+            f"2 Gamma != 2h I {'+' if sign > 0 else '-'} C on "
+            f"k={k}, h={h}, q={q}, w={level.weights[diff.cols[0]]}")
     expected = [_predicted_multiplicities(k, h, q, basis, dims, result)
                 for basis in level.slices]
     lams = [sorted(want) for want in expected]
@@ -518,15 +500,14 @@ def spectrum(k: int, h: int) -> SpectrumResult:
     """
     if k not in (-1, 0, 1, 2):
         raise ValueError("exact spectra are provided for k in {-1, 0, 1, 2}")
-    dims = {key: basis.dim for key, basis in _slice_bases(k, h).items()}
+    by_q = _block_levels(k, h)
+    dims = {(q, basis.w): basis.dim for q, level in by_q.items() for basis in level.slices}
     result = SpectrumResult(k=k, h=h, dim=sum(dims.values()), lines=[], refinement=[])
     totals: dict[int, int] = {}
-
-    if k in (0, 1):
-        for level, gamma in _gamma_levels(k, h):
+    for level, gamma in _gamma_levels(k, h, by_q):
+        if k in (0, 1):
             _scalar_level(k, h, level, gamma, result, totals)
-    else:
-        for level, gamma in _casimir_certified(k, h):
+        else:
             _certify_level(k, h, level, gamma, dims, result, totals)
     if sum(totals.values()) != result.dim:
         raise ClaimFalsified(
@@ -642,7 +623,7 @@ def homology_table(k: int, h_max: int, h_min: int = 0) -> HomologyTable:
     entries: dict = {}
     chains: dict = {}
     for h in range(h_min, h_max + 1):
-        for level, gamma in _gamma_levels(k, h):
+        for level, gamma in _gamma_levels(k, h, _block_levels(k, h)):
             shapes = [(basis.dim, basis.dim) for basis in level.slices]
             ranks = level_ranks_mod_p(gamma, shapes, [[0]] * len(shapes))
             for basis, (rank,) in zip(level.slices, ranks):

@@ -11,72 +11,28 @@ treated as immutable values.
 
 from __future__ import annotations
 
-from .sl2 import HalfLaurent
+from .sl2 import HalfLaurent, _SparseRingElement
 
 DEFAULT_ORDER = 40
 
 
-class EisensteinInt:
-    """Element a + b*u of Z[u] / (u^2 + u + 1)."""
+class EisensteinInt(_SparseRingElement):
+    """Element a + b*u of Z[u] / (u^2 + u + 1), stored as the terms
+    {0: a, 1: b}."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ()
 
     def __init__(self, a: int, b: int = 0):
-        self.a = a
-        self.b = b
-
-    def __bool__(self):
-        return bool(self.a or self.b)
-
-    @staticmethod
-    def _coerce(other) -> "EisensteinInt":
-        """Ints become constants; an element of another ring raises."""
-        if isinstance(other, int):
-            return EisensteinInt(other)
-        if not isinstance(other, EisensteinInt):
-            raise TypeError(f"cannot combine EisensteinInt with {type(other).__name__}")
-        return other
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = EisensteinInt(other)
-        return (isinstance(other, EisensteinInt)
-                and self.a == other.a and self.b == other.b)
-
-    def __hash__(self):
-        # a constant equals its int, so it must hash like it
-        return hash((self.a, self.b)) if self.b else hash(self.a)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return EisensteinInt(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return EisensteinInt(-self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
+        super().__init__({0: a, 1: b})
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return EisensteinInt(self.a * other, self.b * other)
-        other = self._coerce(other)
         # (a1 + b1 u)(a2 + b2 u) with u^2 = -1 - u
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        x, y = self.terms, self._coerce(other).terms
+        a1, b1, a2, b2 = x.get(0, 0), x.get(1, 0), y.get(0, 0), y.get(1, 0)
         return EisensteinInt(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2)
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
     def __repr__(self):
-        return f"EisensteinInt({self.a}, {self.b})"
+        return f"EisensteinInt({self.terms.get(0, 0)}, {self.terms.get(1, 0)})"
 
     @staticmethod
     def u_to(exp: int) -> "EisensteinInt":

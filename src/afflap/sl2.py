@@ -1,8 +1,8 @@
 """Finite-dimensional sl2 machinery: representation ring, characters,
 Clebsch-Gordan singular vectors, and the sl2 action on chain blocks.
-``sl2_levels`` is the one source of the checked e_{+-1} matrices: the
-Laplacian certificate takes the level Casimir from it, and the singular
-route the E_1 slices that ``sl2_slices`` cuts from it.
+``sl2_level`` is the one source of the checked e_{+-1} matrices of a
+``chains.Level``: the Laplacian certificate takes the level Casimir from
+it, and the singular route cuts its E_1 slices from the level matrix.
 
 Dominant weights are stored doubled (2w is a non-negative integer), so all
 bookkeeping stays integral even for half-integer weights.  The same doubling
@@ -37,7 +37,8 @@ class _SparseRingElement:
     """Ring element stored as a sparse map key -> nonzero int, key 0 being
     the unit.  Holds the additive structure, equality and hashing; each
     ring supplies its own ``__mul__``.  Integers coerce to constants, and
-    mixing two different rings raises ``TypeError``."""
+    mixing two different rings raises ``TypeError``.  Constants are built
+    with ``_of``, so a ring may keep a constructor of its own."""
 
     __slots__ = ("terms",)
 
@@ -54,16 +55,16 @@ class _SparseRingElement:
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._of({})
 
     @classmethod
     def one(cls):
-        return cls({0: 1})
+        return cls._of({0: 1})
 
     def _coerce(self, other):
         """Ints become constants; an element of another ring raises."""
         if isinstance(other, int):
-            return type(self)({0: other})
+            return self._of({0: other} if other else {})
         if type(other) is not type(self):
             raise TypeError(f"cannot combine {type(self).__name__} "
                             f"with {type(other).__name__}")
@@ -74,7 +75,7 @@ class _SparseRingElement:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = type(self)({0: other})
+            other = self._coerce(other)
         return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
@@ -100,9 +101,7 @@ class _SparseRingElement:
         return (-self) + other
 
     def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
+        return self * other  # every ring here is commutative
 
 
 class RepRingElement(_SparseRingElement):
@@ -348,27 +347,17 @@ def _check_lands(matrix: Coo, level: Level, g: int, where: str) -> None:
             f"is outside the target block (k={level.k}, h={level.h}, w={w + g})")
 
 
-def sl2_levels(k: int, parts: dict):
-    """Yield ``(level, E, C)`` for the ``levels`` of ``parts``, the
-    ``slices`` map of a union of whole (q, w) slices, in increasing q.
-
-    E is the matrix of e_1 on the level, built by its image rule, and
-    C = E^T E + w^2 I + E E^T the Casimir; both keep q, E raises w by one
-    and C keeps it.  Each level first passes checks 2 and 3 of the
+def sl2_level(k: int, level: Level) -> tuple[Coo, Coo]:
+    """``(E, C)`` on one level: E is the matrix of e_1, built by its image
+    rule, and C = E^T E + w^2 I + E E^T the Casimir; both keep q, E raises
+    w by one and C keeps it.  The level first passes checks 2 and 3 of the
     ``laplacian`` docstring: E lands in weight w + 1 and the matrix of
     e_{-1}, built on its own by its image rule, equals E^T; and
-    E E^T - E^T E = w I, which is [e_1, e_{-1}] = e_0.  So the union is an
+    E E^T - E^T E = w I, which is [e_1, e_{-1}] = e_0.  So the level is an
     sl2-module, and C acts by w'(w'+1) on its isotypic piece of dominant
     weight w'.  A failure raises ClaimFalsified naming k, h, q and the w of
     the first failing column of the e_1 matrix.
     """
-    for level in levels(parts).values():
-        yield (level, *_raising_and_casimir(k, level))
-
-
-def _raising_and_casimir(k: int, level: Level) -> tuple[Coo, Coo]:
-    """(E, C) on one level, after checks 2 and 3; its temporaries are
-    freed before ``sl2_levels`` yields the level."""
     n, weights = len(level), level.weights
     where = f"k={k}, h={level.h}, q={level.q}"
     up = adjoint_coo(1, k, level)
@@ -387,38 +376,31 @@ def _raising_and_casimir(k: int, level: Level) -> tuple[Coo, Coo]:
     return up, coo_sum((n, n), lower_raise, coo_diag(weights * weights), raise_lower)
 
 
-def sl2_slices(k: int, parts: dict):
-    """Yield ``(q, w, basis, E_w, C)`` for the slices of ``parts`` in sorted
-    order, cut from ``sl2_levels``: E_w is the matrix of e_1 from the (q, w)
-    slice to the (q, w+1) slice and C = E_w^T E_w + w^2 I + E_{w-1} E_{w-1}^T
-    the Casimir on the slice.
-    """
-    for level, up, casimir in sl2_levels(k, parts):
-        for basis in level.slices:
-            span = level.span(basis.w)
-            yield (level.q, basis.w, basis, up.block(*level.span(basis.w + 1), *span),
-                   casimir.block(*span, *span))
-
-
 def singular_multiplicities(k: int, basis: BlockBasis) -> RepRingElement:
     """Isotypic multiplicities of ``basis``, a union of whole (q, w) slices
-    closed under the sl2 action, summed over q.  On each (q, w >= 0) slice of
-    ``sl2_slices`` two counts must agree: dim ker E_w, by exact elimination,
-    and dim(q, w) - dim(q, w+1).  The multiplicities must fill the basis.
+    closed under the sl2 action, summed over q.  Each level passes the
+    checks of ``sl2_level``; on each of its (q, w >= 0) slices two counts
+    must agree: dim ker E_w, by exact elimination, with E_w the block of E
+    from the (q, w) slice to the (q, w+1) slice, and dim(q, w) - dim(q, w+1).
+    The multiplicities must fill the basis.
     """
     if k % 3 != 2:
         raise ValueError("chain blocks are sl2-modules for k = -1 (mod 3)")
     mults: dict[int, int] = {}
-    for q, w, part, up, _ in sl2_slices(k, slices(basis)):
-        if w < 0:
-            continue
-        kernel = part.dim - bareiss_rank(up.dense().tolist())
-        diff = part.dim - up.shape[0]  # dim(q, w + 1)
-        if kernel != diff:
-            raise ClaimFalsified(
-                f"multiplicity methods disagree on k={k}, h={basis.h}, q={q}, "
-                f"w={w}: kernel {kernel}, difference {diff}")
-        mults[2 * w] = mults.get(2 * w, 0) + kernel
+    for q, level in levels(slices(basis)).items():
+        up = sl2_level(k, level)[0]
+        for part in level.slices:
+            w = part.w
+            if w < 0:
+                continue
+            raising = up.block(*level.span(w + 1), *level.span(w))
+            kernel = part.dim - bareiss_rank(raising.dense().tolist())
+            diff = part.dim - raising.shape[0]  # dim(q, w + 1)
+            if kernel != diff:
+                raise ClaimFalsified(
+                    f"multiplicity methods disagree on k={k}, h={basis.h}, q={q}, "
+                    f"w={w}: kernel {kernel}, difference {diff}")
+            mults[2 * w] = mults.get(2 * w, 0) + kernel
     result = RepRingElement(mults)
     if result.dimension() != basis.dim:
         raise ClaimFalsified(

@@ -8,7 +8,7 @@ import json
 import time
 from fractions import Fraction
 
-from afflap.chains import enumerate_block, slices
+from afflap.chains import enumerate_block, levels, slices
 from afflap.cli import main as cli_main
 from afflap.identities import all_identities, verify_identity
 from afflap.laplacian import (
@@ -29,7 +29,7 @@ from afflap.laplacian import (
 from afflap.sl2 import (
     cg_singular_vector,
     motzkin_sums,
-    sl2_slices,
+    sl2_level,
     tensor_power_Q,
 )
 from test_linalg import int_matrix
@@ -173,21 +173,22 @@ def test_criterion_7_sl2_machinery():
     for k, h in ((2, 2), (2, 3), (2, 4), (-1, 1)):
         block = enumerate_block(k, h)
         dims: dict = {}
-        casimirs = []  # C on each (q, w) slice
-        before = None  # (q, w, E_w, C) of the slice just before
-        for q, w, basis, up, cas in sl2_slices(k, slices(block)):
+        casimirs = []  # C on each (q, h) level
+        for level in levels(slices(block)).values():
+            up, cas = sl2_level(k, level)
             casimirs.append(cas)
             up, cas = int_matrix(up), int_matrix(cas)
-            if before and before[:2] == (q, w - 1):
-                assert cas * before[2] == before[2] * before[3]  # C e_1 = e_1 C
-            before = (q, w, up, cas)
-            dims[w] = dims.get(w, 0) + basis.dim
+            assert cas * up == up * cas  # C e_1 = e_1 C
+            for basis in level.slices:
+                dims[basis.w] = dims.get(basis.w, 0) + basis.dim
         w = 0
         accounted = 0
         while dims.get(w, 0) or dims.get(w + 1, 0):
             m = dims.get(w, 0) - dims.get(w + 1, 0)
             if m:
-                # distinct dominant weights give distinct Casimir values
+                # distinct dominant weights give distinct Casimir values; C
+                # is block diagonal over the slices of a level, so its
+                # nullity on the level sums those of its slices
                 nullity = sum(exact_nullity(cas, w * (w + 1)) for cas in casimirs)
                 assert nullity == m * (2 * w + 1), (k, h, w)
                 accounted += m * (2 * w + 1)

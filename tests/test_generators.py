@@ -1,4 +1,4 @@
-from afflap.generators import bracket, epsilon, generator_degree, generator_weight
+from afflap.generators import bracket, epsilon, generator_degree
 
 
 def test_epsilon_values():
@@ -56,4 +56,4 @@ def test_gradings_additive_under_bracket():
             coeff, idx = bracket(a, b)
             if coeff:
                 assert generator_degree(idx) == generator_degree(a) + generator_degree(b)
-                assert generator_weight(idx) == generator_weight(a) + generator_weight(b)
+                assert epsilon(idx) == epsilon(a) + epsilon(b)

@@ -207,6 +207,26 @@ def test_certificate_checks_gamma_against_casimir(monkeypatch):
         spectrum(2, 4)
 
 
+def test_spectrum_builds_each_level_once(monkeypatch):
+    """spectrum(2, 8) builds the Level of each q of its block once, and the
+    two empty levels that D_1 maps into and D_{q+1} maps out of: Gamma, the
+    sl2 certificate and checks 5-6 share the same levels."""
+    from afflap import chains
+
+    real = chains.Level.__init__
+    built = []
+
+    def counting(self, k, h, q, parts=()):
+        built.append(q)
+        real(self, k, h, q, parts)
+
+    monkeypatch.setattr(chains.Level, "__init__", counting)
+    spectrum(2, 8)
+    qs = sorted({len(m) for m in enumerate_block(2, 8)})
+    assert len(built) == 7
+    assert sorted(built) == [0, *qs, max(qs) + 1]
+
+
 def test_closed_form_is_h_plus_or_minus_half_casimir():
     """The chain-composed closed form equals h I +- C/2, with C assembled
     slice by slice from the e_1 matrices E_w as in the certificate:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from afflap.chains import BlockBasis, adjoint_action, enumerate_block, slices
+from afflap.chains import BlockBasis, adjoint_action, enumerate_block, levels, slices
 from afflap.linalg import fraction_kernel
 from afflap.sl2 import (
     ClaimFalsified,
@@ -15,7 +15,7 @@ from afflap.sl2 import (
     singular_block_dims,
     singular_block_dims_by_q,
     singular_multiplicities,
-    sl2_slices,
+    sl2_level,
     tensor_power_Q,
     weyl_inverse,
     weyl_map,
@@ -133,9 +133,9 @@ def test_simple_module_lowering_orbit():
 
 
 def test_view_relations_and_singular_mults():
-    # the sl2 relations hold slice by slice (sl2_slices raises otherwise)
-    for _ in sl2_slices(2, slices(enumerate_block(2, 2))):
-        pass
+    # the sl2 relations hold level by level (sl2_level raises otherwise)
+    for level in levels(slices(enumerate_block(2, 2))).values():
+        sl2_level(2, level)
     assert singular_multiplicities(2, enumerate_block(2, 2)) == RepRingElement({2: 2})
     block0 = enumerate_block(-1, 0)
     assert singular_multiplicities(-1, block0) == RepRingElement({0: 2, 2: 2})
@@ -185,24 +185,21 @@ def test_singular_characters_multiply():
 
 
 def test_casimir_acts_by_weight_law():
-    """On each singular vector of weight w the Casimir gives w(w+1); it
-    commutes with e_1 and with e_-1 = E^T between neighbouring slices."""
+    """On each level the Casimir C commutes with e_1 and with e_-1 = E^T.
+    The kernel of E, the singular vectors, lies in weights w >= 0, and C
+    acts on a singular vector of weight w by w(w+1)."""
     for k, h in ((2, 2), (2, 3), (-1, 1)):
-        before = None  # (q, w, E_w, C) of the slice just before
-        for q, w, _, up, cas in sl2_slices(k, slices(enumerate_block(k, h))):
-            up, cas = int_matrix(up), int_matrix(cas)
-            if before and before[:2] == (q, w - 1):
-                up_below, cas_below = before[2:]
-                assert cas * up_below == up_below * cas_below
-                assert cas_below * up_below.transpose() == up_below.transpose() * cas
-            before = (q, w, up, cas)
-            if w < 0:
-                continue
-            # the kernel of E_w is the singular subspace of the slice
-            # a zero row stands in for the rows of an E_w without any
-            for vec in fraction_kernel(up.to_dense_rows() or [[0] * up.cols]):
-                expect = {i: c * w * (w + 1) for i, c in vec.items() if w}
-                assert cas.apply(vec) == expect, (k, h, w)
+        for level in levels(slices(enumerate_block(k, h))).values():
+            up, cas = (int_matrix(m) for m in sl2_level(k, level))
+            where = (k, h, level.q)
+            assert cas * up == up * cas, where
+            assert cas * up.transpose() == up.transpose() * cas, where
+            # E sends each slice into the next, so every reduced kernel
+            # vector lies in one slice
+            for vec in fraction_kernel(up.to_dense_rows()):
+                (w,) = {int(level.weights[i]) for i in vec}
+                assert w >= 0, where
+                assert cas.apply(vec) == {i: c * w * (w + 1) for i, c in vec.items() if w}, where
 
 
 def test_lowering_orbit_of_chain_singular_vector():
