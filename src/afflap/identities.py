@@ -88,7 +88,7 @@ def _triangular(order: int):
         w += 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _mu(order: int) -> tuple:
     """Coefficients of theta(-x, 1)^(-1), the overpartition numbers."""
     return tuple(inverse_theta_neg(order).coeffs)
@@ -104,7 +104,6 @@ def _triple_factor_terms(m: int, sign: int):
     return [(0, 1), (m, s * sign), (2 * m, s), (3 * m, sign)]
 
 
-@lru_cache(maxsize=None)
 def _weight_series(k: int, order: int) -> Series:
     """sum over (w, h) of dim C^{(w,h)}(L(k)) u^w x^h, from the dimension DP."""
     acc: list[dict] = [dict() for _ in range(order)]
@@ -114,7 +113,6 @@ def _weight_series(k: int, order: int) -> Series:
     return Series(order, [HalfLaurent(a) for a in acc])
 
 
-@lru_cache(maxsize=None)
 def singular_series(k: int, order: int) -> tuple:
     """Graded singular character of the chain complex of L(k), k = -1 (mod 3).
 

@@ -7,13 +7,32 @@ are Python ints or elements of one commutative coefficient ring
 the matching constant of every ring, so a series needs no ring object: it
 pads with the int 0, and ``Series.one`` holds the int 1.  Instances are
 treated as immutable values.
+
+``product_over``, which every product side of the identities goes through,
+does not multiply ring elements.  It maps each factor coefficient into
+Laurent polynomials in u^(1/2) (a ``RepRingElement`` by its character, an
+``EisensteinInt`` a + b u by its lift to Z[u]) and keeps the whole product
+as one int64 grid of shape (primes, order, u-exponents): residues modulo
+31-bit primes, one shifted add per factor term.  The number of primes comes
+from a majorant that bounds every coefficient, so the CRT lift at the end
+is exact; the docstring of ``product_over`` gives the argument.
 """
 
 from __future__ import annotations
 
-from .sl2 import HalfLaurent, _SparseRingElement
+import math
+import operator
+
+import numpy as np
+
+from .sl2 import HalfLaurent, RepRingElement, _SparseRingElement, weyl_map
 
 DEFAULT_ORDER = 40
+
+# 31-bit primes, largest first: a residue times a residue fits in int64
+_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+           2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+           2147483353, 2147483323, 2147483269, 2147483249)
 
 
 class EisensteinInt(_SparseRingElement):
@@ -90,17 +109,6 @@ class Series:
                     out[i + j] = out[i + j] + a * b
         return Series(n, out)
 
-    def mul_terms(self, terms) -> "Series":
-        """Multiply by a sparse polynomial given as (exponent, coeff) pairs."""
-        out = [0] * self.order
-        for e, c in terms:
-            if e >= self.order or not c:
-                continue
-            for i, a in enumerate(self.coeffs[:self.order - e]):
-                if a:
-                    out[i + e] = out[i + e] + a * c
-        return Series(self.order, out)
-
     def inverse(self) -> "Series":
         """Multiplicative inverse; requires constant term equal to one."""
         if self.coeffs[0] != 1:
@@ -130,9 +138,34 @@ def product_over(order: int, factor_terms, start: int = 1) -> "Series":
     Each factor is a sparse term list whose constant coefficient must be one.
     The iteration stops at the first factor that is trivial below the
     truncation order, so the x-degrees of the factors must eventually grow;
-    a family that never trivializes is rejected.
+    a family that never trivializes is rejected, and so is a negative
+    exponent.
+
+    The product runs on a residue grid (see the module docstring) and is
+    exact:
+
+    * Every coefficient is embedded by ``_embed`` into Z[u^(1/2), u^(-1/2)]
+      by a ring homomorphism (for ``EisensteinInt`` a lift through
+      Z[u] -> Z[u]/(u^2 + u + 1)), so the embedded product maps back to the
+      ring product.
+    * Let B be the largest coefficient of the majorant
+      prod (1 + sum_j |c_j|_1 x^(e_j)) below the order, |c|_1 the sum of
+      the absolute values of the embedded coefficient c.  The 1-norm is
+      submultiplicative, so by the triangle inequality every x^n row of
+      every partial product has 1-norm at most the majorant's x^n
+      coefficient (a partial majorant is coefficientwise below the full one,
+      every factor having constant term 1).  Every entry, and every sum of
+      a row's entries, therefore lies in [-B, B].
+    * The residues are kept modulo the fewest primes of ``_PRIMES`` whose
+      product M exceeds 2B.  An integer of [-B, B] is the symmetric residue
+      of its class mod M, so Garner's mixed-radix CRT returns every entry
+      exactly, and such an integer is zero iff all its residues are.
+    * The grid spans the doubled u-exponents that a max-plus pass over the
+      factor supports reaches below the order, so no nonzero entry falls
+      outside it.
     """
-    out = Series.one(order)
+    factors = []
+    rings = set()
     a = start
     guard = 3 * order + 1000
     while True:
@@ -140,13 +173,174 @@ def product_over(order: int, factor_terms, start: int = 1) -> "Series":
         const = [c for e, c in terms if e == 0]
         if len(const) != 1 or const[0] != 1:
             raise ValueError(f"factor at a={a} has constant term != 1")
+        if any(e < 0 for e, _ in terms):
+            raise ValueError(f"factor at a={a} has a negative exponent")
         if not any(e > 0 and c for e, c in terms):
             break
-        out = out.mul_terms(terms)
+        embedded = [(e, *_embed(c)) for e, c in terms if c]
+        rings.update(ring for _, ring, _ in embedded)
+        factors.append(embedded)
         a += 1
         if a - start > guard:
             raise ValueError("factor family never trivializes below the order")
-    return out
+    rings.discard(None)
+    if len(rings) > 1:
+        names = sorted(ring.__name__ for ring in rings)
+        raise TypeError(f"cannot combine {names[0]} with {names[1]}")
+    ring = rings.pop() if rings else None
+
+    bound = _majorant(order, factors)
+    count = next((i for i in range(1, len(_PRIMES) + 1)
+                  if math.prod(_PRIMES[:i]) > 2 * bound), None)
+    if count is None:
+        raise OverflowError(f"product coefficients up to {bound} at order {order} "
+                            f"exceed the range of {len(_PRIMES)} primes")
+    primes = np.array(_PRIMES[:count], dtype=np.int64).reshape(-1, 1, 1)
+    low, high = _extents(order, factors)
+    width = high - low + 1
+    grid = np.zeros((count, order, width), dtype=np.int64)
+    grid[:, 0, -low] = 1
+    # is_ring[n]: coefficient n is a ring element, not an int.  A factor
+    # makes it one when a nonzero coefficient meets a nonzero term and one
+    # of the two is a ring element, as in the ring arithmetic of Series.
+    is_ring = np.zeros(order, dtype=bool)
+    for factor in factors:
+        if ring is not None:
+            live = _live_rows(grid, primes, ring, low)
+            was, is_ring = is_ring, np.zeros(order, dtype=bool)
+            for e, c_ring, _ in factor:
+                is_ring[e:] |= live[:order - e] & (was[:order - e] | (c_ring is not None))
+        _multiply(grid, primes, [(e, image) for e, _, image in factor if e > 0])
+    values = _crt(grid, _PRIMES[:count])
+    coeffs = []
+    for n, row_values in enumerate(values.tolist()):
+        row = {t + low: v for t, v in enumerate(row_values) if v}
+        if ring is None:
+            coeffs.append(row.get(0, 0))
+            continue
+        elem = _from_row(ring, row)
+        if not is_ring[n]:
+            if elem.terms.keys() - {0}:
+                raise ValueError(f"integer coefficient of x^{n} came out as {elem!r}")
+            elem = elem.terms.get(0, 0)
+        coeffs.append(elem)
+    return Series(order, coeffs)
+
+
+def _embed(c):
+    """The ring of coefficient ``c`` (None for an int) and its image in
+    Z[u^(1/2), u^(-1/2)] as a map doubled u-exponent -> int."""
+    if isinstance(c, HalfLaurent):
+        return HalfLaurent, c.terms
+    if isinstance(c, RepRingElement):
+        return RepRingElement, weyl_map(c).terms
+    if isinstance(c, EisensteinInt):
+        return EisensteinInt, {2 * j: v for j, v in c.terms.items()}
+    if isinstance(c, _SparseRingElement):
+        raise TypeError(f"product_over takes no {type(c).__name__} coefficients")
+    return None, {0: operator.index(c)}
+
+
+def _from_row(ring, row: dict):
+    """The ring element whose image under ``_embed`` is ``row``."""
+    if ring is HalfLaurent:
+        return HalfLaurent(row)
+    if ring is RepRingElement:
+        # a character is symmetric, and chi_d - chi_{d+2} is the multiplicity
+        # of the simple module of doubled weight d
+        if any(row.get(-t, 0) != v for t, v in row.items()):
+            raise ValueError(f"product coefficient {row} is not an sl2 character")
+        tops = {t for t in row if t >= 0} | {t - 2 for t in row if t >= 2}
+        return RepRingElement({d: row.get(d, 0) - row.get(d + 2, 0) for d in tops})
+    # u^3 = 1 and u^2 = -1 - u
+    by_class = [0, 0, 0]
+    for t, v in row.items():
+        by_class[t // 2 % 3] += v
+    return EisensteinInt(by_class[0] - by_class[2], by_class[1] - by_class[2])
+
+
+def _majorant(order: int, factors) -> int:
+    """max over n < order of [x^n] prod (1 + sum_j |c_j|_1 x^(e_j)), in
+    exact ints."""
+    maj = np.zeros(order, dtype=object)
+    maj[0] = 1
+    for factor in factors:
+        src = maj.copy()
+        for e, _, image in factor:
+            if e:
+                maj[e:] += src[:order - e] * sum(map(abs, image.values()))
+    return max(maj)
+
+
+def _extents(order: int, factors) -> tuple[int, int]:
+    """Lowest and highest doubled u-exponent of the product's support below
+    the order, by a max-plus (and min-plus) pass over the factor supports."""
+    far = 1 << 62  # marks an x-degree that no monomial reaches
+    high = np.full(order, -far, dtype=np.int64)
+    low = np.full(order, far, dtype=np.int64)
+    high[0] = low[0] = 0
+    for factor in factors:
+        high_src, low_src = high.copy(), low.copy()
+        for e, _, image in factor:
+            if e:
+                np.maximum(high[e:], high_src[:order - e] + max(image), out=high[e:])
+                np.minimum(low[e:], low_src[:order - e] + min(image), out=low[e:])
+    return int(low.min()), int(high.max())
+
+
+def _live_rows(grid, primes, ring, low: int):
+    """Which x-degrees of the grid hold a nonzero ring element."""
+    if ring is not EisensteinInt:
+        return grid.any(axis=(0, 2))
+    # reduce mod u^2 + u + 1 first: a nonzero lift can be zero in the ring
+    cls = (np.arange(grid.shape[2]) + low) // 2 % 3
+    sums = [grid[:, :, cls == r].sum(axis=2) for r in range(3)]
+    a = (sums[0] - sums[2]) % primes[:, :, 0]
+    b = (sums[1] - sums[2]) % primes[:, :, 0]
+    return (a != 0).any(axis=0) | (b != 0).any(axis=0)
+
+
+def _multiply(grid, primes, terms) -> None:
+    """Multiply the residue grid in place by 1 + sum of the ``(e, image)``
+    terms, one shifted add per (x-exponent, u-exponent) term read from a
+    copy of the grid.  Residues are reduced once at the end, unless the
+    terms' sum of |v| could carry an entry past 2^63; then the terms are
+    taken mod p and the entries reduced after each of them."""
+    order, width = grid.shape[1], grid.shape[2]
+    first = min(e for e, _ in terms)
+    src = grid[:, :order - first].copy()
+    total = sum(abs(v) for _, image in terms for v in image.values())
+    per_term = (int(primes.max()) - 1) * (1 + total) >= 1 << 63
+    for e, image in terms:
+        for t, v in image.items():
+            if abs(t) >= width:
+                continue  # would land outside the support _extents proved
+            dst = grid[:, e:, max(t, 0):width + min(t, 0)]
+            if per_term:
+                v = np.array([v % int(p) for p in primes.flat]).reshape(primes.shape)
+            dst += src[:, :order - e, max(-t, 0):width - max(t, 0)] * v
+            if per_term:
+                np.remainder(dst, primes, out=dst)
+    if not per_term:
+        touched = grid[:, first:]
+        np.remainder(touched, primes, out=touched)
+
+
+def _crt(grid, primes: tuple):
+    """The integers of absolute value below M/2 with the grid's residues,
+    M the (odd) product of ``primes``, by Garner's mixed-radix CRT: int64
+    digits, then Horner in Python ints."""
+    digits = []
+    for i, p in enumerate(primes):
+        y = grid[i]
+        for q, d in zip(primes[:i], digits):
+            y = (y - d) * pow(q, -1, p) % p
+        digits.append(y)
+    value = digits[-1].astype(object)
+    for q, d in zip(primes[-2::-1], digits[-2::-1]):
+        value = value * q + d
+    modulus = math.prod(primes)
+    return np.where(value > modulus // 2, value - modulus, value)
 
 
 def theta(order: int, mode: str) -> "Series":

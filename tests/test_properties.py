@@ -1,7 +1,8 @@
 """Property tests for the sign conventions of the boundary operators, for
 the transposes the sl2 certificate relies on, for the modular nullities of
-the cross-check (per slice and per level), and for the axioms of the
-coefficient rings of the series arithmetic.
+the cross-check (per slice and per level), for the axioms of the
+coefficient rings of the series arithmetic, and for the residue-grid
+``product_over`` against the dict-ring product.
 
 ``differential`` and ``codifferential`` place their signs by ``bisect``
 insertion.  The references below build the raw replacement word and let the
@@ -50,9 +51,10 @@ from afflap.linalg import (
     nullity_mod_p,
     rank_mod_p,
 )
-from afflap.series import EisensteinInt
+from afflap.series import EisensteinInt, product_over
 from afflap.sl2 import HalfLaurent, RepRingElement
 from test_linalg import int_matrix
+from test_series import assert_same_series, naive_product_over
 
 # derandomized and without an example database, so the suite stays
 # reproducible and leaves no files behind
@@ -445,3 +447,57 @@ def test_mixing_two_coefficient_rings_raises_type_error(xy):
         with pytest.raises(TypeError):
             op(x, y)
     assert not x == y and x != y
+
+
+# ---------------------------------------------------------------------------
+# the residue-grid product against the dict-ring product
+
+TINY_INTS = st.integers(min_value=-3, max_value=3)
+# an int family, or ints mixed with the elements of one ring
+FACTOR_RINGS = {
+    int: TINY_INTS,
+    HalfLaurent: st.dictionaries(st.integers(min_value=-4, max_value=4), TINY_INTS,
+                                 max_size=3).map(HalfLaurent),
+    RepRingElement: st.dictionaries(st.integers(min_value=0, max_value=4), TINY_INTS,
+                                    max_size=3).map(RepRingElement),
+    EisensteinInt: st.builds(EisensteinInt, TINY_INTS, TINY_INTS),
+}
+
+
+@st.composite
+def factor_families(draw):
+    """(order, factors): up to four sparse factors of one family.  A term
+    coefficient is an int (now and then 10^12) or an element of the
+    family's ring, zero included; the constant is 1 or the ring's one."""
+    order = draw(st.integers(min_value=1, max_value=10))
+    ring = draw(st.sampled_from(list(FACTOR_RINGS)))
+    coeff = st.one_of(TINY_INTS, st.sampled_from([10**12, -10**12]), FACTOR_RINGS[ring])
+    const = st.sampled_from([1] if ring is int else [1, ring.one()])
+    factor = st.builds(lambda c, terms: [(0, c)] + terms, const,
+                       st.lists(st.tuples(st.integers(min_value=1, max_value=order + 1), coeff),
+                                min_size=1, max_size=4))
+    return order, draw(st.lists(factor, max_size=4))
+
+
+@PROPERTY
+@given(factor_families())
+@example((8, [[(0, 1), (1, 10**4)]] * 6))  # coefficients pass 2^63: three primes
+@example((6, [[(0, 1), (1, 10**12), (2, HalfLaurent({2: 1, -2: 1}))],
+              [(0, HalfLaurent.one()), (3, HalfLaurent({1: -1}))]]))  # reduced term by term
+@example((5, [[(0, 1), (1, -10**30)]] * 2))  # a term coefficient past int64
+# x^2 of the first two factors lifts to 1 + u + u^2, zero in the ring: the
+# third factor leaves it the int 0
+@example((4, [[(0, 1), (1, EisensteinInt(0, 1))],
+              [(0, 1), (1, EisensteinInt(0, 1)), (2, EisensteinInt(1, 1))],
+              [(0, 1), (3, 1)]]))
+def test_product_over_matches_the_dict_ring_product(family):
+    """Value, type and repr of every coefficient equal the dict-ring
+    product's: a coefficient is a ring element exactly when a nonzero
+    coefficient met a nonzero term and one of them was a ring element, and
+    a ring coefficient that cancels stays a ring zero."""
+    order, factors = family
+
+    def factor_terms(a):
+        return factors[a - 1] if a <= len(factors) else [(0, 1)]
+
+    assert_same_series(product_over(order, factor_terms), naive_product_over(order, factor_terms))

@@ -4,6 +4,39 @@ from afflap.series import EisensteinInt, Series, inverse_theta_neg, product_over
 from afflap.sl2 import HalfLaurent
 
 
+def naive_mul_terms(series, terms):
+    """``series`` times a sparse polynomial of (exponent, coeff) pairs, one
+    ring operation per pair of nonzero coefficients."""
+    out = [0] * series.order
+    for e, c in terms:
+        if e >= series.order or not c:
+            continue
+        for i, a in enumerate(series.coeffs[:series.order - e]):
+            if a:
+                out[i + e] = out[i + e] + a * c
+    return Series(series.order, out)
+
+
+def naive_product_over(order, factor_terms, start=1):
+    """The reference ``product_over``: the dict-ring product factor by
+    factor, which fixes the value and the type of every coefficient."""
+    out = Series.one(order)
+    a = start
+    while True:
+        terms = [(e, c) for e, c in factor_terms(a) if e < order]
+        if not any(e > 0 and c for e, c in terms):
+            return out
+        out = naive_mul_terms(out, terms)
+        a += 1
+
+
+def assert_same_series(got, want):
+    """Equal value, type and repr in every coefficient."""
+    assert got.order == want.order
+    for e, (g, w) in enumerate(zip(got.coeffs, want.coeffs)):
+        assert (type(g), repr(g)) == (type(w), repr(w)) and g == w, e
+
+
 def test_theta_modes():
     t = theta(10, "u=1")
     assert t.coeffs == [1, 2, 0, 0, 2, 0, 0, 0, 0, 2]
@@ -58,12 +91,53 @@ def test_product_guards():
         product_over(3, lambda m: [(0, 1), (1, 1)])
 
 
+def test_product_needs_and_finds_enough_primes(monkeypatch):
+    """(1 + 10^4 x)^6 has coefficients up to 10^24 > 2^63, so two
+    31-bit primes cannot hold it: with the first two alone the product
+    raises, and with the whole tuple it equals the dict-ring product."""
+    from afflap import series
+
+    def family(a):
+        return [(0, 1), (1, 10**4)] if a <= 6 else [(0, 1)]
+
+    got = product_over(8, family)
+    assert_same_series(got, naive_product_over(8, family))
+    assert max(got.coeffs) > 2**63
+    for count in (1, 2):
+        monkeypatch.setattr(series, "_PRIMES", series._PRIMES[:count])
+        with pytest.raises(OverflowError, match="order 8"):
+            product_over(8, family)
+
+
+def test_product_refuses_a_row_that_is_no_character(monkeypatch):
+    """A representation-ring product whose embedded row comes out
+    asymmetric raises instead of being read as multiplicities."""
+    from afflap import series
+    from afflap.sl2 import RepRingElement
+
+    z = RepRingElement.simple(2)
+    real = series.weyl_map
+    monkeypatch.setattr(series, "weyl_map", lambda x: real(x) * HalfLaurent.u_power(2))
+    with pytest.raises(ValueError, match="not an sl2 character"):
+        product_over(6, lambda a: [(0, 1), (a, z), (2 * a, z), (3 * a, 1)])
+
+
+def test_product_refuses_mixed_rings_and_negative_exponents():
+    from afflap.sl2 import RepRingElement
+
+    z = RepRingElement.simple(2)
+    with pytest.raises(TypeError):
+        product_over(6, lambda a: [(0, 1), (a, z), (2 * a, HalfLaurent({2: 1}))])
+    with pytest.raises(ValueError):
+        product_over(6, lambda a: [(0, 1), (a, 1), (-1, 1)])
+
+
 def test_series_arithmetic():
     a = Series.from_terms(6, [(0, 1), (1, 2), (3, -1)])
     b = Series.from_terms(6, [(0, 1), (2, 5)])
     assert (a * b).coeffs == [1, 2, 5, 9, 0, -5]
     assert a * a.inverse() == Series.one(6)
-    assert a.mul_terms([(0, 1), (2, 5)]) == a * b
+    assert naive_mul_terms(a, [(0, 1), (2, 5)]) == a * b
     with pytest.raises(ValueError):
         Series.from_terms(4, [(0, 2)]).inverse()
     with pytest.raises(ValueError):
