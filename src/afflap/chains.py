@@ -391,7 +391,6 @@ def block_dim_table(k: int, h_max: int) -> dict:
     return {(q, w, h): n for h, row in enumerate(rows) for (q, w), n in row.items()}
 
 
-@lru_cache(maxsize=None)
 def weight_dim_table(k: int, h_max: int) -> dict:
     """dim C^{(w,h)}(L(k)) summed over q, as a map (w, h) -> dim."""
     rows = _dim_rows(k, h_max, operator.add, 0)

@@ -1,13 +1,16 @@
 """Registry of the exact generating-function identities and their verifiers.
 
 Every identity is checked coefficient by coefficient at a configurable
-truncation order, in the coefficient ring the statement lives in (integers,
-Laurent polynomials in u^(1/2), the sl2 representation ring, or the cube-root
-quotient ring).  Sides that count chain or singular dimensions are produced
-by the combinatorial machinery of the package, not by the series closed
-forms they are compared against, and the two independent dimension routes
-(weight-space counting and the Clebsch-Gordan character product) are
-cross-asserted wherever both apply.
+truncation order, in the coefficient ring the statement lives in: integers,
+Laurent polynomials in u^(1/2), or the sl2 representation ring.  A product
+over the representation ring is taken over the Weyl characters of its
+factors (``weyl_map``) and read back with ``weyl_inverse``; the cube-root
+specialization reduces the Laurent triple product by u -> omega, with
+omega^2 = -1 - omega.  Sides that count chain or singular dimensions are
+produced by the combinatorial machinery of the package, not by the series
+closed forms they are compared against, and the two independent dimension
+routes (weight-space counting and the Clebsch-Gordan character product)
+are cross-asserted wherever both apply.
 
 A verifier is a generator of ``(label, lhs, rhs)`` comparisons, registered
 with ``_identity``.  Both sides of a comparison are ``Series``, compared by
@@ -24,8 +27,8 @@ from functools import lru_cache
 
 from .chains import enumerate_block, weight_dim_table
 from .generators import epsilon
-from .series import DEFAULT_ORDER, EisensteinInt, Series, inverse_theta_neg, product_over, theta
-from .sl2 import HalfLaurent, RepRingElement, singular_block_dims
+from .series import DEFAULT_ORDER, Series, inverse_theta_neg, product_over, theta
+from .sl2 import HalfLaurent, RepRingElement, singular_block_dims, weyl_inverse, weyl_map
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,22 @@ def _triple_factor_terms(m: int, sign: int):
     return [(0, 1), (m, s * sign), (2 * m, s), (3 * m, sign)]
 
 
+def _at_cube_root(c):
+    """The image of an int or ``HalfLaurent`` under u -> omega, omega^3 = 1:
+    a + b omega with omega^2 = -1 - omega, returned as the int a when b = 0
+    and as the ``HalfLaurent`` a + b u otherwise.  A half-integer power of u
+    raises ValueError."""
+    if isinstance(c, int):
+        return c
+    by_class = [0, 0, 0]
+    for t, v in c.terms.items():
+        if t % 2:
+            raise ValueError(f"{c!r} has a half-integer power of u")
+        by_class[t // 2 % 3] += v
+    a, b = by_class[0] - by_class[2], by_class[1] - by_class[2]
+    return HalfLaurent({0: a, 2: b}) if b else a
+
+
 def _weight_series(k: int, order: int) -> Series:
     """sum over (w, h) of dim C^{(w,h)}(L(k)) u^w x^h, from the dimension DP."""
     acc: list[dict] = [dict() for _ in range(order)]
@@ -123,12 +142,11 @@ def singular_series(k: int, order: int) -> tuple:
     """
     if k not in (-1, 2):
         raise ValueError("singular characters are computed for k in {-1, 2}")
-    z = RepRingElement.simple(2)
+    z = weyl_map(RepRingElement.simple(2))
     s = product_over(order, lambda a: [(0, 1), (a, z), (2 * a, z), (3 * a, 1)])
     if k == -1:
-        s = s.scale(RepRingElement({0: 2, 2: 2}))
-    # coefficients no factor reaches are still ints
-    return tuple(RepRingElement() + c for c in s.coeffs)
+        s = s.scale(weyl_map(RepRingElement({0: 2, 2: 2})))
+    return tuple(weyl_inverse(c) for c in s.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -253,21 +271,15 @@ def _check_jacobi_cube(order: int):
 @_identity("euler_pentagonal", "pentagonal-theorem specialization at a cube root of unity",
            minimal_order=4)
 def _check_euler_pentagonal(order: int):
-    """In Z[u]/(u^2+u+1): the triple product collapses to prod (1-x^{3m}) and
-    the bracket coefficients collapse to the period-3 signs."""
-    u = EisensteinInt(0, 1)
-    uinv = EisensteinInt.u_to(-1)
-    s = EisensteinInt(1) + u + uinv
-
-    def factor(m):
-        return [(0, 1), (m, -s), (2 * m, s), (3 * m, -1)]
-
-    lhs = product_over(order, factor)
+    """At u = omega, omega^2 + omega + 1 = 0: the triple product
+    prod (1-u^{-1}x^m)(1-x^m)(1-ux^m) equals prod (1-x^{3m}), and the
+    bracket coefficients of its expansion collapse to the period-3 signs."""
+    lhs = product_over(order, lambda m: _triple_factor_terms(m, -1))
+    lhs = Series(order, [_at_cube_root(c) for c in lhs.coeffs])
     cubefree = product_over(order, lambda m: [(0, 1), (3 * m, -1)])
     yield "{} via cube-free stage", lhs, cubefree
-    rhs = Series.from_terms(order, [
-        (t, EisensteinInt(epsilon(2 * w + 1) * (1 if w % 2 == 0 else -1)))
-        for w, t in _triangular(order)])
+    rhs = Series.from_terms(order, [(t, epsilon(2 * w + 1) * (1 if w % 2 == 0 else -1))
+                                    for w, t in _triangular(order)])
     yield "{}", lhs, rhs
 
 
@@ -286,8 +298,9 @@ def _check_bracket_sign(order: int):
 @_identity("singular_gauss_jacobi", "singular-character form over the representation ring")
 def _check_singular_gauss_jacobi(order: int):
     """In R(sl2)[[x]]: prod (1-x^a)(1-(z-1)x^a+x^{2a}) = sum (-1)^w z^w x^{w(w+1)/2}."""
-    z = RepRingElement.simple(2)
+    z = weyl_map(RepRingElement.simple(2))
     lhs = product_over(order, lambda a: [(0, 1), (a, -z), (2 * a, z), (3 * a, -1)])
+    lhs = Series(order, [weyl_inverse(c) for c in lhs.coeffs])
     rhs = Series.from_terms(order, [(t, RepRingElement({2 * w: 1 if w % 2 == 0 else -1}))
                                     for w, t in _triangular(order)])
     yield "{}", lhs, rhs

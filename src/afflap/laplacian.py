@@ -226,33 +226,41 @@ def _diagonal_block(matrix: Coo, level: Level, w: int) -> Coo:
     return matrix.block(*level.span(w), *level.span(w))
 
 
-def laplacian_slices(k: int, h: int, keys=None):
+def laplacian_slices(k: int, h: int):
     """Yield ``(q, w, basis, gamma)`` for the (q, w) slices of the degree-h
-    block in sorted order, or for those in ``keys`` only.
+    block in sorted order.
 
     ``gamma`` is the slice block D_q^T D_q + D_{q+1} D_{q+1}^T of
     Gamma = d delta + delta d, with D_q the matrix of the differential from
     the (q, w) slice to the (q-1, w) slice, cut from the level matrices of
     ``_gamma_levels`` (check 1 runs there).
     """
+    yield from _level_slices(k, h, _block_levels(k, h))
+
+
+def _level_slices(k: int, h: int, by_q: dict, keys=None):
+    """``laplacian_slices`` on the levels ``by_q`` of the degree-h block,
+    for the (q, w) slices in ``keys`` only when it is given."""
     qs = None if keys is None else {q for q, _ in keys}
-    for level, gamma in _gamma_levels(k, h, _block_levels(k, h), qs):
+    for level, gamma in _gamma_levels(k, h, by_q, qs):
         for basis in level.slices:
             if keys is None or (level.q, basis.w) in keys:
                 yield level.q, basis.w, basis, _diagonal_block(gamma, level, basis.w)
 
 
-def _whole_slices(k: int, basis: BlockBasis) -> dict:
-    """The ``slices`` of ``basis``, each checked to be a whole (q, w) slice
-    of the degree ``basis.h`` block; raises ValueError otherwise."""
+def _whole_slices(k: int, basis: BlockBasis) -> tuple[dict, dict]:
+    """The ``slices`` of ``basis`` and the levels of the degree ``basis.h``
+    block, built once.  Each part is checked to be a whole (q, w) slice of
+    the block; raises ValueError otherwise."""
     parts = slices(basis)
-    block = slices(enumerate_block(k, basis.h))
+    by_q = _block_levels(k, basis.h)
+    block = {(q, whole.w): whole for q, level in by_q.items() for whole in level.slices}
     for key, part in parts.items():
         if key not in block or sorted(part.monomials) != list(block[key].monomials):
             raise ValueError(
                 f"basis splits the (q, w) = {key} slice of the "
                 f"(k={k}, h={basis.h}) block")
-    return parts
+    return parts, by_q
 
 
 def laplacian_by_definition(k: int, basis: BlockBasis) -> IntMatrix:
@@ -265,7 +273,8 @@ def laplacian_by_definition(k: int, basis: BlockBasis) -> IntMatrix:
     ClaimFalsified when a codifferential matrix is not D_q^T.
     """
     columns: list = [{} for _ in range(basis.dim)]
-    for _, _, whole, gamma in laplacian_slices(k, basis.h, _whole_slices(k, basis)):
+    parts, by_q = _whole_slices(k, basis)
+    for _, _, whole, gamma in _level_slices(k, basis.h, by_q, parts):
         pos = [basis.index[m] for m in whole.monomials]
         for i, j, v in zip(gamma.rows.tolist(), gamma.cols.tolist(), gamma.vals.tolist()):
             columns[pos[j]][pos[i]] = v
@@ -543,9 +552,9 @@ def harmonic_basis(k: int, basis: BlockBasis) -> list[Chain]:
     ``laplacian_by_definition`` does, and ClaimFalsified as
     ``_kernel_chains`` does.
     """
-    parts = _whole_slices(k, basis)
+    parts, by_q = _whole_slices(k, basis)
     chains = []
-    for q, w, whole, gamma in laplacian_slices(k, basis.h, parts):
+    for q, w, whole, gamma in _level_slices(k, basis.h, by_q, parts):
         part = parts[(q, w)]
         pos = np.array([part.index[m] for m in whole.monomials], dtype=np.int64)
         in_part = coo_from_keys(gamma.shape, pos[gamma.cols] * part.dim + pos[gamma.rows],

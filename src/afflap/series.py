@@ -2,20 +2,20 @@
 
 A series holds its coefficients in a dense list up to an exclusive
 truncation order; multiplication is exact below that order.  Coefficients
-are Python ints or elements of one commutative coefficient ring
-(``HalfLaurent``, ``RepRingElement``, ``EisensteinInt``).  An int acts as
-the matching constant of every ring, so a series needs no ring object: it
-pads with the int 0, and ``Series.one`` holds the int 1.  Instances are
-treated as immutable values.
+are Python ints or elements of one commutative coefficient ring of
+``sl2`` (Laurent polynomials in u^(1/2), or classes of the representation
+ring).  An int acts as the matching constant of every ring, so a series
+needs no ring object: it pads with the int 0, and ``Series.one`` holds the
+int 1.  Instances are treated as immutable values.
 
 ``product_over``, which every product side of the identities goes through,
-does not multiply ring elements.  It maps each factor coefficient into
-Laurent polynomials in u^(1/2) (a ``RepRingElement`` by its character, an
-``EisensteinInt`` a + b u by its lift to Z[u]) and keeps the whole product
-as one int64 grid of shape (primes, order, u-exponents): residues modulo
-31-bit primes, one shifted add per factor term.  The number of primes comes
-from a majorant that bounds every coefficient, so the CRT lift at the end
-is exact; the docstring of ``product_over`` gives the argument.
+takes int and ``HalfLaurent`` coefficients only (a caller in another ring
+maps its classes to Laurent polynomials first and reads them back after).
+It does not multiply ring elements: it keeps the whole product as one int64
+grid of shape (primes, order, u-exponents), residues modulo 31-bit primes,
+one shifted add per factor term.  The number of primes comes from a
+majorant that bounds every coefficient, so the CRT lift at the end is
+exact; the docstring of ``product_over`` gives the argument.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import operator
 
 import numpy as np
 
-from .sl2 import HalfLaurent, RepRingElement, _SparseRingElement, weyl_map
+from .sl2 import HalfLaurent
 
 DEFAULT_ORDER = 40
 
@@ -33,35 +33,6 @@ DEFAULT_ORDER = 40
 _PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
            2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
            2147483353, 2147483323, 2147483269, 2147483249)
-
-
-class EisensteinInt(_SparseRingElement):
-    """Element a + b*u of Z[u] / (u^2 + u + 1), stored as the terms
-    {0: a, 1: b}."""
-
-    __slots__ = ()
-
-    def __init__(self, a: int, b: int = 0):
-        super().__init__({0: a, 1: b})
-
-    def __mul__(self, other):
-        # (a1 + b1 u)(a2 + b2 u) with u^2 = -1 - u
-        x, y = self.terms, self._coerce(other).terms
-        a1, b1, a2, b2 = x.get(0, 0), x.get(1, 0), y.get(0, 0), y.get(1, 0)
-        return EisensteinInt(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2)
-
-    def __repr__(self):
-        return f"EisensteinInt({self.terms.get(0, 0)}, {self.terms.get(1, 0)})"
-
-    @staticmethod
-    def u_to(exp: int) -> "EisensteinInt":
-        """u^exp for any integer exponent (u^3 = 1)."""
-        r = exp % 3
-        if r == 0:
-            return EisensteinInt(1)
-        if r == 1:
-            return EisensteinInt(0, 1)
-        return EisensteinInt(-1, -1)  # u^2 = -1 - u
 
 
 # ---------------------------------------------------------------------------
@@ -132,25 +103,27 @@ class Series:
 # ---------------------------------------------------------------------------
 # products and theta series
 
-def product_over(order: int, factor_terms, start: int = 1) -> "Series":
-    """Product of the factors ``factor_terms(a)`` for a = start, start+1, ...
+def product_over(order: int, factor_terms) -> "Series":
+    """Product of the factors ``factor_terms(a)`` for a = 1, 2, ...
 
-    Each factor is a sparse term list whose constant coefficient must be one.
-    The iteration stops at the first factor that is trivial below the
-    truncation order, so the x-degrees of the factors must eventually grow;
-    a family that never trivializes is rejected, and so is a negative
-    exponent.
+    Each factor is a sparse term list whose constant coefficient must be one
+    and whose coefficients are ints or ``HalfLaurent``s; any other ring
+    raises TypeError.  The iteration stops at the first factor that is
+    trivial below the truncation order, so the x-degrees of the factors must
+    eventually grow; a family that never trivializes is rejected, and so is
+    a negative exponent.  A coefficient is a ``HalfLaurent`` exactly when a
+    nonzero coefficient met a nonzero term and one of the two was one, as
+    in the ring arithmetic of ``Series``; the others are ints.
 
     The product runs on a residue grid (see the module docstring) and is
     exact:
 
-    * Every coefficient is embedded by ``_embed`` into Z[u^(1/2), u^(-1/2)]
-      by a ring homomorphism (for ``EisensteinInt`` a lift through
-      Z[u] -> Z[u]/(u^2 + u + 1)), so the embedded product maps back to the
-      ring product.
+    * A coefficient is a map from doubled u-exponent to int (an int c is
+      {0: c}), and the grid multiplies these maps as Laurent polynomials,
+      so it computes the ``HalfLaurent`` product itself.
     * Let B be the largest coefficient of the majorant
       prod (1 + sum_j |c_j|_1 x^(e_j)) below the order, |c|_1 the sum of
-      the absolute values of the embedded coefficient c.  The 1-norm is
+      the absolute values of the coefficient c.  The 1-norm is
       submultiplicative, so by the triangle inequality every x^n row of
       every partial product has 1-norm at most the majorant's x^n
       coefficient (a partial majorant is coefficientwise below the full one,
@@ -165,8 +138,7 @@ def product_over(order: int, factor_terms, start: int = 1) -> "Series":
       outside it.
     """
     factors = []
-    rings = set()
-    a = start
+    a = 1
     guard = 3 * order + 1000
     while True:
         terms = [(e, c) for e, c in factor_terms(a) if e < order]
@@ -177,17 +149,11 @@ def product_over(order: int, factor_terms, start: int = 1) -> "Series":
             raise ValueError(f"factor at a={a} has a negative exponent")
         if not any(e > 0 and c for e, c in terms):
             break
-        embedded = [(e, *_embed(c)) for e, c in terms if c]
-        rings.update(ring for _, ring, _ in embedded)
-        factors.append(embedded)
+        factors.append([(e, *_embed(c)) for e, c in terms if c])
         a += 1
-        if a - start > guard:
+        if len(factors) > guard:
             raise ValueError("factor family never trivializes below the order")
-    rings.discard(None)
-    if len(rings) > 1:
-        names = sorted(ring.__name__ for ring in rings)
-        raise TypeError(f"cannot combine {names[0]} with {names[1]}")
-    ring = rings.pop() if rings else None
+    laurent = any(flag for factor in factors for _, flag, _ in factor)
 
     bound = _majorant(order, factors)
     count = next((i for i in range(1, len(_PRIMES) + 1)
@@ -200,63 +166,39 @@ def product_over(order: int, factor_terms, start: int = 1) -> "Series":
     width = high - low + 1
     grid = np.zeros((count, order, width), dtype=np.int64)
     grid[:, 0, -low] = 1
-    # is_ring[n]: coefficient n is a ring element, not an int.  A factor
-    # makes it one when a nonzero coefficient meets a nonzero term and one
-    # of the two is a ring element, as in the ring arithmetic of Series.
-    is_ring = np.zeros(order, dtype=bool)
+    # is_laurent[n]: coefficient n is a HalfLaurent, not an int
+    is_laurent = np.zeros(order, dtype=bool)
     for factor in factors:
-        if ring is not None:
-            live = _live_rows(grid, primes, ring, low)
-            was, is_ring = is_ring, np.zeros(order, dtype=bool)
-            for e, c_ring, _ in factor:
-                is_ring[e:] |= live[:order - e] & (was[:order - e] | (c_ring is not None))
+        if laurent:
+            live = grid.any(axis=(0, 2))
+            was, is_laurent = is_laurent, np.zeros(order, dtype=bool)
+            for e, c_laurent, _ in factor:
+                is_laurent[e:] |= live[:order - e] & (was[:order - e] | c_laurent)
         _multiply(grid, primes, [(e, image) for e, _, image in factor if e > 0])
-    values = _crt(grid, _PRIMES[:count])
+    # an entry is zero exactly when all its residues are, so only the
+    # others are lifted
+    xs, ts = np.nonzero(grid.any(axis=0))
+    rows: list[dict] = [{} for _ in range(order)]
+    for n, t, v in zip(xs.tolist(), ts.tolist(), _crt(grid[:, xs, ts], _PRIMES[:count])):
+        rows[n][t + low] = v
     coeffs = []
-    for n, row_values in enumerate(values.tolist()):
-        row = {t + low: v for t, v in enumerate(row_values) if v}
-        if ring is None:
+    for n, row in enumerate(rows):
+        if is_laurent[n]:
+            coeffs.append(HalfLaurent(row))
+        elif row.keys() - {0}:
+            raise ValueError(f"integer coefficient of x^{n} came out as {HalfLaurent(row)!r}")
+        else:
             coeffs.append(row.get(0, 0))
-            continue
-        elem = _from_row(ring, row)
-        if not is_ring[n]:
-            if elem.terms.keys() - {0}:
-                raise ValueError(f"integer coefficient of x^{n} came out as {elem!r}")
-            elem = elem.terms.get(0, 0)
-        coeffs.append(elem)
     return Series(order, coeffs)
 
 
 def _embed(c):
-    """The ring of coefficient ``c`` (None for an int) and its image in
-    Z[u^(1/2), u^(-1/2)] as a map doubled u-exponent -> int."""
+    """Whether coefficient ``c`` is a ``HalfLaurent`` (not an int), and its
+    terms as a map doubled u-exponent -> int; ``operator.index`` refuses
+    every other type with TypeError."""
     if isinstance(c, HalfLaurent):
-        return HalfLaurent, c.terms
-    if isinstance(c, RepRingElement):
-        return RepRingElement, weyl_map(c).terms
-    if isinstance(c, EisensteinInt):
-        return EisensteinInt, {2 * j: v for j, v in c.terms.items()}
-    if isinstance(c, _SparseRingElement):
-        raise TypeError(f"product_over takes no {type(c).__name__} coefficients")
-    return None, {0: operator.index(c)}
-
-
-def _from_row(ring, row: dict):
-    """The ring element whose image under ``_embed`` is ``row``."""
-    if ring is HalfLaurent:
-        return HalfLaurent(row)
-    if ring is RepRingElement:
-        # a character is symmetric, and chi_d - chi_{d+2} is the multiplicity
-        # of the simple module of doubled weight d
-        if any(row.get(-t, 0) != v for t, v in row.items()):
-            raise ValueError(f"product coefficient {row} is not an sl2 character")
-        tops = {t for t in row if t >= 0} | {t - 2 for t in row if t >= 2}
-        return RepRingElement({d: row.get(d, 0) - row.get(d + 2, 0) for d in tops})
-    # u^3 = 1 and u^2 = -1 - u
-    by_class = [0, 0, 0]
-    for t, v in row.items():
-        by_class[t // 2 % 3] += v
-    return EisensteinInt(by_class[0] - by_class[2], by_class[1] - by_class[2])
+        return True, c.terms
+    return False, {0: operator.index(c)}
 
 
 def _majorant(order: int, factors) -> int:
@@ -288,18 +230,6 @@ def _extents(order: int, factors) -> tuple[int, int]:
     return int(low.min()), int(high.max())
 
 
-def _live_rows(grid, primes, ring, low: int):
-    """Which x-degrees of the grid hold a nonzero ring element."""
-    if ring is not EisensteinInt:
-        return grid.any(axis=(0, 2))
-    # reduce mod u^2 + u + 1 first: a nonzero lift can be zero in the ring
-    cls = (np.arange(grid.shape[2]) + low) // 2 % 3
-    sums = [grid[:, :, cls == r].sum(axis=2) for r in range(3)]
-    a = (sums[0] - sums[2]) % primes[:, :, 0]
-    b = (sums[1] - sums[2]) % primes[:, :, 0]
-    return (a != 0).any(axis=0) | (b != 0).any(axis=0)
-
-
 def _multiply(grid, primes, terms) -> None:
     """Multiply the residue grid in place by 1 + sum of the ``(e, image)``
     terms, one shifted add per (x-exponent, u-exponent) term read from a
@@ -326,13 +256,14 @@ def _multiply(grid, primes, terms) -> None:
         np.remainder(touched, primes, out=touched)
 
 
-def _crt(grid, primes: tuple):
-    """The integers of absolute value below M/2 with the grid's residues,
-    M the (odd) product of ``primes``, by Garner's mixed-radix CRT: int64
-    digits, then Horner in Python ints."""
+def _crt(residues, primes: tuple) -> list:
+    """The integers of absolute value below M/2 with the residues
+    ``residues[i]`` modulo ``primes[i]`` (one column per integer), M the
+    (odd) product of ``primes``, by Garner's mixed-radix CRT: int64 digits,
+    then Horner in Python ints."""
     digits = []
     for i, p in enumerate(primes):
-        y = grid[i]
+        y = residues[i]
         for q, d in zip(primes[:i], digits):
             y = (y - d) * pow(q, -1, p) % p
         digits.append(y)
@@ -340,7 +271,7 @@ def _crt(grid, primes: tuple):
     for q, d in zip(primes[-2::-1], digits[-2::-1]):
         value = value * q + d
     modulus = math.prod(primes)
-    return np.where(value > modulus // 2, value - modulus, value)
+    return np.where(value > modulus // 2, value - modulus, value).tolist()
 
 
 def theta(order: int, mode: str) -> "Series":

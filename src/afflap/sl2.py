@@ -221,21 +221,19 @@ def weyl_map(x: RepRingElement) -> HalfLaurent:
     return out
 
 
-def weyl_inverse(p: HalfLaurent) -> RepRingElement:
-    """Inverse of weyl_map by triangular stripping from the top exponent.
+def weyl_inverse(p: HalfLaurent | int) -> RepRingElement:
+    """Inverse of weyl_map: the multiplicity of the simple module of doubled
+    weight d is chi_d - chi_{d+2}, chi_t the coefficient of u^(t/2).  An int
+    is the constant character, a multiple of the trivial module.
 
-    Raises when the input is not an integer combination of brackets.
+    Raises when the input is not symmetric, so not an integer combination
+    of brackets.
     """
-    rem = HalfLaurent(p.terms)
-    mults: dict[int, int] = {}
-    while rem:
-        top = max(rem.terms)
-        if top < 0:
-            raise ValueError("not in the bracket span (negative support left)")
-        c = rem.terms[top]
-        mults[top] = mults.get(top, 0) + c
-        rem = rem - HalfLaurent.bracket(top + 1) * c
-    return RepRingElement(mults)
+    chi = (HalfLaurent.zero() + p).terms
+    if any(chi.get(-t, 0) != v for t, v in chi.items()):
+        raise ValueError(f"{p!r} is not an sl2 character")
+    tops = {t for t in chi if t >= 0} | {t - 2 for t in chi if t >= 2}
+    return RepRingElement({d: chi.get(d, 0) - chi.get(d + 2, 0) for d in tops})
 
 
 # ---------------------------------------------------------------------------

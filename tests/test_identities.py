@@ -7,7 +7,8 @@ from afflap.identities import (
     verify_identity,
 )
 from afflap.series import Series, product_over
-from afflap.sl2 import RepRingElement, singular_block_dims, weyl_map
+from afflap.sl2 import HalfLaurent, RepRingElement, singular_block_dims, weyl_map
+from test_series import naive_product_over
 
 EXPECTED_NAMES = {
     "gauss_jacobi", "jacobi_traditional", "theta_inverse_product", "gen_L1",
@@ -72,11 +73,12 @@ def test_singular_series_coefficients_are_dimensions():
 
 
 def test_weyl_commuting_square():
-    """Applying the character map coefficient-wise to the singular identity
-    reproduces the Laurent identity, order by order."""
+    """Applying the character map coefficient-wise to the Clebsch-Gordan
+    product of the singular identity reproduces the Laurent triple product,
+    order by order."""
     order = 16
     z = RepRingElement.simple(2)
-    rep_lhs = product_over(order, lambda a: [(0, 1), (a, -z), (2 * a, z), (3 * a, -1)])
+    rep_lhs = naive_product_over(order, lambda a: [(0, 1), (a, -z), (2 * a, z), (3 * a, -1)])
     # coefficient 0 is the int 1; weyl_map takes ring elements
     mapped = Series(order, [weyl_map(RepRingElement() + c) for c in rep_lhs.coeffs])
     from afflap.identities import _triple_factor_terms
@@ -87,7 +89,6 @@ def test_weyl_commuting_square():
 
 def test_pentagonal_coefficients_lie_in_signs():
     from afflap.generators import epsilon
-    from afflap.series import EisensteinInt
 
     order = 30
     lhs = product_over(order, lambda m: [(0, 1), (3 * m, -1)])
@@ -97,7 +98,55 @@ def test_pentagonal_coefficients_lie_in_signs():
         seen[w * (w + 1) // 2] = epsilon(2 * w + 1) * (1 if w % 2 == 0 else -1)
         w += 1
     for e, c in enumerate(lhs.coeffs):
-        assert c == EisensteinInt(seen.get(e, 0)), e
+        assert (type(c), c) == (int, seen.get(e, 0)), e
+
+
+def test_cube_root_reduction_collapses_brackets_to_signs():
+    """u -> omega with omega^3 = 1 and omega^2 = -1 - omega: a constant
+    comes back as an int, anything else as a + b u, and the odd brackets
+    collapse to the period-3 sign."""
+    from afflap.generators import epsilon
+    from afflap.identities import _at_cube_root
+
+    assert _at_cube_root(5) == 5
+    assert _at_cube_root(HalfLaurent.u_power(4)) == HalfLaurent({0: -1, 2: -1})
+    assert _at_cube_root(HalfLaurent.u_power(-2)) == HalfLaurent({0: -1, 2: -1})
+    assert _at_cube_root(HalfLaurent.u_power(14)) == HalfLaurent.u_power(2)
+    assert _at_cube_root(HalfLaurent({-2: 1, 0: 1, 2: 1})) == 0
+    assert type(_at_cube_root(HalfLaurent.u_power(6, 3))) is int
+    with pytest.raises(ValueError, match="half-integer"):
+        _at_cube_root(HalfLaurent.u_power(1))
+    for w in range(9):
+        value = _at_cube_root(HalfLaurent.bracket(2 * w + 1))
+        assert (type(value), value) == (int, epsilon(2 * w + 1)), w
+
+
+def test_euler_pentagonal_reduces_the_triple_product(monkeypatch):
+    """The cube-free stage compares the triple product at omega with
+    prod (1 - x^{3m}): a triple factor whose u-coefficient does not vanish
+    at omega fails there."""
+    from afflap import identities
+
+    def skewed(m, sign):
+        s = HalfLaurent({-2: 1, 0: 1, 2: 2})  # 1 + u^-1 + 2u is omega at omega
+        return [(0, 1), (m, s * sign), (2 * m, s), (3 * m, sign)]
+
+    monkeypatch.setattr(identities, "_triple_factor_terms", skewed)
+    rep = verify_identity("euler_pentagonal", 12)
+    assert not rep.passed
+    assert rep.first_mismatch["position"] == "x^1 via cube-free stage"
+    assert rep.first_mismatch["lhs"] == "HalfLaurent(-1*u^1)"
+
+
+def test_singular_series_refuses_a_row_that_is_no_character(monkeypatch):
+    """A character product that comes back asymmetric raises instead of
+    being read as multiplicities."""
+    from afflap import identities
+
+    real = identities.weyl_map
+    monkeypatch.setattr(identities, "weyl_map", lambda x: real(x) * HalfLaurent.u_power(2))
+    with pytest.raises(ValueError, match="not an sl2 character"):
+        singular_series(2, 6)
 
 
 def test_weight_series_agrees_with_generator_product():

@@ -227,6 +227,26 @@ def test_spectrum_builds_each_level_once(monkeypatch):
     assert sorted(built) == [0, *qs, max(qs) + 1]
 
 
+def test_oracle_paths_enumerate_their_block_once(monkeypatch):
+    """laplacian_by_definition and harmonic_basis check the basis against
+    the same levels they build Gamma on: one enumeration of the block."""
+    from afflap import laplacian
+
+    basis = enumerate_block(2, 8)
+    real = laplacian.enumerate_block
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(laplacian, "enumerate_block", counting)
+    for oracle in (laplacian_by_definition, harmonic_basis):
+        calls.clear()
+        oracle(2, basis)
+        assert calls == [(2, 8)], oracle.__name__
+
+
 def test_closed_form_is_h_plus_or_minus_half_casimir():
     """The chain-composed closed form equals h I +- C/2, with C assembled
     slice by slice from the e_1 matrices E_w as in the certificate:

@@ -83,6 +83,8 @@ def test_weyl_map_is_ring_hom_and_invertible():
         assert weyl_map(x * y) == weyl_map(x) * weyl_map(y)
         assert weyl_map(x + y) == weyl_map(x) + weyl_map(y)
         assert weyl_inverse(weyl_map(x)) == x
+    assert weyl_inverse(3) == RepRingElement({0: 3})  # an int is a constant character
+    assert weyl_inverse(0) == RepRingElement()
 
 
 def test_weyl_inverse_rejects_non_span():
