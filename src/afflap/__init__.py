@@ -49,7 +49,6 @@ from .sl2 import (
     cg_singular_vector,
     motzkin_sums,
     singular_block_dims,
-    singular_block_dims_by_q,
     singular_multiplicities,
     tensor_power_Q,
     weyl_inverse,

@@ -140,7 +140,6 @@ def differential(k: int, chain: Chain) -> Chain:
     return out
 
 
-@lru_cache(maxsize=None)
 def _splitting_pairs(k: int, i: int) -> tuple:
     """Pairs (a, b, eps(b-a)) with a + b = i, k <= a < b and nonzero sign."""
     out = []
@@ -370,6 +369,8 @@ def _dim_rows(k: int, h_max: int, step, unit) -> list[dict]:
     """
     if k < -1:
         raise ValueError(f"blocks are defined for k >= -1, got k={k}")
+    if h_max < 0:
+        raise ValueError(f"dimension tables need h_max >= 0, got h_max={h_max}")
     rows: list[dict] = [{} for _ in range(h_max + 1)]
     rows[0][unit] = 1
     a = k
@@ -384,9 +385,10 @@ def _dim_rows(k: int, h_max: int, step, unit) -> list[dict]:
     return rows
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def block_dim_table(k: int, h_max: int) -> dict:
-    """dim C_q^{(w,h)}(L(k)) for all h <= h_max, as a map (q, w, h) -> dim."""
+    """dim C_q^{(w,h)}(L(k)) for all h <= h_max, as a map (q, w, h) -> dim.
+    A run reads one table per k in {-1, 2}, so two are kept."""
     rows = _dim_rows(k, h_max, lambda qw, e: (qw[0] + 1, qw[1] + e), (0, 0))
     return {(q, w, h): n for h, row in enumerate(rows) for (q, w), n in row.items()}
 

@@ -5,11 +5,13 @@ Exit codes: 0 on success, 1 when an exactly computed quantity falsifies a
 predicted law or an identity fails, 2 on usage errors, on a report that
 cannot be written (--out replaces its file atomically) and on a worker
 process that dies.  Block computations are independent per degree, so
-spectrum, homology and singular map one task per degree h, and verify one
-per identity, onto a process pool (--jobs, or the AFFLAP_JOBS environment
+spectrum and homology map one task per degree h, and verify one per
+identity, onto a process pool (--jobs, or the AFFLAP_JOBS environment
 variable, which takes precedence).  Results are merged in task order;
 homology compares the merged table with its closed forms once, after the
-merge.  The output is byte-identical for every worker count.
+merge.  singular reads all degrees from one table, built and checked in
+the main process; it validates the worker count like the others.  The
+output is byte-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .laplacian import (
     predicted_eigenvalue,
     spectrum,
 )
-from .sl2 import _weight_dims_at, singular_block_dims, singular_block_dims_by_q
+from .sl2 import singular_block_dims
 
 USAGE_ERROR = 2
 CLAIM_ERROR = 1
@@ -253,30 +255,22 @@ def _verify_text(config, results, out) -> None:
 # ---------------------------------------------------------------------------
 # singular dimensions
 
-def _singular_task(args: tuple) -> dict:
-    k, h = args
-    w_top = max((w for w in _weight_dims_at(k, h) if w >= 0), default=0)
-    rows = []
-    for w in range(w_top + 1):
-        dim = singular_block_dims(k, w, h)
-        if not dim:
-            continue
-        rows.append({
-            "w": w, "h": h, "lambda": predicted_eigenvalue(k, w, h), "dim": dim,
-            "by_q": [{"q": q, "dim": d}
-                     for q, d in sorted(singular_block_dims_by_q(k, w, h).items())],
-        })
-    return {"h": h, "rows": rows}
-
-
 def cmd_singular(args) -> int:
     if args.k not in (-1, 2):
         return _usage("singular tables need --k in {-1, 2}")
     if args.h_max < 0:
         return _usage("--h-max must be non-negative")
-    jobs = _jobs_from(args)
-    results = _run_tasks(_singular_task,
-                         [(args.k, h) for h in range(args.h_max + 1)], jobs)
+    _jobs_from(args)  # validated like every command; one table serves all degrees
+    by_block: dict = {}
+    for (q, w, h), dim in singular_block_dims(args.k, args.h_max).items():
+        by_block.setdefault((h, w), {})[q] = dim
+    results = [{"h": h, "rows": []} for h in range(args.h_max + 1)]
+    for (h, w), by_q in sorted(by_block.items()):
+        results[h]["rows"].append({
+            "w": w, "h": h, "lambda": predicted_eigenvalue(args.k, w, h),
+            "dim": sum(by_q.values()),
+            "by_q": [{"q": q, "dim": d} for q, d in sorted(by_q.items())],
+        })
     _emit(args, "singular", results, _singular_csv, _singular_text)
     return 0
 

@@ -337,8 +337,12 @@ def _singular_mults(k: int, order: int, closed_form):
     sign = 1 if k == 2 else -1
     degree = {(w, lam): lam + sign * (w * (w + 1) // 2)
               for w in range(_SINGULAR_REGION_W + 1) for lam in range(lam_max + 1)}
-    chars = singular_series(k, max(degree.values()) + 1)
-    counted = {key: singular_block_dims(k, key[0], h) for key, h in degree.items() if h >= 0}
+    h_top = max(degree.values())
+    chars = singular_series(k, h_top + 1)
+    dims: dict = {}
+    for (_, w, h), n in singular_block_dims(k, h_top).items():
+        dims[w, h] = dims.get((w, h), 0) + n
+    counted = {key: dims.get((key[0], h), 0) for key, h in degree.items() if h >= 0}
     label = "(w={0[0]}, lambda={0[1]})"
     yield (label + " via character product", counted,
            {key: chars[degree[key]].mult(2 * key[0]) for key in counted})

@@ -13,8 +13,6 @@ polynomials in u^(1/2) that carry Weyl characters.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-
 import numpy as np
 
 from .chains import (
@@ -25,6 +23,7 @@ from .chains import (
     enumerate_block,
     levels,
     slices,
+    weight_dim_table,
 )
 from .linalg import Coo, add_scaled, bareiss_rank, coo_diag, coo_sum, gram
 
@@ -411,79 +410,58 @@ def singular_multiplicities(k: int, basis: BlockBasis) -> RepRingElement:
 MATRIX_ROUTE_CUT = 220
 
 
-@lru_cache(maxsize=None)
-def _matrix_singular_mults(k: int, h: int) -> dict[int, RepRingElement]:
-    """``singular_multiplicities`` of each chain dimension q of the block."""
-    block = enumerate_block(k, h)
-    return {q: singular_multiplicities(k, block.restrict(q=q))
-            for q in sorted({len(m) for m in block})}
+def singular_block_dims(k: int, h_max: int) -> dict[tuple[int, int, int], int]:
+    """dim of the weight-w singular subspace of each (q, h) level of L(k),
+    for every h <= h_max: the nonzero entries, w >= 0, as a map
+    (q, w, h) -> dim.
 
-
-def singular_block_dims(k: int, w: int, h: int) -> int:
-    """dim of the weight-w singular subspace of the degree-h block of L(k).
-
-    Counted by weight-space dimension differences, which must be
-    non-negative; on small blocks the matrix route must agree.
+    Counted from the dimension tables, each built once: per q as
+    dim(q, w) - dim(q, w+1) from ``block_dim_table``, and summed over q as
+    dim(w) - dim(w+1) from ``weight_dim_table``.  No count may be negative
+    and the per-q counts must sum to the weight count; on blocks of
+    dimension at most MATRIX_ROUTE_CUT both must equal the kernel
+    dimensions of the matrix route, ``singular_multiplicities``.
     """
     if k % 3 != 2:
         raise ValueError("singular subspaces need k = -1 (mod 3)")
-    if w < 0:
-        raise ValueError("dominant weights are non-negative")
-    dims = _weight_dims_at(k, h)
-    value = dims.get(w, 0) - dims.get(w + 1, 0)
-    if value < 0:
-        raise ClaimFalsified(
-            f"weight dimensions not unimodal at k={k}, h={h}, w={w}")
-    if sum(dims.values()) <= MATRIX_ROUTE_CUT:
-        by_q = _matrix_singular_mults(k, h).values()
-        if sum(m.mult(2 * w) for m in by_q) != value:
-            raise ClaimFalsified(
-                f"singular dimension mismatch at k={k}, h={h}, w={w}")
-    return value
-
-
-def singular_block_dims_by_q(k: int, w: int, h: int) -> dict[int, int]:
-    """Per chain-dimension refinement of singular_block_dims, counted from
-    ``block_dim_table``; on small blocks it must equal the per-q kernel
-    dimensions of the matrix route, and on every block it must sum to the
-    weight count dim(w) - dim(w+1)."""
-    if k % 3 != 2:
-        raise ValueError("singular subspaces need k = -1 (mod 3)")
-    if w < 0:
-        raise ValueError("dominant weights are non-negative")
-    counts: dict[int, int] = {}
-    for (q, ww, hh), n in block_dim_table(k, h).items():
-        if hh != h or ww not in (w, w + 1):
-            continue
-        counts[q] = counts.get(q, 0) + (n if ww == w else -n)
-    out: dict[int, int] = {}
-    for q, v in sorted(counts.items()):
-        if v < 0:
-            raise ClaimFalsified(
-                f"weight dimensions not unimodal at k={k}, h={h}, q={q}, w={w}")
-        if v:
-            out[q] = v
-    if sum(_weight_dims_at(k, h).values()) <= MATRIX_ROUTE_CUT:
-        by_q = _matrix_singular_mults(k, h).items()
-        if {q: n for q, m in by_q if (n := m.mult(2 * w))} != out:
-            raise ClaimFalsified(
-                f"singular dimensions by q mismatch at k={k}, h={h}, w={w}")
-    dims = _weight_dims_at(k, h)
-    if sum(out.values()) != dims.get(w, 0) - dims.get(w + 1, 0):
-        raise ClaimFalsified(
-            f"singular dimensions by q do not sum to the weight count at "
-            f"k={k}, h={h}, w={w}")
-    return out
-
-
-@lru_cache(maxsize=None)
-def _weight_dims_at(k: int, h: int) -> dict[int, int]:
-    from .chains import weight_dim_table
-
-    out: dict[int, int] = {}
-    for (w, hh), n in weight_dim_table(k, h).items():
-        if hh == h:
-            out[w] = out.get(w, 0) + n
+    weight_dims: list[dict] = [{} for _ in range(h_max + 1)]
+    for (w, h), n in weight_dim_table(k, h_max).items():
+        weight_dims[h][w] = n
+    level_dims: list[dict] = [{} for _ in range(h_max + 1)]
+    for (q, w, h), n in block_dim_table(k, h_max).items():
+        level_dims[h][q, w] = n
+    out: dict[tuple[int, int, int], int] = {}
+    for h, (dims, by_level) in enumerate(zip(weight_dims, level_dims)):
+        qs = sorted({q for q, _ in by_level})
+        matrix = None
+        if sum(dims.values()) <= MATRIX_ROUTE_CUT:
+            block = enumerate_block(k, h)
+            matrix = {q: singular_multiplicities(k, block.restrict(q=q)) for q in qs}
+        for w in range(max(dims, default=-1) + 1):
+            value = dims.get(w, 0) - dims.get(w + 1, 0)
+            if value < 0:
+                raise ClaimFalsified(
+                    f"weight dimensions not unimodal at k={k}, h={h}, w={w}")
+            if matrix is not None and sum(m.mult(2 * w) for m in matrix.values()) != value:
+                raise ClaimFalsified(
+                    f"singular dimension mismatch at k={k}, h={h}, w={w}")
+            by_q: dict[int, int] = {}
+            for q in qs:
+                v = by_level.get((q, w), 0) - by_level.get((q, w + 1), 0)
+                if v < 0:
+                    raise ClaimFalsified(
+                        f"weight dimensions not unimodal at k={k}, h={h}, q={q}, w={w}")
+                if v:
+                    by_q[q] = v
+            if matrix is not None and by_q != {
+                    q: n for q, m in matrix.items() if (n := m.mult(2 * w))}:
+                raise ClaimFalsified(
+                    f"singular dimensions by q mismatch at k={k}, h={h}, w={w}")
+            if sum(by_q.values()) != value:
+                raise ClaimFalsified(
+                    f"singular dimensions by q do not sum to the weight count at "
+                    f"k={k}, h={h}, w={w}")
+            out.update(((q, w, h), v) for q, v in by_q.items())
     return out
 
 

@@ -287,6 +287,12 @@ def test_weight_dim_table_prefix_property():
                 weight_dim_table(k, h0)
 
 
+def test_dim_tables_refuse_a_negative_h_max():
+    for table in (block_dim_table, weight_dim_table):
+        with pytest.raises(ValueError, match=r"^dimension tables need h_max >= 0, got h_max=-1$"):
+            table(2, -1)
+
+
 def test_weight_dim_table_exact_beyond_int64():
     """An entry above 2**63, and its degree column against the u = 1 product.
 

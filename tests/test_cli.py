@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from afflap import cli
+from afflap import chains, cli
 from afflap.cli import main
 from afflap.sl2 import ClaimFalsified
 
@@ -180,19 +180,23 @@ def test_singular_route_disagreement_exits_1(capsys, monkeypatch):
     singular_block_dims raise ClaimFalsified, which main reports."""
     from afflap import sl2
 
-    real = sl2._weight_dims_at
+    real = sl2.weight_dim_table
 
-    def one_more_at_weight_0(k, h):
-        dims = real(k, h)
-        return {**dims, 0: dims.get(0, 0) + 1}
+    def one_more_at_weight_0(k, h_max):
+        table = real(k, h_max)
+        return {**table, **{(0, h): table.get((0, h), 0) + 1 for h in range(h_max + 1)}}
 
     monkeypatch.delenv("AFFLAP_JOBS", raising=False)
-    monkeypatch.setattr(sl2, "_weight_dims_at", one_more_at_weight_0)
+    monkeypatch.setattr(sl2, "weight_dim_table", one_more_at_weight_0)
     with pytest.raises(ClaimFalsified, match="^singular dimension mismatch at k=2, h=0, w=0$"):
-        sl2.singular_block_dims(2, 0, 0)
+        sl2.singular_block_dims(2, 0)
     code, out, err = run(capsys, "singular", "--k", "2", "--h-max", "2", "--jobs", "1")
-    assert code == 1 and out == ""
-    assert err.startswith("falsified claim: ")
+    assert (code, out) == (1, "")
+    assert err == "falsified claim: singular dimension mismatch at k=2, h=0, w=0\n"
+
+
+def _block_dim(k: int, h: int) -> int:
+    return sum(n for (_, hh), n in chains.weight_dim_table(k, h).items() if hh == h)
 
 
 def test_singular_rejects_non_unimodal_weight_counts(capsys, monkeypatch):
@@ -200,15 +204,15 @@ def test_singular_rejects_non_unimodal_weight_counts(capsys, monkeypatch):
     negative difference fails the run instead of printing as zero."""
     from afflap import sl2
 
-    real = sl2._weight_dims_at
+    real = sl2.weight_dim_table
 
-    def dip_at_weight_0(k, h):
-        dims = real(k, h)
-        return {**dims, 1: dims[0] + 1} if (k, h) == (-1, 5) else dims
+    def dip_at_weight_0(k, h_max):
+        table = real(k, h_max)
+        return {**table, (1, 5): table[0, 5] + 1} if (k, h_max) == (-1, 5) else table
 
-    assert sum(real(-1, 5).values()) > sl2.MATRIX_ROUTE_CUT
+    assert _block_dim(-1, 5) > sl2.MATRIX_ROUTE_CUT
     monkeypatch.delenv("AFFLAP_JOBS", raising=False)
-    monkeypatch.setattr(sl2, "_weight_dims_at", dip_at_weight_0)
+    monkeypatch.setattr(sl2, "weight_dim_table", dip_at_weight_0)
     code, out, err = run(capsys, "singular", "--k", "-1", "--h-max", "5", "--jobs", "1")
     assert (code, out) == (1, "")
     assert err == "falsified claim: weight dimensions not unimodal at k=-1, h=5, w=0\n"
@@ -222,19 +226,36 @@ def test_singular_rejects_by_q_counts_that_miss_the_weight_count(capsys, monkeyp
 
     real = sl2.block_dim_table
 
-    def one_more_at_q3_w0(k, h):
-        table = real(k, h)
-        if (k, h) != (2, 10):
+    def one_more_at_q3_w0(k, h_max):
+        table = real(k, h_max)
+        if (k, h_max) != (2, 10):
             return table
         return {**table, (3, 0, 10): table.get((3, 0, 10), 0) + 1}
 
-    assert sum(sl2._weight_dims_at(2, 10).values()) > sl2.MATRIX_ROUTE_CUT
+    assert _block_dim(2, 10) > sl2.MATRIX_ROUTE_CUT
     monkeypatch.delenv("AFFLAP_JOBS", raising=False)
     monkeypatch.setattr(sl2, "block_dim_table", one_more_at_q3_w0)
     code, out, err = run(capsys, "singular", "--k", "2", "--h-max", "10", "--jobs", "1")
     assert (code, out) == (1, "")
     assert err == ("falsified claim: singular dimensions by q do not sum to the weight "
                    "count at k=2, h=10, w=0\n")
+
+
+def test_singular_builds_each_dimension_table_once(capsys, monkeypatch):
+    """Every degree of the singular table is read from one weight table and
+    one block table, each built by a single row pass up to --h-max."""
+    calls = []
+    real = chains._dim_rows
+
+    def counted(k, h_max, step, unit):
+        calls.append((k, h_max))
+        return real(k, h_max, step, unit)
+
+    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
+    monkeypatch.setattr(chains, "_dim_rows", counted)
+    chains.block_dim_table.cache_clear()
+    assert run(capsys, "singular", "--k", "2", "--h-max", "30", "--jobs", "1")[0] == 0
+    assert calls == [(2, 30), (2, 30)]
 
 
 @pytest.mark.parametrize("k, name", [(2, "singular_k2_h10.csv"),

@@ -54,15 +54,42 @@ def test_minimal_orders():
         assert verify_identity(name, least).passed, name
 
 
+def _singular_dims(k: int, h_max: int) -> dict:
+    """dim of the weight-w singular subspace of the degree-h block of L(k),
+    summed over q, as a map (w, h) -> dim."""
+    dims: dict = {}
+    for (_, w, h), n in singular_block_dims(k, h_max).items():
+        dims[w, h] = dims.get((w, h), 0) + n
+    return dims
+
+
 def test_singular_series_matches_block_dims():
-    chars = singular_series(2, 9)
-    for h in range(9):
-        for w in range(5):
-            assert chars[h].mult(2 * w) == singular_block_dims(2, w, h)
-    chars = singular_series(-1, 6)
-    for h in range(6):
-        for w in range(4):
-            assert chars[h].mult(2 * w) == singular_block_dims(-1, w, h)
+    for k, h_max, w_max in ((2, 8, 4), (-1, 5, 3)):
+        chars = singular_series(k, h_max + 1)
+        dims = _singular_dims(k, h_max)
+        for h in range(h_max + 1):
+            for w in range(w_max + 1):
+                assert chars[h].mult(2 * w) == dims.get((w, h), 0), (k, w, h)
+
+
+@pytest.mark.parametrize("name, k", [("singular_mults_L2", 2),
+                                     ("singular_mults_Lminus1", -1)])
+def test_singular_identities_build_each_dimension_table_once(monkeypatch, name, k):
+    """Every (w, lambda) of the region is read from one weight table and one
+    block table of L(k)."""
+    from afflap import chains
+
+    calls = []
+    real = chains._dim_rows
+
+    def counted(kk, h_max, step, unit):
+        calls.append(kk)
+        return real(kk, h_max, step, unit)
+
+    monkeypatch.setattr(chains, "_dim_rows", counted)
+    chains.block_dim_table.cache_clear()
+    assert verify_identity(name, 12).passed
+    assert calls == [k, k]
 
 
 def test_singular_series_coefficients_are_dimensions():
@@ -230,7 +257,7 @@ def test_table_failure(monkeypatch):
     monkeypatch.setattr(identities, "_mu_at", lambda order, n: real(order, n) + (n == 3))
     rep = verify_identity("singular_mults_L2", 12)
     assert (rep.passed, rep.note) == (False, "eigenvalue-graded singular dimensions of L(2)")
-    got = singular_block_dims(2, 0, 3)
+    got = _singular_dims(2, 3)[0, 3]
     assert rep.first_mismatch == {"position": "(w=0, lambda=3)",
                                   "lhs": repr(got), "rhs": repr(got + 1)}
 
@@ -270,7 +297,7 @@ def test_singular_mults_character_product_failure(monkeypatch, name, k, lam):
     rep = verify_identity(name, 12)
     assert not rep.passed
     assert rep.note == f"eigenvalue-graded singular dimensions of L({k})"
-    got = singular_block_dims(k, 1, 3)
+    got = _singular_dims(k, 3)[1, 3]
     assert rep.first_mismatch == {"position": f"(w=1, lambda={lam}) via character product",
                                   "lhs": repr(got), "rhs": repr(got + 1)}
 

@@ -180,13 +180,11 @@ def test_singular_route_shares_the_bracket_check(monkeypatch):
     """The singular multiplicities of a small block take their E_w from the
     same checked slices as the certificate, so a broken bracket stops them
     too."""
-    from afflap import sl2
     from afflap.sl2 import MATRIX_ROUTE_CUT, singular_block_dims
 
     assert enumerate_block(2, 4).dim <= MATRIX_ROUTE_CUT
-    sl2._matrix_singular_mults.cache_clear()
     with pytest.raises(ClaimFalsified, match=_break_the_bracket(monkeypatch)):
-        singular_block_dims(2, 0, 4)
+        singular_block_dims(2, 4)
 
 
 def test_certificate_checks_gamma_against_casimir(monkeypatch):
@@ -723,10 +721,11 @@ def test_block_membership_laws():
     # (those blocks are V(1) and 2 V(1), with no trivial summand)
     from afflap.sl2 import singular_block_dims
 
+    singular = {(w, h) for _, w, h in singular_block_dims(2, 8)}
     for w in range(5):
         for h in range(9):
             expected = h - w * (w + 1) // 2 >= 0 and (w, h) not in ((0, 1), (0, 2))
-            assert (singular_block_dims(2, w, h) > 0) == expected, (w, h)
+            assert ((w, h) in singular) == expected, (w, h)
 
 
 def test_predicted_eigenvalue_laws():

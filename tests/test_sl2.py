@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from afflap.chains import BlockBasis, adjoint_action, enumerate_block, levels, slices
+from afflap.cli import main
 from afflap.linalg import fraction_kernel
 from afflap.sl2 import (
     ClaimFalsified,
@@ -13,7 +14,6 @@ from afflap.sl2 import (
     cg_singular_vector,
     motzkin_sums,
     singular_block_dims,
-    singular_block_dims_by_q,
     singular_multiplicities,
     sl2_level,
     tensor_power_Q,
@@ -213,24 +213,25 @@ def test_lowering_orbit_of_chain_singular_vector():
     assert adjoint_action(-1, c, 2) == {}
 
 
+def _by_q(table: dict, w: int, h: int) -> dict:
+    return {q: n for (q, ww, hh), n in table.items() if (ww, hh) == (w, h)}
+
+
 def test_singular_block_dims_examples():
-    assert singular_block_dims(2, 1, 2) == 2
-    assert singular_block_dims_by_q(2, 1, 2) == {1: 1, 2: 1}
-    assert singular_block_dims(2, 1, 1) == 1
-    assert singular_block_dims(-1, 0, 0) == 2
-    assert singular_block_dims_by_q(-1, 0, 0) == {0: 1, 3: 1}
+    table = singular_block_dims(2, 2)
+    assert table == {(0, 0, 0): 1, (1, 1, 1): 1, (1, 1, 2): 1, (2, 1, 2): 1}
+    assert _by_q(table, 1, 2) == {1: 1, 2: 1}
+    assert _by_q(table, 1, 1) == {1: 1}
+    assert _by_q(singular_block_dims(-1, 0), 0, 0) == {0: 1, 3: 1}
     with pytest.raises(ValueError):
-        singular_block_dims(0, 1, 1)
-    with pytest.raises(ValueError):
-        singular_block_dims(2, -1, 1)
-    with pytest.raises(ValueError):
-        singular_block_dims_by_q(2, -1, 1)
+        singular_block_dims(0, 1)
+    with pytest.raises(ValueError, match="h_max"):
+        singular_block_dims(2, -1)
 
 
-def test_singular_by_q_is_checked(monkeypatch):
-    """One count moved between q = 1 and q = 2 at weight 1 of the (2, 2)
-    block keeps every weight total: the by-q counts then disagree with the
-    matrix route at w = 1 and turn negative at w = 0."""
+def _singular_fault(monkeypatch, capsys, moves: dict, message: str) -> None:
+    """Add ``moves`` to the (2, 2) block table: the singular route raises
+    ``message``, and ``afflap singular`` exits 1 with it."""
     from afflap import sl2
 
     real = sl2.block_dim_table
@@ -238,22 +239,37 @@ def test_singular_by_q_is_checked(monkeypatch):
     def moved(k, h_max):
         table = dict(real(k, h_max))
         if (k, h_max) == (2, 2):
-            table[(1, 1, 2)] -= 1
-            table[(2, 1, 2)] += 1
+            for key, n in moves.items():
+                table[key] += n
         return table
 
+    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
     monkeypatch.setattr(sl2, "block_dim_table", moved)
-    with pytest.raises(ClaimFalsified,
-                       match=r"^singular dimensions by q mismatch at k=2, h=2, w=1$"):
-        singular_block_dims_by_q(2, 1, 2)
-    with pytest.raises(ClaimFalsified,
-                       match=r"^weight dimensions not unimodal at k=2, h=2, q=2, w=0$"):
-        singular_block_dims_by_q(2, 0, 2)
+    with pytest.raises(ClaimFalsified, match=f"^{message}$"):
+        singular_block_dims(2, 2)
+    assert main(["singular", "--k", "2", "--h-max", "2", "--jobs", "1"]) == 1
+    assert capsys.readouterr() == ("", f"falsified claim: {message}\n")
+
+
+def test_singular_by_q_is_checked_against_the_matrix_route(monkeypatch, capsys):
+    """The copy of V(1) in q = 1 of the (2, 2) block moved to q = 2, at all
+    three of its weights: every weight total and every per-q count stays
+    non-negative, so only the matrix route sees the move, at w = 1."""
+    _singular_fault(monkeypatch, capsys,
+                    {(q, w, 2): (-1 if q == 1 else 1) for q in (1, 2) for w in (-1, 0, 1)},
+                    "singular dimensions by q mismatch at k=2, h=2, w=1")
+
+
+def test_singular_by_q_is_checked_for_unimodality(monkeypatch, capsys):
+    """One count moved between q = 1 and q = 2 at weight 1 of the (2, 2)
+    block keeps every weight total, but the q = 2 count turns negative at
+    w = 0."""
+    _singular_fault(monkeypatch, capsys, {(1, 1, 2): -1, (2, 1, 2): 1},
+                    "weight dimensions not unimodal at k=2, h=2, q=2, w=0")
 
 
 def test_singular_block_dims_top_weight():
     # one singular chain at the triangular degree, dominant weight q
+    table = singular_block_dims(2, 6)
     for q in (1, 2, 3):
-        h = q * (q + 1) // 2
-        assert singular_block_dims(2, q, h) == 1
-        assert singular_block_dims_by_q(2, q, h).get(q) == 1
+        assert _by_q(table, q, q * (q + 1) // 2) == {q: 1}
