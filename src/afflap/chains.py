@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .generators import epsilon, generator_degree
-from .linalg import Coo, IntMatrix, add_scaled, coo_from_keys
+from .linalg import Coo, IntMatrix, coo_from_keys, sparse_sum
 
 Monomial = tuple
 Chain = dict
@@ -54,26 +54,8 @@ def normalize_wedge(indices):
     return sign, tuple(seq)
 
 
-def chain_insert(chain: Chain, mono: Monomial, coeff) -> None:
-    """Add ``coeff * mono`` to ``chain`` in place, dropping zeros."""
-    if not coeff:
-        return
-    c = chain.get(mono)
-    if c is None:
-        chain[mono] = coeff
-    else:
-        c = c + coeff
-        if c:
-            chain[mono] = c
-        else:
-            del chain[mono]
-
-
 def add_chains(*chains: Chain) -> Chain:
-    out: Chain = {}
-    for c in chains:
-        add_scaled(out, c)
-    return out
+    return sparse_sum([term for c in chains for term in c.items()])
 
 
 def scale_chain(chain: Chain, factor) -> Chain:
@@ -120,7 +102,7 @@ def differential(k: int, chain: Chain) -> Chain:
     which costs the sign (-1)^pos, and a repeated index gives zero.
     """
     _check_support(k, chain)
-    out: Chain = {}
+    terms = []
     for mono, coeff in chain.items():
         q = len(mono)
         for s in range(q):
@@ -135,9 +117,9 @@ def differential(k: int, chain: Chain) -> Chain:
                 if pos < len(rest) and rest[pos] == ni:
                     continue
                 c = coeff * e
-                chain_insert(out, rest[:pos] + (ni,) + rest[pos:],
-                             c if (s + t + pos) % 2 else -c)
-    return out
+                terms.append((rest[:pos] + (ni,) + rest[pos:],
+                              c if (s + t + pos) % 2 else -c))
+    return sparse_sum(terms)
 
 
 def _splitting_pairs(k: int, i: int) -> tuple:
@@ -162,7 +144,7 @@ def codifferential(k: int, chain: Chain) -> Chain:
     Raises q by one, preserves (w, h).
     """
     _check_support(k, chain)
-    out: Chain = {}
+    terms = []
     for mono, coeff in chain.items():
         for s, i in enumerate(mono):
             rest = mono[:s] + mono[s + 1:]
@@ -174,9 +156,9 @@ def codifferential(k: int, chain: Chain) -> Chain:
                 if pb < len(rest) and rest[pb] == b:
                     continue
                 c = coeff * e
-                chain_insert(out, rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:],
-                             -c if (s + pa + pb) % 2 else c)
-    return out
+                terms.append((rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:],
+                              -c if (s + pa + pb) % 2 else c))
+    return sparse_sum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +168,7 @@ def codifferential(k: int, chain: Chain) -> Chain:
 def _derivation(chain: Chain, image):
     """Extend a generator map ``image(i) -> (coeff, new_index) | None`` as a
     degree-zero derivation of the exterior algebra."""
-    out: Chain = {}
+    terms = []
     for mono, coeff in chain.items():
         for s, i in enumerate(mono):
             im = image(i)
@@ -198,8 +180,8 @@ def _derivation(chain: Chain, image):
             if pos < len(rest) and rest[pos] == ni:
                 continue
             sign = 1 if (pos - s) % 2 == 0 else -1
-            chain_insert(out, rest[:pos] + (ni,) + rest[pos:], coeff * c * sign)
-    return out
+            terms.append((rest[:pos] + (ni,) + rest[pos:], coeff * c * sign))
+    return sparse_sum(terms)
 
 
 def adjoint_action(g: int, chain: Chain, k: int) -> Chain:

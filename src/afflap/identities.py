@@ -22,10 +22,11 @@ table key, and a route cross-check names its route in the label.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chains import enumerate_block, weight_dim_table
+from .chains import enumerate_block, weight, weight_dim_table
 from .generators import epsilon
 from .series import DEFAULT_ORDER, Series, inverse_theta_neg, product_over, theta
 from .sl2 import HalfLaurent, RepRingElement, singular_block_dims, weyl_inverse, weyl_map
@@ -205,13 +206,15 @@ def _check_gen_L1(order: int):
     shift_max = max(w * (w - 1) // 2 for w in _GEN_L1_WINDOW)
     table = weight_dim_table(1, order - 1 + shift_max)
     anchor = min(_GEN_L1_ANCHOR, order)
+    # anchor the DP against explicit monomial enumeration, one block per degree
+    degrees = {lam + w * (w - 1) // 2 for w in _GEN_L1_WINDOW for lam in range(anchor)}
+    enumerated = Counter((weight(m), h) for h in degrees for m in enumerate_block(1, h))
     for w in _GEN_L1_WINDOW:
         shift = w * (w - 1) // 2
         dims = [table.get((w, lam + shift), 0) for lam in range(order)]
         yield f"(w={w}, {{}})", Series(order, dims), rhs
-        # anchor the DP against explicit monomial enumeration
         yield (f"(w={w}, {{}}) via enumeration", Series(anchor, dims),
-               Series(anchor, [enumerate_block(1, lam + shift, w).dim for lam in range(anchor)]))
+               Series(anchor, [enumerated[w, lam + shift] for lam in range(anchor)]))
 
 
 @_identity("gen_L0", "weighted eigenvalue multiplicities of L(0), two-sided theta numerator")

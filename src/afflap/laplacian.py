@@ -378,15 +378,13 @@ class SpectrumResult:
 
 def _residual_annihilates(matrix: Coo, lams: list[int]) -> bool:
     """Apply prod (A - lam I) to every basis vector; exact integers, on the
-    sparse columns of A."""
-    columns = matrix.columns()
+    sparse columns of each A - lam I."""
+    shifted = [[col + [(j, -lam)] for j, col in enumerate(matrix.columns())]
+               for lam in lams]
     for j in range(matrix.shape[1]):
         vec = {j: 1}
-        for lam in lams:
-            img = column_image(columns, vec)
-            for i, x in vec.items():
-                img[i] = img.get(i, 0) - lam * x
-            vec = {i: x for i, x in img.items() if x}
+        for columns in shifted:
+            vec = column_image(columns, vec)
             if not vec:
                 break
         if vec:
@@ -535,7 +533,7 @@ def _kernel_chains(k: int, q: int, gamma: Coo, basis: BlockBasis) -> list[Chain]
     columns = gamma.columns()
     chains = []
     for vec in component_kernel(gamma):
-        if any(column_image(columns, vec).values()):
+        if column_image(columns, vec):
             raise ClaimFalsified(f"kernel vector is not annihilated by Gamma on "
                                  f"k={k}, h={basis.h}, q={q}, w={basis.w}")
         chains.append({basis.monomials[i]: c for i, c in sorted(vec.items())})

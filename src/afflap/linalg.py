@@ -7,7 +7,9 @@ the exact eliminators: fraction-free (Bareiss) elimination over the
 integers for ranks and kernels, and the division-free Berkowitz algorithm
 for characteristic polynomials.  ``IntMatrix`` (one dict per column) is the
 oracle type: ``chains.matrix_of`` builds it from per-monomial chain
-operators, and tests compare the two routes with ``==``.
+operators, and tests compare the two routes with ``==``.  Every sparse
+sum that can cancel (chains, ring elements, matrix columns) is formed by
+``sparse_sum``, the one place that drops zero entries.
 Elimination modulo one word-size prime (numpy) gives certified one-sided
 bounds: rank over GF(p) never exceeds the rational rank.
 ``level_ranks_mod_p`` eliminates the connected components of the sparsity
@@ -30,17 +32,13 @@ import numpy as np
 DEFAULT_PRIME = 1_000_003
 
 
-def add_scaled(dst: dict, src: dict, scale=1) -> None:
-    """``dst += scale * src`` for sparse vectors stored as dicts, in place.
-
-    Entries that cancel are removed, so a zero-free ``dst`` stays zero-free.
-    """
-    for key, v in src.items():
-        s = dst.get(key, 0) + scale * v
-        if s:
-            dst[key] = s
-        else:
-            dst.pop(key, None)
+def sparse_sum(terms) -> dict:
+    """The sum of the (key, value) pairs ``terms`` as a dict, without the
+    keys whose values sum to zero."""
+    out: dict = {}
+    for key, v in terms:
+        out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
 
 
 class IntMatrix:
@@ -89,12 +87,9 @@ class IntMatrix:
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        cols = []
-        for c1, c2 in zip(self.columns, other.columns):
-            c = dict(c1)
-            add_scaled(c, c2)
-            cols.append(c)
-        return IntMatrix(self.rows, self.cols, cols)
+        return IntMatrix(self.rows, self.cols,
+                         [sparse_sum([*c1.items(), *c2.items()])
+                          for c1, c2 in zip(self.columns, other.columns)])
 
     def scale(self, s: int) -> "IntMatrix":
         if s == 0:
@@ -104,17 +99,14 @@ class IntMatrix:
 
     def apply(self, vec: dict) -> dict:
         """Image of a sparse column vector {row: value}."""
-        out: dict = {}
-        for j, v in vec.items():
-            if v:
-                add_scaled(out, self.columns[j], v)
-        return out
+        return column_image([c.items() for c in self.columns], vec)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
+        columns = [c.items() for c in self.columns]
         return IntMatrix(self.rows, other.cols,
-                         [self.apply(c) for c in other.columns])
+                         [column_image(columns, c) for c in other.columns])
 
     def transpose(self) -> "IntMatrix":
         cols = [dict() for _ in range(self.rows)]
@@ -189,12 +181,13 @@ class Coo(NamedTuple):
 
 def column_image(columns: list, vec: dict) -> dict:
     """A v for the sparse vector v = {col: value} and the matrix A given by
-    its ``Coo.columns``; exact Python ints, zero entries kept."""
-    out: dict = {}
+    its columns of (row, value) pairs (``Coo.columns``, or the ``items`` of
+    ``IntMatrix`` columns); exact Python ints, zero entries left out."""
+    terms = []
     for j, x in vec.items():
         for i, v in columns[j]:
-            out[i] = out.get(i, 0) + v * x
-    return out
+            terms.append((i, v * x))
+    return sparse_sum(terms)
 
 
 def coo_diag(values) -> Coo:

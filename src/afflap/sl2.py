@@ -25,7 +25,7 @@ from .chains import (
     slices,
     weight_dim_table,
 )
-from .linalg import Coo, add_scaled, bareiss_rank, coo_diag, coo_sum, gram
+from .linalg import Coo, bareiss_rank, coo_diag, coo_sum, gram, sparse_sum
 
 
 class ClaimFalsified(AssertionError):
@@ -84,9 +84,8 @@ class _SparseRingElement:
         return hash(tuple(sorted(self.terms.items())))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        add_scaled(out, self._coerce(other).terms)
-        return self._of(out)
+        return self._of(sparse_sum([*self.terms.items(),
+                                    *self._coerce(other).terms.items()]))
 
     __radd__ = __add__
 
@@ -127,17 +126,13 @@ class RepRingElement(_SparseRingElement):
         if isinstance(other, int):
             return RepRingElement({d: c * other for d, c in self.terms.items()})
         other = self._coerce(other)
-        out: dict[int, int] = {}
+        terms = []
         for d1, c1 in self.terms.items():
             for d2, c2 in other.terms.items():
                 c = c1 * c2
                 for d in range(abs(d1 - d2), d1 + d2 + 1, 2):
-                    s = out.get(d, 0) + c
-                    if s:
-                        out[d] = s
-                    else:
-                        del out[d]
-        return RepRingElement._of(out)
+                    terms.append((d, c))
+        return RepRingElement._of(sparse_sum(terms))
 
     def dimension(self) -> int:
         """Total dimension of a module with these multiplicities."""
@@ -179,16 +174,11 @@ class HalfLaurent(_SparseRingElement):
         if isinstance(other, int):
             return HalfLaurent({e: v * other for e, v in self.terms.items()})
         other = self._coerce(other)
-        out: dict[int, int] = {}
+        terms = []
         for e1, v1 in self.terms.items():
             for e2, v2 in other.terms.items():
-                e = e1 + e2
-                s = out.get(e, 0) + v1 * v2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return HalfLaurent._of(out)
+                terms.append((e1 + e2, v1 * v2))
+        return HalfLaurent._of(sparse_sum(terms))
 
     def substitute_neg_u(self) -> "HalfLaurent":
         """u -> -u; defined for integer exponents only."""
@@ -266,7 +256,7 @@ class SimpleModule:
 
 
 def _tensor_apply(g: int, vec: dict, m1: SimpleModule, m2: SimpleModule) -> dict:
-    out: dict = {}
+    terms = []
     for (p1, p2), c in vec.items():
         for mod, slot in ((m1, 0), (m2, 1)):
             im = mod.act(g, p1 if slot == 0 else p2)
@@ -274,12 +264,8 @@ def _tensor_apply(g: int, vec: dict, m1: SimpleModule, m2: SimpleModule) -> dict
                 continue
             coeff, np_ = im
             key = (np_, p2) if slot == 0 else (p1, np_)
-            s = out.get(key, 0) + c * coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
+            terms.append((key, c * coeff))
+    return sparse_sum(terms)
 
 
 def cg_singular_vector(w1, w2, p: int) -> list[Fraction]:

@@ -279,6 +279,20 @@ def test_verify_matches_golden(capsys, monkeypatch, fmt, name):
     assert out.encode() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("args, name", [
+    (("spectrum", "--k", "-1", "--h-max", "6", "--format", "csv"), "spectrum_km1_h6.csv"),
+    (("spectrum", "--k", "-1", "--h-max", "6", "--format", "text"), "spectrum_km1_h6.txt"),
+    (("homology", "--k", "2", "--h-max", "8", "--format", "csv"), "homology_k2_h8.csv"),
+    (("homology", "--k", "2", "--h-max", "8", "--format", "text"), "homology_k2_h8.txt"),
+])
+def test_spectrum_and_homology_match_golden(capsys, monkeypatch, args, name):
+    golden = Path(__file__).parent / "golden" / name
+    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
+    code, out, err = run(capsys, *args, "--jobs", "1")
+    assert (code, err) == (0, "")
+    assert out.encode() == golden.read_bytes()
+
+
 def test_jobs_env_override(capsys, monkeypatch):
     monkeypatch.setenv("AFFLAP_JOBS", "not-a-number")
     assert run(capsys, "spectrum", "--k", "2", "--h-max", "1")[0] == 2

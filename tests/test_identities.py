@@ -263,14 +263,18 @@ def test_table_failure(monkeypatch):
 
 
 def test_gen_L1_enumeration_anchor_failure(monkeypatch):
-    from types import SimpleNamespace
-
     from afflap import identities
+    from afflap.chains import weight
 
     real = identities.enumerate_block
+
+    def padded(k, h):
+        """The block, with one of its weight -4 monomials repeated in degree 13."""
+        monos = list(real(k, h))
+        return monos + [m for m in monos if weight(m) == -4][:1] if h == 13 else monos
+
     # w = -4 shifts the degree by 10, so eigenvalue 3 sits in degree 13
-    monkeypatch.setattr(identities, "enumerate_block", lambda k, h, w: SimpleNamespace(
-        dim=real(k, h, w).dim + ((w, h) == (-4, 13))))
+    monkeypatch.setattr(identities, "enumerate_block", padded)
     rep = verify_identity("gen_L1", 12)
     assert not rep.passed
     assert rep.note == "eigenvalue multiplicities of L(1) are independent of the weight"

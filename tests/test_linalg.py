@@ -11,6 +11,7 @@ from afflap.linalg import (
     bareiss_rank,
     berkowitz_charpoly,
     certify_full_rank,
+    column_image,
     component_kernel,
     coo_diag,
     exact_nullity,
@@ -19,6 +20,7 @@ from afflap.linalg import (
     gram,
     nullity_mod_p,
     rank_mod_p,
+    sparse_sum,
     strip_integer_roots,
 )
 
@@ -56,6 +58,23 @@ def test_matrix_basics():
     assert a.apply({0: 1, 1: 1}) == {0: 3, 1: 7}
     assert not a.is_symmetric()
     assert int_matrix(from_rows([[1, 2], [2, 5]])).is_symmetric()
+
+
+def test_sparse_sum_adds_repeated_keys_and_drops_cancelled_ones():
+    assert sparse_sum([("a", 1), ("b", 2), ("a", 3)]) == {"a": 4, "b": 2}
+    assert sparse_sum([("a", 1), ("b", 2), ("a", -1)]) == {"b": 2}
+    assert sparse_sum([(0, Fraction(1, 2)), (1, 1), (0, Fraction(-1, 2))]) == {1: 1}
+    assert sparse_sum([]) == {}
+    assert sparse_sum([(0, 2), (1, 0), (0, -2)]) == {}
+    mixed = sparse_sum([(0, Fraction(1, 3)), (0, Fraction(1, 3)), (1, 5)])
+    assert mixed == {0: Fraction(2, 3), 1: 5}
+    assert type(mixed[0]) is Fraction and type(mixed[1]) is int
+
+
+def test_column_image_leaves_out_zero_entries():
+    columns = from_rows([[1, 1], [1, -1]]).columns()
+    assert column_image(columns, {0: 1, 1: 1}) == {0: 2}
+    assert column_image(columns, {0: 1, 1: -1}) == {1: 2}
 
 
 def test_coo_block_cuts_one_slice():

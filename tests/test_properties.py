@@ -22,7 +22,6 @@ from afflap.chains import (
     Level,
     adjoint_action,
     adjoint_coo,
-    chain_insert,
     codifferential,
     codifferential_coo,
     conjugate_action,
@@ -95,8 +94,8 @@ def reference_differential(k: int, chain: dict) -> dict:
                 if not e or nz is None:
                     continue
                 sign, nm = nz
-                chain_insert(out, nm, coeff * e * sign * (-1) ** (s + t + 1))
-    return out
+                out[nm] = out.get(nm, 0) + coeff * e * sign * (-1) ** (s + t + 1)
+    return {nm: c for nm, c in out.items() if c}
 
 
 def reference_codifferential(k: int, chain: dict) -> dict:
@@ -113,8 +112,8 @@ def reference_codifferential(k: int, chain: dict) -> dict:
                 if nz is None:
                     continue
                 sign, nm = nz
-                chain_insert(out, nm, coeff * epsilon(b - a) * sign * (-1) ** s)
-    return out
+                out[nm] = out.get(nm, 0) + coeff * epsilon(b - a) * sign * (-1) ** s
+    return {nm: c for nm, c in out.items() if c}
 
 
 @PROPERTY
