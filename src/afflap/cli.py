@@ -326,9 +326,11 @@ def _write_replacing(path: str, text: str) -> None:
         with open(tmp, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if not isinstance(exc, OSError):
+            raise
         raise _CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 

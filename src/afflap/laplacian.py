@@ -99,13 +99,13 @@ from .linalg import (
     IntMatrix,
     berkowitz_charpoly,
     column_image,
-    component_kernel,
     coo_diag,
     coo_from_keys,
     coo_sum,
     exact_nullity,
     gershgorin_bound,
     gram,
+    level_kernels,
     level_ranks_mod_p,
     nullity_mod_p,  # noqa: F401  (perfbench/tracer.py wraps it here)
     strip_integer_roots,
@@ -188,10 +188,10 @@ def _block_levels(k: int, h: int) -> dict:
     return levels(slices(enumerate_block(k, h)))
 
 
-def _gamma_levels(k: int, h: int, by_q: dict, qs=None):
+def _gamma_levels(k: int, h: int, by_q: dict):
     """Yield ``(level, gamma)`` for the levels ``by_q`` of the degree-h
-    block (its ``_block_levels``) in increasing q, or for the q in ``qs``
-    only: gamma is D_q^T D_q + D_{q+1} D_{q+1}^T on the whole level, one
+    block (its ``_block_levels``) in increasing q: gamma is
+    D_q^T D_q + D_{q+1} D_{q+1}^T on the whole level, one
     ``gram`` over the stacked D_q and D_{q+1}^T.  Each D_q is built once and
     compared with the matrix of the codifferential from level q-1, built on
     its own by its splitting rule; a mismatch raises ClaimFalsified naming
@@ -213,8 +213,6 @@ def _gamma_levels(k: int, h: int, by_q: dict, qs=None):
 
     upper: dict = {}  # q + 1 -> D_{q+1}, kept for that level
     for q, level in by_q.items():
-        if qs is not None and q not in qs:
-            continue
         d = upper.pop(q, None) or boundary(q)
         u = upper[q + 1] = boundary(q + 1)
         gamma = gram([d, u.T], f"k={k}, h={h}, q={q}")
@@ -235,32 +233,26 @@ def laplacian_slices(k: int, h: int):
     the (q, w) slice to the (q-1, w) slice, cut from the level matrices of
     ``_gamma_levels`` (check 1 runs there).
     """
-    yield from _level_slices(k, h, _block_levels(k, h))
-
-
-def _level_slices(k: int, h: int, by_q: dict, keys=None):
-    """``laplacian_slices`` on the levels ``by_q`` of the degree-h block,
-    for the (q, w) slices in ``keys`` only when it is given."""
-    qs = None if keys is None else {q for q, _ in keys}
-    for level, gamma in _gamma_levels(k, h, by_q, qs):
+    for level, gamma in _gamma_levels(k, h, _block_levels(k, h)):
         for basis in level.slices:
-            if keys is None or (level.q, basis.w) in keys:
-                yield level.q, basis.w, basis, _diagonal_block(gamma, level, basis.w)
+            yield level.q, basis.w, basis, _diagonal_block(gamma, level, basis.w)
 
 
-def _whole_slices(k: int, basis: BlockBasis) -> tuple[dict, dict]:
-    """The ``slices`` of ``basis`` and the levels of the degree ``basis.h``
-    block, built once.  Each part is checked to be a whole (q, w) slice of
-    the block; raises ValueError otherwise."""
+def _whole_slices(k: int, basis: BlockBasis):
+    """Yield ``(q, part, whole, gamma)`` for each of the ``slices`` of
+    ``basis``, in the order of ``laplacian_slices`` of the degree
+    ``basis.h`` block, which gives the whole slice and its Gamma.  Each part
+    is checked to be a whole (q, w) slice of the block; raises ValueError,
+    after the walk, for the first part that is not."""
     parts = slices(basis)
-    by_q = _block_levels(k, basis.h)
-    block = {(q, whole.w): whole for q, level in by_q.items() for whole in level.slices}
-    for key, part in parts.items():
-        if key not in block or sorted(part.monomials) != list(block[key].monomials):
-            raise ValueError(
-                f"basis splits the (q, w) = {key} slice of the "
-                f"(k={k}, h={basis.h}) block")
-    return parts, by_q
+    for q, w, whole, gamma in laplacian_slices(k, basis.h):
+        part = parts.get((q, w))
+        if part is not None and sorted(part.monomials) == list(whole.monomials):
+            del parts[(q, w)]
+            yield q, part, whole, gamma
+    if parts:
+        raise ValueError(f"basis splits the (q, w) = {next(iter(parts))} slice of the "
+                         f"(k={k}, h={basis.h}) block")
 
 
 def laplacian_by_definition(k: int, basis: BlockBasis) -> IntMatrix:
@@ -273,8 +265,7 @@ def laplacian_by_definition(k: int, basis: BlockBasis) -> IntMatrix:
     ClaimFalsified when a codifferential matrix is not D_q^T.
     """
     columns: list = [{} for _ in range(basis.dim)]
-    parts, by_q = _whole_slices(k, basis)
-    for _, _, whole, gamma in _level_slices(k, basis.h, by_q, parts):
+    for _, _, whole, gamma in _whole_slices(k, basis):
         pos = [basis.index[m] for m in whole.monomials]
         for i, j, v in zip(gamma.rows.tolist(), gamma.cols.tolist(), gamma.vals.tolist()):
             columns[pos[j]][pos[i]] = v
@@ -526,13 +517,13 @@ def spectrum(k: int, h: int) -> SpectrumResult:
 # ---------------------------------------------------------------------------
 # harmonic chains and homology
 
-def _kernel_chains(k: int, q: int, gamma: Coo, basis: BlockBasis) -> list[Chain]:
-    """The ``component_kernel`` of the (q, w) slice matrix ``gamma`` on
+def _kernel_chains(k: int, q: int, gamma: Coo, basis: BlockBasis, kernel: list) -> list[Chain]:
+    """The vectors ``kernel`` of the (q, w) slice matrix ``gamma`` on
     ``basis``, as chains.  Each vector v is checked to satisfy Gamma v = 0
     exactly; a failure raises ClaimFalsified naming k, h, q and w."""
     columns = gamma.columns()
     chains = []
-    for vec in component_kernel(gamma):
+    for vec in kernel:
         if column_image(columns, vec):
             raise ClaimFalsified(f"kernel vector is not annihilated by Gamma on "
                                  f"k={k}, h={basis.h}, q={q}, w={basis.w}")
@@ -542,7 +533,7 @@ def _kernel_chains(k: int, q: int, gamma: Coo, basis: BlockBasis) -> list[Chain]
 
 def harmonic_basis(k: int, basis: BlockBasis) -> list[Chain]:
     """Exact basis of the Laplacian kernel on a union of whole (q, w) slices,
-    echelon-normalized: the ``component_kernel`` of each slice in the order
+    echelon-normalized: the ``level_kernels`` of each slice in the order
     of ``basis``, with the vectors in the order of their free monomials.
 
     Gamma is block diagonal over the slices, so this is the reduced kernel
@@ -550,14 +541,12 @@ def harmonic_basis(k: int, basis: BlockBasis) -> list[Chain]:
     ``laplacian_by_definition`` does, and ClaimFalsified as
     ``_kernel_chains`` does.
     """
-    parts, by_q = _whole_slices(k, basis)
     chains = []
-    for q, w, whole, gamma in _level_slices(k, basis.h, by_q, parts):
-        part = parts[(q, w)]
+    for q, part, whole, gamma in _whole_slices(k, basis):
         pos = np.array([part.index[m] for m in whole.monomials], dtype=np.int64)
         in_part = coo_from_keys(gamma.shape, pos[gamma.cols] * part.dim + pos[gamma.rows],
                                 gamma.vals)
-        chains += _kernel_chains(k, q, in_part, part)
+        chains += _kernel_chains(k, q, in_part, part, level_kernels(in_part, [part.dim])[0])
     # a reduced kernel vector ends on its free monomial
     return sorted(chains, key=lambda chain: basis.index[next(reversed(chain))])
 
@@ -620,27 +609,22 @@ def closed_form_deviations(k: int, entries: dict, h_min: int, h_max: int) -> lis
 def homology_table(k: int, h_max: int, h_min: int = 0) -> HomologyTable:
     """Exact harmonic dimensions for all blocks with h_min <= h <= h_max.
 
-    Every (q, w, h) slice is certified: a full modular rank proves a trivial
-    kernel, and one ``level_ranks_mod_p`` pass decides that for every slice
-    of a level.  Every other kernel is found exactly by ``_kernel_chains``,
-    which checks each of its vectors.
+    Every (q, w, h) slice is certified by one ``level_kernels`` call per
+    level: a sparsity component of full modular rank has a trivial kernel,
+    and the kernel of every other component is found exactly.
+    ``_kernel_chains`` checks each vector on its slice.
     """
     if k not in (-1, 0, 1, 2):
         raise ValueError("homology tables are provided for k in {-1, 0, 1, 2}")
-    entries: dict = {}
     chains: dict = {}
     for h in range(h_min, h_max + 1):
         for level, gamma in _gamma_levels(k, h, _block_levels(k, h)):
-            shapes = [(basis.dim, basis.dim) for basis in level.slices]
-            ranks = level_ranks_mod_p(gamma, shapes, [[0]] * len(shapes))
-            for basis, (rank,) in zip(level.slices, ranks):
-                if rank == basis.dim:
-                    continue
-                q, w = level.q, basis.w
-                kernel = _kernel_chains(k, q, _diagonal_block(gamma, level, w), basis)
+            kernels = level_kernels(gamma, [basis.dim for basis in level.slices])
+            for basis, kernel in zip(level.slices, kernels):
                 if kernel:
-                    entries[(q, w, h)] = len(kernel)
-                    chains[(q, w, h)] = kernel
+                    block = _diagonal_block(gamma, level, basis.w)
+                    chains[(level.q, basis.w, h)] = _kernel_chains(k, level.q, block, basis, kernel)
+    entries = {key: len(kernel) for key, kernel in chains.items()}
     deviations = closed_form_deviations(k, entries, h_min, h_max)
     return HomologyTable(k=k, h_max=h_max, entries=entries, chains=chains,
                          matches_closed_form=not deviations, deviations=deviations)

@@ -11,15 +11,17 @@ operators, and tests compare the two routes with ``==``.  Every sparse
 sum that can cancel (chains, ring elements, matrix columns) is formed by
 ``sparse_sum``, the one place that drops zero entries.
 Elimination modulo one word-size prime (numpy) gives certified one-sided
-bounds: rank over GF(p) never exceeds the rational rank.
-``level_ranks_mod_p`` eliminates the connected components of the sparsity
-graph of a block-diagonal matrix one shape at a time, over all blocks and
-all their shifts at once; ``rank_mod_p``, ``nullity_mod_p`` and
-``certify_full_rank`` are its one-block forms.  Kernels are exact:
-``component_kernel`` runs ``fraction_kernel`` (Bareiss, then rational
-back-substitution) on each sparsity component of a square matrix, and its
-docstring gives the argument that this is the reduced kernel basis of the
-whole matrix.
+bounds: rank over GF(p) never exceeds the rational rank.  One pass splits
+a block-diagonal matrix into the connected components of its sparsity
+graph and eliminates them mod p one shape at a time, over all blocks at
+once.  ``level_ranks_mod_p`` sums the component ranks per block and shift.
+``level_kernels`` gives the exact kernel of each square block: a component
+of full rank mod p has none, and ``fraction_kernel`` (Bareiss, then
+rational back-substitution) runs on every other component; its docstring
+gives the argument that this is the reduced kernel basis of each block.
+``rank_mod_p``, ``nullity_mod_p`` and ``certify_full_rank``, the one-block
+forms of ``level_ranks_mod_p``, are kept only because the benchmark's
+tracer (``perfbench/tracer.py``) binds them.
 """
 
 from __future__ import annotations
@@ -342,52 +344,6 @@ def fraction_kernel(dense_rows: list[list[int]]) -> list[dict[int, Fraction]]:
     return kernel
 
 
-def component_kernel(matrix: Coo) -> list[dict[int, Fraction]]:
-    """The ``fraction_kernel`` of a square compressed matrix, found one
-    sparsity component at a time.
-
-    The vertices of the sparsity graph are the indices 0..n-1, row i and
-    column i being one vertex, and each entry A[i, j] joins i to j.
-    ``fraction_kernel`` runs on the dense rows of each connected component
-    (its indices in increasing order); each vector is mapped back to the
-    indices of the matrix, and the vectors are returned in the order of
-    their free columns, which are their largest keys.  Raises ValueError
-    for a matrix that is not square.
-
-    This is the reduced kernel basis of the whole matrix.  The symmetric
-    permutation that groups the components makes A block diagonal over
-    them, so the rank of A[:, :j] is the sum of the ranks of the
-    components' columns left of j, and a column is a pivot (a column where
-    that rank grows) exactly when it is one within its own component.  The
-    component vector of a free column f, padded with zeros, is then a
-    kernel vector of A that is 1 at f, 0 at every other free column and
-    supported on pivot columns left of f.  Two such vectors differ by a
-    kernel vector supported on pivot columns only, which is zero since the
-    pivot columns are independent; so it is the reduced basis vector of f.
-    """
-    n, m = matrix.shape
-    if n != m:
-        raise ValueError(f"component kernel needs a square matrix, not {n}x{m}")
-    comp = np.unique(_component_labels(n, matrix.rows, matrix.cols), return_inverse=True)[1]
-    count = np.bincount(comp)
-    local = _local_index(comp, count)
-    members = np.argsort(comp, kind="stable").tolist()
-    # the entries grouped by component, in local indices
-    order = np.argsort(comp[matrix.rows], kind="stable")
-    rows, cols, vals = local[matrix.rows[order]], local[matrix.cols[order]], matrix.vals[order]
-    ends = np.cumsum(np.bincount(comp[matrix.rows], minlength=count.size)).tolist()
-    kernel = []
-    lo = start = 0
-    for size, hi in zip(count.tolist(), ends):
-        dense = np.zeros((size, size), dtype=np.int64)
-        dense[rows[lo:hi], cols[lo:hi]] = vals[lo:hi]
-        index = members[start:start + size]
-        kernel += [{index[i]: x for i, x in vec.items()}
-                   for vec in fraction_kernel(dense.tolist())]
-        lo, start = hi, start + size
-    return sorted(kernel, key=max)
-
-
 def exact_nullity(matrix: Coo, lam: int = 0) -> int:
     """The nullity of A - lam I over Q, shifted and eliminated on rows of
     Python ints."""
@@ -463,43 +419,36 @@ def _local_index(comp: np.ndarray, count: np.ndarray) -> np.ndarray:
     return local
 
 
-def level_ranks_mod_p(matrix: Coo, shapes, lams) -> list[list[int]]:
-    """The rank of S - lam I over GF(``DEFAULT_PRIME``) for each lam in
-    ``lams[s]``, for each diagonal block S of ``matrix``: the blocks have
-    the (rows, cols) ``shapes`` in order and ``matrix`` holds no entry
-    outside them.
+def _level_components(matrix: Coo, shapes):
+    """Yield ``(blocks, rows, stack, turn)`` for the connected components
+    of the sparsity graph of ``matrix``, whose diagonal blocks have the
+    (rows, cols) ``shapes`` in order, for a run of at most ``turn``
+    components of one shape (r, c) at a time: the block of each component,
+    its r rows of the matrix in increasing order (an (m, r) array), and its
+    dense r x c submatrix on those rows and its columns in increasing
+    order, with the exact values (an (m, r, c) int64 array).
 
-    The rows and columns of the matrix are the vertices of its sparsity
-    graph: each entry [i, j] joins row i to column j, and in a square block
-    row i is also joined to column i, so S - lam I has the same connected
-    components for every lam.  Permuting its rows and columns makes S - lam I
-    block diagonal over those components, so its rank is the sum of their
-    ranks.  The components of all blocks are grouped by shape, and each
-    group is eliminated by ``_echelon_mod_p`` passes over stacks of its
-    (component, lam) matrices.  A stack holds at most the entries of the
-    dense blocks, and at most ``STACK_BUDGET``, unless one component alone
-    needs more.  Raises ValueError when a component crosses two blocks (an
-    entry lies outside them) or a nonzero lam comes with a non-square block.
+    The rows and columns are the vertices: each entry [i, j] joins row i to
+    column j, and in a square block row i is also joined to column i.
+    Components without a row or a column are left out.  Runs follow the
+    order of shape, and components in a run the order of their least
+    vertex.  ``turn`` r x c matrices hold at most the entries of the dense
+    blocks, and at most ``STACK_BUDGET``, unless one alone needs more.
+    Raises ValueError when the blocks do not tile the matrix or a component
+    crosses two blocks (an entry lies outside them).
     """
-    p = DEFAULT_PRIME
-    shapes = np.array(shapes, dtype=np.int64).reshape(-1, 2)
-    blocks = np.arange(len(shapes))
     nrows, ncols = (int(n) for n in shapes.sum(axis=0))
     if tuple(matrix.shape) != (nrows, ncols):
         raise ValueError(f"blocks of shape {nrows}x{ncols} do not tile a "
                          f"{matrix.shape[0]}x{matrix.shape[1]} matrix")
-    square = shapes[:, 0] == shapes[:, 1]
-    if any(lam for s in np.flatnonzero(~square) for lam in lams[s]):
-        raise ValueError("shift needs a square matrix")
-    row_block = np.repeat(blocks, shapes[:, 0])
-    col_block = np.repeat(blocks, shapes[:, 1])
+    row_block, col_block = (np.repeat(np.arange(len(shapes)), n) for n in shapes.T)
     crossing = np.flatnonzero(row_block[matrix.rows] != col_block[matrix.cols])
     if crossing.size:
         r, c = int(matrix.rows[crossing[0]]), int(matrix.cols[crossing[0]])
         raise ValueError(f"entry ({r}, {c}) joins a component of block {row_block[r]} "
                          f"to one of block {col_block[c]}")
     # vertices: rows 0..nrows-1, then columns nrows..nrows+ncols-1
-    diag = np.flatnonzero(square[row_block])
+    diag = np.flatnonzero((shapes[:, 0] == shapes[:, 1])[row_block])
     starts = np.cumsum(shapes, axis=0) - shapes
     diag_col = diag - starts[row_block[diag], 0] + starts[row_block[diag], 1]
     u = np.concatenate((matrix.rows, diag))
@@ -508,23 +457,20 @@ def level_ranks_mod_p(matrix: Coo, shapes, lams) -> list[list[int]]:
     row_comp, col_comp = comp[:nrows], comp[nrows:]
     row_count = np.bincount(row_comp, minlength=labels.size)
     col_count = np.bincount(col_comp, minlength=labels.size)
-    comp_block = np.zeros(labels.size, dtype=np.int64)  # read for components with rows only
-    comp_block[row_comp] = row_block
-    # components in order of shape; their entries sorted the same way
+    # components in order of shape; their blocks, rows and entries sorted the same way
     order = np.lexsort((col_count, row_count))
     pos = np.empty_like(order)
     pos[order] = np.arange(order.size)
+    comp_block = np.zeros(labels.size, dtype=np.int64)  # read for components with rows only
+    comp_block[pos[row_comp]] = row_block
+    members = np.argsort(pos[row_comp], kind="stable")
+    row_first = np.cumsum(row_count[order]) - row_count[order]
     entry_pos = pos[row_comp[matrix.rows]]
     by_pos = np.argsort(entry_pos, kind="stable")
     entry_pos = entry_pos[by_pos]
     entry_row = _local_index(row_comp, row_count)[matrix.rows[by_pos]]
     entry_col = _local_index(col_comp, col_count)[matrix.cols[by_pos]]
-    entry_val = matrix.vals[by_pos] % p
-    # the (block, lam) pairs, flattened
-    count = np.array([len(block_lams) for block_lams in lams], dtype=np.int64)
-    first = np.cumsum(count) - count
-    shifts = np.array([lam % p for block_lams in lams for lam in block_lams], dtype=np.int64)
-    ranks = np.zeros(shifts.size, dtype=np.int64)
+    entry_val = matrix.vals[by_pos]
     budget = min(int(shapes.prod(axis=1).sum()), STACK_BUDGET)
     shape_of = np.stack((row_count[order], col_count[order]), axis=1)
     group_starts = np.flatnonzero(np.any(np.diff(shape_of, axis=0, prepend=-1) != 0, axis=1))
@@ -536,20 +482,88 @@ def level_ranks_mod_p(matrix: Coo, shapes, lams) -> list[list[int]]:
         for a in range(g0, g1, turn):
             b = min(g1, a + turn)
             lo, hi = np.searchsorted(entry_pos, (a, b))
-            base = np.zeros((b - a, sr, sc), dtype=np.int64)
-            base[entry_pos[lo:hi] - a, entry_row[lo:hi], entry_col[lo:hi]] = entry_val[lo:hi]
-            # each component of this chunk under each lam of its block
-            blk = comp_block[order[a:b]]
-            n = count[blk]
-            slot = np.repeat(np.arange(b - a), n)
-            out = np.repeat(first[blk] - np.cumsum(n) + n, n) + np.arange(slot.size)
-            for t in range(0, slot.size, turn):
-                stack = base[slot[t:t + turn]]
-                if sr == sc:
-                    d = np.arange(sr)
-                    stack[:, d, d] = (stack[:, d, d] - shifts[out[t:t + turn], None]) % p
-                np.add.at(ranks, out[t:t + turn], _echelon_mod_p(stack, p))
+            stack = np.zeros((b - a, sr, sc), dtype=np.int64)
+            stack[entry_pos[lo:hi] - a, entry_row[lo:hi], entry_col[lo:hi]] = entry_val[lo:hi]
+            rows = members[row_first[a]:row_first[a] + (b - a) * sr].reshape(b - a, sr)
+            yield comp_block[a:b], rows, stack, turn
+
+
+def level_ranks_mod_p(matrix: Coo, shapes, lams) -> list[list[int]]:
+    """The rank of S - lam I over GF(``DEFAULT_PRIME``) for each lam in
+    ``lams[s]``, for each diagonal block S of ``matrix``: the blocks have
+    the (rows, cols) ``shapes`` in order and ``matrix`` holds no entry
+    outside them.
+
+    In a square block row i is joined to column i, so S - lam I has the
+    same sparsity components (``_level_components``) for every lam.
+    Permuting its rows and columns makes S - lam I block diagonal over
+    them, so its rank is the sum of their ranks.  Each run of components is
+    eliminated by ``_echelon_mod_p`` passes over stacks of at most ``turn``
+    of its (component, lam) matrices.  Raises ValueError when a nonzero lam
+    comes with a non-square block, or as ``_level_components`` does.
+    """
+    p = DEFAULT_PRIME
+    shapes = np.array(shapes, dtype=np.int64).reshape(-1, 2)
+    if any(lam for s in np.flatnonzero(shapes[:, 0] != shapes[:, 1]) for lam in lams[s]):
+        raise ValueError("shift needs a square matrix")
+    # the (block, lam) pairs, flattened
+    count = np.array([len(block_lams) for block_lams in lams], dtype=np.int64)
+    first = np.cumsum(count) - count
+    shifts = np.array([lam % p for block_lams in lams for lam in block_lams], dtype=np.int64)
+    ranks = np.zeros(shifts.size, dtype=np.int64)
+    for blk, _, stack, turn in _level_components(matrix, shapes):
+        m, sr, sc = stack.shape
+        stack %= p
+        # each component of this run under each lam of its block
+        n = count[blk]
+        slot = np.repeat(np.arange(m), n)
+        out = np.repeat(first[blk] - np.cumsum(n) + n, n) + np.arange(slot.size)
+        for t in range(0, slot.size, turn):
+            shifted = stack[slot[t:t + turn]]
+            if sr == sc:
+                d = np.arange(sr)
+                shifted[:, d, d] = (shifted[:, d, d] - shifts[out[t:t + turn], None]) % p
+            np.add.at(ranks, out[t:t + turn], _echelon_mod_p(shifted, p))
     return [ranks[i:i + n].tolist() for i, n in zip(first.tolist(), count.tolist())]
+
+
+def level_kernels(matrix: Coo, sizes) -> list[list[dict[int, Fraction]]]:
+    """The ``fraction_kernel`` of each square diagonal block of ``matrix``,
+    of the given ``sizes`` in order, in block-local indices; ``matrix``
+    holds no entry outside the blocks.
+
+    Stacked ``_echelon_mod_p`` passes give the rank mod p of every sparsity
+    component (``_level_components``).  A component of full rank mod p has
+    full rank over Q too, since the rank over GF(p) never exceeds the
+    rational rank, and adds no vector.  ``fraction_kernel`` runs on the
+    dense rows of each other component (its indices in increasing order),
+    with their exact values; each vector is mapped back to the indices of
+    its block, and each block's vectors are returned in the order of their
+    free columns, which are their largest keys.  Raises ValueError as
+    ``_level_components`` does.
+
+    This is the reduced kernel basis of each block.  The symmetric
+    permutation that groups the components makes the block A block diagonal
+    over them, so the rank of A[:, :j] is the sum of the ranks of the
+    components' columns left of j, and a column is a pivot (a column where
+    that rank grows) exactly when it is one within its own component.  The
+    component vector of a free column f, padded with zeros, is then a kernel
+    vector of A that is 1 at f, 0 at every other free column and supported
+    on pivot columns left of f.  Two such vectors differ by a kernel vector
+    supported on pivot columns only, which is zero since the pivot columns
+    are independent; so it is the reduced basis vector of f.
+    """
+    sizes = np.array(sizes, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    kernels: list = [[] for _ in sizes]
+    for blk, rows, stack, _ in _level_components(matrix, np.stack((sizes, sizes), axis=1)):
+        ranks = _echelon_mod_p(stack % DEFAULT_PRIME, DEFAULT_PRIME)
+        for c in np.flatnonzero(ranks < stack.shape[1]).tolist():
+            b = int(blk[c])
+            index = (rows[c] - starts[b]).tolist()
+            kernels[b] += [{index[i]: x for i, x in vec.items()}
+                           for vec in fraction_kernel(stack[c].tolist())]
+    return [sorted(kernel, key=max) for kernel in kernels]
 
 
 def rank_mod_p(matrix: Coo, lams) -> list[int]:

@@ -42,7 +42,7 @@ class _SparseRingElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {e: v for e, v in (terms or {}).items() if v}
+        self.terms = sparse_sum((terms or {}).items())
 
     @classmethod
     def _of(cls, terms: dict):
@@ -115,7 +115,7 @@ class RepRingElement(_SparseRingElement):
     def __init__(self, mults=None):
         if mults and min(mults) < 0:
             raise ValueError(f"negative doubled weight {min(mults)}")
-        self.terms = {d: c for d, c in mults.items() if c} if mults else {}
+        super().__init__(mults)
 
     @classmethod
     def simple(cls, two_w: int) -> "RepRingElement":

@@ -163,6 +163,23 @@ def test_out_failure_keeps_the_earlier_file(tmp_path, capsys, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
 
+def test_interrupted_out_write_removes_its_temporary_file(tmp_path, capsys, monkeypatch):
+    """An interrupt while the report is renamed into place propagates as it
+    is; the temporary file goes and the earlier report stays byte for byte."""
+    target = tmp_path / "report.csv"
+    target.write_bytes(b"earlier report\n")
+
+    def interrupt(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.os, "replace", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["verify", "--id", "jacobi_cube", "--order", "5", "--format", "csv",
+                  "--out", str(target)])
+    assert target.read_bytes() == b"earlier report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
 def test_falsified_claim_exits_1(capsys, monkeypatch):
     def refute(*args):
         raise ClaimFalsified("x")

@@ -371,15 +371,53 @@ def test_harmonic_basis_is_the_reduced_kernel_of_the_whole_block():
 
 def test_homology_kernels_run_only_on_rank_deficient_slices(monkeypatch):
     """The level pass proves every other slice of homology_table(2, 12)
-    trivial: ``component_kernel`` runs once for each of the 25 slices whose
-    modular rank falls short, and each of them has homology."""
-    from afflap import laplacian
+    trivial, one sparsity component at a time: ``fraction_kernel`` runs once
+    for each of the 25 components whose modular rank falls short, and each
+    of them carries the homology of its own slice."""
+    from afflap import linalg
 
     calls = []
-    kernel = laplacian.component_kernel
-    monkeypatch.setattr(laplacian, "component_kernel",
-                        lambda gamma: calls.append(gamma.shape) or kernel(gamma))
+    exact = linalg.fraction_kernel
+    monkeypatch.setattr(linalg, "fraction_kernel",
+                        lambda rows: calls.append(len(rows)) or exact(rows))
     assert len(homology_table(2, 12).entries) == len(calls) == 25
+
+
+def test_a_modular_rank_deficit_sends_one_component_to_exact_elimination(monkeypatch):
+    """One rank too few mod p on a component of full rank makes
+    ``fraction_kernel`` run on that component too; it returns no vector, and
+    the homology table does not change."""
+    from afflap import linalg
+
+    want = homology_table(2, 8)
+    real = linalg._echelon_mod_p
+    lowered = []
+
+    def one_too_few(stack, p):
+        before = stack.copy()
+        ranks = real(stack, p)
+        if not lowered and stack.shape[1] == stack.shape[2]:
+            full = np.flatnonzero(ranks == stack.shape[1])
+            if full.size:
+                ranks[full[0]] -= 1
+                lowered.append(before[full[0]].tolist())
+        return ranks
+
+    runs = []
+    exact = linalg.fraction_kernel
+
+    def recording(rows):
+        runs.append((rows, exact(rows)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(linalg, "_echelon_mod_p", one_too_few)
+    monkeypatch.setattr(linalg, "fraction_kernel", recording)
+    got = homology_table(2, 8)
+    assert (got.entries, got.chains) == (want.entries, want.chains)
+    assert len(lowered) == 1 and len(runs) == len(want.entries) + 1
+    p = linalg.DEFAULT_PRIME
+    assert [kernel for rows, kernel in runs
+            if [[v % p for v in row] for row in rows] == lowered[0]] == [[]]
 
 
 def test_a_wrong_kernel_vector_is_a_falsified_claim(monkeypatch, capsys):

@@ -12,12 +12,12 @@ from afflap.linalg import (
     berkowitz_charpoly,
     certify_full_rank,
     column_image,
-    component_kernel,
     coo_diag,
     exact_nullity,
     fraction_kernel,
     gershgorin_bound,
     gram,
+    level_kernels,
     nullity_mod_p,
     rank_mod_p,
     sparse_sum,
@@ -152,9 +152,9 @@ def test_fraction_kernel_known():
 
 
 def test_modular_kernel_equals_fraction_kernel():
-    """``component_kernel`` returns the reduced kernel basis that
-    ``fraction_kernel`` finds on the whole matrix, and rejects a matrix that
-    is not square."""
+    """``level_kernels`` of a matrix as one block returns the reduced kernel
+    basis that ``fraction_kernel`` finds on the whole matrix, and rejects
+    blocks that do not tile the matrix."""
     rng = random.Random(5)
     for trial in range(200):
         n, r = rng.randint(1, 8), rng.randint(0, 5)
@@ -163,15 +163,16 @@ def test_modular_kernel_equals_fraction_kernel():
         right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
         rows = [[sum(row[t] * right[t][j] for t in range(r)) for j in range(n)]
                 for row in left]
-        assert component_kernel(from_rows(rows)) == fraction_kernel(rows), rows
-    assert component_kernel(Coo.empty((0, 0))) == []
-    assert component_kernel(Coo.empty((2, 2))) == fraction_kernel([[0, 0], [0, 0]])
-    assert component_kernel(from_rows([[1, 0], [0, 1]])) == []
-    with pytest.raises(ValueError, match="^component kernel needs a square matrix, not 2x3$"):
-        component_kernel(from_rows([[1, 2, 3], [2, 4, 6]]))
+        assert level_kernels(from_rows(rows), [n]) == [fraction_kernel(rows)], rows
+    assert level_kernels(Coo.empty((0, 0)), [0]) == [[]]
+    assert level_kernels(Coo.empty((0, 0)), []) == []
+    assert level_kernels(Coo.empty((2, 2)), [2]) == [fraction_kernel([[0, 0], [0, 0]])]
+    assert level_kernels(from_rows([[1, 0], [0, 1]]), [2]) == [[]]
+    with pytest.raises(ValueError, match="^blocks of shape 2x2 do not tile a 2x3 matrix$"):
+        level_kernels(from_rows([[1, 2, 3], [2, 4, 6]]), [2])
 
 
-def test_component_kernel_interleaves_the_free_columns_of_its_components(monkeypatch):
+def test_level_kernels_interleave_the_free_columns_of_the_components(monkeypatch):
     """Components {0, 2, 4} and {1, 3, 5} have the free columns 0, 4 and 3,
     5: the basis alternates between them, in the order of the whole
     matrix's reduced basis, and each component is eliminated once."""
@@ -185,11 +186,25 @@ def test_component_kernel_interleaves_the_free_columns_of_its_components(monkeyp
     calls = []
     exact = linalg.fraction_kernel
     monkeypatch.setattr(linalg, "fraction_kernel", lambda m: calls.append(m) or exact(m))
-    kernel = component_kernel(from_rows(rows))
+    [kernel] = level_kernels(from_rows(rows), [6])
     assert calls == [a, b]
     assert [max(vec) for vec in kernel] == [0, 3, 4, 5]
     assert kernel == exact(rows)
     assert kernel[1] == {1: Fraction(-1, 2), 3: Fraction(1)}
+
+
+def test_level_kernels_skip_the_components_of_full_modular_rank(monkeypatch):
+    """Only the component {0, 2} of the second block falls short of full
+    rank mod p: it alone is eliminated, and its vector is returned in the
+    indices of its block."""
+    level = np.zeros((5, 5), dtype=np.int64)
+    level[:2, :2] = [[2, 0], [0, 3]]
+    level[2:, 2:] = [[1, 0, 1], [0, 5, 0], [1, 0, 1]]
+    calls = []
+    exact = linalg.fraction_kernel
+    monkeypatch.setattr(linalg, "fraction_kernel", lambda m: calls.append(m) or exact(m))
+    assert level_kernels(from_rows(level), [2, 3]) == [[], [{0: Fraction(-1), 2: Fraction(1)}]]
+    assert calls == [[[1, 1], [1, 1]]]
 
 
 def test_exact_nullity_and_modular_bound():

@@ -1,7 +1,7 @@
 """Property tests for the sign conventions of the boundary operators, for
-the transposes the sl2 certificate relies on, for the modular nullities of
-the cross-check (per slice and per level), for the axioms of the
-coefficient rings of the series arithmetic, and for the residue-grid
+the transposes the sl2 certificate relies on, for the modular nullities and
+exact kernels of the cross-check (per slice and per level), for the axioms
+of the coefficient rings of the series arithmetic, and for the residue-grid
 ``product_over`` against the dict-ring product.
 
 ``differential`` and ``codifferential`` place their signs by ``bisect``
@@ -40,12 +40,12 @@ from afflap.linalg import (
     DEFAULT_PRIME,
     Coo,
     bareiss_rank,
-    component_kernel,
     coo_diag,
     coo_from_keys,
     coo_sum,
     exact_nullity,
     fraction_kernel,
+    level_kernels,
     level_ranks_mod_p,
     nullity_mod_p,
     rank_mod_p,
@@ -300,7 +300,7 @@ def _ring(n: int) -> list:
 @example((permuted_blocks([[[2] * 6] * 6] + [[[i % 3]] for i in range(20)], _ring(26)),
           [0, 1, 2, 12]))  # one large component beside singletons
 def test_modular_nullities_match_exact_on_permuted_blocks(case):
-    """nullity_mod_p and component_kernel eliminate each connected component
+    """nullity_mod_p and level_kernels eliminate each connected component
     of the sparsity graph on its own; the nullities must be those of exact
     elimination on the whole matrix, and the kernel its reduced kernel
     basis, for every shift."""
@@ -310,7 +310,7 @@ def test_modular_nullities_match_exact_on_permuted_blocks(case):
     for lam in lams:
         shifted = coo_sum(matrix.shape, matrix, coo_diag([-lam] * n))
         rows = shifted.dense().tolist()
-        assert component_kernel(shifted) == (fraction_kernel(rows) if n else []), lam
+        assert level_kernels(shifted, [n]) == [fraction_kernel(rows) if n else []], lam
 
 
 def level_of(matrices: list) -> Coo:
@@ -358,6 +358,19 @@ def test_level_ranks_match_the_slice_ranks(case):
     assert got == [[bareiss_rank((matrix.dense() - _small_representative(lam)
                                   * np.eye(matrix.shape[0], dtype=np.int64)).tolist())
                     for lam in slice_lams] for matrix, slice_lams in case]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(block_diagonal_levels())
+@example([(Coo.empty((0, 0)), [1]), (permuted_blocks([[[3]]], [0]), [3]),
+          (Coo.empty((2, 2)), [])])  # an empty slice, a 1x1 kernel, a zero slice
+def test_level_kernels_match_the_slice_kernels(case):
+    """``level_kernels`` on a block-diagonal level gives each slice, shifted
+    by its first lam, the ``fraction_kernel`` of the slice alone."""
+    matrices = [coo_sum(m.shape, m, coo_diag([-lams[0] if lams else 0] * m.shape[0]))
+                for m, lams in case]
+    got = level_kernels(level_of(matrices), [m.shape[0] for m in matrices])
+    assert got == [fraction_kernel(m.dense().tolist()) if m.shape[0] else [] for m in matrices]
 
 
 def test_level_ranks_refuse_a_component_across_two_slices():

@@ -87,6 +87,21 @@ def test_weyl_map_is_ring_hom_and_invertible():
     assert weyl_inverse(0) == RepRingElement()
 
 
+def test_ring_elements_store_no_zero_coefficient():
+    """Both constructors drop the zero values of the dict they are given, so
+    equal elements have equal terms, and weyl_inverse leaves out the
+    differences that cancel; a negative doubled weight is refused even with
+    a zero value."""
+    assert RepRingElement({0: 2, 2: 0, 4: -1}).terms == {0: 2, 4: -1}
+    assert RepRingElement({2: 0}).terms == {} and RepRingElement({2: 0}) == RepRingElement()
+    assert HalfLaurent({-2: 0, 0: 1, 2: 0}).terms == {0: 1}
+    assert HalfLaurent({1: 0}).terms == {}
+    # chi_0 - chi_2 = chi_2 - chi_4 = 0 for the character [5]_u of V(2)
+    assert weyl_inverse(HalfLaurent.bracket(5)).terms == {4: 1}
+    with pytest.raises(ValueError, match="^negative doubled weight -2$"):
+        RepRingElement({-2: 0, 0: 1})
+
+
 def test_weyl_inverse_rejects_non_span():
     with pytest.raises(ValueError):
         weyl_inverse(HalfLaurent({2: 1}))  # bare u is not a bracket combination
