@@ -44,27 +44,10 @@ column:
 5. the piece of dominant weight w' >= |w| occurs dim(q, w') - dim(q, w'+1)
    times in the slice; these weight counts must be non-negative and fill it;
 6. each predicted multiplicity m_lambda equals the nullity of Gamma - lambda
-   on the slice.  One ``level_ranks_mod_p`` call gives the rank mod p of
-   Gamma - lambda for every lambda of every slice of a level.  Gamma -
-   lambda has the same sparsity components for every lambda, since row i
-   is joined to column i; they never cross a slice, since the level matrix
-   is block diagonal over the slices; and permuting rows and columns makes
-   it block diagonal over them, so its rank mod p on a slice is the sum of
-   the ranks of the slice's shifted components.  A fraction-free step
-   replaces a row r by pv r - f s, with s the pivot row and pv != 0 mod p:
-   an invertible row operation over GF(p), so the rank mod p is kept.  The
-   rank mod p never exceeds the rank over Q, so each modular nullity
-   null_p bounds null_Q from above; where it differs from m_lambda,
-   fraction-free elimination decides exactly.  On slices of dimension at
-   most ``EXACT_NULLITY_CUT`` the residual product prod (Gamma - lambda I)
-   over the slice's distinct lambdas is also checked to be zero, exactly,
-   and that makes every nullity exact:
-   - the product is zero, so Gamma is diagonalizable on the slice with
-     eigenvalues among the lambdas, and sum_lambda null_Q = n;
-   - null_Q <= null_p = m_lambda for each lambda (or null_Q = m_lambda
-     where elimination decided it);
-   - sum_lambda m_lambda = n (check 5), so null_Q = m_lambda for every
-     lambda.
+   on the slice: one ``level_nullities`` call per level proves
+   prod (Gamma - lambda I) = 0 over each slice's distinct lambdas, so Gamma
+   is diagonalizable there with its eigenvalues among them, and reads every
+   nullity exactly from the traces of the prefix products.
 """
 
 from __future__ import annotations
@@ -106,17 +89,11 @@ from .linalg import (
     gershgorin_bound,
     gram,
     level_kernels,
-    level_ranks_mod_p,
+    level_nullities,
     nullity_mod_p,  # noqa: F401  (perfbench/tracer.py wraps it here)
     strip_integer_roots,
 )
 from .sl2 import ClaimFalsified, sl2_level
-
-# Slices up to this dimension get exact nullities from their modular ranks
-# and the residual product check; on larger ones a modular nullity that
-# matches its prediction is taken as it is (check 6).
-EXACT_NULLITY_CUT = 48
-
 
 # ---------------------------------------------------------------------------
 # the two constructions, as chain operators
@@ -367,22 +344,6 @@ class SpectrumResult:
     residual_checked: int = 0
 
 
-def _residual_annihilates(matrix: Coo, lams: list[int]) -> bool:
-    """Apply prod (A - lam I) to every basis vector; exact integers, on the
-    sparse columns of each A - lam I."""
-    shifted = [[col + [(j, -lam)] for j, col in enumerate(matrix.columns())]
-               for lam in lams]
-    for j in range(matrix.shape[1]):
-        vec = {j: 1}
-        for columns in shifted:
-            vec = column_image(columns, vec)
-            if not vec:
-                break
-        if vec:
-            return False
-    return True
-
-
 def _scalar_level(k: int, h: int, level: Level, gamma: Coo, result: SpectrumResult,
                   totals: dict) -> None:
     """Check that Gamma is the scalar ``predicted_eigenvalue`` on every slice
@@ -407,45 +368,11 @@ def _scalar_level(k: int, h: int, level: Level, gamma: Coo, result: SpectrumResu
         result.exact_slices += 1
 
 
-def _predicted_multiplicities(k: int, h: int, q: int, basis: BlockBasis, dims: dict,
-                              result: SpectrumResult) -> dict:
-    """Check 5 on the (q, w0) slice: the multiplicity of each predicted
-    eigenvalue on it, recorded in ``result.refinement``."""
-    n, w0 = basis.dim, basis.w
-    # dominant weights w' >= |w0| occur with multiplicity
-    # dim(q, w') - dim(q, w'+1); each contributes its predicted
-    # eigenvalue to this slice exactly once per copy.
-    expected: dict[int, int] = {}
-    wp = abs(w0)
-    while dims.get((q, wp), 0) or dims.get((q, wp + 1), 0):
-        m_pred = dims.get((q, wp), 0) - dims.get((q, wp + 1), 0)
-        if m_pred < 0:
-            raise ClaimFalsified(
-                f"weight dimensions not unimodal at k={k}, h={h}, q={q}, w'={wp}")
-        if m_pred:
-            lam = predicted_eigenvalue(k, wp, h)
-            if lam < 0:
-                raise ClaimFalsified(
-                    f"negative predicted eigenvalue at k={k}, h={h}, w'={wp}")
-            expected[lam] = expected.get(lam, 0) + m_pred
-            result.refinement.append(SpectralBlock(
-                k=k, w=wp, h=h, q=q, dim=n, predicted_lambda=lam,
-                mult=m_pred,
-                kernel_dim=m_pred if lam == 0 else 0,
-                method="exact" if n <= EXACT_NULLITY_CUT else "modular"))
-        wp += 1
-    if sum(expected.values()) != n:
-        raise ClaimFalsified(
-            f"predicted eigenvalues do not exhaust k={k}, h={h}, q={q}, w={w0}: "
-            f"{sum(expected.values())} of {n}")
-    return expected
-
-
-def _certify_level(k: int, h: int, level: Level, gamma: Coo, dims: dict,
+def _certify_level(k: int, h: int, level: Level, gamma: Coo,
                    result: SpectrumResult, totals: dict) -> None:
     """Checks 2-6 on every slice of a level of L(-1) or L(2), in order: 2-3
-    in ``sl2_level``, then 4, then 5 and 6, with one ``level_ranks_mod_p``
-    pass giving every slice's modular nullities."""
+    in ``sl2_level``, then 4, then 5 on the level's isotypic counts, and 6
+    in one ``level_nullities`` call."""
     q, n = level.q, len(level)
     sign = 1 if k == -1 else -1
     casimir = sl2_level(k, level)[1]
@@ -456,38 +383,42 @@ def _certify_level(k: int, h: int, level: Level, gamma: Coo, dims: dict,
         raise ClaimFalsified(
             f"2 Gamma != 2h I {'+' if sign > 0 else '-'} C on "
             f"k={k}, h={h}, q={q}, w={level.weights[diff.cols[0]]}")
-    expected = [_predicted_multiplicities(k, h, q, basis, dims, result)
-                for basis in level.slices]
-    lams = [sorted(want) for want in expected]
-    ranks = level_ranks_mod_p(gamma, [(basis.dim, basis.dim) for basis in level.slices], lams)
-    for basis, want, slice_lams, slice_ranks in zip(level.slices, expected, lams, ranks):
-        n, w0 = basis.dim, basis.w
-        small = n <= EXACT_NULLITY_CUT
-        block = None
-        for lam, rank in zip(slice_lams, slice_ranks):
-            m_pred = want[lam]
-            nullity = n - rank
+    dims = {basis.w: basis.dim for basis in level.slices}
+    pieces = []  # (w', multiplicity, eigenvalue) of the isotypic pieces, by increasing w'
+    for wp in reversed(range(max(map(abs, dims)) + 1)):
+        m_pred = dims.get(wp, 0) - dims.get(wp + 1, 0)
+        if m_pred < 0:
+            raise ClaimFalsified(f"weight dimensions not unimodal at k={k}, h={h}, q={q}, w'={wp}")
+        lam = predicted_eigenvalue(k, wp, h) if m_pred else 0
+        if lam < 0:
+            raise ClaimFalsified(f"negative predicted eigenvalue at k={k}, h={h}, w'={wp}")
+        pieces.insert(0, (wp, m_pred, lam))
+    expected = []
+    for basis in level.slices:
+        want: dict[int, int] = {}
+        for wp, m_pred, lam in pieces:
+            if m_pred and wp >= abs(basis.w):
+                want[lam] = want.get(lam, 0) + m_pred
+                result.refinement.append(SpectralBlock(
+                    k=k, w=wp, h=h, q=q, dim=basis.dim, predicted_lambda=lam, mult=m_pred,
+                    kernel_dim=m_pred if lam == 0 else 0, method="exact"))
+        if sum(want.values()) != basis.dim:
+            raise ClaimFalsified(
+                f"predicted eigenvalues do not exhaust k={k}, h={h}, q={q}, w={basis.w}: "
+                f"{sum(want.values())} of {basis.dim}")
+        expected.append(dict(sorted(want.items())))
+    nullities = level_nullities(gamma, list(dims.values()), [list(want) for want in expected])
+    for basis, want, found in zip(level.slices, expected, nullities):
+        if found is None:
+            raise ClaimFalsified(
+                f"residual product does not annihilate k={k}, h={h}, q={q}, w={basis.w}")
+        for (lam, m_pred), nullity in zip(want.items(), found):
             if nullity != m_pred:
-                # modular nullity only bounds from above; decide exactly
-                if block is None:
-                    block = _diagonal_block(gamma, level, w0)
-                nullity = exact_nullity(block, lam)
-            if nullity != m_pred:
-                raise ClaimFalsified(
-                    f"eigenvalue {lam} on k={k}, h={h}, q={q}, w={w0}: "
-                    f"nullity {nullity}, predicted {m_pred}")
-            if small:
-                result.exact_slices += 1
-            else:
-                result.modular_slices += 1
+                raise ClaimFalsified(f"eigenvalue {lam} on k={k}, h={h}, q={q}, w={basis.w}: "
+                                     f"nullity {nullity}, predicted {m_pred}")
             totals[lam] = totals.get(lam, 0) + m_pred
-        if small:
-            if block is None:
-                block = _diagonal_block(gamma, level, w0)
-            if not _residual_annihilates(block, slice_lams):
-                raise ClaimFalsified(
-                    f"residual product does not annihilate k={k}, h={h}, q={q}, w={w0}")
-            result.residual_checked += 1
+        result.exact_slices += len(want)
+        result.residual_checked += 1
 
 
 def spectrum(k: int, h: int) -> SpectrumResult:
@@ -499,14 +430,13 @@ def spectrum(k: int, h: int) -> SpectrumResult:
     if k not in (-1, 0, 1, 2):
         raise ValueError("exact spectra are provided for k in {-1, 0, 1, 2}")
     by_q = _block_levels(k, h)
-    dims = {(q, basis.w): basis.dim for q, level in by_q.items() for basis in level.slices}
-    result = SpectrumResult(k=k, h=h, dim=sum(dims.values()), lines=[], refinement=[])
+    result = SpectrumResult(k=k, h=h, dim=sum(map(len, by_q.values())), lines=[], refinement=[])
     totals: dict[int, int] = {}
     for level, gamma in _gamma_levels(k, h, by_q):
         if k in (0, 1):
             _scalar_level(k, h, level, gamma, result, totals)
         else:
-            _certify_level(k, h, level, gamma, dims, result, totals)
+            _certify_level(k, h, level, gamma, result, totals)
     if sum(totals.values()) != result.dim:
         raise ClaimFalsified(
             f"multiplicities sum to {sum(totals.values())} != dim {result.dim} at k={k}, h={h}")

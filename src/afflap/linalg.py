@@ -10,15 +10,16 @@ oracle type: ``chains.matrix_of`` builds it from per-monomial chain
 operators, and tests compare the two routes with ``==``.  Every sparse
 sum that can cancel (chains, ring elements, matrix columns) is formed by
 ``sparse_sum``, the one place that drops zero entries.
-Elimination modulo one word-size prime (numpy) gives certified one-sided
-bounds: rank over GF(p) never exceeds the rational rank.  One pass splits
-a block-diagonal matrix into the connected components of its sparsity
-graph and eliminates them mod p one shape at a time, over all blocks at
-once.  ``level_ranks_mod_p`` sums the component ranks per block and shift.
-``level_kernels`` gives the exact kernel of each square block: a component
-of full rank mod p has none, and ``fraction_kernel`` (Bareiss, then
-rational back-substitution) runs on every other component; its docstring
-gives the argument that this is the reduced kernel basis of each block.
+``_level_components`` splits a block-diagonal matrix into the connected
+components of its sparsity graph, stacked one shape at a time over all
+blocks.  ``level_nullities`` proves each block's nullities exactly from the
+traces of its residual product prod (S - lam I), multiplied through the
+components.  Elimination modulo one word-size prime (numpy) gives one-sided
+bounds, since the rank over GF(p) never exceeds the rational rank:
+``level_ranks_mod_p`` sums the component ranks per block and shift, and
+``level_kernels`` runs ``fraction_kernel`` (Bareiss, then rational
+back-substitution) only on the components short of full rank mod p; its
+docstring argues that this is the reduced kernel basis of each block.
 ``rank_mod_p``, ``nullity_mod_p`` and ``certify_full_rank``, the one-block
 forms of ``level_ranks_mod_p``, are kept only because the benchmark's
 tracer (``perfbench/tracer.py``) binds them.
@@ -27,6 +28,7 @@ tracer (``perfbench/tracer.py``) binds them.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -564,6 +566,74 @@ def level_kernels(matrix: Coo, sizes) -> list[list[dict[int, Fraction]]]:
             kernels[b] += [{index[i]: x for i, x in vec.items()}
                            for vec in fraction_kernel(stack[c].tolist())]
     return [sorted(kernel, key=max) for kernel in kernels]
+
+
+def level_nullities(matrix: Coo, sizes, lams) -> list:
+    """The nullity over Q of S - lam I for each lam in ``lams[s]``, or None
+    when P_L != 0, with P_j = (S - lam_1 I) ... (S - lam_j I) over the lams
+    of S, for each square diagonal block S of ``matrix`` of the given
+    ``sizes`` (no entry lies outside them).  Raises ValueError when a lam
+    repeats within a block, or as ``_level_components`` does.
+
+    Each run of sparsity components is multiplied through its shifted
+    factors as one stack, by I past a component's own lams; tr P_0, ...,
+    tr P_{L-1} are summed per block in Python ints and P_L is tested for
+    zero.  The stack is int64 when r prod_j max(1, |S_c - lam_j I|) < 2^63
+    for each r x r component S_c, with |.| the row-sum norm, which bounds
+    every entry, partial sum and trace; else it runs on Python ints.
+
+    Distinct lams and P_L = 0 make the minimal polynomial of S square-free,
+    so S is diagonalizable over Q with its eigenvalues among the lams, and
+    the nullities n_i of S - lam_i I sum to n.  Then tr P_j =
+    sum_i n_i prod_{l <= j} (lam_i - lam_l): n_i has the coefficient 0 for
+    i <= j and a nonzero one for i = j + 1, so back-substitution gives
+    n_L, ..., n_1.  One symmetric permutation makes every S - lam I block
+    diagonal over the components of S, so P_j, its trace and its vanishing
+    split over them.
+    """
+    if any(len(set(block_lams)) < len(block_lams) for block_lams in lams):
+        raise ValueError("a lam repeats within one block")
+    count = np.array([len(block_lams) for block_lams in lams], dtype=np.int64)
+    first = np.cumsum(count) - count
+    traces = np.zeros(int(count.sum()), dtype=object)
+    vanishes = np.ones(len(lams), dtype=bool)
+    shapes = np.array([(n, n) for n in sizes], dtype=np.int64).reshape(-1, 2)
+    for blk, _, stack, _ in _level_components(matrix, shapes):
+        m, r, _ = stack.shape
+        depth = int(count[blk].max())
+        active = np.arange(depth) < count[blk][:, None]
+        shift = np.array([[*lams[b], *[0] * (depth - len(lams[b]))] for b in blk.tolist()],
+                         dtype=object).reshape(m, depth)
+        d = np.arange(r)
+        exact = stack.astype(object)
+        diagonals = exact[:, d, d, None] - shift[:, None, :]  # of each factor
+        norms = (np.abs(exact).sum(axis=2) - np.abs(exact[:, d, d]))[:, :, None] + np.abs(diagonals)
+        norms = np.where(active, np.maximum(norms.max(axis=1), 1), 1).prod(axis=1)
+        if r * max(norms) >= 1 << 63:
+            stack = exact
+        eye = np.eye(r, dtype=stack.dtype)
+        product = np.broadcast_to(eye, stack.shape)
+        step = np.zeros((m, depth), dtype=object)
+        for j in range(depth):
+            step[:, j] = np.trace(product, axis1=1, axis2=2)
+            factor = stack.copy()
+            factor[:, d, d] = diagonals[:, :, j]
+            factor[~active[:, j]] = eye
+            product = product @ factor
+        np.add.at(traces, (first[blk][:, None] + np.arange(depth))[active], step[active])
+        vanishes[blk[product.reshape(m, -1).any(axis=1)]] = False
+    return [_trace_nullities(traces[a:a + len(block_lams)].tolist(), block_lams)
+            if vanishes[s] else None for s, (a, block_lams) in enumerate(zip(first.tolist(), lams))]
+
+
+def _trace_nullities(traces: list, lams: list) -> list[int]:
+    """The n_i with traces[j] = sum_i n_i prod_{l < j} (lams[i] - lams[l]),
+    solved from the last j back."""
+    n = [0] * len(lams)
+    for j in reversed(range(len(lams))):
+        coef = [prod(x - lam for lam in lams[:j]) for x in lams]
+        n[j] = (traces[j] - sum(c * x for c, x in zip(coef[j + 1:], n[j + 1:]))) // coef[j]
+    return n
 
 
 def rank_mod_p(matrix: Coo, lams) -> list[int]:

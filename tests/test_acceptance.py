@@ -8,7 +8,7 @@ import json
 import time
 from fractions import Fraction
 
-from afflap.chains import enumerate_block, levels, slices
+from afflap.chains import block_dim_table, enumerate_block, levels, slices
 from afflap.cli import main as cli_main
 from afflap.identities import all_identities, verify_identity
 from afflap.laplacian import (
@@ -86,20 +86,26 @@ def test_criterion_2_case_table_oracles():
 def test_criterion_3_integral_spectrum():
     """Exact spectral decompositions for k in {-1,0,1,2}, h <= 12: every
     eigenvalue is the predicted non-negative integer and the multiplicities
-    fill each block."""
-    counts = {"scalar": 0, "exact": 0, "modular": 0, "residual": 0}
+    fill each block.  For k in {-1, 2} every (slice, lambda) pair is proved
+    exactly, with the residual product of every slice."""
+    counts = {}
     for k in (-1, 0, 1, 2):
+        table = block_dim_table(k, H_FULL)
         for h in range(H_FULL + 1):
             res = spectrum(k, h)
             assert sum(m for _, m in res.lines) == res.dim, (k, h)
             for lam, mult in res.lines:
                 assert isinstance(lam, int) and lam >= 0 and mult > 0
-            counts["exact"] += res.exact_slices
-            counts["modular"] += res.modular_slices
-            counts["residual"] += res.residual_checked
-    print(f"ACCEPTANCE 3: integral spectra h<=12 "
-          f"(exact slices {counts['exact']}, modular-certified {counts['modular']}, "
-          f"residual products {counts['residual']})  PASS")
+            assert res.modular_slices == 0
+            if k in (-1, 2):
+                assert {block.method for block in res.refinement} == {"exact"}, (k, h)
+                assert res.residual_checked == sum(key[2] == h for key in table), (k, h)
+            exact, residual = counts.get(k, (0, 0))
+            counts[k] = (exact + res.exact_slices, residual + res.residual_checked)
+    assert counts[-1] == (1333, 568)
+    print(f"ACCEPTANCE 3: integral spectra h<=12 (exact (slice, lambda) pairs "
+          f"{sum(e for e, _ in counts.values())}, residual products "
+          f"{sum(r for _, r in counts.values())}, modular-certified 0)  PASS")
 
 
 def test_criterion_4_homology_closed_forms():

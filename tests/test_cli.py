@@ -336,3 +336,18 @@ def test_json_schema_is_stable(capsys):
 
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
+
+
+def test_spectrum_rejects_a_negative_predicted_eigenvalue(capsys, monkeypatch):
+    """Check 5 refuses a negative eigenvalue law: patched to go negative at
+    the dominant weight w' = 2 of L(-1) only, it fails the first block where
+    that piece occurs, before any nullity is computed."""
+    from afflap import laplacian
+
+    real = laplacian.predicted_eigenvalue
+    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
+    monkeypatch.setattr(laplacian, "predicted_eigenvalue",
+                        lambda k, w, h: -1 if (k, w) == (-1, 2) else real(k, w, h))
+    code, out, err = run(capsys, "spectrum", "--k", "-1", "--h-max", "4", "--jobs", "1")
+    assert (code, out) == (1, "")
+    assert err == "falsified claim: negative predicted eigenvalue at k=-1, h=1, w'=2\n"

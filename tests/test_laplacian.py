@@ -33,7 +33,6 @@ from afflap.laplacian import (
     two_dim_pairing_oracle,
 )
 from afflap.linalg import Coo, coo_diag, coo_sum
-from test_linalg import int_matrix
 
 
 def test_constructions_agree_small():
@@ -481,89 +480,42 @@ def test_spectrum_matches_characteristic_polynomial():
         assert sorted(roots.items()) == spectrum(k, h).lines, (k, h)
 
 
-def test_modular_certificates_match_exact_nullities():
+def test_exact_certificates_match_exact_nullities():
     """Redo every nullity of the slices up to dimension 130 by fraction-free
     elimination and require agreement with the prediction and with the
-    modular rank: the small slices, whose nullities the modular ranks and
-    the residual product prove, and the larger ones of the modular route."""
-    from afflap.laplacian import EXACT_NULLITY_CUT
+    modular rank.  ``spectrum`` proves every (slice, lambda) pair exactly,
+    with the residual product of every slice, and none by a modular bound."""
     from afflap.linalg import exact_nullity, nullity_mod_p
 
     h = 7
     for k in (-1, 2):
         res = spectrum(k, h)
-        assert res.exact_slices > 0
-        assert res.modular_slices > 0 or k == 2  # L(2) has no slice above the cut here
         slices = list(laplacian_slices(k, h))
+        assert res.modular_slices == 0
+        assert res.residual_checked == len(slices)
+        assert {block.method for block in res.refinement} == {"exact"}
         dims = {(q, w): basis.dim for q, w, basis, _ in slices}
+        pairs = 0
         checked = {True: 0, False: 0}
         for q, w0, basis, sub in slices:
             n = basis.dim
-            if n > 130:
-                continue
             wp = abs(w0)
             while dims.get((q, wp), 0) or dims.get((q, wp + 1), 0):
                 m_pred = dims.get((q, wp), 0) - dims.get((q, wp + 1), 0)
                 if m_pred:
-                    lam = predicted_eigenvalue(k, wp, h)
-                    assert exact_nullity(sub, lam) == m_pred == nullity_mod_p(sub, [lam])[0]
-                    checked[n <= EXACT_NULLITY_CUT] += 1
+                    pairs += 1
+                    if n <= 130:
+                        lam = predicted_eigenvalue(k, wp, h)
+                        assert exact_nullity(sub, lam) == m_pred == nullity_mod_p(sub, [lam])[0]
+                        checked[n <= 48] += 1
                 wp += 1
-        assert checked[True] == res.exact_slices
+        assert res.exact_slices == pairs > 0
         assert checked[False] >= (3 if k == -1 else 0)
-
-
-def _one_rank_too_few(monkeypatch) -> dict:
-    """Make the level pass report one rank too few for the first lambda of
-    the first small and of the first large slice; returns small -> (block,
-    lambda) of those two, filled in as the slices are met."""
-    from afflap import laplacian
-
-    real_ranks = laplacian.level_ranks_mod_p
-    lowered = {}
-
-    def one_too_few(gamma, shapes, lams):
-        ranks = real_ranks(gamma, shapes, lams)
-        start = 0
-        for s, ((n, _), slice_lams) in enumerate(zip(shapes, lams)):
-            small = n <= laplacian.EXACT_NULLITY_CUT
-            if slice_lams and ranks[s][0] and small not in lowered:
-                ranks[s][0] -= 1
-                lowered[small] = (gamma.block(start, start + n, start, start + n), slice_lams[0])
-            start += n
-        return ranks
-
-    monkeypatch.setattr(laplacian, "level_ranks_mod_p", one_too_few)
-    return lowered
-
-
-def test_a_modular_rank_deficit_is_decided_exactly(monkeypatch):
-    """A modular nullity above its prediction is only an upper bound, on
-    small and large slices alike: one rank too few for the first lambda of
-    the first small and of the first large slice sends those (slice, lambda),
-    and only those, to exact elimination, and the result does not change."""
-    from afflap import laplacian
-
-    want = spectrum(-1, 7)
-    real_nullity = laplacian.exact_nullity
-    decided = []
-
-    def recording(matrix, lam=0):
-        decided.append((matrix, lam))
-        return real_nullity(matrix, lam)
-
-    lowered = _one_rank_too_few(monkeypatch)
-    monkeypatch.setattr(laplacian, "exact_nullity", recording)
-    assert spectrum(-1, 7) == want
-    assert len(lowered) == 2
-    assert ([(int_matrix(block), lam) for block, lam in decided]
-            == [(int_matrix(block), lam) for block, lam in lowered.values()])
 
 
 def test_certified_paths_build_no_int_matrix(monkeypatch):
     """Spectra, homology and singular multiplicities keep every slice a
-    ``Coo``, also where a modular rank deficit sends a slice to exact
-    elimination: ``IntMatrix`` is only the oracle type."""
+    ``Coo``: ``IntMatrix`` is only the oracle type."""
     from afflap import linalg
     from afflap.sl2 import singular_multiplicities
 
@@ -578,33 +530,59 @@ def test_certified_paths_build_no_int_matrix(monkeypatch):
     assert spectrum(1, 6).lines
     assert homology_table(2, 8).matches_closed_form
     assert singular_multiplicities(2, block).dimension() == block.dim
-    lowered = _one_rank_too_few(monkeypatch)
-    assert spectrum(-1, 7) == want
-    assert len(lowered) == 2
 
 
-def test_residual_product_gates_the_small_slices(monkeypatch):
-    """The modular ranks of a small slice prove its nullities only together
-    with prod (Gamma - lambda I) = 0: a block that differs from the level
-    Gamma by I fails that product, although its modular ranks match."""
-    from afflap import laplacian
+def test_residual_product_gates_every_slice(monkeypatch, capsys):
+    """The traces prove the nullities of a slice only together with
+    prod (Gamma - lambda I) = 0: Gamma + I on the first slice of dimension
+    above 48 fails that product, and the CLI exits 1 naming the slice."""
+    from afflap import cli, laplacian
 
-    real = laplacian._diagonal_block
+    real = laplacian.level_nullities
     shifted = []
 
-    def plus_identity(matrix, level, w):
-        block = real(matrix, level, w)
-        if shifted:
-            return block
-        shifted.append((level.q, w))
-        return coo_sum(block.shape, block, coo_diag([1] * block.shape[0]))
+    def plus_identity(matrix, sizes, lams):
+        large = [s for s, n in enumerate(sizes) if n > 48]
+        if large and not shifted:
+            start, n = sum(sizes[:large[0]]), sizes[large[0]]
+            shifted.append(n)
+            idx = np.arange(start, start + n)
+            matrix = coo_sum(matrix.shape, matrix, Coo(matrix.shape, idx, idx, np.ones_like(idx)))
+        return real(matrix, sizes, lams)
 
-    monkeypatch.setattr(laplacian, "_diagonal_block", plus_identity)
-    with pytest.raises(ClaimFalsified, match=r"^residual product does not annihilate "
-                                             r"k=-1, h=7, q=\d+, w=-?\d+$") as err:
-        spectrum(-1, 7)
-    q, w = shifted[0]
-    assert str(err.value).endswith(f"q={q}, w={w}")
+    dims = {(q, w): basis.dim for q, w, basis, _ in laplacian_slices(-1, 6)}
+    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
+    monkeypatch.setattr(laplacian, "level_nullities", plus_identity)
+    assert cli.main(["spectrum", "--k", "-1", "--h-max", "7", "--jobs", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, shifted) == ("", [dims[4, 0]]) and dims[4, 0] > 48
+    assert err == "falsified claim: residual product does not annihilate k=-1, h=6, q=4, w=0\n"
+
+
+def test_a_moved_unit_of_multiplicity_fails_the_nullity_check(monkeypatch, capsys):
+    """Nullities that still fill their slice but move one unit from the
+    first eigenvalue to the second fail check 6 on the first slice of
+    dimension above 48 with two eigenvalues, and the CLI exits 1."""
+    from afflap import cli, laplacian
+
+    real = laplacian.level_nullities
+    moved = []
+
+    def one_unit_moved(matrix, sizes, lams):
+        found = real(matrix, sizes, lams)
+        for s, n in enumerate(sizes):
+            if n > 48 and len(lams[s]) > 1 and not moved:
+                found[s][0] -= 1
+                found[s][1] += 1
+                moved.append(n)
+        return found
+
+    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
+    monkeypatch.setattr(laplacian, "level_nullities", one_unit_moved)
+    assert cli.main(["spectrum", "--k", "-1", "--h-max", "7", "--jobs", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, moved) == ("", [49])
+    assert err == "falsified claim: eigenvalue 6 on k=-1, h=6, q=4, w=0: nullity 7, predicted 8\n"
 
 
 def test_scalar_law_names_the_first_failing_slice(monkeypatch):

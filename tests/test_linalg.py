@@ -18,6 +18,7 @@ from afflap.linalg import (
     gershgorin_bound,
     gram,
     level_kernels,
+    level_nullities,
     nullity_mod_p,
     rank_mod_p,
     sparse_sum,
@@ -205,6 +206,67 @@ def test_level_kernels_skip_the_components_of_full_modular_rank(monkeypatch):
     monkeypatch.setattr(linalg, "fraction_kernel", lambda m: calls.append(m) or exact(m))
     assert level_kernels(from_rows(level), [2, 3]) == [[], [{0: Fraction(-1), 2: Fraction(1)}]]
     assert calls == [[[1, 1], [1, 1]]]
+
+
+def test_level_nullities_are_exact_or_none():
+    """Exact nullities where prod (S - lam I) = 0, in the order of the lams,
+    and None where it is not: a Jordan block at a listed lam, an eigenvalue
+    outside the lams, no lam on a nonempty block.  A repeated lam raises."""
+    diag = from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 5]])
+    assert level_nullities(diag, [3], [[5, 2]]) == [[1, 2]]
+    assert level_nullities(diag, [3], [[2, 5, 3]]) == [[2, 1, 0]]
+    assert level_nullities(from_rows([[2, 1, 0], [0, 2, 0], [0, 0, 5]]), [3], [[2, 5]]) == [None]
+    assert level_nullities(diag, [3], [[2, 3]]) == [None]
+    assert level_nullities(diag, [2, 1], [[2], []]) == [[2], None]
+    assert level_nullities(Coo.empty((0, 0)), [0, 0], [[1, 4], []]) == [[0, 0], []]
+    with pytest.raises(ValueError, match="^a lam repeats within one block$"):
+        level_nullities(diag, [3], [[2, 5, 2]])
+
+
+# three 2x2 blocks, with the eigenvalues 0 and 2, -1 and 3, and 1 and 3
+THREE_BLOCKS = [[[1, 1], [1, 1]], [[1, 2], [2, 1]], [[2, 1], [1, 2]]]
+
+
+def _block_diagonal(blocks, scale=1) -> Coo:
+    rows = np.zeros((2 * len(blocks),) * 2, dtype=np.int64)
+    for i, block in enumerate(blocks):
+        rows[2 * i:2 * i + 2, 2 * i:2 * i + 2] = np.array(block) * scale
+    return from_rows(rows)
+
+
+def test_level_nullities_multiply_blocks_with_fewer_lams_by_the_identity(monkeypatch):
+    """The three components of one shape form one stack, although their
+    blocks list three, one and two lams; the one lam of the second block
+    leaves its eigenvalue -1 outside."""
+    stacks = []
+    components = linalg._level_components
+
+    def recording(matrix, shapes):
+        for run in components(matrix, shapes):
+            stacks.append(run[2].shape)
+            yield run
+
+    monkeypatch.setattr(linalg, "_level_components", recording)
+    got = level_nullities(_block_diagonal(THREE_BLOCKS), [2, 2, 2], [[0, 2, 5], [3], [3, 1]])
+    assert got == [[1, 1, 0], None, [1, 1]]
+    assert stacks == [(3, 2, 2)]
+
+
+def test_level_nullities_run_on_python_ints_past_the_int64_bound(monkeypatch):
+    """Scaled by c = 3^30, with its lams scaled by c, the level's products
+    pass 2^63 (so do its traces, summed in Python ints), and the nullities
+    are those of the unscaled level."""
+    c = 3 ** 30
+    lams = [[5, 0, 2], [3, -1], [3, 1]]
+    traces = []
+    solve = linalg._trace_nullities
+    monkeypatch.setattr(linalg, "_trace_nullities",
+                        lambda t, block_lams: traces.extend(t) or solve(t, block_lams))
+    got = level_nullities(_block_diagonal(THREE_BLOCKS, c), [2, 2, 2],
+                          [[lam * c for lam in block_lams] for block_lams in lams])
+    assert got == level_nullities(_block_diagonal(THREE_BLOCKS), [2, 2, 2], lams)
+    assert got == [[0, 1, 1], [1, 1], [1, 1]]
+    assert max(map(abs, traces)) >= 1 << 63
 
 
 def test_exact_nullity_and_modular_bound():

@@ -46,6 +46,7 @@ from afflap.linalg import (
     exact_nullity,
     fraction_kernel,
     level_kernels,
+    level_nullities,
     level_ranks_mod_p,
     nullity_mod_p,
     rank_mod_p,
@@ -371,6 +372,57 @@ def test_level_kernels_match_the_slice_kernels(case):
                 for m, lams in case]
     got = level_kernels(level_of(matrices), [m.shape[0] for m in matrices])
     assert got == [fraction_kernel(m.dense().tolist()) if m.shape[0] else [] for m in matrices]
+
+
+@st.composite
+def integer_spectrum_levels(draw):
+    """[(slice, lams)]: slices made of small blocks with integer
+    eigenvalues, each a diagonal matrix conjugated by elementary integer
+    matrices, sometimes with a Jordan block, and permuted as in
+    ``shifted_block_matrices``; the lams of a slice are its eigenvalues and
+    a few others, one of them sometimes left out, in random order."""
+    levels = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        blocks, eigenvalues = [], set()
+        for n in draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4)):
+            diag = draw(st.lists(st.integers(min_value=-2, max_value=3), min_size=n, max_size=n))
+            a = np.diag(diag).astype(np.int64)
+            if n > 1 and diag[0] == diag[1] and draw(st.booleans()):
+                a[0, 1] = 1  # a Jordan block at diag[0]
+            for _ in range(draw(st.integers(min_value=0, max_value=3)) if n > 1 else 0):
+                i, j = draw(st.permutations(range(n)))[:2]
+                f = draw(st.integers(min_value=-2, max_value=2))
+                a[i] += f * a[j]  # E a E^-1, with E = I + f e_i e_j^T
+                a[:, j] -= f * a[:, i]
+            blocks.append(a.tolist())
+            eigenvalues |= set(diag)
+        perm = draw(st.permutations(range(sum(map(len, blocks)))))
+        lams = sorted(eigenvalues | set(draw(st.lists(st.sampled_from((-3, 0, 4))))))
+        if lams and draw(st.integers(min_value=0, max_value=3)) == 0:
+            lams.remove(draw(st.sampled_from(lams)))  # most often an eigenvalue
+        levels.append((permuted_blocks(blocks, perm), draw(st.permutations(lams))))
+    return levels
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(integer_spectrum_levels())
+@example([(permuted_blocks([[[1, 2], [2, 1]], [[3]]], [2, 0, 1]), [-1, 3]),
+          (Coo.empty((0, 0)), [2]), (permuted_blocks([[[2, 1], [0, 2]]], [1, 0]), [2])])
+def test_level_nullities_match_exact_elimination(case):
+    """``level_nullities`` on a block-diagonal level gives each slice the
+    exact nullities of its lams where their residual product vanishes, and
+    None where it does not."""
+    matrices = [matrix for matrix, _ in case]
+    got = level_nullities(level_of(matrices), [m.shape[0] for m in matrices],
+                          [lams for _, lams in case])
+    for (matrix, lams), found in zip(case, got):
+        dense = matrix.dense().astype(object)
+        residual = np.eye(matrix.shape[0], dtype=object)
+        for lam in lams:
+            residual = residual @ (dense - lam * np.eye(matrix.shape[0], dtype=object))
+        nullities = [exact_nullity(matrix, lam) for lam in lams]
+        assert found == (None if residual.any() else nullities), (matrix, lams)
+        assert found is None or sum(found) == matrix.shape[0]
 
 
 def test_level_ranks_refuse_a_component_across_two_slices():
