@@ -18,11 +18,12 @@ The arrays stay exact: no floating point is used, ``gram`` raises before a
 sum could pass 2^62, and ``Level`` before an index overflows its key, each
 naming k, h and q.
 
-Spectra are exact.  For k in {0, 1} Gamma is scalar on every slice, and
-each level of Gamma is compared entrywise with the diagonal matrix of its
-slices' scalars.  For k in {-1, 2} every (q, w) slice passes these exact
-integer checks in order, level by level: check 1 in ``_gamma_levels``,
-then checks 2-6 in ``_certify_level``; a failure raises ClaimFalsified.
+Spectra are exact.  Every (q, w) slice passes these exact integer checks
+in order, level by level: check 1 in ``_gamma_levels``, then the others in
+``_certify_level``; a failure raises ClaimFalsified.  For k in {0, 1}
+Gamma is the scalar ``predicted_eigenvalue(k, w, h)`` on the slice, and
+check 6 with that one lambda, prod (Gamma - lambda I) = Gamma - lambda I = 0,
+is exactly that law; checks 2-5 are for k in {-1, 2}.
 Checks 1-4 are statements about one slice.  Each is checked on a whole
 level at once, which checks it on every slice of the level, since the level
 matrices are block diagonal over the slices (E_1 sends each slice into the
@@ -91,6 +92,7 @@ from .linalg import (
     level_kernels,
     level_nullities,
     nullity_mod_p,  # noqa: F401  (perfbench/tracer.py wraps it here)
+    sparse_sum,
     strip_integer_roots,
 )
 from .sl2 import ClaimFalsified, sl2_level
@@ -314,22 +316,17 @@ def predicted_eigenvalue(k: int, w: int, h: int) -> int:
 
 @dataclass(frozen=True)
 class SpectralBlock:
-    """One verified eigenvalue record of a spectrum computation.
+    """One certified eigenvalue record of a spectrum computation.
 
     For k in {0, 1} the weight w is the monomial weight of the scalar slice;
     for k in {-1, 2} it is the dominant weight of the isotypic piece inside
     the (q, w)-slice, and mult counts that piece's contribution.
     """
 
-    k: int
     w: int
-    h: int
     q: int
-    dim: int
     predicted_lambda: int
     mult: int
-    kernel_dim: int
-    method: str
 
 
 @dataclass
@@ -339,75 +336,68 @@ class SpectrumResult:
     dim: int
     lines: list  # (lambda, multiplicity), sorted
     refinement: list  # SpectralBlock records, deterministic order
-    exact_slices: int = 0
-    modular_slices: int = 0
-    residual_checked: int = 0
+    exact_slices: int = 0  # (slice, lambda) pairs proved by check 6
+    modular_slices: int = 0  # always 0, kept for perfbench/tracer.py
+    residual_checked: int = 0  # slices whose residual product vanishes
 
 
-def _scalar_level(k: int, h: int, level: Level, gamma: Coo, result: SpectrumResult,
-                  totals: dict) -> None:
-    """Check that Gamma is the scalar ``predicted_eigenvalue`` on every slice
-    of a level of L(0) or L(1), in one comparison with the diagonal matrix
-    of those scalars, and record the slices."""
-    lams = [predicted_eigenvalue(k, basis.w, h) for basis in level.slices]
-    n = len(level)
-    scalars = coo_diag(np.repeat(lams, [basis.dim for basis in level.slices]))
-    diff = coo_sum((n, n), gamma, scalars.scaled(-1))
-    failing = level.weights[diff.cols[0]] if diff.vals.size else None
-    q = level.q
-    for basis, lam in zip(level.slices, lams):
-        w, n = basis.w, basis.dim
-        if lam < 0:
-            raise ClaimFalsified(f"negative predicted eigenvalue at k={k}, (q,w,h)=({q},{w},{h})")
-        if w == failing:
-            raise ClaimFalsified(f"block k={k}, h={h}, q={q}, w={w} is not scalar {lam}")
-        totals[lam] = totals.get(lam, 0) + n
-        result.refinement.append(SpectralBlock(
-            k=k, w=w, h=h, q=q, dim=n, predicted_lambda=lam,
-            mult=n, kernel_dim=n if lam == 0 else 0, method="scalar"))
-        result.exact_slices += 1
+def _certify_level(k: int, h: int, level: Level, gamma: Coo, result: SpectrumResult) -> None:
+    """Certify and record the spectrum of Gamma on every slice of a level.
 
-
-def _certify_level(k: int, h: int, level: Level, gamma: Coo,
-                   result: SpectrumResult, totals: dict) -> None:
-    """Checks 2-6 on every slice of a level of L(-1) or L(2), in order: 2-3
-    in ``sl2_level``, then 4, then 5 on the level's isotypic counts, and 6
-    in one ``level_nullities`` call."""
+    Each slice predicts its (w, lambda, multiplicity) records.  For k in
+    {0, 1} a slice of weight w predicts the one eigenvalue
+    ``predicted_eigenvalue(k, w, h)`` on all of it.  For k in {-1, 2}
+    checks 2-3 run in ``sl2_level``, then 4, and check 5 predicts one record
+    per isotypic piece from the level's weight counts.  Then every slice
+    passes check 5's exhaustion test and check 6, in one
+    ``level_nullities`` call.
+    """
     q, n = level.q, len(level)
-    sign = 1 if k == -1 else -1
-    casimir = sl2_level(k, level)[1]
-    diff = coo_sum((n, n), gamma.scaled(2), coo_diag(np.full(n, -2 * h)),
-                   casimir.scaled(-sign))
-    del casimir  # not held through checks 5 and 6
-    if diff.vals.size:
-        raise ClaimFalsified(
-            f"2 Gamma != 2h I {'+' if sign > 0 else '-'} C on "
-            f"k={k}, h={h}, q={q}, w={level.weights[diff.cols[0]]}")
-    dims = {basis.w: basis.dim for basis in level.slices}
-    pieces = []  # (w', multiplicity, eigenvalue) of the isotypic pieces, by increasing w'
-    for wp in reversed(range(max(map(abs, dims)) + 1)):
-        m_pred = dims.get(wp, 0) - dims.get(wp + 1, 0)
-        if m_pred < 0:
-            raise ClaimFalsified(f"weight dimensions not unimodal at k={k}, h={h}, q={q}, w'={wp}")
-        lam = predicted_eigenvalue(k, wp, h) if m_pred else 0
-        if lam < 0:
-            raise ClaimFalsified(f"negative predicted eigenvalue at k={k}, h={h}, w'={wp}")
-        pieces.insert(0, (wp, m_pred, lam))
+    if k in (0, 1):
+        predicted = []
+        for basis in level.slices:
+            lam = predicted_eigenvalue(k, basis.w, h)
+            if lam < 0:
+                raise ClaimFalsified(
+                    f"negative predicted eigenvalue at k={k}, (q,w,h)=({q},{basis.w},{h})")
+            predicted.append([(basis.w, lam, basis.dim)])
+    else:
+        sign = 1 if k == -1 else -1
+        casimir = sl2_level(k, level)[1]
+        diff = coo_sum((n, n), gamma.scaled(2), coo_diag(np.full(n, -2 * h)),
+                       casimir.scaled(-sign))
+        del casimir  # not held through checks 5 and 6
+        if diff.vals.size:
+            raise ClaimFalsified(
+                f"2 Gamma != 2h I {'+' if sign > 0 else '-'} C on "
+                f"k={k}, h={h}, q={q}, w={level.weights[diff.cols[0]]}")
+        dims = {basis.w: basis.dim for basis in level.slices}
+        pieces = []  # (w', eigenvalue, multiplicity) of the pieces that occur, by increasing w'
+        for wp in reversed(range(max(map(abs, dims)) + 1)):
+            m_pred = dims.get(wp, 0) - dims.get(wp + 1, 0)
+            if m_pred < 0:
+                raise ClaimFalsified(
+                    f"weight dimensions not unimodal at k={k}, h={h}, q={q}, w'={wp}")
+            if m_pred:
+                lam = predicted_eigenvalue(k, wp, h)
+                if lam < 0:
+                    raise ClaimFalsified(f"negative predicted eigenvalue at k={k}, h={h}, w'={wp}")
+                pieces.insert(0, (wp, lam, m_pred))
+        predicted = [[(wp, lam, m) for wp, lam, m in pieces if wp >= abs(basis.w)]
+                     for basis in level.slices]
     expected = []
-    for basis in level.slices:
+    for basis, records in zip(level.slices, predicted):
         want: dict[int, int] = {}
-        for wp, m_pred, lam in pieces:
-            if m_pred and wp >= abs(basis.w):
-                want[lam] = want.get(lam, 0) + m_pred
-                result.refinement.append(SpectralBlock(
-                    k=k, w=wp, h=h, q=q, dim=basis.dim, predicted_lambda=lam, mult=m_pred,
-                    kernel_dim=m_pred if lam == 0 else 0, method="exact"))
+        for w, lam, m_pred in records:
+            want[lam] = want.get(lam, 0) + m_pred
+            result.refinement.append(SpectralBlock(w=w, q=q, predicted_lambda=lam, mult=m_pred))
         if sum(want.values()) != basis.dim:
             raise ClaimFalsified(
                 f"predicted eigenvalues do not exhaust k={k}, h={h}, q={q}, w={basis.w}: "
                 f"{sum(want.values())} of {basis.dim}")
         expected.append(dict(sorted(want.items())))
-    nullities = level_nullities(gamma, list(dims.values()), [list(want) for want in expected])
+    nullities = level_nullities(gamma, [basis.dim for basis in level.slices],
+                                [list(want) for want in expected])
     for basis, want, found in zip(level.slices, expected, nullities):
         if found is None:
             raise ClaimFalsified(
@@ -416,7 +406,6 @@ def _certify_level(k: int, h: int, level: Level, gamma: Coo,
             if nullity != m_pred:
                 raise ClaimFalsified(f"eigenvalue {lam} on k={k}, h={h}, q={q}, w={basis.w}: "
                                      f"nullity {nullity}, predicted {m_pred}")
-            totals[lam] = totals.get(lam, 0) + m_pred
         result.exact_slices += len(want)
         result.residual_checked += 1
 
@@ -424,23 +413,17 @@ def _certify_level(k: int, h: int, level: Level, gamma: Coo,
 def spectrum(k: int, h: int) -> SpectrumResult:
     """Complete exact spectral decomposition of the degree-h block.
 
-    Raises ClaimFalsified when the predicted eigenvalues fail to exhaust the
-    block or any certified multiplicity disagrees with its prediction.
+    Raises ClaimFalsified when the predicted eigenvalues fail to exhaust a
+    slice or any certified multiplicity disagrees with its prediction.
     """
     if k not in (-1, 0, 1, 2):
         raise ValueError("exact spectra are provided for k in {-1, 0, 1, 2}")
     by_q = _block_levels(k, h)
     result = SpectrumResult(k=k, h=h, dim=sum(map(len, by_q.values())), lines=[], refinement=[])
-    totals: dict[int, int] = {}
     for level, gamma in _gamma_levels(k, h, by_q):
-        if k in (0, 1):
-            _scalar_level(k, h, level, gamma, result, totals)
-        else:
-            _certify_level(k, h, level, gamma, result, totals)
-    if sum(totals.values()) != result.dim:
-        raise ClaimFalsified(
-            f"multiplicities sum to {sum(totals.values())} != dim {result.dim} at k={k}, h={h}")
-    result.lines = sorted(totals.items())
+        _certify_level(k, h, level, gamma, result)
+    result.lines = sorted(sparse_sum((b.predicted_lambda, b.mult)
+                                     for b in result.refinement).items())
     return result
 
 

@@ -16,7 +16,7 @@ blocks.  ``level_nullities`` proves each block's nullities exactly from the
 traces of its residual product prod (S - lam I), multiplied through the
 components.  Elimination modulo one word-size prime (numpy) gives one-sided
 bounds, since the rank over GF(p) never exceeds the rational rank:
-``level_ranks_mod_p`` sums the component ranks per block and shift, and
+``level_ranks_mod_p`` sums the component ranks per block, and
 ``level_kernels`` runs ``fraction_kernel`` (Bareiss, then rational
 back-substitution) only on the components short of full rank mod p; its
 docstring argues that this is the reduced kernel basis of each block.
@@ -360,7 +360,7 @@ def exact_nullity(matrix: Coo, lam: int = 0) -> int:
 # ---------------------------------------------------------------------------
 # modular elimination (certified one-sided bounds)
 
-# entries of one stack of ``_echelon_mod_p`` in ``level_ranks_mod_p``
+# entries of one stack of ``_level_components``
 STACK_BUDGET = 1 << 18
 
 
@@ -422,10 +422,10 @@ def _local_index(comp: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 
 def _level_components(matrix: Coo, shapes):
-    """Yield ``(blocks, rows, stack, turn)`` for the connected components
-    of the sparsity graph of ``matrix``, whose diagonal blocks have the
-    (rows, cols) ``shapes`` in order, for a run of at most ``turn``
-    components of one shape (r, c) at a time: the block of each component,
+    """Yield ``(blocks, rows, stack)`` for the connected components of the
+    sparsity graph of ``matrix``, whose diagonal blocks have the
+    (rows, cols) ``shapes`` in order, for a run of m components of one
+    shape (r, c) at a time: the block of each component,
     its r rows of the matrix in increasing order (an (m, r) array), and its
     dense r x c submatrix on those rows and its columns in increasing
     order, with the exact values (an (m, r, c) int64 array).
@@ -434,8 +434,8 @@ def _level_components(matrix: Coo, shapes):
     column j, and in a square block row i is also joined to column i.
     Components without a row or a column are left out.  Runs follow the
     order of shape, and components in a run the order of their least
-    vertex.  ``turn`` r x c matrices hold at most the entries of the dense
-    blocks, and at most ``STACK_BUDGET``, unless one alone needs more.
+    vertex.  A run's m r x c matrices hold at most the entries of the
+    dense blocks, and at most ``STACK_BUDGET``, unless one alone needs more.
     Raises ValueError when the blocks do not tile the matrix or a component
     crosses two blocks (an entry lies outside them).
     """
@@ -487,46 +487,25 @@ def _level_components(matrix: Coo, shapes):
             stack = np.zeros((b - a, sr, sc), dtype=np.int64)
             stack[entry_pos[lo:hi] - a, entry_row[lo:hi], entry_col[lo:hi]] = entry_val[lo:hi]
             rows = members[row_first[a]:row_first[a] + (b - a) * sr].reshape(b - a, sr)
-            yield comp_block[a:b], rows, stack, turn
+            yield comp_block[a:b], rows, stack
 
 
-def level_ranks_mod_p(matrix: Coo, shapes, lams) -> list[list[int]]:
-    """The rank of S - lam I over GF(``DEFAULT_PRIME``) for each lam in
-    ``lams[s]``, for each diagonal block S of ``matrix``: the blocks have
-    the (rows, cols) ``shapes`` in order and ``matrix`` holds no entry
-    outside them.
+def level_ranks_mod_p(matrix: Coo, shapes) -> list[int]:
+    """The rank over GF(``DEFAULT_PRIME``) of each diagonal block of
+    ``matrix``: the blocks have the (rows, cols) ``shapes`` in order and
+    ``matrix`` holds no entry outside them.
 
-    In a square block row i is joined to column i, so S - lam I has the
-    same sparsity components (``_level_components``) for every lam.
-    Permuting its rows and columns makes S - lam I block diagonal over
-    them, so its rank is the sum of their ranks.  Each run of components is
-    eliminated by ``_echelon_mod_p`` passes over stacks of at most ``turn``
-    of its (component, lam) matrices.  Raises ValueError when a nonzero lam
-    comes with a non-square block, or as ``_level_components`` does.
+    Permuting the rows and columns of a block makes it block diagonal over
+    its sparsity components (``_level_components``), so its rank is the sum
+    of theirs.  Each run of components is eliminated by one
+    ``_echelon_mod_p`` pass per stack.  Raises ValueError as
+    ``_level_components`` does.
     """
-    p = DEFAULT_PRIME
     shapes = np.array(shapes, dtype=np.int64).reshape(-1, 2)
-    if any(lam for s in np.flatnonzero(shapes[:, 0] != shapes[:, 1]) for lam in lams[s]):
-        raise ValueError("shift needs a square matrix")
-    # the (block, lam) pairs, flattened
-    count = np.array([len(block_lams) for block_lams in lams], dtype=np.int64)
-    first = np.cumsum(count) - count
-    shifts = np.array([lam % p for block_lams in lams for lam in block_lams], dtype=np.int64)
-    ranks = np.zeros(shifts.size, dtype=np.int64)
-    for blk, _, stack, turn in _level_components(matrix, shapes):
-        m, sr, sc = stack.shape
-        stack %= p
-        # each component of this run under each lam of its block
-        n = count[blk]
-        slot = np.repeat(np.arange(m), n)
-        out = np.repeat(first[blk] - np.cumsum(n) + n, n) + np.arange(slot.size)
-        for t in range(0, slot.size, turn):
-            shifted = stack[slot[t:t + turn]]
-            if sr == sc:
-                d = np.arange(sr)
-                shifted[:, d, d] = (shifted[:, d, d] - shifts[out[t:t + turn], None]) % p
-            np.add.at(ranks, out[t:t + turn], _echelon_mod_p(shifted, p))
-    return [ranks[i:i + n].tolist() for i, n in zip(first.tolist(), count.tolist())]
+    ranks = np.zeros(len(shapes), dtype=np.int64)
+    for blk, _, stack in _level_components(matrix, shapes):
+        np.add.at(ranks, blk, _echelon_mod_p(stack % DEFAULT_PRIME, DEFAULT_PRIME))
+    return ranks.tolist()
 
 
 def level_kernels(matrix: Coo, sizes) -> list[list[dict[int, Fraction]]]:
@@ -558,7 +537,7 @@ def level_kernels(matrix: Coo, sizes) -> list[list[dict[int, Fraction]]]:
     sizes = np.array(sizes, dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
     kernels: list = [[] for _ in sizes]
-    for blk, rows, stack, _ in _level_components(matrix, np.stack((sizes, sizes), axis=1)):
+    for blk, rows, stack in _level_components(matrix, np.stack((sizes, sizes), axis=1)):
         ranks = _echelon_mod_p(stack % DEFAULT_PRIME, DEFAULT_PRIME)
         for c in np.flatnonzero(ranks < stack.shape[1]).tolist():
             b = int(blk[c])
@@ -580,7 +559,9 @@ def level_nullities(matrix: Coo, sizes, lams) -> list:
     tr P_{L-1} are summed per block in Python ints and P_L is tested for
     zero.  The stack is int64 when r prod_j max(1, |S_c - lam_j I|) < 2^63
     for each r x r component S_c, with |.| the row-sum norm, which bounds
-    every entry, partial sum and trace; else it runs on Python ints.
+    every entry, partial sum and trace; else it runs on Python ints.  The
+    norms themselves are at most r max|entry| + max|lam|, and are taken in
+    int64 when that is below 2^63.
 
     Distinct lams and P_L = 0 make the minimal polynomial of S square-free,
     so S is diagonalizable over Q with its eigenvalues among the lams, and
@@ -595,22 +576,27 @@ def level_nullities(matrix: Coo, sizes, lams) -> list:
         raise ValueError("a lam repeats within one block")
     count = np.array([len(block_lams) for block_lams in lams], dtype=np.int64)
     first = np.cumsum(count) - count
+    top_lam = max((abs(lam) for block_lams in lams for lam in block_lams), default=0)
+    padded = np.zeros((len(lams), int(count.max(initial=0))), dtype=object)  # 0 past a block's lams
+    for s, block_lams in enumerate(lams):
+        padded[s, :len(block_lams)] = block_lams
     traces = np.zeros(int(count.sum()), dtype=object)
     vanishes = np.ones(len(lams), dtype=bool)
     shapes = np.array([(n, n) for n in sizes], dtype=np.int64).reshape(-1, 2)
-    for blk, _, stack, _ in _level_components(matrix, shapes):
+    for blk, _, stack in _level_components(matrix, shapes):
         m, r, _ = stack.shape
         depth = int(count[blk].max())
         active = np.arange(depth) < count[blk][:, None]
-        shift = np.array([[*lams[b], *[0] * (depth - len(lams[b]))] for b in blk.tolist()],
-                         dtype=object).reshape(m, depth)
+        wide = r * max(int(stack.max()), -int(stack.min())) + top_lam >= 1 << 63
+        entries = stack.astype(object) if wide else stack
+        shift = padded[blk, :depth].astype(entries.dtype)
         d = np.arange(r)
-        exact = stack.astype(object)
-        diagonals = exact[:, d, d, None] - shift[:, None, :]  # of each factor
-        norms = (np.abs(exact).sum(axis=2) - np.abs(exact[:, d, d]))[:, :, None] + np.abs(diagonals)
-        norms = np.where(active, np.maximum(norms.max(axis=1), 1), 1).prod(axis=1)
+        diagonals = entries[:, d, d, None] - shift[:, None, :]  # of each factor
+        norms = ((np.abs(entries).sum(axis=2) - np.abs(entries[:, d, d]))[:, :, None]
+                 + np.abs(diagonals))
+        norms = np.where(active, np.maximum(norms.max(axis=1), 1), 1).astype(object).prod(axis=1)
         if r * max(norms) >= 1 << 63:
-            stack = exact
+            stack = stack.astype(object)
         eye = np.eye(r, dtype=stack.dtype)
         product = np.broadcast_to(eye, stack.shape)
         step = np.zeros((m, depth), dtype=object)
@@ -638,9 +624,14 @@ def _trace_nullities(traces: list, lams: list) -> list[int]:
 
 def rank_mod_p(matrix: Coo, lams) -> list[int]:
     """The rank of A - lam I over GF(``DEFAULT_PRIME``) for each lam in
-    ``lams``: ``level_ranks_mod_p`` on the compressed matrix A as one block.
-    A nonzero lam needs a square matrix."""
-    return level_ranks_mod_p(matrix, [matrix.shape], [list(lams)])[0]
+    ``lams``: ``level_ranks_mod_p`` on A - lam I as one block.  A nonzero
+    lam needs a square matrix."""
+    n = matrix.shape[0]
+    if any(lams) and n != matrix.shape[1]:
+        raise ValueError("shift needs a square matrix")
+    return [level_ranks_mod_p(coo_sum(matrix.shape, matrix,
+                                      coo_diag(np.full(n, -(lam % DEFAULT_PRIME)))),
+                              [matrix.shape])[0] for lam in lams]
 
 
 def nullity_mod_p(matrix: Coo, lams) -> list[int]:

@@ -86,8 +86,9 @@ def test_criterion_2_case_table_oracles():
 def test_criterion_3_integral_spectrum():
     """Exact spectral decompositions for k in {-1,0,1,2}, h <= 12: every
     eigenvalue is the predicted non-negative integer and the multiplicities
-    fill each block.  For k in {-1, 2} every (slice, lambda) pair is proved
-    exactly, with the residual product of every slice."""
+    fill each block.  For every k each (slice, lambda) pair is proved
+    exactly, with the residual product of every slice; for k in {0, 1} a
+    slice has one lambda."""
     counts = {}
     for k in (-1, 0, 1, 2):
         table = block_dim_table(k, H_FULL)
@@ -97,9 +98,10 @@ def test_criterion_3_integral_spectrum():
             for lam, mult in res.lines:
                 assert isinstance(lam, int) and lam >= 0 and mult > 0
             assert res.modular_slices == 0
-            if k in (-1, 2):
-                assert {block.method for block in res.refinement} == {"exact"}, (k, h)
-                assert res.residual_checked == sum(key[2] == h for key in table), (k, h)
+            slices = sum(key[2] == h for key in table)
+            assert res.residual_checked == slices, (k, h)
+            if k in (0, 1):
+                assert res.exact_slices == slices, (k, h)
             exact, residual = counts.get(k, (0, 0))
             counts[k] = (exact + res.exact_slices, residual + res.residual_checked)
     assert counts[-1] == (1333, 568)

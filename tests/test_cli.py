@@ -351,3 +351,18 @@ def test_spectrum_rejects_a_negative_predicted_eigenvalue(capsys, monkeypatch):
     code, out, err = run(capsys, "spectrum", "--k", "-1", "--h-max", "4", "--jobs", "1")
     assert (code, out) == (1, "")
     assert err == "falsified claim: negative predicted eigenvalue at k=-1, h=1, w'=2\n"
+
+
+def test_spectrum_rejects_a_negative_scalar_eigenvalue(capsys, monkeypatch):
+    """The scalar law of L(1), patched to go negative at the monomial weight
+    w = 2 only, fails the first slice of that weight, naming its
+    (q, w, h)."""
+    from afflap import laplacian
+
+    real = laplacian.predicted_eigenvalue
+    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
+    monkeypatch.setattr(laplacian, "predicted_eigenvalue",
+                        lambda k, w, h: -1 if (k, w) == (1, 2) else real(k, w, h))
+    code, out, err = run(capsys, "spectrum", "--k", "1", "--h-max", "4", "--jobs", "1")
+    assert (code, out) == (1, "")
+    assert err == "falsified claim: negative predicted eigenvalue at k=1, (q,w,h)=(2,2,1)\n"

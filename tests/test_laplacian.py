@@ -493,7 +493,6 @@ def test_exact_certificates_match_exact_nullities():
         slices = list(laplacian_slices(k, h))
         assert res.modular_slices == 0
         assert res.residual_checked == len(slices)
-        assert {block.method for block in res.refinement} == {"exact"}
         dims = {(q, w): basis.dim for q, w, basis, _ in slices}
         pairs = 0
         checked = {True: 0, False: 0}
@@ -585,29 +584,63 @@ def test_a_moved_unit_of_multiplicity_fails_the_nullity_check(monkeypatch, capsy
     assert err == "falsified claim: eigenvalue 6 on k=-1, h=6, q=4, w=0: nullity 7, predicted 8\n"
 
 
-def test_scalar_law_names_the_first_failing_slice(monkeypatch):
-    """Gamma + 1 on the last diagonal entry of every level of L(1) breaks
-    the scalar law on the last slice of each level only; the level
-    comparison names that slice of the first level, and the message keeps
-    its form."""
-    from afflap import laplacian
+def test_scalar_law_names_the_first_failing_slice(monkeypatch, capsys):
+    """Gamma + 1 on the last diagonal entry of every level of the degree-3
+    block of L(1) breaks the scalar law on the last slice of each level
+    only.  Check 6 with that slice's one lambda, Gamma - lambda I = 0, fails
+    there first on the first level, and the CLI exits 1 naming the slice."""
+    from afflap import cli, laplacian
 
     real = laplacian.gram
 
     def last_entry_shifted(parts, where):
         gamma = real(parts, where)
+        if not where.startswith("k=1, h=3,"):
+            return gamma
         n = gamma.shape[0]
         return coo_sum(gamma.shape, gamma, Coo((n, n), *np.array([[n - 1]] * 3)))
 
     q = min(len(m) for m in enumerate_block(1, 3))
     w = max(weight(m) for m in enumerate_block(1, 3) if len(m) == q)
     assert w > min(weight(m) for m in enumerate_block(1, 3) if len(m) == q)
-    lam = predicted_eigenvalue(1, w, 3)
+    assert (q, w) == (1, 1)
     assert spectrum(1, 3).lines
     monkeypatch.setattr(laplacian, "gram", last_entry_shifted)
-    with pytest.raises(ClaimFalsified,
-                       match=rf"^block k=1, h=3, q={q}, w={w} is not scalar {lam}$"):
+    message = f"residual product does not annihilate k=1, h=3, q={q}, w={w}"
+    with pytest.raises(ClaimFalsified, match=rf"^{message}$"):
         spectrum(1, 3)
+    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
+    assert cli.main(["spectrum", "--k", "1", "--h-max", "4", "--jobs", "1"]) == 1
+    assert capsys.readouterr() == ("", f"falsified claim: {message}\n")
+
+
+def test_residual_product_gates_the_scalar_slices(monkeypatch, capsys):
+    """For k in {0, 1} check 6 runs with one lambda per slice: Gamma + I on
+    the first slice of L(0) of dimension above 1 is still scalar, but not
+    lambda, so Gamma - lambda I != 0 there, and the CLI exits 1 naming the
+    slice."""
+    from afflap import cli, laplacian
+
+    real = laplacian.level_nullities
+    shifted = []
+
+    def plus_identity(matrix, sizes, lams):
+        large = [s for s, n in enumerate(sizes) if n > 1]
+        if large and not shifted:
+            start, n = sum(sizes[:large[0]]), sizes[large[0]]
+            shifted.append(n)
+            idx = np.arange(start, start + n)
+            matrix = coo_sum(matrix.shape, matrix, Coo(matrix.shape, idx, idx, np.ones_like(idx)))
+        return real(matrix, sizes, lams)
+
+    first = next((h, q, w, basis.dim) for h in range(5)
+                 for q, w, basis, _ in laplacian_slices(0, h) if basis.dim > 1)
+    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
+    monkeypatch.setattr(laplacian, "level_nullities", plus_identity)
+    assert cli.main(["spectrum", "--k", "0", "--h-max", "4", "--jobs", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, shifted, first) == ("", [2], (1, 2, 0, 2))
+    assert err == "falsified claim: residual product does not annihilate k=0, h=1, q=2, w=0\n"
 
 
 def test_multiplicities_of_Lminus1_match_L0():

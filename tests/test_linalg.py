@@ -19,6 +19,7 @@ from afflap.linalg import (
     gram,
     level_kernels,
     level_nullities,
+    level_ranks_mod_p,
     nullity_mod_p,
     rank_mod_p,
     sparse_sum,
@@ -119,8 +120,10 @@ def test_ranks_agree_on_random_matrices():
 
 
 def test_rank_mod_p_bounds_its_stacks(monkeypatch):
-    """A stack of (shift, component) matrices holds at most n^2 entries, so
-    one dense component under several shifts is eliminated in turns."""
+    """A stack of component matrices holds at most the n^2 entries of the
+    dense blocks and at most ``STACK_BUDGET``: one dense component is
+    eliminated alone under each shift, and same-shape components share
+    stacks up to the budget."""
     sizes = []
     echelon = linalg._echelon_mod_p
 
@@ -129,12 +132,17 @@ def test_rank_mod_p_bounds_its_stacks(monkeypatch):
         return echelon(a, p)
 
     monkeypatch.setattr(linalg, "_echelon_mod_p", recording)
-    m = from_rows([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
-    assert rank_mod_p(m, [1, 4, 0, 1]) == [1, 2, 3, 1]
+    dense = [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+    assert rank_mod_p(from_rows(dense), [1, 4, 0, 1]) == [1, 2, 3, 1]
     assert sizes == [9] * 4
-    # four 1x1 components under two shifts fit one stack of 8 <= 16 entries
+    # four 1x1 components under each of two shifts fit one stack of 4 <= 16 entries
     assert rank_mod_p(coo_diag([1] * 4), [1, 0]) == [0, 4]
-    assert sizes[4:] == [8]
+    assert sizes[4:] == [4, 4]
+    # three dense 3x3 blocks under a budget of 18 entries: two, then one
+    monkeypatch.setattr(linalg, "STACK_BUDGET", 18)
+    level = from_rows(np.kron(np.eye(3, dtype=np.int64), dense))
+    assert level_ranks_mod_p(level, [(3, 3)] * 3) == [3, 3, 3]
+    assert sizes[6:] == [18, 9]
 
 
 def test_fraction_kernel_known():
@@ -267,6 +275,20 @@ def test_level_nullities_run_on_python_ints_past_the_int64_bound(monkeypatch):
     assert got == level_nullities(_block_diagonal(THREE_BLOCKS), [2, 2, 2], lams)
     assert got == [[0, 1, 1], [1, 1], [1, 1]]
     assert max(map(abs, traces)) >= 1 << 63
+
+
+def test_level_nullities_bound_their_norms_on_python_ints():
+    """The 8 x 8 block 2^60 J, with the eigenvalues 0 (seven times) and
+    2^63, puts r max|entry| + max|lam| and its row-sum norms past 2^63, so
+    the norms are bounded on Python ints, before the products are; so does
+    the lam -2^62 on the 1 x 1 block 2^62, by the lam alone.  The nullities
+    stay exact."""
+    big = 1 << 60
+    level = from_rows([[big] * 8] * 8)
+    assert level_nullities(level, [8], [[0, 8 * big]]) == [[7, 1]]
+    assert level_nullities(level, [8], [[8 * big, 0]]) == [[1, 7]]
+    assert level_nullities(level, [8], [[0, 8 * big - 1]]) == [None]
+    assert level_nullities(coo_diag([4 * big]), [1], [[-4 * big, 4 * big]]) == [[0, 1]]
 
 
 def test_exact_nullity_and_modular_bound():

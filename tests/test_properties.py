@@ -319,9 +319,10 @@ def level_of(matrices: list) -> Coo:
     its diagonal, in order."""
     offsets = np.cumsum([0] + [matrix.shape[0] for matrix in matrices])
     n = int(offsets[-1])
-    key = np.concatenate([(m.cols + off) * n + m.rows + off
-                          for m, off in zip(matrices, offsets)])
-    return coo_from_keys((n, n), key, np.concatenate([m.vals for m in matrices]))
+    empty = [np.zeros(0, dtype=np.int64)]  # for a level of no matrices
+    key = np.concatenate(empty + [(m.cols + off) * n + m.rows + off
+                                  for m, off in zip(matrices, offsets)])
+    return coo_from_keys((n, n), key, np.concatenate(empty + [m.vals for m in matrices]))
 
 
 def _small_representative(lam: int) -> int:
@@ -349,12 +350,15 @@ def block_diagonal_levels(draw):
                            _ring(6)), [1, -3, 3, -DEFAULT_PRIME]),  # 3x3, 1x1 and 2x2 components
           (Coo.empty((2, 2)), [0, 5])])
 def test_level_ranks_match_the_slice_ranks(case):
-    """One ``level_ranks_mod_p`` pass over a block-diagonal level gives each
-    slice the ranks of ``rank_mod_p`` on the slice alone, and those of exact
-    elimination with each lam replaced by ``_small_representative(lam)``."""
-    matrices = [matrix for matrix, _ in case]
-    lams = [slice_lams for _, slice_lams in case]
-    got = level_ranks_mod_p(level_of(matrices), [m.shape for m in matrices], lams)
+    """One ``level_ranks_mod_p`` pass over the block-diagonal level of the
+    slices S - lam I, one block for each slice S and each of its lams,
+    gives each slice the ranks of ``rank_mod_p`` on the slice alone, and
+    those of exact elimination with each lam replaced by
+    ``_small_representative(lam)``."""
+    blocks = [coo_sum(matrix.shape, matrix, coo_diag([-lam] * matrix.shape[0]))
+              for matrix, slice_lams in case for lam in slice_lams]
+    ranks = iter(level_ranks_mod_p(level_of(blocks), [m.shape for m in blocks]))
+    got = [[next(ranks) for _ in slice_lams] for _, slice_lams in case]
     assert got == [rank_mod_p(matrix, slice_lams) for matrix, slice_lams in case]
     assert got == [[bareiss_rank((matrix.dense() - _small_representative(lam)
                                   * np.eye(matrix.shape[0], dtype=np.int64)).tolist())
@@ -429,9 +433,10 @@ def test_level_ranks_refuse_a_component_across_two_slices():
     """Entries (0, 0) and (0, 2) join column 2 to row 0: one component over
     both 2x2 slices, which the whole 4x4 matrix as one slice allows."""
     level = coo_from_keys((4, 4), np.array([0, 8]), np.array([1, 1]))
-    assert level_ranks_mod_p(level, [(4, 4)], [[0, 1]]) == [[1, 3]]
+    assert level_ranks_mod_p(level, [(4, 4)]) == [1]
+    assert rank_mod_p(level, [0, 1]) == [1, 3]
     with pytest.raises(ValueError, match="component"):
-        level_ranks_mod_p(level, [(2, 2), (2, 2)], [[0], [0]])
+        level_ranks_mod_p(level, [(2, 2), (2, 2)])
 
 
 # ---------------------------------------------------------------------------
