@@ -23,7 +23,6 @@ from .identities import IdentityReport, all_identities, verify_identity
 from .laplacian import (
     ClaimFalsified,
     HomologyTable,
-    SpectralBlock,
     SpectrumResult,
     characteristic_polynomial,
     expected_homology,

@@ -418,26 +418,28 @@ KEY_BITS = 16  # a lookup key holds each index minus k in this many bits
 
 class Level:
     """The chain-dimension-q monomials of a union of whole (q, w) slices of
-    one degree-h block, as an (N, q) int64 array ``monos``.
+    one degree-h block, as an (N, q) int64 array ``monos``, and the weight
+    of each row, ``weights``.
 
-    Rows follow the slices in increasing w, each in its own order, so a
-    matrix that keeps w is block diagonal over the slices; ``span(w)`` is
-    the row range of a slice.  Monomials are looked up by keys of q
+    Rows are sorted stably by weight, so each slice keeps the order of the
+    monomials the level is built from, and a matrix that keeps w is block
+    diagonal over the slices; ``bounds`` maps each w, increasing, to the row
+    range of its slice.  Monomials are looked up by keys of q
     fixed-width big-endian uint16 indices viewed as one ``np.void``, which
     sort and ``searchsorted`` in the lexicographic order of the monomials.
     """
 
-    __slots__ = ("k", "h", "q", "slices", "monos", "weights", "bounds", "_keys", "_order")
+    __slots__ = ("k", "h", "q", "monos", "weights", "bounds", "_keys", "_order")
 
-    def __init__(self, k: int, h: int, q: int, parts=()):
+    def __init__(self, k: int, h: int, q: int, monos=()):
         self.k, self.h, self.q = k, h, q
-        self.slices = list(parts)
-        monos = [m for part in self.slices for m in part.monomials]
-        self.monos = np.array(monos, dtype=np.int64).reshape(len(monos), q)
-        sizes = [part.dim for part in self.slices]
-        self.weights = np.repeat(np.array([part.w for part in self.slices], dtype=np.int64), sizes)
-        ends = np.cumsum(sizes, dtype=np.int64).tolist()
-        self.bounds = {part.w: (end - part.dim, end) for part, end in zip(self.slices, ends)}
+        monos = np.array(monos, dtype=np.int64).reshape(len(monos), q)
+        weights = _EPS[monos % 3].sum(axis=1)
+        order = np.argsort(weights, kind="stable")
+        self.monos, self.weights = monos[order], weights[order]
+        ws, starts = np.unique(self.weights, return_index=True)
+        ends = np.append(starts[1:], len(order))
+        self.bounds = dict(zip(ws.tolist(), zip(starts.tolist(), ends.tolist())))
         keys = self.pack(self.monos)
         self._order = np.argsort(keys, kind="stable")
         self._keys = keys[self._order]
@@ -466,13 +468,13 @@ class Level:
         return np.where(self._keys[at] == keys, self._order[at], -1)
 
 
-def levels(parts: dict) -> dict:
-    """The ``Level`` of each q of ``parts``, a ``slices`` map of whole
-    (q, w) slices of one block, in increasing q."""
+def levels(basis: BlockBasis) -> dict:
+    """The ``Level`` of each q of ``basis``, a union of whole (q, w) slices
+    of one block, in increasing q."""
     grouped: dict = {}
-    for (q, _), part in parts.items():
-        grouped.setdefault(q, []).append(part)
-    return {q: Level(group[0].k, group[0].h, q, group) for q, group in sorted(grouped.items())}
+    for m in basis.monomials:
+        grouped.setdefault(len(m), []).append(m)
+    return {q: Level(basis.k, basis.h, q, grouped[q]) for q in sorted(grouped)}
 
 
 def _entry_keys(src: Level, tgt: Level, cols: np.ndarray, images: np.ndarray) -> np.ndarray:

@@ -6,12 +6,12 @@ predicted law or an identity fails, 2 on usage errors, on a report that
 cannot be written (--out replaces its file atomically) and on a worker
 process that dies.  Block computations are independent per degree, so
 spectrum and homology map one task per degree h, and verify one per
-identity, onto a process pool (--jobs, or the AFFLAP_JOBS environment
-variable, which takes precedence).  Results are merged in task order;
-homology compares the merged table with its closed forms once, after the
-merge.  singular reads all degrees from one table, built and checked in
-the main process; it validates the worker count like the others.  The
-output is byte-identical for every worker count.
+identity, onto a process pool (--jobs, by default one worker per CPU).
+Results are merged in task order; homology compares the merged table with
+its closed forms once, after the merge.  singular reads all degrees from
+one table, built and checked in the main process; it validates the worker
+count like the others.  The output is byte-identical for every worker
+count.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .laplacian import (
     predicted_eigenvalue,
     spectrum,
 )
+from .linalg import sparse_sum
 from .sl2 import singular_block_dims
 
 USAGE_ERROR = 2
@@ -47,16 +48,7 @@ class _CliError(Exception):
 
 
 def _jobs_from(args) -> int:
-    env = os.environ.get("AFFLAP_JOBS")
-    if env is not None:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise _CliError(f"AFFLAP_JOBS must be an integer, got {env!r}")
-    elif args.jobs is not None:
-        jobs = args.jobs
-    else:
-        jobs = os.cpu_count() or 1
+    jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
     if jobs < 1:
         raise _CliError("worker count must be positive")
     return jobs
@@ -97,12 +89,7 @@ def _chain_json(chain) -> list:
 def _spectrum_task(args: tuple) -> dict:
     k, h = args
     res = spectrum(k, h)
-    refined: dict = {}
-    cells: dict = {}
-    for b in res.refinement:
-        refined[(b.w, b.predicted_lambda)] = refined.get((b.w, b.predicted_lambda), 0) + b.mult
-        cells[(b.q, b.w, b.predicted_lambda)] = (
-            cells.get((b.q, b.w, b.predicted_lambda), 0) + b.mult)
+    refined = sparse_sum(((w, lam), mult) for (_, w, lam), mult in res.cells.items())
     return {
         "h": h,
         "dim": res.dim,
@@ -110,7 +97,7 @@ def _spectrum_task(args: tuple) -> dict:
         "refinement": [{"w": w, "lambda": lam, "mult": mult}
                        for (w, lam), mult in sorted(refined.items())],
         "cells": [{"q": q, "w": w, "lambda": lam, "mult": mult}
-                  for (q, w, lam), mult in sorted(cells.items())],
+                  for (q, w, lam), mult in sorted(res.cells.items())],
     }
 
 
@@ -352,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--out", help="write the report to a file")
         p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (AFFLAP_JOBS overrides)")
+                       help="worker processes (default: one per CPU)")
 
     p = sub.add_parser("spectrum", help="exact eigenvalue tables per degree block")
     common(p)

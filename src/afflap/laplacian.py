@@ -6,17 +6,19 @@ coordinate arrays over the level's monomial array (``chains.Level``): D_q,
 the matrix of the differential from level q to level q-1, the
 codifferential and Gamma keep w, so their level matrices are block
 diagonal over the (q, w) slices, and e_{+-1} shift w by exactly one.
-Each walk builds the levels of its block once (``_block_levels``) and
-passes the same ``Level`` to ``_gamma_levels``, which forms
-D_q^T D_q + D_{q+1} D_{q+1}^T on it as one ``linalg.gram``, and to
-``sl2.sl2_level``.  ``laplacian_slices`` cuts Gamma into the slice blocks that
-are decomposed one at a time, and ``laplacian_by_definition`` scatters
-those onto a basis.  ``laplacian_closed_apply`` evaluates the paper's
-second-order closed form monomial by monomial, and its matrix
-``laplacian_closed_form`` is the oracle the slices are tested against.
-The arrays stay exact: no floating point is used, ``gram`` raises before a
-sum could pass 2^62, and ``Level`` before an index overflows its key, each
-naming k, h and q.
+Each walk builds the levels of its block once (``_block_levels``), from
+the monomials of ``enumerate_block``, each slice a row range
+``bounds[w]``, and passes the same ``Level`` to ``_gamma_levels``, which
+forms D_q^T D_q + D_{q+1} D_{q+1}^T on it as one ``linalg.gram``, to
+``sl2.sl2_level`` and to the certificate; a spectrum is one table of
+(q, w, lambda) cells.  Only the oracle paths build a ``BlockBasis`` per
+slice: ``laplacian_slices`` cuts Gamma into slice blocks, and
+``laplacian_by_definition`` scatters those onto a basis.
+``laplacian_closed_apply`` evaluates the paper's second-order closed form
+monomial by monomial, and its matrix ``laplacian_closed_form`` is the
+oracle the slices are tested against.  The arrays stay exact: no floating
+point is used, ``gram`` raises before a sum could pass 2^62, and ``Level``
+before an index overflows its key, each naming k, h and q.
 
 Spectra are exact.  Every (q, w) slice passes these exact integer checks
 in order, level by level: check 1 in ``_gamma_levels``, then the others in
@@ -164,7 +166,7 @@ def _closed_apply_twice(k: int, chain: Chain) -> Chain:
 
 def _block_levels(k: int, h: int) -> dict:
     """The ``Level`` of each q of the degree-h block, in increasing q."""
-    return levels(slices(enumerate_block(k, h)))
+    return levels(enumerate_block(k, h))
 
 
 def _gamma_levels(k: int, h: int, by_q: dict):
@@ -199,10 +201,6 @@ def _gamma_levels(k: int, h: int, by_q: dict):
         yield level, gamma
 
 
-def _diagonal_block(matrix: Coo, level: Level, w: int) -> Coo:
-    return matrix.block(*level.span(w), *level.span(w))
-
-
 def laplacian_slices(k: int, h: int):
     """Yield ``(q, w, basis, gamma)`` for the (q, w) slices of the degree-h
     block in sorted order.
@@ -213,8 +211,9 @@ def laplacian_slices(k: int, h: int):
     ``_gamma_levels`` (check 1 runs there).
     """
     for level, gamma in _gamma_levels(k, h, _block_levels(k, h)):
-        for basis in level.slices:
-            yield level.q, basis.w, basis, _diagonal_block(gamma, level, basis.w)
+        for w, (a, b) in level.bounds.items():
+            basis = BlockBasis(k, h, map(tuple, level.monos[a:b].tolist()), w=w)
+            yield level.q, w, basis, gamma.block(a, b, a, b)
 
 
 def _whole_slices(k: int, basis: BlockBasis):
@@ -314,53 +313,46 @@ def predicted_eigenvalue(k: int, w: int, h: int) -> int:
 # ---------------------------------------------------------------------------
 # spectrum
 
-@dataclass(frozen=True)
-class SpectralBlock:
-    """One certified eigenvalue record of a spectrum computation.
-
-    For k in {0, 1} the weight w is the monomial weight of the scalar slice;
-    for k in {-1, 2} it is the dominant weight of the isotypic piece inside
-    the (q, w)-slice, and mult counts that piece's contribution.
-    """
-
-    w: int
-    q: int
-    predicted_lambda: int
-    mult: int
-
-
 @dataclass
 class SpectrumResult:
     k: int
     h: int
     dim: int
-    lines: list  # (lambda, multiplicity), sorted
-    refinement: list  # SpectralBlock records, deterministic order
+    # (q, w, lambda) -> multiplicity: w is the monomial weight of a scalar
+    # slice for k in {0, 1}, the dominant weight of an isotypic piece for
+    # k in {-1, 2}, summed over the slices where that piece occurs
+    cells: dict
     exact_slices: int = 0  # (slice, lambda) pairs proved by check 6
     modular_slices: int = 0  # always 0, kept for perfbench/tracer.py
     residual_checked: int = 0  # slices whose residual product vanishes
+
+    @property
+    def lines(self) -> list:
+        """(lambda, multiplicity) pairs summed over q and w, sorted."""
+        return sorted(sparse_sum((lam, m) for (_, _, lam), m in self.cells.items()).items())
 
 
 def _certify_level(k: int, h: int, level: Level, gamma: Coo, result: SpectrumResult) -> None:
     """Certify and record the spectrum of Gamma on every slice of a level.
 
-    Each slice predicts its (w, lambda, multiplicity) records.  For k in
-    {0, 1} a slice of weight w predicts the one eigenvalue
-    ``predicted_eigenvalue(k, w, h)`` on all of it.  For k in {-1, 2}
-    checks 2-3 run in ``sl2_level``, then 4, and check 5 predicts one record
-    per isotypic piece from the level's weight counts.  Then every slice
-    passes check 5's exhaustion test and check 6, in one
+    Each slice predicts its (w, lambda, multiplicity) records, which are
+    added to ``result.cells``.  For k in {0, 1} a slice of weight w predicts
+    the one eigenvalue ``predicted_eigenvalue(k, w, h)`` on all of it.  For
+    k in {-1, 2} checks 2-3 run in ``sl2_level``, then 4, and check 5
+    predicts one record per isotypic piece from the level's weight counts.
+    Then every slice passes check 5's exhaustion test and check 6, in one
     ``level_nullities`` call.
     """
     q, n = level.q, len(level)
+    dims = {w: b - a for w, (a, b) in level.bounds.items()}
     if k in (0, 1):
         predicted = []
-        for basis in level.slices:
-            lam = predicted_eigenvalue(k, basis.w, h)
+        for w, dim in dims.items():
+            lam = predicted_eigenvalue(k, w, h)
             if lam < 0:
                 raise ClaimFalsified(
-                    f"negative predicted eigenvalue at k={k}, (q,w,h)=({q},{basis.w},{h})")
-            predicted.append([(basis.w, lam, basis.dim)])
+                    f"negative predicted eigenvalue at k={k}, (q,w,h)=({q},{w},{h})")
+            predicted.append([(w, lam, dim)])
     else:
         sign = 1 if k == -1 else -1
         casimir = sl2_level(k, level)[1]
@@ -371,7 +363,6 @@ def _certify_level(k: int, h: int, level: Level, gamma: Coo, result: SpectrumRes
             raise ClaimFalsified(
                 f"2 Gamma != 2h I {'+' if sign > 0 else '-'} C on "
                 f"k={k}, h={h}, q={q}, w={level.weights[diff.cols[0]]}")
-        dims = {basis.w: basis.dim for basis in level.slices}
         pieces = []  # (w', eigenvalue, multiplicity) of the pieces that occur, by increasing w'
         for wp in reversed(range(max(map(abs, dims)) + 1)):
             m_pred = dims.get(wp, 0) - dims.get(wp + 1, 0)
@@ -383,28 +374,26 @@ def _certify_level(k: int, h: int, level: Level, gamma: Coo, result: SpectrumRes
                 if lam < 0:
                     raise ClaimFalsified(f"negative predicted eigenvalue at k={k}, h={h}, w'={wp}")
                 pieces.insert(0, (wp, lam, m_pred))
-        predicted = [[(wp, lam, m) for wp, lam, m in pieces if wp >= abs(basis.w)]
-                     for basis in level.slices]
+        predicted = [[(wp, lam, m) for wp, lam, m in pieces if wp >= abs(w)] for w in dims]
     expected = []
-    for basis, records in zip(level.slices, predicted):
+    for (w, dim), records in zip(dims.items(), predicted):
         want: dict[int, int] = {}
-        for w, lam, m_pred in records:
+        for wp, lam, m_pred in records:
             want[lam] = want.get(lam, 0) + m_pred
-            result.refinement.append(SpectralBlock(w=w, q=q, predicted_lambda=lam, mult=m_pred))
-        if sum(want.values()) != basis.dim:
+            result.cells[q, wp, lam] = result.cells.get((q, wp, lam), 0) + m_pred
+        if sum(want.values()) != dim:
             raise ClaimFalsified(
-                f"predicted eigenvalues do not exhaust k={k}, h={h}, q={q}, w={basis.w}: "
-                f"{sum(want.values())} of {basis.dim}")
+                f"predicted eigenvalues do not exhaust k={k}, h={h}, q={q}, w={w}: "
+                f"{sum(want.values())} of {dim}")
         expected.append(dict(sorted(want.items())))
-    nullities = level_nullities(gamma, [basis.dim for basis in level.slices],
-                                [list(want) for want in expected])
-    for basis, want, found in zip(level.slices, expected, nullities):
+    nullities = level_nullities(gamma, list(dims.values()), [list(want) for want in expected])
+    for w, want, found in zip(dims, expected, nullities):
         if found is None:
             raise ClaimFalsified(
-                f"residual product does not annihilate k={k}, h={h}, q={q}, w={basis.w}")
+                f"residual product does not annihilate k={k}, h={h}, q={q}, w={w}")
         for (lam, m_pred), nullity in zip(want.items(), found):
             if nullity != m_pred:
-                raise ClaimFalsified(f"eigenvalue {lam} on k={k}, h={h}, q={q}, w={basis.w}: "
+                raise ClaimFalsified(f"eigenvalue {lam} on k={k}, h={h}, q={q}, w={w}: "
                                      f"nullity {nullity}, predicted {m_pred}")
         result.exact_slices += len(want)
         result.residual_checked += 1
@@ -419,28 +408,28 @@ def spectrum(k: int, h: int) -> SpectrumResult:
     if k not in (-1, 0, 1, 2):
         raise ValueError("exact spectra are provided for k in {-1, 0, 1, 2}")
     by_q = _block_levels(k, h)
-    result = SpectrumResult(k=k, h=h, dim=sum(map(len, by_q.values())), lines=[], refinement=[])
+    result = SpectrumResult(k=k, h=h, dim=sum(map(len, by_q.values())), cells={})
     for level, gamma in _gamma_levels(k, h, by_q):
         _certify_level(k, h, level, gamma, result)
-    result.lines = sorted(sparse_sum((b.predicted_lambda, b.mult)
-                                     for b in result.refinement).items())
     return result
 
 
 # ---------------------------------------------------------------------------
 # harmonic chains and homology
 
-def _kernel_chains(k: int, q: int, gamma: Coo, basis: BlockBasis, kernel: list) -> list[Chain]:
-    """The vectors ``kernel`` of the (q, w) slice matrix ``gamma`` on
-    ``basis``, as chains.  Each vector v is checked to satisfy Gamma v = 0
-    exactly; a failure raises ClaimFalsified naming k, h, q and w."""
+def _kernel_chains(k: int, h: int, q: int, w: int, monomials, gamma: Coo,
+                   kernel: list) -> list[Chain]:
+    """The vectors ``kernel`` of the (q, w, h) slice matrix ``gamma`` on the
+    basis ``monomials``, as chains.  Each vector v is checked to satisfy
+    Gamma v = 0 exactly; a failure raises ClaimFalsified naming k, h, q and
+    w."""
     columns = gamma.columns()
     chains = []
     for vec in kernel:
         if column_image(columns, vec):
             raise ClaimFalsified(f"kernel vector is not annihilated by Gamma on "
-                                 f"k={k}, h={basis.h}, q={q}, w={basis.w}")
-        chains.append({basis.monomials[i]: c for i, c in sorted(vec.items())})
+                                 f"k={k}, h={h}, q={q}, w={w}")
+        chains.append({monomials[i]: c for i, c in sorted(vec.items())})
     return chains
 
 
@@ -459,7 +448,8 @@ def harmonic_basis(k: int, basis: BlockBasis) -> list[Chain]:
         pos = np.array([part.index[m] for m in whole.monomials], dtype=np.int64)
         in_part = coo_from_keys(gamma.shape, pos[gamma.cols] * part.dim + pos[gamma.rows],
                                 gamma.vals)
-        chains += _kernel_chains(k, q, in_part, part, level_kernels(in_part, [part.dim])[0])
+        chains += _kernel_chains(k, basis.h, q, part.w, part.monomials, in_part,
+                                 level_kernels(in_part, [part.dim])[0])
     # a reduced kernel vector ends on its free monomial
     return sorted(chains, key=lambda chain: basis.index[next(reversed(chain))])
 
@@ -532,11 +522,12 @@ def homology_table(k: int, h_max: int, h_min: int = 0) -> HomologyTable:
     chains: dict = {}
     for h in range(h_min, h_max + 1):
         for level, gamma in _gamma_levels(k, h, _block_levels(k, h)):
-            kernels = level_kernels(gamma, [basis.dim for basis in level.slices])
-            for basis, kernel in zip(level.slices, kernels):
+            kernels = level_kernels(gamma, [b - a for a, b in level.bounds.values()])
+            for (w, (a, b)), kernel in zip(level.bounds.items(), kernels):
                 if kernel:
-                    block = _diagonal_block(gamma, level, basis.w)
-                    chains[(level.q, basis.w, h)] = _kernel_chains(k, level.q, block, basis, kernel)
+                    chains[level.q, w, h] = _kernel_chains(
+                        k, h, level.q, w, list(map(tuple, level.monos[a:b].tolist())),
+                        gamma.block(a, b, a, b), kernel)
     entries = {key: len(kernel) for key, kernel in chains.items()}
     deviations = closed_form_deviations(k, entries, h_min, h_max)
     return HomologyTable(k=k, h_max=h_max, entries=entries, chains=chains,

@@ -22,7 +22,6 @@ from .chains import (
     block_dim_table,
     enumerate_block,
     levels,
-    slices,
     weight_dim_table,
 )
 from .linalg import Coo, bareiss_rank, coo_diag, coo_sum, gram, sparse_sum
@@ -370,15 +369,14 @@ def singular_multiplicities(k: int, basis: BlockBasis) -> RepRingElement:
     if k % 3 != 2:
         raise ValueError("chain blocks are sl2-modules for k = -1 (mod 3)")
     mults: dict[int, int] = {}
-    for q, level in levels(slices(basis)).items():
+    for q, level in levels(basis).items():
         up = sl2_level(k, level)[0]
-        for part in level.slices:
-            w = part.w
+        for w, (a, b) in level.bounds.items():
             if w < 0:
                 continue
-            raising = up.block(*level.span(w + 1), *level.span(w))
-            kernel = part.dim - bareiss_rank(raising.dense().tolist())
-            diff = part.dim - raising.shape[0]  # dim(q, w + 1)
+            raising = up.block(*level.span(w + 1), a, b)
+            kernel = b - a - bareiss_rank(raising.dense().tolist())
+            diff = b - a - raising.shape[0]  # dim(q, w + 1)
             if kernel != diff:
                 raise ClaimFalsified(
                     f"multiplicity methods disagree on k={k}, h={basis.h}, q={q}, "

@@ -8,7 +8,7 @@ import json
 import time
 from fractions import Fraction
 
-from afflap.chains import block_dim_table, enumerate_block, levels, slices
+from afflap.chains import block_dim_table, enumerate_block, levels
 from afflap.cli import main as cli_main
 from afflap.identities import all_identities, verify_identity
 from afflap.laplacian import (
@@ -182,13 +182,13 @@ def test_criterion_7_sl2_machinery():
         block = enumerate_block(k, h)
         dims: dict = {}
         casimirs = []  # C on each (q, h) level
-        for level in levels(slices(block)).values():
+        for level in levels(block).values():
             up, cas = sl2_level(k, level)
             casimirs.append(cas)
             up, cas = int_matrix(up), int_matrix(cas)
             assert cas * up == up * cas  # C e_1 = e_1 C
-            for basis in level.slices:
-                dims[basis.w] = dims.get(basis.w, 0) + basis.dim
+            for w, (a, b) in level.bounds.items():
+                dims[w] = dims.get(w, 0) + b - a
         w = 0
         accounted = 0
         while dims.get(w, 0) or dims.get(w + 1, 0):

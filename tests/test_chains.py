@@ -1,7 +1,6 @@
 import pytest
 
 from afflap.chains import (
-    BlockBasis,
     Level,
     adjoint_action,
     block_dim_table,
@@ -341,9 +340,9 @@ def test_level_keys_refuse_indices_past_their_width():
     import numpy as np
 
     top = (1 << 16) - 1
-    level = Level(0, 1, 2, [BlockBasis(0, 1, [(0, top)], w=0)])
+    level = Level(0, 1, 2, [(0, top)])
     assert level.find(level.pack(np.array([[0, top]]))).tolist() == [0]
     with pytest.raises(OverflowError, match="k=0, h=1, q=2"):
-        Level(0, 1, 2, [BlockBasis(0, 1, [(0, top + 1)], w=0)])
+        Level(0, 1, 2, [(0, top + 1)])
     with pytest.raises(OverflowError, match="k=0, h=1, q=2"):
         level.pack(np.array([[-1, 3]]))

@@ -119,8 +119,7 @@ def test_out_file_and_determinism(tmp_path, capsys):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-def test_homology_is_byte_identical_across_jobs(capsys, monkeypatch):
-    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
+def test_homology_is_byte_identical_across_jobs(capsys):
     argv = ["homology", "--k", "2", "--h-max", "8", "--format", "json"]
     code1, out1, _ = run(capsys, *argv, "--jobs", "1")
     code2, out2, _ = run(capsys, *argv, "--jobs", "2")
@@ -134,7 +133,6 @@ def _die(args):
 
 def test_dead_worker_exits_2(capsys, monkeypatch):
     """A worker that dies breaks the pool: one error line and exit code 2."""
-    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
     monkeypatch.setattr(cli, "_homology_task", _die)
     code, out, err = run(capsys, "homology", "--k", "2", "--h-max", "1", "--jobs", "2")
     assert (code, out) == (2, "")
@@ -184,7 +182,6 @@ def test_falsified_claim_exits_1(capsys, monkeypatch):
     def refute(*args):
         raise ClaimFalsified("x")
 
-    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
     for name in ("spectrum", "homology_table", "singular_block_dims"):
         monkeypatch.setattr(cli, name, refute)
     for command in ("spectrum", "homology", "singular"):
@@ -203,7 +200,6 @@ def test_singular_route_disagreement_exits_1(capsys, monkeypatch):
         table = real(k, h_max)
         return {**table, **{(0, h): table.get((0, h), 0) + 1 for h in range(h_max + 1)}}
 
-    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
     monkeypatch.setattr(sl2, "weight_dim_table", one_more_at_weight_0)
     with pytest.raises(ClaimFalsified, match="^singular dimension mismatch at k=2, h=0, w=0$"):
         sl2.singular_block_dims(2, 0)
@@ -228,7 +224,6 @@ def test_singular_rejects_non_unimodal_weight_counts(capsys, monkeypatch):
         return {**table, (1, 5): table[0, 5] + 1} if (k, h_max) == (-1, 5) else table
 
     assert _block_dim(-1, 5) > sl2.MATRIX_ROUTE_CUT
-    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
     monkeypatch.setattr(sl2, "weight_dim_table", dip_at_weight_0)
     code, out, err = run(capsys, "singular", "--k", "-1", "--h-max", "5", "--jobs", "1")
     assert (code, out) == (1, "")
@@ -250,7 +245,6 @@ def test_singular_rejects_by_q_counts_that_miss_the_weight_count(capsys, monkeyp
         return {**table, (3, 0, 10): table.get((3, 0, 10), 0) + 1}
 
     assert _block_dim(2, 10) > sl2.MATRIX_ROUTE_CUT
-    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
     monkeypatch.setattr(sl2, "block_dim_table", one_more_at_q3_w0)
     code, out, err = run(capsys, "singular", "--k", "2", "--h-max", "10", "--jobs", "1")
     assert (code, out) == (1, "")
@@ -268,7 +262,6 @@ def test_singular_builds_each_dimension_table_once(capsys, monkeypatch):
         calls.append((k, h_max))
         return real(k, h_max, step, unit)
 
-    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
     monkeypatch.setattr(chains, "_dim_rows", counted)
     chains.block_dim_table.cache_clear()
     assert run(capsys, "singular", "--k", "2", "--h-max", "30", "--jobs", "1")[0] == 0
@@ -277,9 +270,8 @@ def test_singular_builds_each_dimension_table_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("k, name", [(2, "singular_k2_h10.csv"),
                                      (-1, "singular_km1_h10.csv")])
-def test_singular_csv_matches_golden(capsys, monkeypatch, k, name):
+def test_singular_csv_matches_golden(capsys, k, name):
     golden = Path(__file__).parent / "golden" / name
-    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
     code, out, err = run(capsys, "singular", "--k", str(k), "--h-max", "10",
                          "--format", "csv", "--jobs", "1")
     assert (code, err) == (0, "")
@@ -287,9 +279,8 @@ def test_singular_csv_matches_golden(capsys, monkeypatch, k, name):
 
 
 @pytest.mark.parametrize("fmt, name", [("csv", "verify_o40.csv"), ("text", "verify_o40.txt")])
-def test_verify_matches_golden(capsys, monkeypatch, fmt, name):
+def test_verify_matches_golden(capsys, fmt, name):
     golden = Path(__file__).parent / "golden" / name
-    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
     code, out, err = run(capsys, "verify", "--all", "--order", "40", "--format", fmt,
                          "--jobs", "1")
     assert (code, err) == (0, "")
@@ -301,21 +292,16 @@ def test_verify_matches_golden(capsys, monkeypatch, fmt, name):
     (("spectrum", "--k", "-1", "--h-max", "6", "--format", "text"), "spectrum_km1_h6.txt"),
     (("homology", "--k", "2", "--h-max", "8", "--format", "csv"), "homology_k2_h8.csv"),
     (("homology", "--k", "2", "--h-max", "8", "--format", "text"), "homology_k2_h8.txt"),
+    (("spectrum", "--k", "0", "--h-max", "8", "--format", "csv"), "spectrum_k0_h8.csv"),
+    (("spectrum", "--k", "2", "--h-max", "8", "--format", "csv"), "spectrum_k2_h8.csv"),
+    (("homology", "--k", "1", "--h-max", "8", "--format", "json"), "homology_k1_h8.json"),
+    (("homology", "--k", "-1", "--h-max", "8", "--format", "json"), "homology_km1_h8.json"),
 ])
-def test_spectrum_and_homology_match_golden(capsys, monkeypatch, args, name):
+def test_spectrum_and_homology_match_golden(capsys, args, name):
     golden = Path(__file__).parent / "golden" / name
-    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
     code, out, err = run(capsys, *args, "--jobs", "1")
     assert (code, err) == (0, "")
     assert out.encode() == golden.read_bytes()
-
-
-def test_jobs_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("AFFLAP_JOBS", "not-a-number")
-    assert run(capsys, "spectrum", "--k", "2", "--h-max", "1")[0] == 2
-    assert run(capsys, "homology", "--k", "2", "--h-max", "1")[0] == 2
-    monkeypatch.setenv("AFFLAP_JOBS", "1")
-    assert run(capsys, "spectrum", "--k", "2", "--h-max", "1")[0] == 0
 
 
 def test_json_schema_is_stable(capsys):
@@ -345,7 +331,6 @@ def test_spectrum_rejects_a_negative_predicted_eigenvalue(capsys, monkeypatch):
     from afflap import laplacian
 
     real = laplacian.predicted_eigenvalue
-    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
     monkeypatch.setattr(laplacian, "predicted_eigenvalue",
                         lambda k, w, h: -1 if (k, w) == (-1, 2) else real(k, w, h))
     code, out, err = run(capsys, "spectrum", "--k", "-1", "--h-max", "4", "--jobs", "1")
@@ -360,7 +345,6 @@ def test_spectrum_rejects_a_negative_scalar_eigenvalue(capsys, monkeypatch):
     from afflap import laplacian
 
     real = laplacian.predicted_eigenvalue
-    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
     monkeypatch.setattr(laplacian, "predicted_eigenvalue",
                         lambda k, w, h: -1 if (k, w) == (1, 2) else real(k, w, h))
     code, out, err = run(capsys, "spectrum", "--k", "1", "--h-max", "4", "--jobs", "1")

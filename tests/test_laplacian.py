@@ -213,9 +213,9 @@ def test_spectrum_builds_each_level_once(monkeypatch):
     real = chains.Level.__init__
     built = []
 
-    def counting(self, k, h, q, parts=()):
+    def counting(self, k, h, q, monos=()):
         built.append(q)
-        real(self, k, h, q, parts)
+        real(self, k, h, q, monos)
 
     monkeypatch.setattr(chains.Level, "__init__", counting)
     spectrum(2, 8)
@@ -432,7 +432,6 @@ def test_a_wrong_kernel_vector_is_a_falsified_claim(monkeypatch, capsys):
         return [{**vec, max(vec): 2 * vec[max(vec)]} for vec in exact(rows)]
 
     monkeypatch.setattr(linalg, "fraction_kernel", doubled)
-    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
     message = "^kernel vector is not annihilated by Gamma on k=2, h=3, q=2, w=-1$"
     with pytest.raises(ClaimFalsified, match=message):
         homology_table(2, 3)
@@ -550,7 +549,6 @@ def test_residual_product_gates_every_slice(monkeypatch, capsys):
         return real(matrix, sizes, lams)
 
     dims = {(q, w): basis.dim for q, w, basis, _ in laplacian_slices(-1, 6)}
-    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
     monkeypatch.setattr(laplacian, "level_nullities", plus_identity)
     assert cli.main(["spectrum", "--k", "-1", "--h-max", "7", "--jobs", "1"]) == 1
     out, err = capsys.readouterr()
@@ -576,7 +574,6 @@ def test_a_moved_unit_of_multiplicity_fails_the_nullity_check(monkeypatch, capsy
                 moved.append(n)
         return found
 
-    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
     monkeypatch.setattr(laplacian, "level_nullities", one_unit_moved)
     assert cli.main(["spectrum", "--k", "-1", "--h-max", "7", "--jobs", "1"]) == 1
     out, err = capsys.readouterr()
@@ -609,7 +606,6 @@ def test_scalar_law_names_the_first_failing_slice(monkeypatch, capsys):
     message = f"residual product does not annihilate k=1, h=3, q={q}, w={w}"
     with pytest.raises(ClaimFalsified, match=rf"^{message}$"):
         spectrum(1, 3)
-    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
     assert cli.main(["spectrum", "--k", "1", "--h-max", "4", "--jobs", "1"]) == 1
     assert capsys.readouterr() == ("", f"falsified claim: {message}\n")
 
@@ -635,7 +631,6 @@ def test_residual_product_gates_the_scalar_slices(monkeypatch, capsys):
 
     first = next((h, q, w, basis.dim) for h in range(5)
                  for q, w, basis, _ in laplacian_slices(0, h) if basis.dim > 1)
-    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
     monkeypatch.setattr(laplacian, "level_nullities", plus_identity)
     assert cli.main(["spectrum", "--k", "0", "--h-max", "4", "--jobs", "1"]) == 1
     out, err = capsys.readouterr()

@@ -209,9 +209,9 @@ def _slice_matrices(op, parts: dict, src, shift: tuple) -> dict:
     some slice."""
     k, h, q = src.k, src.h, src.q
     try:
-        return {basis.w: matrix_of(op, basis, parts.get((q + shift[0], basis.w + shift[1]))
-                                   or BlockBasis(k, h, (), w=basis.w + shift[1]))
-                for basis in src.slices}
+        return {w: matrix_of(op, parts[q, w], parts.get((q + shift[0], w + shift[1]))
+                             or BlockBasis(k, h, (), w=w + shift[1]))
+                for w in src.bounds}
     except ValueError:
         return None
 
@@ -223,8 +223,8 @@ def _array_slices(build, src, tgt, dw: int) -> dict:
         matrix = build()
     except ValueError:
         return None
-    return {basis.w: int_matrix(matrix.block(*tgt.span(basis.w + dw), *src.span(basis.w)))
-            for basis in src.slices}
+    return {w: int_matrix(matrix.block(*tgt.span(w + dw), a, b))
+            for w, (a, b) in src.bounds.items()}
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -238,9 +238,20 @@ def test_level_arrays_match_the_per_monomial_operators(k, h):
     ``adjoint_action``.  The levels run from q = 0 to one past the top of
     the block, so empty levels and empty neighbours are included; an entry
     outside the compared slice makes ``Coo.block`` raise.  For k other than
-    -1 and 2, e_-1 can leave L(k): then both routes raise ValueError."""
-    parts = slices_of(enumerate_block(k, h))
-    by_q = levels(parts)
+    -1 and 2, e_-1 can leave L(k): then both routes raise ValueError.
+
+    The levels group their rows by numpy weights; each of their slices must
+    be the slice that ``slices`` groups by the per-monomial ``weight``, in
+    the same order, and each level must hold exactly the weights of its q,
+    in increasing order."""
+    block = enumerate_block(k, h)
+    parts = slices_of(block)
+    by_q = levels(block)
+    for q, src in by_q.items():
+        assert list(src.bounds) == [w for (p, w) in parts if p == q]
+        for w, (a, b) in src.bounds.items():
+            assert list(map(tuple, src.monos[a:b].tolist())) == list(parts[q, w].monomials)
+            assert src.weights[a:b].tolist() == [w] * (b - a)
     level = {q: by_q.get(q) or Level(k, h, q) for q in range(max(by_q) + 3)}
     for q in range(max(by_q) + 2):
         src = level[q]

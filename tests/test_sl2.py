@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from afflap.chains import BlockBasis, adjoint_action, enumerate_block, levels, slices
+from afflap.chains import BlockBasis, adjoint_action, enumerate_block, levels
 from afflap.cli import main
 from afflap.linalg import fraction_kernel
 from afflap.sl2 import (
@@ -151,7 +151,7 @@ def test_simple_module_lowering_orbit():
 
 def test_view_relations_and_singular_mults():
     # the sl2 relations hold level by level (sl2_level raises otherwise)
-    for level in levels(slices(enumerate_block(2, 2))).values():
+    for level in levels(enumerate_block(2, 2)).values():
         sl2_level(2, level)
     assert singular_multiplicities(2, enumerate_block(2, 2)) == RepRingElement({2: 2})
     block0 = enumerate_block(-1, 0)
@@ -206,7 +206,7 @@ def test_casimir_acts_by_weight_law():
     The kernel of E, the singular vectors, lies in weights w >= 0, and C
     acts on a singular vector of weight w by w(w+1)."""
     for k, h in ((2, 2), (2, 3), (-1, 1)):
-        for level in levels(slices(enumerate_block(k, h))).values():
+        for level in levels(enumerate_block(k, h)).values():
             up, cas = (int_matrix(m) for m in sl2_level(k, level))
             where = (k, h, level.q)
             assert cas * up == up * cas, where
@@ -258,7 +258,6 @@ def _singular_fault(monkeypatch, capsys, moves: dict, message: str) -> None:
                 table[key] += n
         return table
 
-    monkeypatch.delenv("AFFLAP_JOBS", raising=False)
     monkeypatch.setattr(sl2, "block_dim_table", moved)
     with pytest.raises(ClaimFalsified, match=f"^{message}$"):
         singular_block_dims(2, 2)
