@@ -9,7 +9,6 @@ exact over the rationals.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
@@ -252,14 +251,22 @@ class BlockBasis:
     matrix built on a block is reproducible bit for bit.
     """
 
-    __slots__ = ("k", "h", "w", "monomials", "index")
+    __slots__ = ("k", "h", "w", "monomials", "_index")
 
     def __init__(self, k: int, h: int, monomials, w: int | None = None):
         self.k = k
         self.h = h
         self.w = w
         self.monomials = tuple(monomials)
-        self.index = {m: i for i, m in enumerate(self.monomials)}
+        self._index = None
+
+    @property
+    def index(self) -> dict:
+        """Position of each monomial, built on first access: the spectrum and
+        homology walks read only ``monomials``."""
+        if self._index is None:
+            self._index = {m: i for i, m in enumerate(self.monomials)}
+        return self._index
 
     @property
     def dim(self) -> int:
@@ -339,46 +346,76 @@ def slices(basis: BlockBasis) -> dict:
             for (q, w), monos in sorted(groups.items())}
 
 
-def _dim_rows(k: int, h_max: int, step, unit) -> list[dict]:
-    """Per-degree rows of the product of (1 + t u^weight x^degree) over the
-    generators of L(k) with degree <= h_max: ``rows[h]`` maps a key to the
-    number of monomials of degree h with that key.  The empty monomial has
-    key ``unit``; multiplying by e_a sends a key to ``step(key, epsilon(a))``.
+def _most_within(degrees, h_max: int) -> int:
+    """The largest number of the given generator degrees that sum to at most
+    ``h_max``: the smallest ones first."""
+    n = total = 0
+    for d in sorted(degrees):
+        total += d
+        if total > h_max:
+            break
+        n += 1
+    return n
 
-    Each generator runs over the rows from the highest h down, in place, and
-    never touches an entry with h + deg a > h_max; a degree-zero generator
-    reads a copy of its row.  Counts are Python ints, which do not overflow.
+
+def _dim_grid(k: int, h_max: int, by_q: bool) -> tuple[np.ndarray, int]:
+    """Monomial counts of L(k) for every degree h <= h_max as a dense grid
+    ``g[h, q, w + W]``, and W; without ``by_q`` the q axis has size 1.
+
+    The grid holds the coefficients of the product of (1 + t u^weight
+    x^degree) over the generators of degree <= h_max, one shifted add per
+    generator.  The source slab is copied first, so a degree-zero generator
+    reads its row as it was before the add.  W and the q extent are the most
+    same-weight-sign generators, and the most generators, whose degrees fit
+    in h_max, so no count leaves the grid.  Every entry, and every partial
+    sum on the way to it, is at most the number of all monomials of its
+    degree; these totals are computed exactly first, and the grid is int64
+    when they fit, Python ints otherwise.
     """
     if k < -1:
         raise ValueError(f"blocks are defined for k >= -1, got k={k}")
     if h_max < 0:
         raise ValueError(f"dimension tables need h_max >= 0, got h_max={h_max}")
-    rows: list[dict] = [{} for _ in range(h_max + 1)]
-    rows[0][unit] = 1
+    gens = []
     a = k
     while (d := generator_degree(a)) <= h_max:
-        e = epsilon(a)
-        for h in range(h_max - d, -1, -1):
-            src, dst = (rows[h], rows[h + d]) if d else (dict(rows[h]), rows[h])
-            for key, n in src.items():
-                key = step(key, e)
-                dst[key] = dst.get(key, 0) + n
+        gens.append((d, epsilon(a)))
         a += 1
-    return rows
+    n = h_max + 1
+    totals = np.zeros(n, dtype=object)
+    totals[0] = 1
+    for d, _ in gens:
+        totals[d:] += totals[:n - d].copy()
+    big = max(totals) >= 2**63
+    width = max(_most_within([d for d, e in gens if e == s], h_max) for s in (1, -1))
+    depth = _most_within([d for d, _ in gens], h_max) + 1 if by_q else 1
+    g = np.zeros((n, depth, 2 * width + 1), dtype=object if big else np.int64)
+    g[0, 0, width] = 1
+    q_dst, q_src = (slice(1, None), slice(None, -1)) if by_q else (slice(None),) * 2
+    w_cut = {1: (slice(1, None), slice(None, -1)), 0: (slice(None),) * 2,
+             -1: (slice(None, -1), slice(1, None))}
+    for d, e in gens:
+        w_dst, w_src = w_cut[e]
+        g[d:, q_dst, w_dst] += g[:n - d, q_src, w_src].copy()
+    return g, width
 
 
 @lru_cache(maxsize=2)
 def block_dim_table(k: int, h_max: int) -> dict:
     """dim C_q^{(w,h)}(L(k)) for all h <= h_max, as a map (q, w, h) -> dim.
     A run reads one table per k in {-1, 2}, so two are kept."""
-    rows = _dim_rows(k, h_max, lambda qw, e: (qw[0] + 1, qw[1] + e), (0, 0))
-    return {(q, w, h): n for h, row in enumerate(rows) for (q, w), n in row.items()}
+    g, width = _dim_grid(k, h_max, True)
+    hs, qs, ws = np.nonzero(g)
+    return {(q, w, h): n for h, q, w, n in
+            zip(hs.tolist(), qs.tolist(), (ws - width).tolist(), g[hs, qs, ws].tolist())}
 
 
 def weight_dim_table(k: int, h_max: int) -> dict:
     """dim C^{(w,h)}(L(k)) summed over q, as a map (w, h) -> dim."""
-    rows = _dim_rows(k, h_max, operator.add, 0)
-    return {(w, h): n for h, row in enumerate(rows) for w, n in row.items()}
+    g, width = _dim_grid(k, h_max, False)
+    hs, _, ws = np.nonzero(g)
+    return {(w, h): n for h, w, n in
+            zip(hs.tolist(), (ws - width).tolist(), g[hs, 0, ws].tolist())}
 
 
 # ---------------------------------------------------------------------------

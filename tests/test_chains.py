@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from afflap import chains
 from afflap.chains import (
     Level,
     adjoint_action,
@@ -13,7 +15,7 @@ from afflap.chains import (
     weight,
     weight_dim_table,
 )
-from afflap.generators import epsilon
+from afflap.generators import epsilon, generator_degree
 
 SMALL_KS = (-1, 0, 1, 2)
 H_SMALL = 5
@@ -41,7 +43,7 @@ def test_normalize_wedge_matches_inversion_parity():
 def test_derivation_sign_against_naive_route():
     """The bisect-based derivation must agree with re-normalizing the raw
     replacement word, sign included."""
-    from afflap.generators import epsilon
+    from afflap.generators import epsilon, generator_degree
 
     for k, h in ((-1, 2), (2, 4)):
         for mono in enumerate_block(k, h):
@@ -292,21 +294,92 @@ def test_dim_tables_refuse_a_negative_h_max():
             table(2, -1)
 
 
-def test_weight_dim_table_exact_beyond_int64():
-    """An entry above 2**63, and its degree column against the u = 1 product.
+def monomial_counts_km1(h_max: int) -> list[int]:
+    """The number of all monomials of L(-1) of each degree h <= h_max.
 
-    For k = -1 there are three generators of every degree m >= 0, so the
-    column sums are the coefficients of 8 prod_{m >= 1} (1 + x^m)^3.
+    There are three generators of every degree m >= 0, so these are the
+    coefficients of 8 prod_{m >= 1} (1 + x^m)^3.
     """
+    poly = [8] + [0] * h_max
+    for m in range(1, h_max + 1):
+        for _ in range(3):
+            for e in range(h_max, m - 1, -1):
+                poly[e] += poly[e - m]
+    return poly
+
+
+def test_weight_dim_table_exact_beyond_int64():
+    """An entry above 2**63, and its degree column against the u = 1 product."""
     h = 253
     table = weight_dim_table(-1, h)
     assert table[(-1, h)] == 9304205918454155232 > 2**63
-    poly = [8] + [0] * h
-    for m in range(1, h + 1):
-        for _ in range(3):
-            for e in range(h, m - 1, -1):
-                poly[e] += poly[e - m]
-    assert sum(n for (w, hh), n in table.items() if hh == h) == poly[h]
+    assert sum(n for (w, hh), n in table.items() if hh == h) == monomial_counts_km1(h)[h]
+
+
+def dict_dp_rows(k: int, h_max: int, by_q: bool) -> list[dict]:
+    """The dimension tables by a dict DP, the oracle for ``chains._dim_grid``:
+    ``rows[h]`` maps (q, w) to the number of monomials of degree h with q
+    factors and weight w, or (0, w) to the count over all q without ``by_q``.
+
+    Each generator runs over the rows from the highest h down, in place, and
+    never touches an entry with h + deg a > h_max; a degree-zero generator
+    reads a copy of its row.  Counts are Python ints, which do not overflow.
+    """
+    rows: list[dict] = [{} for _ in range(h_max + 1)]
+    rows[0][0, 0] = 1
+    a = k
+    while (d := generator_degree(a)) <= h_max:
+        e = epsilon(a)
+        for h in range(h_max - d, -1, -1):
+            src, dst = (rows[h], rows[h + d]) if d else (dict(rows[h]), rows[h])
+            for (q, w), n in src.items():
+                key = (q + by_q, w + e)
+                dst[key] = dst.get(key, 0) + n
+        a += 1
+    return rows
+
+
+def assert_tight_grid(k: int, h_max: int, by_q: bool, table: dict, dtype) -> None:
+    """The grid has the stated dtype, and its extents are the largest |w| and
+    the largest q of the table, so no full-width row hides in it."""
+    g, width = chains._dim_grid(k, h_max, by_q)
+    assert g.dtype == dtype
+    ws = [key[-2] for key in table]
+    assert width == max(max(ws), -min(ws))
+    assert g.shape[1] - 1 == (max(q for q, _, _ in table) if by_q else 0)
+
+
+@pytest.mark.parametrize("k", range(-1, 5))
+def test_dim_tables_match_the_dict_dp(k):
+    h_max = 160
+    block = {(q, w, h): n for h, row in enumerate(dict_dp_rows(k, h_max, True))
+             for (q, w), n in row.items()}
+    weights = {(w, h): n for h, row in enumerate(dict_dp_rows(k, h_max, False))
+               for (_, w), n in row.items()}
+    assert block_dim_table.__wrapped__(k, h_max) == block
+    assert weight_dim_table(k, h_max) == weights
+    assert_tight_grid(k, h_max, True, block, np.int64)
+    assert_tight_grid(k, h_max, False, weights, np.int64)
+
+
+def test_weight_dim_table_matches_the_dict_dp_past_int64():
+    h_max = 260
+    weights = {(w, h): n for h, row in enumerate(dict_dp_rows(-1, h_max, False))
+               for (_, w), n in row.items()}
+    assert max(weights.values()) >= 2**63
+    assert weight_dim_table(-1, h_max) == weights
+    assert_tight_grid(-1, h_max, False, weights, object)
+    # the grid leaves int64 at the first degree whose monomial count reaches 2**63
+    first = next(h for h, n in enumerate(monomial_counts_km1(h_max)) if n >= 2**63)
+    assert chains._dim_grid(-1, first - 1, False)[0].dtype == np.int64
+    assert chains._dim_grid(-1, first, False)[0].dtype == object
+
+
+def test_block_basis_builds_its_index_on_first_access():
+    basis = enumerate_block(2, 8)
+    assert basis._index is None
+    assert basis.index == {m: i for i, m in enumerate(basis.monomials)}
+    assert basis.index is basis.index
 
 
 def test_generating_product_equals_enumeration():

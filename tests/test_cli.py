@@ -254,15 +254,15 @@ def test_singular_rejects_by_q_counts_that_miss_the_weight_count(capsys, monkeyp
 
 def test_singular_builds_each_dimension_table_once(capsys, monkeypatch):
     """Every degree of the singular table is read from one weight table and
-    one block table, each built by a single row pass up to --h-max."""
+    one block table, each built as one grid up to --h-max."""
     calls = []
-    real = chains._dim_rows
+    real = chains._dim_grid
 
-    def counted(k, h_max, step, unit):
+    def counted(k, h_max, by_q):
         calls.append((k, h_max))
-        return real(k, h_max, step, unit)
+        return real(k, h_max, by_q)
 
-    monkeypatch.setattr(chains, "_dim_rows", counted)
+    monkeypatch.setattr(chains, "_dim_grid", counted)
     chains.block_dim_table.cache_clear()
     assert run(capsys, "singular", "--k", "2", "--h-max", "30", "--jobs", "1")[0] == 0
     assert calls == [(2, 30), (2, 30)]

@@ -80,13 +80,13 @@ def test_singular_identities_build_each_dimension_table_once(monkeypatch, name, 
     from afflap import chains
 
     calls = []
-    real = chains._dim_rows
+    real = chains._dim_grid
 
-    def counted(kk, h_max, step, unit):
+    def counted(kk, h_max, by_q):
         calls.append(kk)
-        return real(kk, h_max, step, unit)
+        return real(kk, h_max, by_q)
 
-    monkeypatch.setattr(chains, "_dim_rows", counted)
+    monkeypatch.setattr(chains, "_dim_grid", counted)
     chains.block_dim_table.cache_clear()
     assert verify_identity(name, 12).passed
     assert calls == [k, k]
