@@ -2,15 +2,16 @@
 
 Every identity is checked coefficient by coefficient at a configurable
 truncation order, in the coefficient ring the statement lives in: integers,
-Laurent polynomials in u^(1/2), or the sl2 representation ring.  A product
-over the representation ring is taken over the Weyl characters of its
-factors (``weyl_map``) and read back with ``weyl_inverse``; the cube-root
-specialization reduces the Laurent triple product by u -> omega, with
-omega^2 = -1 - omega.  Sides that count chain or singular dimensions are
-produced by the combinatorial machinery of the package, not by the series
-closed forms they are compared against, and the two independent dimension
-routes (weight-space counting and the Clebsch-Gordan character product)
-are cross-asserted wherever both apply.
+Laurent polynomials in u^(1/2), or the sl2 representation ring.  Each sign
+of the triple product is built once per order in a process
+(``_triple_product``) and read by every side that is one: as it is, reduced
+by u -> omega with omega^2 = -1 - omega, or as the Weyl character of a
+representation-ring product, read back with ``weyl_inverse``.  Sides that
+count chain or singular dimensions are produced by the combinatorial
+machinery of the package, not by the series closed forms they are compared
+against, and the two independent dimension routes (weight-space counting
+and the Clebsch-Gordan character product) are cross-asserted wherever both
+apply.
 
 A verifier is a generator of ``(label, lhs, rhs)`` comparisons, registered
 with ``_identity``.  Both sides of a comparison are ``Series``, compared by
@@ -22,11 +23,10 @@ table key, and a route cross-check names its route in the label.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chains import enumerate_block, weight, weight_dim_table
+from .chains import enumerate_block, levels, weight_dim_table
 from .generators import epsilon
 from .series import DEFAULT_ORDER, Series, inverse_theta_neg, product_over, theta
 from .sl2 import HalfLaurent, RepRingElement, singular_block_dims, weyl_inverse, weyl_map
@@ -102,10 +102,15 @@ def _mu_at(order: int, n: int) -> int:
     return _mu(order)[n] if 0 <= n < order else 0
 
 
-def _triple_factor_terms(m: int, sign: int):
-    """(1 + sign u^{-1} x^m)(1 + sign x^m)(1 + sign u x^m) expanded in x."""
+@lru_cache(maxsize=4)
+def _triple_product(order: int, sign: int) -> Series:
+    """prod (1 + sign u^{-1} x^m)(1 + sign x^m)(1 + sign u x^m), with
+    s = u^{-1} + 1 + u the character of the adjoint module.  The cached
+    ``Series`` is shared, so its readers must only read it (``scale``,
+    ``Series(...)``, ``_at_cube_root`` and ``weyl_inverse`` build new
+    objects), and that has to stay true."""
     s = HalfLaurent({-2: 1, 0: 1, 2: 1})
-    return [(0, 1), (m, s * sign), (2 * m, s), (3 * m, sign)]
+    return product_over(order, lambda m: [(0, 1), (m, s * sign), (2 * m, s), (3 * m, sign)])
 
 
 def _at_cube_root(c):
@@ -136,15 +141,14 @@ def _weight_series(k: int, order: int) -> Series:
 def singular_series(k: int, order: int) -> tuple:
     """Graded singular character of the chain complex of L(k), k = -1 (mod 3).
 
-    The Clebsch-Gordan product over the adjoint triples: one factor
-    1 + z x^a + z x^{2a} + x^{3a} per positive degree a, and the constant
-    factor 2 + 2z for k = -1.  Coefficient h is the representation-ring
-    class whose multiplicities are dim S^{(w,h)}.
+    The Clebsch-Gordan product over the adjoint triples, the +1 triple
+    product read as a Weyl character, times the constant factor 2 + 2z for
+    k = -1.  Coefficient h is the representation-ring class whose
+    multiplicities are dim S^{(w,h)}.
     """
     if k not in (-1, 2):
         raise ValueError("singular characters are computed for k in {-1, 2}")
-    z = weyl_map(RepRingElement.simple(2))
-    s = product_over(order, lambda a: [(0, 1), (a, z), (2 * a, z), (3 * a, 1)])
+    s = _triple_product(order, 1)
     if k == -1:
         s = s.scale(weyl_map(RepRingElement({0: 2, 2: 2})))
     return tuple(weyl_inverse(c) for c in s.coeffs)
@@ -156,8 +160,7 @@ def singular_series(k: int, order: int) -> tuple:
 @_identity("gauss_jacobi", "Gauss-Jacobi identity from the Euler characteristic of L(1)")
 def _check_gauss_jacobi(order: int):
     """(1-u) prod (1-u^{-1}x^m)(1-x^m)(1-ux^m) = sum (-1)^w u^w x^{w(w-1)/2}."""
-    lhs = product_over(order, lambda m: _triple_factor_terms(m, -1))
-    lhs = lhs.scale(HalfLaurent.one() - HalfLaurent.u_power(2))
+    lhs = _triple_product(order, -1).scale(HalfLaurent.one() - HalfLaurent.u_power(2))
     # the weights w = -v and w = v + 1 share the exponent v(v+1)/2
     rhs = Series.from_terms(order, [
         (t, HalfLaurent.u_power(-2 * v, (-1) ** v) + HalfLaurent.u_power(2 * v + 2, -(-1) ** v))
@@ -176,14 +179,9 @@ def _check_jacobi_traditional(order: int):
         return [(0, 1), (a, -s), (b, -1), (2 * a, 1), (a + b, s), (2 * a + b, -1)]
 
     lhs = product_over(order, factor)
-    terms = []
-    w = 0
-    while w * w < order:
-        for ww in (w, -w) if w else (0,):
-            sign = 1 if ww % 2 == 0 else -1
-            terms.append((ww * ww, HalfLaurent.u_power(4 * ww, sign)))
-        w += 1
-    yield "{}", lhs, Series.from_terms(order, terms)
+    # the terms with w^2 >= order drop
+    yield "{}", lhs, Series.from_terms(order, [
+        (w * w, HalfLaurent.u_power(4 * w, 1 - 2 * (w % 2))) for w in range(1 - order, order)])
 
 
 @_identity("theta_inverse_product", "overpartition generating function")
@@ -208,13 +206,17 @@ def _check_gen_L1(order: int):
     anchor = min(_GEN_L1_ANCHOR, order)
     # anchor the DP against explicit monomial enumeration, one block per degree
     degrees = {lam + w * (w - 1) // 2 for w in _GEN_L1_WINDOW for lam in range(anchor)}
-    enumerated = Counter((weight(m), h) for h in degrees for m in enumerate_block(1, h))
+    enumerated: dict = {}
+    for h in degrees:
+        for level in levels(enumerate_block(1, h)).values():
+            for w, (start, end) in level.bounds.items():
+                enumerated[w, h] = enumerated.get((w, h), 0) + end - start
     for w in _GEN_L1_WINDOW:
         shift = w * (w - 1) // 2
         dims = [table.get((w, lam + shift), 0) for lam in range(order)]
         yield f"(w={w}, {{}})", Series(order, dims), rhs
         yield (f"(w={w}, {{}}) via enumeration", Series(anchor, dims),
-               Series(anchor, [enumerated[w, lam + shift] for lam in range(anchor)]))
+               Series(anchor, [enumerated.get((w, lam + shift), 0) for lam in range(anchor)]))
 
 
 @_identity("gen_L0", "weighted eigenvalue multiplicities of L(0), two-sided theta numerator")
@@ -258,8 +260,8 @@ def _bracket_rhs_terms(order: int, neg_u: bool):
 @_identity("L2_gauss_jacobi", "character-weighted form attached to the homology of L(2)")
 def _check_L2_gauss_jacobi(order: int):
     """prod (1-u^{-1}x^m)(1-x^m)(1-ux^m) = sum (-1)^w [2w+1]_u x^{w(w+1)/2}."""
-    lhs = product_over(order, lambda m: _triple_factor_terms(m, -1))
-    yield "{}", lhs, Series.from_terms(order, _bracket_rhs_terms(order, False))
+    rhs = Series.from_terms(order, _bracket_rhs_terms(order, False))
+    yield "{}", _triple_product(order, -1), rhs
 
 
 @_identity("jacobi_cube", "cube of the Euler function")
@@ -277,8 +279,7 @@ def _check_euler_pentagonal(order: int):
     """At u = omega, omega^2 + omega + 1 = 0: the triple product
     prod (1-u^{-1}x^m)(1-x^m)(1-ux^m) equals prod (1-x^{3m}), and the
     bracket coefficients of its expansion collapse to the period-3 signs."""
-    lhs = product_over(order, lambda m: _triple_factor_terms(m, -1))
-    lhs = Series(order, [_at_cube_root(c) for c in lhs.coeffs])
+    lhs = Series(order, [_at_cube_root(c) for c in _triple_product(order, -1).coeffs])
     cubefree = product_over(order, lambda m: [(0, 1), (3 * m, -1)])
     yield "{} via cube-free stage", lhs, cubefree
     rhs = Series.from_terms(order, [(t, epsilon(2 * w + 1) * (1 if w % 2 == 0 else -1))
@@ -301,9 +302,7 @@ def _check_bracket_sign(order: int):
 @_identity("singular_gauss_jacobi", "singular-character form over the representation ring")
 def _check_singular_gauss_jacobi(order: int):
     """In R(sl2)[[x]]: prod (1-x^a)(1-(z-1)x^a+x^{2a}) = sum (-1)^w z^w x^{w(w+1)/2}."""
-    z = weyl_map(RepRingElement.simple(2))
-    lhs = product_over(order, lambda a: [(0, 1), (a, -z), (2 * a, z), (3 * a, -1)])
-    lhs = Series(order, [weyl_inverse(c) for c in lhs.coeffs])
+    lhs = Series(order, [weyl_inverse(c) for c in _triple_product(order, -1).coeffs])
     rhs = Series.from_terms(order, [(t, RepRingElement({2 * w: 1 if w % 2 == 0 else -1}))
                                     for w, t in _triangular(order)])
     yield "{}", lhs, rhs

@@ -127,6 +127,17 @@ def test_homology_is_byte_identical_across_jobs(capsys):
     assert out1 == out2
 
 
+def test_verify_is_byte_identical_across_jobs(capsys):
+    """Each worker builds its own triple products; the report must not
+    depend on how the identities are spread over the workers."""
+    argv = ["verify", "--all", "--order", "40", "--format", "json"]
+    code1, out1, err1 = run(capsys, *argv, "--jobs", "1")
+    code2, out2, err2 = run(capsys, *argv, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert err1 == err2 == ""
+    assert out1.encode() == out2.encode()
+
+
 def _die(args):
     os._exit(3)
 
@@ -263,7 +274,6 @@ def test_singular_builds_each_dimension_table_once(capsys, monkeypatch):
         return real(k, h_max, by_q)
 
     monkeypatch.setattr(chains, "_dim_grid", counted)
-    chains.block_dim_table.cache_clear()
     assert run(capsys, "singular", "--k", "2", "--h-max", "30", "--jobs", "1")[0] == 0
     assert calls == [(2, 30), (2, 30)]
 

@@ -87,7 +87,6 @@ def test_singular_identities_build_each_dimension_table_once(monkeypatch, name, 
         return real(kk, h_max, by_q)
 
     monkeypatch.setattr(chains, "_dim_grid", counted)
-    chains.block_dim_table.cache_clear()
     assert verify_identity(name, 12).passed
     assert calls == [k, k]
 
@@ -108,10 +107,9 @@ def test_weyl_commuting_square():
     rep_lhs = naive_product_over(order, lambda a: [(0, 1), (a, -z), (2 * a, z), (3 * a, -1)])
     # coefficient 0 is the int 1; weyl_map takes ring elements
     mapped = Series(order, [weyl_map(RepRingElement() + c) for c in rep_lhs.coeffs])
-    from afflap.identities import _triple_factor_terms
+    from afflap.identities import _triple_product
 
-    laurent_lhs = product_over(order, lambda m: _triple_factor_terms(m, -1))
-    assert mapped == laurent_lhs
+    assert mapped == _triple_product(order, -1)
 
 
 def test_pentagonal_coefficients_lie_in_signs():
@@ -154,11 +152,11 @@ def test_euler_pentagonal_reduces_the_triple_product(monkeypatch):
     at omega fails there."""
     from afflap import identities
 
-    def skewed(m, sign):
+    def skewed(order, sign):
         s = HalfLaurent({-2: 1, 0: 1, 2: 2})  # 1 + u^-1 + 2u is omega at omega
-        return [(0, 1), (m, s * sign), (2 * m, s), (3 * m, sign)]
+        return product_over(order, lambda m: [(0, 1), (m, s * sign), (2 * m, s), (3 * m, sign)])
 
-    monkeypatch.setattr(identities, "_triple_factor_terms", skewed)
+    monkeypatch.setattr(identities, "_triple_product", skewed)
     rep = verify_identity("euler_pentagonal", 12)
     assert not rep.passed
     assert rep.first_mismatch["position"] == "x^1 via cube-free stage"
@@ -170,8 +168,9 @@ def test_singular_series_refuses_a_row_that_is_no_character(monkeypatch):
     being read as multiplicities."""
     from afflap import identities
 
-    real = identities.weyl_map
-    monkeypatch.setattr(identities, "weyl_map", lambda x: real(x) * HalfLaurent.u_power(2))
+    real = identities._triple_product
+    monkeypatch.setattr(identities, "_triple_product",
+                        lambda order, sign: real(order, sign).scale(HalfLaurent.u_power(2)))
     with pytest.raises(ValueError, match="not an sl2 character"):
         singular_series(2, 6)
 
@@ -185,16 +184,95 @@ def test_weight_series_agrees_with_generator_product():
     contribute constant factors 1 + u^weight.
     """
     from afflap.generators import epsilon
-    from afflap.identities import _triple_factor_terms, _weight_series
+    from afflap.identities import _triple_product, _weight_series
     from afflap.sl2 import HalfLaurent
 
     order = 10
     for k in (-1, 0, 1, 2):
-        prod = product_over(order, lambda m: _triple_factor_terms(m, 1))
+        prod = _triple_product(order, 1)
         for a in (-1, 0, 1):
             if a >= k:
                 prod = prod.scale(HalfLaurent.one() + HalfLaurent.u_power(2 * epsilon(a)))
         assert prod == _weight_series(k, order), k
+
+
+def test_registry_builds_each_triple_product_once(monkeypatch):
+    """One pass over the registry at order 120 in one process makes 11
+    products: each sign of the triple product at order 120 is built once and
+    shared by all its readers, and the two small orders of the singular
+    region build their own +1 product."""
+    from afflap import identities
+
+    s = HalfLaurent({-2: 1, 0: 1, 2: 1})
+    calls = []
+    real = identities.product_over
+
+    def counted(order, factor):
+        calls.append((order, factor(1)))
+        return real(order, factor)
+
+    monkeypatch.setattr(identities, "product_over", counted)
+    for name in all_identities():
+        assert verify_identity(name, 120).passed, name
+    assert len(calls) == 11
+    for sign in (-1, 1):
+        assert calls.count((120, [(0, 1), (1, s * sign), (2, s), (3, sign)])) == 1, sign
+
+
+# Where a wrong sign on the x^3 term of the m = 1 triple factor is caught, by
+# the sign of the product
+_TRIPLE_KILLS = {
+    -1: {"gauss_jacobi": "x^3", "L2_gauss_jacobi": "x^3", "singular_gauss_jacobi": "x^3",
+         "euler_pentagonal": "x^3 via cube-free stage"},
+    1: {"singular_by_degree_L2": "x^3", "mult_Lminus1": "x^3",
+        "singular_mults_L2": "(w=0, lambda=3) via character product",
+        "singular_mults_Lminus1": "(w=0, lambda=3) via character product"},
+}
+
+
+def _flipped_triple_product(flip_sign, power):
+    """A ``_triple_product`` whose m = 1 factor has the wrong sign on its
+    x^power term when the product's sign is ``flip_sign``."""
+    s = HalfLaurent({-2: 1, 0: 1, 2: 1})
+
+    def triple(order, sign):
+        def factor(m):
+            terms = [(0, 1), (m, s * sign), (2 * m, s), (3 * m, sign)]
+            if sign == flip_sign and m == 1:
+                terms[power] = (power, -terms[power][1])
+            return terms
+
+        return product_over(order, factor)
+
+    return triple
+
+
+@pytest.mark.parametrize("sign", sorted(_TRIPLE_KILLS))
+def test_a_wrong_triple_product_is_caught_by_each_of_its_readers(monkeypatch, sign):
+    """Every reader of the shared product fails at the first coefficient the
+    fault reaches, and every other identity keeps passing.  A wrong sign on
+    the x^2 term instead is invisible to ``euler_pentagonal``, because s
+    vanishes at omega (next test)."""
+    from afflap import identities
+
+    monkeypatch.setattr(identities, "_triple_product", _flipped_triple_product(sign, 3))
+    failed = {}
+    for name in all_identities():
+        rep = verify_identity(name, 20)
+        if not rep.passed:
+            failed[name] = rep.first_mismatch["position"]
+    assert failed == _TRIPLE_KILLS[sign]
+
+
+def test_euler_pentagonal_is_blind_to_the_x2_term(monkeypatch):
+    """The x^2 term of a triple factor is s = u^-1 + 1 + u, which vanishes
+    at u = omega: a wrong sign there is invisible to the cube-root
+    reduction and is caught by the Laurent identity instead."""
+    from afflap import identities
+
+    monkeypatch.setattr(identities, "_triple_product", _flipped_triple_product(-1, 2))
+    assert verify_identity("euler_pentagonal", 20).passed
+    assert verify_identity("gauss_jacobi", 20).first_mismatch["position"] == "x^2"
 
 
 def test_report_names_the_first_difference_of_each_comparison_kind():
@@ -264,14 +342,16 @@ def test_table_failure(monkeypatch):
 
 def test_gen_L1_enumeration_anchor_failure(monkeypatch):
     from afflap import identities
-    from afflap.chains import weight
+    from afflap.chains import BlockBasis, weight
 
     real = identities.enumerate_block
 
     def padded(k, h):
         """The block, with one of its weight -4 monomials repeated in degree 13."""
         monos = list(real(k, h))
-        return monos + [m for m in monos if weight(m) == -4][:1] if h == 13 else monos
+        if h == 13:
+            monos += [m for m in monos if weight(m) == -4][:1]
+        return BlockBasis(k, h, monos)
 
     # w = -4 shifts the degree by 10, so eigenvalue 3 sits in degree 13
     monkeypatch.setattr(identities, "enumerate_block", padded)
