@@ -13,14 +13,22 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from .generators import epsilon, generator_degree
-from .linalg import Coo, IntMatrix, coo_from_keys, sparse_sum
+from .linalg import Coo, IntMatrix, coo_from_keys, floor_mod, sparse_sum, stable_order
 
 Monomial = tuple
 Chain = dict
+
+_EPS = np.array([0, 1, -1], dtype=np.int64)  # epsilon by residue mod 3
+
+
+def _eps(m: np.ndarray) -> np.ndarray:
+    """``epsilon`` of each entry of an integer array."""
+    return _EPS[floor_mod(m, 3)]
 
 
 def weight(mono: Monomial) -> int:
@@ -289,49 +297,54 @@ class BlockBasis:
         return BlockBasis(self.k, self.h, monos, w=w if w is not None else self.w)
 
 
-def enumerate_block(k: int, h: int, w: int | None = None) -> BlockBasis:
-    """All monomials of L(k) with degree h (and weight w when given).
+def _block_arrays(k: int, h: int) -> dict:
+    """The monomials of the degree-h block of L(k) with q factors, as an
+    (N, q) int64 array in lexicographic order, for each q that has any, in
+    increasing q.  The empty monomial belongs to the h = 0 block for every k.
 
-    Positive-degree generators are collected depth first with pruning once
-    the degree budget is exhausted; the at most three degree-zero generators
-    (indices -1, 0, 1 when >= k) are distributed by subset expansion.
-    The empty monomial belongs to the h = 0 block for every k.
+    The generators of degree at most h, e_k, e_{k+1}, ..., come in
+    increasing index and so in nondecreasing degree.  Breadth first, each
+    row of length q grows into the rows of length q + 1 that append one
+    later generator and leave a degree remainder of 0 or of at least the
+    next generator's degree: every degree from there up to h has a
+    generator, so each row kept is the start of some monomial of degree h.
+    Children follow their parent in increasing index, so the rows of each
+    length stay in lexicographic order; the finished ones, of remainder 0,
+    are the monomials.
     """
     if k < -1:
         raise ValueError(f"blocks are defined for k >= -1, got k={k}")
     if h < 0:
         raise ValueError(f"degree must be non-negative, got h={h}")
-    zero_gens = [a for a in (-1, 0, 1) if a >= k]
-    positive: list[tuple] = []
-    if h == 0:
-        positive.append(())
-    else:
-        cur: list[int] = []
+    gens = np.arange(k, 3 * h + 2)
+    deg = (gens - _eps(gens)) // 3
+    after = np.append(deg[1:], h + 1)  # no remainder fits past the last generator
+    rows = np.zeros((1, 0), dtype=np.int64)
+    rem, nxt = np.array([h]), np.zeros(1, dtype=np.int64)
+    out = {}
+    while len(rows):
+        done = rem == 0
+        if done.any():
+            out[rows.shape[1]] = rows[done]
+        count = np.maximum(np.searchsorted(deg, rem, side="right") - nxt, 0)
+        parent = np.repeat(np.arange(len(rows)), count)
+        i = np.arange(parent.size) + np.repeat(nxt - (np.cumsum(count) - count), count)
+        rem = rem[parent] - deg[i]
+        fits = (rem == 0) | (rem >= after[i])
+        parent, i, rem = parent[fits], i[fits], rem[fits]
+        rows = np.concatenate((rows[parent], gens[i, None]), axis=1)
+        nxt = i + 1
+    return out
 
-        def descend(a: int, rem: int) -> None:
-            while True:
-                d = generator_degree(a)
-                if d > rem:
-                    return
-                if d > 0:
-                    break
-                a += 1
-            descend(a + 1, rem)
-            cur.append(a)
-            if rem == d:
-                positive.append(tuple(cur))
-            else:
-                descend(a + 1, rem - d)
-            cur.pop()
 
-        descend(max(k, 2), h)
+def enumerate_block(k: int, h: int, w: int | None = None) -> BlockBasis:
+    """All monomials of L(k) with degree h (and weight w when given), in
+    lexicographic order: the rows of ``_block_arrays`` as tuples."""
     monos = []
-    for tail in positive:
-        for r in range(len(zero_gens) + 1):
-            for zs in combinations(zero_gens, r):
-                m = zs + tail
-                if w is None or weight(m) == w:
-                    monos.append(m)
+    for rows in _block_arrays(k, h).values():
+        if w is not None:
+            rows = rows[_eps(rows).sum(axis=1) == w]
+        monos += map(tuple, rows.tolist())
     monos.sort()
     return BlockBasis(k, h, monos, w=w)
 
@@ -449,8 +462,21 @@ def matrix_of(op, source: BlockBasis, target: BlockBasis):
 # ---------------------------------------------------------------------------
 # whole levels: the operator matrices as int64 coordinate arrays
 
-_EPS = np.array([0, 1, -1], dtype=np.int64)  # epsilon by residue mod 3
-KEY_BITS = 16  # a lookup key holds each index minus k in this many bits
+KEY_BITS = 16  # the colex table of a level has one row per index minus k below 2^16
+_INT64_MAX = (1 << 63) - 1
+
+
+@lru_cache(maxsize=32)
+def _colex_table(n: int, q: int) -> np.ndarray:
+    """C(c, j + 1) at [j, c] for j < q and c < n, as int64, each capped at
+    2^63 - 1: the Pascal sums C(c, j + 2) = sum_{c' < c} C(c', j + 1), on
+    Python ints."""
+    out = np.zeros((q, n), dtype=np.int64)
+    col = np.arange(n, dtype=object)
+    for j in range(q):
+        out[j] = np.minimum(col, _INT64_MAX)
+        col = np.concatenate(([0], np.cumsum(col[:-1])))
+    return out
 
 
 class Level:
@@ -461,24 +487,35 @@ class Level:
     Rows are sorted stably by weight, so each slice keeps the order of the
     monomials the level is built from, and a matrix that keeps w is block
     diagonal over the slices; ``bounds`` maps each w, increasing, to the row
-    range of its slice.  Monomials are looked up by keys of q
-    fixed-width big-endian uint16 indices viewed as one ``np.void``, which
-    sort and ``searchsorted`` in the lexicographic order of the monomials.
+    range of its slice.  Monomials are looked up by an int64 key, the colex
+    rank sum_j C(c_j, j + 1) of their indices minus k, c_0 < ... < c_{q-1}
+    (``pack``): distinct increasing rows have distinct ranks, and a row
+    whose largest c is at most c_max has a rank below C(c_max + 1, q).  The
+    binomials come from a table with one row per c up to the level's
+    largest; a level whose largest c reaches 2^16, or whose ranks could
+    reach 2^63, is refused with OverflowError naming k, h and q.
     """
 
-    __slots__ = ("k", "h", "q", "monos", "weights", "bounds", "_keys", "_order")
+    __slots__ = ("k", "h", "q", "monos", "weights", "bounds", "_top", "_colex",
+                 "_keys", "_order")
 
     def __init__(self, k: int, h: int, q: int, monos=()):
         self.k, self.h, self.q = k, h, q
-        monos = np.array(monos, dtype=np.int64).reshape(len(monos), q)
-        weights = _EPS[monos % 3].sum(axis=1)
-        order = np.argsort(weights, kind="stable")
+        monos = np.asarray(monos, dtype=np.int64).reshape(len(monos), q)
+        weights = _eps(monos).sum(axis=1)
+        order = stable_order(weights)
         self.monos, self.weights = monos[order], weights[order]
-        ws, starts = np.unique(self.weights, return_index=True)
-        ends = np.append(starts[1:], len(order))
-        self.bounds = dict(zip(ws.tolist(), zip(starts.tolist(), ends.tolist())))
+        starts = np.flatnonzero(np.diff(self.weights, prepend=q + 1)).tolist()
+        ends = starts[1:] + [len(order)]
+        self.bounds = dict(zip(self.weights[starts].tolist(), zip(starts, ends)))
+        self._top = int(monos.max()) - k if monos.size else -1
+        if self._top >= 1 << KEY_BITS or comb(self._top + 1, q) > 1 << 63:
+            raise OverflowError(f"colex keys do not fit their table or int64 at "
+                                f"k={k}, h={h}, q={q}")
+        # the table has a power-of-two number of rows, so few sizes are cached
+        self._colex = _colex_table(1 << (self._top + 1).bit_length(), q)
         keys = self.pack(self.monos)
-        self._order = np.argsort(keys, kind="stable")
+        self._order = np.argsort(keys)
         self._keys = keys[self._order]
 
     def __len__(self) -> int:
@@ -488,14 +525,25 @@ class Level:
         return self.bounds.get(w, (0, 0))
 
     def pack(self, monos: np.ndarray) -> np.ndarray:
-        """The lookup keys of the rows of ``monos``, an (n, q) array."""
-        shifted = monos - self.k
-        if shifted.size and (shifted.min() < 0 or shifted.max() >> KEY_BITS):
-            raise OverflowError(f"monomial indices do not fit {KEY_BITS}-bit keys at "
-                                f"k={self.k}, h={self.h}, q={self.q}")
-        if not self.q:
-            return np.zeros(len(monos), dtype="V1")
-        return np.ascontiguousarray(shifted, dtype=">u2").view(f"V{2 * self.q}").ravel()
+        """The lookup keys of the rows of ``monos``, an (n, q) array: the
+        colex rank of each strictly increasing row whose indices minus k are
+        at most the level's largest, and -1, which no row of the level has,
+        for any other row.  Raises OverflowError for an index below k."""
+        c = monos - self.k
+        if not c.size:
+            return np.zeros(len(monos), dtype=np.int64)
+        if c.min() < 0:
+            raise OverflowError(f"monomial index below k at k={self.k}, h={self.h}, q={self.q}")
+        increasing = c[:, 1:] > c[:, :-1]
+        if c.max() <= self._top and increasing.all():
+            return self._terms(c)
+        bad = (c > self._top).any(axis=1) | ~increasing.all(axis=1)
+        return np.where(bad, -1, self._terms(np.where(bad[:, None], 0, c)))
+
+    def _terms(self, c: np.ndarray) -> np.ndarray:
+        table = self._colex
+        terms = np.take(table, c + np.arange(self.q) * table.shape[1])
+        return terms @ np.ones(self.q, dtype=np.int64)
 
     def find(self, keys: np.ndarray) -> np.ndarray:
         """The row of each key; -1 for a monomial outside the level."""
@@ -503,6 +551,12 @@ class Level:
             return np.full(keys.size, -1, dtype=np.int64)
         at = np.minimum(np.searchsorted(self._keys, keys), len(self) - 1)
         return np.where(self._keys[at] == keys, self._order[at], -1)
+
+
+def block_levels(k: int, h: int) -> dict:
+    """The ``Level`` of each q of the degree-h block, in increasing q, built
+    from the arrays of ``_block_arrays``."""
+    return {q: Level(k, h, q, rows) for q, rows in _block_arrays(k, h).items()}
 
 
 def levels(basis: BlockBasis) -> dict:
@@ -514,30 +568,37 @@ def levels(basis: BlockBasis) -> dict:
     return {q: Level(basis.k, basis.h, q, grouped[q]) for q in sorted(grouped)}
 
 
-def _entry_keys(src: Level, tgt: Level, cols: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """The keys col * len(tgt) + row of the entries in the columns ``cols``
-    at the rows of the monomials ``images`` of ``tgt``; raises ValueError,
-    as ``matrix_of`` does, for an image outside ``tgt``."""
+def _entries(src: Level, tgt: Level, cols: np.ndarray, images: np.ndarray,
+             vals: np.ndarray) -> tuple:
+    """The entries (cols, rows, vals) with the rows of the monomials
+    ``images`` of ``tgt``, the images of the columns ``cols`` of ``src``;
+    raises ValueError, as ``matrix_of`` does, for an image outside
+    ``tgt``."""
     rows = tgt.find(tgt.pack(images))
     if (rows < 0).any():
         i = int(np.argmax(rows < 0))
         raise ValueError(
             f"image term {tuple(images[i].tolist())} of {tuple(src.monos[cols[i]].tolist())} "
             f"is outside the target level (k={tgt.k}, h={tgt.h}, q={tgt.q})")
-    return cols * len(tgt) + rows
+    return cols, rows, vals
 
 
-def _matrix(src: Level, tgt: Level, entries: list) -> Coo:
-    """The compressed matrix that sums the (keys, vals) of ``entries``."""
+def _matrix(src: Level, tgt: Level, entries: list, transposed: bool = False) -> Coo:
+    """The compressed matrix from ``src`` to ``tgt`` that sums the
+    (cols, rows, vals) of ``entries``, or its transpose."""
     empty = np.zeros(0, dtype=np.int64)
-    keys, vals = zip((empty, empty), *entries)
-    return coo_from_keys((len(tgt), len(src)), np.concatenate(keys), np.concatenate(vals))
+    cols, rows, vals = (np.concatenate(part) for part in zip((empty,) * 3, *entries))
+    if transposed:
+        rows *= len(src)
+        return coo_from_keys((len(src), len(tgt)), rows + cols, vals)
+    cols *= len(tgt)
+    return coo_from_keys((len(tgt), len(src)), cols + rows, vals)
 
 
 def _replaced(src: Level, tgt: Level, rest: np.ndarray, ni: np.ndarray, e: np.ndarray,
-              parity) -> tuple:
-    """The entries (keys, vals) of the images rest[r, g] with the index
-    ni[r, g] inserted, for the monomials r of ``src`` and the groups g of
+              parity, first: int = 0) -> tuple:
+    """The entries of the images rest[r, g] with the index ni[r, g]
+    inserted, for the monomials first + r of ``src`` and the groups g of
     factors they replace, with the coefficient e (-1)^(parity + pos), where
     pos is the ``bisect`` position of ni among rest; none where e is 0 or
     ni repeats.  ``rest`` has shape (N, G, r), the others broadcast to
@@ -546,49 +607,89 @@ def _replaced(src: Level, tgt: Level, rest: np.ndarray, ni: np.ndarray, e: np.nd
     row, group = np.nonzero(keep)
     rest, ni, e = rest[row, group], ni[row, group], e[row, group]
     parity = np.broadcast_to(parity, keep.shape)[row, group] + (rest < ni[:, None]).sum(axis=1)
-    return (_entry_keys(src, tgt, row, np.sort(np.concatenate((rest, ni[:, None]), axis=1), axis=1)),
-            np.where(parity % 2, -e, e))
+    return _entries(src, tgt, first + row,
+                    np.sort(np.concatenate((rest, ni[:, None]), axis=1), axis=1),
+                    np.where(parity & 1, -e, e))
 
 
 def _without(q: int, drop) -> list:
     return [c for c in range(q) if c not in drop]
 
 
+# candidate images times their width built at once by one operator pass
+PASS_BUDGET = 1 << 16
+
+
+def _runs(cost: np.ndarray):
+    """Ranges [a, b) of consecutive rows whose costs sum to at most
+    ``PASS_BUDGET``, or of one row alone that costs more, covering all
+    rows."""
+    total = np.cumsum(cost)
+    a = 0
+    while a < cost.size:
+        b = int(np.searchsorted(total, (total[a - 1] if a else 0) + PASS_BUDGET, side="right"))
+        yield a, max(b, a + 1)
+        a = max(b, a + 1)
+
+
 def differential_coo(k: int, src: Level, tgt: Level) -> Coo:
     """Matrix of ``differential`` from the level ``src`` to the level
-    ``tgt`` of dimension q - 1, by its rule, one first factor s at a time,
-    over all monomials and all second factors t > s."""
+    ``tgt`` of dimension q - 1, by its rule, in one pass over all pairs of
+    factors s < t of each run of monomials (``_runs``)."""
     m, q = src.monos, src.q
+    pairs = list(combinations(range(q), 2))
+    if not pairs:
+        return _matrix(src, tgt, [])
+    s, t = np.array(pairs).T
+    others = [_without(q, pair) for pair in pairs]
     entries = []
-    for s in range(q - 1):
-        ts = np.arange(s + 1, q)
-        rest = m[:, [_without(q, (s, t)) for t in ts.tolist()]]
-        entries.append(_replaced(src, tgt, rest, m[:, s, None] + m[:, ts],
-                                 _EPS[(m[:, ts] - m[:, s, None]) % 3], s + ts + 1))
+    for a, b in _runs(np.full(len(m), len(pairs) * q)):
+        run = m[a:b]
+        entries.append(_replaced(src, tgt, run[:, others], run[:, s] + run[:, t],
+                                 _eps(run[:, t] - run[:, s]), s + t + 1, a))
     return _matrix(src, tgt, entries)
 
 
-def codifferential_coo(k: int, src: Level, tgt: Level) -> Coo:
-    """Matrix of ``codifferential`` from the level ``src`` to the level
-    ``tgt`` of dimension q + 1, by its splitting rule, one factor position
-    at a time over all monomials and all their splittings."""
-    m = src.monos
+def codifferential_transpose_coo(k: int, src: Level, tgt: Level) -> Coo:
+    """The transpose of the matrix of ``codifferential`` from the level
+    ``src`` to the level ``tgt`` of dimension q + 1, compressed in the
+    orientation of the differential from ``tgt`` to ``src``, which check 1
+    compares it with; built by the splitting rule in one pass over all
+    factor positions s and splittings of each run of monomials
+    (``_runs``).
+
+    The factor e_i splits into the e_a ^ e_b with a + b = i, k <= a < b and
+    eps(b - a) = eps(i - 2a) != 0, that is a != 2i (mod 3): with
+    a = k + j, j = 0 .. (i - 1) // 2 - k skips the j = 2i - k (mod 3), and
+    its t-th kept j is t + (t + 2 - (2i - k) % 3) // 2.  The pair goes into
+    the other factors with the sign (-1)^(s + pa + pb) of its ``bisect``
+    positions pa <= pb, which is (-1)^s times -1 per factor between a and
+    b; a factor equal to a or b gives zero.
+    """
+    m, q = src.monos, src.q
+    if not q:
+        return _matrix(src, tgt, [], transposed=True)
+    last = (m - 1) // 2 - k  # the last j of each factor
+    skip = floor_mod(2 * m - k, 3)
+    count = np.maximum(last - (last - skip) // 3, 0)
+    others = [_without(q, (s,)) for s in range(q)]
     entries = []
-    for s in range(src.q):
-        i = m[:, s]
-        count = np.maximum((i - 1) // 2 - k + 1, 0)  # the a with k <= a and 2a < i
-        row = np.repeat(np.arange(len(m)), count)
-        a = k + np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
-        b = i[row] - a
-        e = _EPS[(b - a) % 3]
-        row, a, b, e = row[e != 0], a[e != 0], b[e != 0], e[e != 0]
-        rest = m[:, _without(src.q, (s,))][row]
-        keep = (rest != a[:, None]).all(axis=1) & (rest != b[:, None]).all(axis=1)
-        row, a, b, e, rest = row[keep], a[keep], b[keep], e[keep], rest[keep]
-        parity = s + (rest < a[:, None]).sum(axis=1) + (rest < b[:, None]).sum(axis=1)
-        entries.append((_entry_keys(src, tgt, row, np.sort(np.column_stack((rest, a, b)), axis=1)),
-                        np.where(parity % 2, -e, e)))
-    return _matrix(src, tgt, entries)
+    for r0, r1 in _runs(count.sum(axis=1) * (q + 1)):
+        n = count[r0:r1].ravel()
+        at = np.repeat(np.arange(n.size), n)  # the (monomial, position) of each splitting
+        t = np.arange(at.size) - np.repeat(np.cumsum(n) - n, n)
+        a = k + t + (t + 2 - skip[r0:r1].ravel()[at]) // 2
+        b = m[r0:r1].ravel()[at] - a
+        e = _eps(b - a)
+        rest = m[r0:r1, others].reshape(n.size, q - 1)[at]
+        keep = ((rest != a[:, None]) & (rest != b[:, None])).all(axis=1)
+        at, a, b, e, rest = at[keep], a[keep], b[keep], e[keep], rest[keep]
+        between = ((rest > a[:, None]) & (rest < b[:, None])).sum(axis=1)
+        row = at // q
+        parity = at - row * q + between  # s plus the factors between a and b
+        entries.append(_entries(src, tgt, r0 + row, np.sort(np.column_stack((rest, a, b)), axis=1),
+                                np.where(parity & 1, -e, e)))
+    return _matrix(src, tgt, entries, transposed=True)
 
 
 def adjoint_coo(g: int, k: int, level: Level) -> Coo:
@@ -600,7 +701,7 @@ def adjoint_coo(g: int, k: int, level: Level) -> Coo:
     m, q = level.monos, level.q
     if not q:
         return Coo.empty((len(level), len(level)))
-    e = _EPS[(m - g) % 3]
+    e = _eps(m - g)
     out = (e != 0) & (m + g < k)
     if out.any():
         i = int(m.flat[np.argmax(out)])

@@ -6,8 +6,8 @@ coordinate arrays over the level's monomial array (``chains.Level``): D_q,
 the matrix of the differential from level q to level q-1, the
 codifferential and Gamma keep w, so their level matrices are block
 diagonal over the (q, w) slices, and e_{+-1} shift w by exactly one.
-Each walk builds the levels of its block once (``_block_levels``), from
-the monomials of ``enumerate_block``, each slice a row range
+Each walk builds the levels of its block once (``block_levels``), from
+the monomial arrays of its enumeration, each slice a row range
 ``bounds[w]``, and passes the same ``Level`` to ``_gamma_levels``, which
 forms D_q^T D_q + D_{q+1} D_{q+1}^T on it as one ``linalg.gram``, to
 ``sl2.sl2_level`` and to the certificate; a spectrum is one table of
@@ -18,7 +18,7 @@ slice: ``laplacian_slices`` cuts Gamma into slice blocks, and
 monomial by monomial, and its matrix ``laplacian_closed_form`` is the
 oracle the slices are tested against.  The arrays stay exact: no floating
 point is used, ``gram`` raises before a sum could pass 2^62, and ``Level``
-before an index overflows its key, each naming k, h and q.
+before a colex key could leave its table or int64, each naming k, h and q.
 
 Spectra are exact.  Every (q, w) slice passes these exact integer checks
 in order, level by level: check 1 in ``_gamma_levels``, then the others in
@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -66,13 +67,12 @@ from .chains import (
     Level,
     add_chains,
     adjoint_action,
+    block_levels,
     codifferential,
-    codifferential_coo,
+    codifferential_transpose_coo,
     conjugate_action,
     differential,
     differential_coo,
-    enumerate_block,
-    levels,
     matrix_of,
     raising_action,
     scale_chain,
@@ -164,19 +164,15 @@ def _closed_apply_twice(k: int, chain: Chain) -> Chain:
     return add_chains(*parts)
 
 
-def _block_levels(k: int, h: int) -> dict:
-    """The ``Level`` of each q of the degree-h block, in increasing q."""
-    return levels(enumerate_block(k, h))
-
-
 def _gamma_levels(k: int, h: int, by_q: dict):
     """Yield ``(level, gamma)`` for the levels ``by_q`` of the degree-h
-    block (its ``_block_levels``) in increasing q: gamma is
+    block (its ``block_levels``) in increasing q: gamma is
     D_q^T D_q + D_{q+1} D_{q+1}^T on the whole level, one
     ``gram`` over the stacked D_q and D_{q+1}^T.  Each D_q is built once and
     compared with the matrix of the codifferential from level q-1, built on
-    its own by its splitting rule; a mismatch raises ClaimFalsified naming
-    the (q, w) of its first column.
+    its own by its splitting rule and transposed into the orientation of
+    D_q: the compressed arrays must be equal.  On a mismatch their
+    difference names the (q, w) of its first column in ClaimFalsified.
     """
 
     def boundary(q: int) -> Coo:
@@ -185,8 +181,9 @@ def _gamma_levels(k: int, h: int, by_q: dict):
             return Coo.empty((0, len(src)))
         tgt = by_q.get(q - 1) or Level(k, h, q - 1)
         d = differential_coo(k, src, tgt)
-        diff = coo_sum(d.shape, d, codifferential_coo(k, tgt, src).T.scaled(-1))
-        if diff.vals.size:
+        delta_t = codifferential_transpose_coo(k, tgt, src)
+        if not all(map(np.array_equal, d[1:], delta_t[1:])):
+            diff = coo_sum(d.shape, d, delta_t.scaled(-1))
             raise ClaimFalsified(
                 f"codifferential is not the transpose of the differential on "
                 f"k={k}, h={h}, q={q}, w={src.weights[diff.cols[0]]}")
@@ -210,7 +207,7 @@ def laplacian_slices(k: int, h: int):
     the (q, w) slice to the (q-1, w) slice, cut from the level matrices of
     ``_gamma_levels`` (check 1 runs there).
     """
-    for level, gamma in _gamma_levels(k, h, _block_levels(k, h)):
+    for level, gamma in _gamma_levels(k, h, block_levels(k, h)):
         for w, (a, b) in level.bounds.items():
             basis = BlockBasis(k, h, map(tuple, level.monos[a:b].tolist()), w=w)
             yield level.q, w, basis, gamma.block(a, b, a, b)
@@ -407,7 +404,7 @@ def spectrum(k: int, h: int) -> SpectrumResult:
     """
     if k not in (-1, 0, 1, 2):
         raise ValueError("exact spectra are provided for k in {-1, 0, 1, 2}")
-    by_q = _block_levels(k, h)
+    by_q = block_levels(k, h)
     result = SpectrumResult(k=k, h=h, dim=sum(map(len, by_q.values())), cells={})
     for level, gamma in _gamma_levels(k, h, by_q):
         _certify_level(k, h, level, gamma, result)
@@ -421,12 +418,15 @@ def _kernel_chains(k: int, h: int, q: int, w: int, monomials, gamma: Coo,
                    kernel: list) -> list[Chain]:
     """The vectors ``kernel`` of the (q, w, h) slice matrix ``gamma`` on the
     basis ``monomials``, as chains.  Each vector v is checked to satisfy
-    Gamma v = 0 exactly; a failure raises ClaimFalsified naming k, h, q and
-    w."""
+    Gamma v = 0 exactly, as Gamma (c v) = 0 in integers, with c the least
+    common multiple of its denominators; a failure raises ClaimFalsified
+    naming k, h, q and w."""
     columns = gamma.columns()
     chains = []
     for vec in kernel:
-        if column_image(columns, vec):
+        scale = lcm(*(x.denominator for x in vec.values()))
+        if column_image(columns, {i: x.numerator * (scale // x.denominator)
+                                  for i, x in vec.items()}):
             raise ClaimFalsified(f"kernel vector is not annihilated by Gamma on "
                                  f"k={k}, h={h}, q={q}, w={w}")
         chains.append({monomials[i]: c for i, c in sorted(vec.items())})
@@ -521,7 +521,7 @@ def homology_table(k: int, h_max: int, h_min: int = 0) -> HomologyTable:
         raise ValueError("homology tables are provided for k in {-1, 0, 1, 2}")
     chains: dict = {}
     for h in range(h_min, h_max + 1):
-        for level, gamma in _gamma_levels(k, h, _block_levels(k, h)):
+        for level, gamma in _gamma_levels(k, h, block_levels(k, h)):
             kernels = level_kernels(gamma, [b - a for a, b in level.bounds.values()])
             for (w, (a, b)), kernel in zip(level.bounds.items(), kernels):
                 if kernel:

@@ -1,8 +1,9 @@
 """Exact sparse integer matrices and the elimination routines used on them.
 
 ``Coo``, int64 coordinate arrays, is the computation type: operator
-matrices, Gram sums and whole (q, h) levels are built as ``Coo``, and the
-(q, w) slices are cut from them as ``Coo``.  Dense rows of Python ints feed
+matrices, Gram sums and whole (q, h) levels are built as ``Coo``, summed by
+one ``np.sort`` of packed (position, value) words (``coo_from_keys``), and
+the (q, w) slices are cut from them as ``Coo``.  Dense rows of Python ints feed
 the exact eliminators: fraction-free (Bareiss) elimination over the
 integers for ranks and kernels, and the division-free Berkowitz algorithm
 for characteristic polynomials.  ``IntMatrix`` (one dict per column) is the
@@ -17,9 +18,10 @@ traces of its residual product prod (S - lam I), multiplied through the
 components.  Elimination modulo one word-size prime (numpy) gives one-sided
 bounds, since the rank over GF(p) never exceeds the rational rank:
 ``level_ranks_mod_p`` sums the component ranks per block, and
-``level_kernels`` runs ``fraction_kernel`` (Bareiss, then rational
-back-substitution) only on the components short of full rank mod p; its
-docstring argues that this is the reduced kernel basis of each block.
+``level_kernels`` runs ``fraction_kernel`` (Bareiss, then back-substitution
+in integers) only on the components that elimination down the diagonal mod
+p does not prove nonsingular; its docstring argues that this is the reduced
+kernel basis of each block.
 ``rank_mod_p``, ``nullity_mod_p`` and ``certify_full_rank``, the one-block
 forms of ``level_ranks_mod_p``, are kept only because the benchmark's
 tracer (``perfbench/tracer.py``) binds them.
@@ -27,6 +29,7 @@ tracer (``perfbench/tracer.py``) binds them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import prod
 from typing import NamedTuple
@@ -200,18 +203,67 @@ def coo_diag(values) -> Coo:
     return Coo((values.size, values.size), idx, idx, values)
 
 
+def floor_mod(x: np.ndarray, m: int) -> np.ndarray:
+    """x mod m, in [0, m), for an integer array x and a positive int m, as
+    x - (x // m) m: numpy divides by a scalar several times faster than it
+    takes the remainder."""
+    return x - x // m * m
+
+
+def stable_order(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` of an integer array: one
+    ``np.sort`` of the int64 words (key - min) n + position, n = key.size,
+    when they fit, which is far cheaper than a stable argsort."""
+    n = key.size
+    if not n:
+        return np.zeros(0, dtype=np.int64)
+    lo = int(key.min())
+    if (int(key.max()) - lo + 1) * n >> 63:
+        return np.argsort(key, kind="stable")
+    return floor_mod(np.sort((key.astype(np.int64) - lo) * n + np.arange(n)), n)
+
+
+def _key_sums(key: np.ndarray, vals: np.ndarray) -> tuple:
+    """The distinct keys of the non-negative int64 ``key``, increasing,
+    with the sums of their ``vals``; keys whose values sum to zero are
+    dropped.
+
+    Each pair becomes one int64 word (key << b) | (val - min), with 2^b
+    above the spread max - min of the values, so a single ``np.sort``
+    orders the terms by key and brings their values along.  Words that
+    could pass 2^63 - 1 take a stable argsort of the keys instead.  The
+    order of the terms of one key cannot change their exact sum.
+    """
+    if not key.size:
+        return key, vals
+    lo = int(vals.min())
+    bits = (int(vals.max()) - lo).bit_length()
+    if (int(key.max()) + 1) << bits > 1 << 63:
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], vals[order]
+    else:
+        words = key << bits
+        words |= vals - lo
+        words.sort()
+        key = words >> bits
+        words &= (1 << bits) - 1
+        words += lo
+        vals = words
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    if first.size < key.size:
+        key, vals = key[first], np.add.reduceat(vals, first)
+    keep = vals != 0
+    return key[keep], vals[keep]
+
+
 def coo_from_keys(shape: tuple, key: np.ndarray, vals: np.ndarray) -> Coo:
     """The compressed matrix that sums vals[i] at the position with key
-    col * shape[0] + row equal to key[i]."""
-    order = np.argsort(key, kind="stable")
-    key, vals = key[order], vals[order]
-    if key.size:
-        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        key, vals = key[first], np.add.reduceat(vals, first)
-        keep = vals != 0
-        key, vals = key[keep], vals[keep]
+    col * shape[0] + row equal to key[i], for non-negative int64 keys,
+    by ``_key_sums``."""
+    key, vals = _key_sums(key, vals)
     nrows = max(shape[0], 1)
-    return Coo(shape, key % nrows, key // nrows, vals)
+    cols = key // nrows
+    return Coo(shape, key - cols * nrows, cols, vals)
 
 
 def coo_sum(shape: tuple, *parts: Coo) -> Coo:
@@ -226,51 +278,66 @@ def gram(parts: list, where: str) -> Coo:
 
     Stacking the parts makes this one Gram sum, expanded, sorted and
     compressed (Bell, Dalton and Olson 2012): each entry A[r, j] pairs with
-    every entry A[r, i] of its row, giving A[r, i] A[r, j] at (i, j).  The
-    output columns are taken in chunks of at most ``GRAM_PAIR_BUDGET`` pairs
-    (a column never splits), so terms of different parts that cancel do so
-    before the next chunk is expanded.  A sum of at most c terms of size at
-    most m^2, where c is the largest number of entries of a column and m the
-    largest |A[r, i]|, stays below 2^62 when m^2 c does; otherwise this
-    raises OverflowError naming ``where``.  Integer arithmetic throughout.
+    the entries A[r, i] of its row with i < j, giving A[r, i] A[r, j] at
+    (i, j); the sum, symmetric, is mirrored from this strict upper triangle,
+    and its diagonal is the sum of A[r, j]^2 over each column.
+    ``stable_order`` puts the entries in row order, each row by column, so
+    the partners of an entry are the ones of its row before itself, and
+    then in column order for the expansion.  The output columns are
+    taken in chunks of at most ``GRAM_PAIR_BUDGET`` pairs (a column never
+    splits), each summed by ``_key_sums``, so terms of different parts
+    that cancel do so before the next chunk is expanded.  Positions are
+    held as int32 while n and the entry count stay below 2^31.  A sum of at
+    most c terms of size at most m^2, where c is the largest number of
+    entries of a column and m the largest |A[r, i]|, stays below 2^62 when
+    m^2 c does; otherwise this raises OverflowError naming ``where``.
+    Integer arithmetic throughout.
     """
     n = parts[0].shape[1]
     offsets = np.cumsum([0] + [p.shape[0] for p in parts])
     inner = np.concatenate([p.rows + off for p, off in zip(parts, offsets)])
+    if not inner.size:
+        return Coo.empty((n, n))
+    index = np.int32 if max(n, inner.size) < 1 << 31 else np.int64
     outer = np.concatenate([p.cols for p in parts])
     vals = np.concatenate([p.vals for p in parts])
-    if not vals.size:
-        return Coo.empty((n, n))
     big = int(np.abs(vals).max()) ** 2 * int(np.bincount(outer).max())
     if big >= 1 << 62:
         raise OverflowError(f"int64 Gram sum could overflow on {where}")
-    order = np.argsort(inner, kind="stable")
-    inner, outer, vals = inner[order], outer[order], vals[order]
+    order = stable_order(inner * n + outer)
+    inner, outer, vals = inner[order], outer[order].astype(index), vals[order]
     starts = np.flatnonzero(np.diff(inner, prepend=-1))
-    sizes = np.diff(starts, append=inner.size)
-    # each entry, taken as the column side, with the start and size of its row
-    by_col = np.argsort(outer, kind="stable")
-    start, size = np.repeat(starts, sizes)[by_col], np.repeat(sizes, sizes)[by_col]
-    col, val = outer[by_col], vals[by_col]
-    del order, inner, by_col  # freed before the chunks are expanded
-    ends = np.cumsum(size)
+    first = np.repeat(starts.astype(index), np.diff(starts, append=inner.size))
+    del inner
+    # each entry as the column side: its column, value, and partners first..itself - 1
+    order = stable_order(outer)
+    col, val, first, m = outer[order], vals[order], first[order], order.astype(index)
+    m -= first
+    del order
+    ends = np.cumsum(m)  # pairs expanded up to each entry, inclusive
     col_ends = np.flatnonzero(np.append(col[1:] != col[:-1], True))
+    diagonal = col[col_ends] * np.int64(n + 1), np.add.reduceat(val * val, np.append(0, col_ends[:-1] + 1))
     pairs_to = ends[col_ends]
-    out = []
+    keys, values = [], []
     lo = 0
     while lo < col.size:
-        base = ends[lo] - size[lo]
+        base = int(ends[lo] - m[lo])
         cut = np.searchsorted(pairs_to, base + GRAM_PAIR_BUDGET, side="right")
         hi = col_ends[max(cut - 1, np.searchsorted(col_ends, lo))] + 1
-        m = size[lo:hi]
-        total = int(m.sum())
-        pos = np.arange(total) - np.repeat(ends[lo:hi] - m - base, m)
-        partner = np.repeat(start[lo:hi], m) + pos
-        key = np.repeat(col[lo:hi], m) * n + outer[partner]
-        out.append(coo_from_keys((n, n), key, np.repeat(val[lo:hi], m) * vals[partner]))
+        count = m[lo:hi]
+        partner = (np.arange(int(ends[hi - 1]) - base)
+                   + np.repeat(first[lo:hi] - ends[lo:hi] + count + base, count))
+        key, value = _key_sums(np.repeat(col[lo:hi] * np.int64(n), count) + outer[partner],
+                               np.repeat(val[lo:hi], count) * vals[partner])
+        keys.append(key)
+        values.append(value)
         lo = hi
-    return Coo((n, n), *(np.concatenate([getattr(chunk, field) for chunk in out])
-                         for field in ("rows", "cols", "vals")))
+    del col, val, first, m, ends, outer, vals
+    upper, values = np.concatenate(keys), np.concatenate(values)
+    j = upper // n
+    i = upper - j * n  # row i < column j
+    return coo_from_keys((n, n), np.concatenate((upper, i * n + j, diagonal[0])),
+                         np.concatenate((values, values, diagonal[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +347,9 @@ def _bareiss_forward(m: list[list[int]]) -> list[int]:
     """Fraction-free (Bareiss) forward elimination of integer rows, in place.
 
     Returns the pivot columns; pivot ``r`` sits in row ``r``, so their
-    count is the rank over Q.
+    count is the rank over Q.  Entry c of row r is then the minor on rows
+    0..r and the columns of pivots 0..r-1 and c, so pivot r is the minor on
+    the pivot columns of rows 0..r.
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -297,14 +366,16 @@ def _bareiss_forward(m: list[list[int]]) -> list[int]:
             continue
         if piv != rank:
             m[rank], m[piv] = m[piv], m[rank]
-        mr = m[rank]
-        pv = mr[col]
+        tail = m[rank][col:]
+        pv = tail[0]
         for i in range(rank + 1, nrows):
             mi = m[i]
             f = mi[col]
             # every row below is rescaled, keeping the divisions exact
-            for c in range(col, ncols):
-                mi[c] = (pv * mi[c] - f * mr[c]) // prev
+            if f:
+                mi[col:] = [(pv * x - f * y) // prev for x, y in zip(mi[col:], tail)]
+            elif pv != prev:
+                mi[col:] = [pv * x // prev for x in mi[col:]]
         pivots.append(col)
         prev = pv
         if rank + 1 == nrows:
@@ -322,8 +393,12 @@ def fraction_kernel(dense_rows: list[list[int]]) -> list[dict[int, Fraction]]:
     matrix with these integer rows (at least one).
 
     Forward elimination is fraction-free over the integers; the kernel
-    vectors are recovered by rational back-substitution, one per free
-    column, with value 1 at their own free column and 0 at the others.
+    vectors are recovered by back-substitution, one per free column, with
+    value 1 at their own free column and 0 at the others.  For the free
+    column f, the rows 0..t-1 with pivots left of f form a triangular system
+    whose solution x has the denominator d = pivot t-1, their minor on the
+    pivot columns (Cramer's rule); so y = d x is solved in integers, each
+    division exact, and x = y / d is formed once per entry.
     """
     m = [row[:] for row in dense_rows]
     pivot_cols = _bareiss_forward(m)
@@ -331,18 +406,17 @@ def fraction_kernel(dense_rows: list[list[int]]) -> list[dict[int, Fraction]]:
     free_cols = [c for c in range(len(m[0])) if c not in pivot_set]
     kernel = []
     for fc in free_cols:
-        vec: dict[int, Fraction] = {fc: Fraction(1)}
-        for row in range(len(pivot_cols) - 1, -1, -1):
-            pc = pivot_cols[row]
-            if pc > fc:
-                continue
-            s = Fraction(m[row][fc])
-            for c in pivot_cols[row + 1:]:
-                if c <= fc and c in vec:
-                    s += m[row][c] * vec[c]
+        t = bisect_left(pivot_cols, fc)
+        d = m[t - 1][pivot_cols[t - 1]] if t else 1
+        y: dict[int, int] = {}
+        for row in range(t - 1, -1, -1):
+            mr = m[row]
+            s = -mr[fc] * d - sum(mr[c] * y[c] for c in pivot_cols[row + 1:t] if c in y)
             if s:
-                vec[pc] = -s / m[row][pc]
-        kernel.append(vec)
+                y[pivot_cols[row]], rest = divmod(s, mr[pivot_cols[row]])
+                if rest:
+                    raise ArithmeticError("inexact fraction-free back-substitution")
+        kernel.append({fc: Fraction(1), **{c: Fraction(v, d) for c, v in y.items()}})
     return kernel
 
 
@@ -397,6 +471,31 @@ def _echelon_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     return nrows - free.sum(axis=1)
 
 
+def _nonsingular_mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """For each matrix of the int64 stack ``a`` of square matrices (shape
+    (m, n, n), entries in [0, p)), whether elimination down the diagonal
+    meets a nonzero pivot in every column mod p, which proves it
+    nonsingular; an (m,) bool array.  ``a`` is eliminated in place.
+
+    There is no pivot search and no row is gathered: step c replaces each
+    row r > c by pv * r - f * (row c) (mod p) on the contiguous trailing
+    block, with pv = a[c, c] and f the entry of r in column c, so products
+    stay below p^2 < 2^63; later steps leave pv in place on the diagonal.
+    The step multiplies the determinant by pv^(n - c - 1) and makes column
+    c zero below the pivot; so if every pivot is nonzero mod p, the
+    determinant is a nonzero multiple of their product mod p, and the
+    matrix is nonsingular over GF(p) and over Q.  A zero pivot proves
+    nothing: the matrix may still be nonsingular.
+    """
+    n = a.shape[1]
+    for c in range(n - 1):
+        block = a[:, c, c, None, None] * a[:, c + 1:, c + 1:]
+        block -= a[:, c + 1:, c, None] * a[:, c, None, c + 1:]
+        a[:, c + 1:, c + 1:] = floor_mod(block, p)
+    d = np.arange(n)
+    return (a[:, d, d] != 0).all(axis=1)
+
+
 def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """For each of ``n`` vertices, the least vertex of its connected
     component in the graph with the edges (u[e], v[e])."""
@@ -415,7 +514,7 @@ def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _local_index(comp: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Position of each vertex among the vertices of its component, in
     increasing order."""
-    order = np.argsort(comp, kind="stable")
+    order = stable_order(comp)
     local = np.empty_like(comp)
     local[order] = np.arange(comp.size) - (np.cumsum(count) - count)[comp[order]]
     return local
@@ -455,20 +554,24 @@ def _level_components(matrix: Coo, shapes):
     diag_col = diag - starts[row_block[diag], 0] + starts[row_block[diag], 1]
     u = np.concatenate((matrix.rows, diag))
     v = nrows + np.concatenate((matrix.cols, diag_col))
-    labels, comp = np.unique(_component_labels(nrows + ncols, u, v), return_inverse=True)
+    # the components, numbered in order of their least vertex, which is its own label
+    labels = _component_labels(nrows + ncols, u, v)
+    least = labels == np.arange(labels.size)
+    comp = (np.cumsum(least) - 1)[labels]
+    count = int(least.sum())
     row_comp, col_comp = comp[:nrows], comp[nrows:]
-    row_count = np.bincount(row_comp, minlength=labels.size)
-    col_count = np.bincount(col_comp, minlength=labels.size)
+    row_count = np.bincount(row_comp, minlength=count)
+    col_count = np.bincount(col_comp, minlength=count)
     # components in order of shape; their blocks, rows and entries sorted the same way
-    order = np.lexsort((col_count, row_count))
+    order = stable_order(row_count * (ncols + 1) + col_count)
     pos = np.empty_like(order)
     pos[order] = np.arange(order.size)
-    comp_block = np.zeros(labels.size, dtype=np.int64)  # read for components with rows only
+    comp_block = np.zeros(count, dtype=np.int64)  # read for components with rows only
     comp_block[pos[row_comp]] = row_block
-    members = np.argsort(pos[row_comp], kind="stable")
+    members = stable_order(pos[row_comp])
     row_first = np.cumsum(row_count[order]) - row_count[order]
     entry_pos = pos[row_comp[matrix.rows]]
-    by_pos = np.argsort(entry_pos, kind="stable")
+    by_pos = stable_order(entry_pos)
     entry_pos = entry_pos[by_pos]
     entry_row = _local_index(row_comp, row_count)[matrix.rows[by_pos]]
     entry_col = _local_index(col_comp, col_count)[matrix.cols[by_pos]]
@@ -513,15 +616,15 @@ def level_kernels(matrix: Coo, sizes) -> list[list[dict[int, Fraction]]]:
     of the given ``sizes`` in order, in block-local indices; ``matrix``
     holds no entry outside the blocks.
 
-    Stacked ``_echelon_mod_p`` passes give the rank mod p of every sparsity
-    component (``_level_components``).  A component of full rank mod p has
-    full rank over Q too, since the rank over GF(p) never exceeds the
-    rational rank, and adds no vector.  ``fraction_kernel`` runs on the
-    dense rows of each other component (its indices in increasing order),
-    with their exact values; each vector is mapped back to the indices of
-    its block, and each block's vectors are returned in the order of their
-    free columns, which are their largest keys.  Raises ValueError as
-    ``_level_components`` does.
+    One stacked ``_nonsingular_mod_p`` pass per run of same-size sparsity
+    components (``_level_components``) proves the nonsingular ones: a
+    component whose pivots down the diagonal are all nonzero mod p has a
+    nonzero determinant mod p, so full rank over Q, and adds no vector.
+    ``fraction_kernel`` runs on the exact dense rows of each other component
+    (its indices in increasing order); each vector is mapped back to the
+    indices of its block, and each block's vectors are returned in the
+    order of their free columns, which are their largest keys.  Raises
+    ValueError as ``_level_components`` does.
 
     This is the reduced kernel basis of each block.  The symmetric
     permutation that groups the components makes the block A block diagonal
@@ -538,8 +641,8 @@ def level_kernels(matrix: Coo, sizes) -> list[list[dict[int, Fraction]]]:
     starts = np.cumsum(sizes) - sizes
     kernels: list = [[] for _ in sizes]
     for blk, rows, stack in _level_components(matrix, np.stack((sizes, sizes), axis=1)):
-        ranks = _echelon_mod_p(stack % DEFAULT_PRIME, DEFAULT_PRIME)
-        for c in np.flatnonzero(ranks < stack.shape[1]).tolist():
+        full = _nonsingular_mod_p(floor_mod(stack, DEFAULT_PRIME), DEFAULT_PRIME)
+        for c in np.flatnonzero(~full).tolist():
             b = int(blk[c])
             index = (rows[c] - starts[b]).tolist()
             kernels[b] += [{index[i]: x for i, x in vec.items()}

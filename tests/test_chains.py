@@ -1,15 +1,24 @@
+import re
+from itertools import combinations
+from math import comb
+
 import numpy as np
 import pytest
 
 from afflap import chains
 from afflap.chains import (
+    KEY_BITS,
     Level,
     adjoint_action,
     block_dim_table,
+    block_levels,
     codifferential,
+    codifferential_transpose_coo,
     conjugate_action,
     differential,
+    differential_coo,
     enumerate_block,
+    levels,
     matrix_of,
     normalize_wedge,
     weight,
@@ -73,6 +82,66 @@ def test_enumerate_block_examples():
     assert enumerate_block(1, 1, 2).monomials == ((1, 4),)
     # unit monomial belongs to every h=0 block, even for large k
     assert enumerate_block(7, 0).monomials == ((),)
+
+
+def tuple_search(k: int, h: int, w: int | None = None) -> list:
+    """The monomials of the degree-h block of L(k), of weight w when given,
+    in lexicographic order: the oracle for ``chains._block_arrays``.
+
+    Positive-degree generators are collected depth first, pruned once the
+    degree budget is exhausted; the at most three degree-zero generators
+    (indices -1, 0, 1 when >= k) are distributed by subset expansion.  The
+    empty monomial belongs to the h = 0 block for every k.
+    """
+    zero_gens = [a for a in (-1, 0, 1) if a >= k]
+    positive: list[tuple] = []
+    if h == 0:
+        positive.append(())
+    else:
+        cur: list[int] = []
+
+        def descend(a: int, rem: int) -> None:
+            while True:
+                d = generator_degree(a)
+                if d > rem:
+                    return
+                if d > 0:
+                    break
+                a += 1
+            descend(a + 1, rem)
+            cur.append(a)
+            if rem == d:
+                positive.append(tuple(cur))
+            else:
+                descend(a + 1, rem - d)
+            cur.pop()
+
+        descend(max(k, 2), h)
+    monos = [zs + tail for tail in positive for r in range(len(zero_gens) + 1)
+             for zs in combinations(zero_gens, r)]
+    return sorted(m for m in monos if w is None or weight(m) == w)
+
+
+@pytest.mark.parametrize("k", range(-1, 5))
+def test_array_enumeration_matches_the_tuple_search(k):
+    """``enumerate_block``, with and without a weight, and the arrays of
+    each q it is built from list the monomials of the tuple search, in its
+    order; ``block_levels`` holds the same levels as ``levels`` of the
+    block."""
+    for h in range(15):
+        want = tuple_search(k, h)
+        assert list(enumerate_block(k, h).monomials) == want
+        arrays = chains._block_arrays(k, h)
+        assert list(arrays) == sorted({len(m) for m in want})
+        for q, rows in arrays.items():
+            assert rows.dtype == np.int64 and rows.shape[1] == q
+            assert list(map(tuple, rows.tolist())) == [m for m in want if len(m) == q]
+        for w in range(-3, 4):
+            assert list(enumerate_block(k, h, w).monomials) == tuple_search(k, h, w)
+        by_q = levels(enumerate_block(k, h))
+        for q, level in block_levels(k, h).items():
+            assert level.monos.tolist() == by_q[q].monos.tolist()
+            assert level.bounds == by_q[q].bounds
 
 
 def test_enumerate_block_rejects_bad_k():
@@ -351,11 +420,14 @@ def assert_tight_grid(k: int, h_max: int, by_q: bool, table: dict, dtype) -> Non
 
 @pytest.mark.parametrize("k", range(-1, 5))
 def test_dim_tables_match_the_dict_dp(k):
+    """Both tables against one dict DP by q; the weight table is its sum
+    over q."""
     h_max = 160
     block = {(q, w, h): n for h, row in enumerate(dict_dp_rows(k, h_max, True))
              for (q, w), n in row.items()}
-    weights = {(w, h): n for h, row in enumerate(dict_dp_rows(k, h_max, False))
-               for (_, w), n in row.items()}
+    weights: dict = {}
+    for (_, w, h), n in block.items():
+        weights[w, h] = weights.get((w, h), 0) + n
     assert block_dim_table.__wrapped__(k, h_max) == block
     assert weight_dim_table(k, h_max) == weights
     assert_tight_grid(k, h_max, True, block, np.int64)
@@ -407,15 +479,71 @@ def test_generating_product_equals_enumeration():
         assert all(v == 0 for v in poly.values())
 
 
-def test_level_keys_refuse_indices_past_their_width():
-    """Keys hold each index minus k in 16 bits; a monomial outside that
-    range is refused with k, h and q named, not wrapped into a false match."""
-    import numpy as np
+def test_operator_passes_in_runs_build_the_same_matrices(monkeypatch):
+    """Runs of monomials bounded by ``PASS_BUDGET``, down to one monomial
+    per run, build the same D_q and delta^T as one pass; an image outside
+    the target names its own source monomial from any run."""
+    by_q = block_levels(-1, 8)
+    pairs = [(by_q[q], by_q[q - 1]) for q in by_q if q - 1 in by_q]
+    want = [(differential_coo(-1, src, tgt), codifferential_transpose_coo(-1, tgt, src))
+            for src, tgt in pairs]
+    for budget in (1, 100):
+        monkeypatch.setattr(chains, "PASS_BUDGET", budget)
+        for (src, tgt), (d, delta_t) in zip(pairs, want):
+            for got, ref in ((differential_coo(-1, src, tgt), d),
+                             (codifferential_transpose_coo(-1, tgt, src), delta_t)):
+                assert all(np.array_equal(x, y) for x, y in zip(got[1:], ref[1:]))
+    monkeypatch.setattr(chains, "PASS_BUDGET", 1)
+    (src, tgt), (d, _) = pairs[0], want[0]
+    # the image whose first source comes last: with one monomial per run,
+    # the error is raised from a run past the first
+    first_source = {}
+    for row, col in zip(d.rows.tolist(), d.cols.tolist()):
+        first_source.setdefault(row, col)
+    drop = max(first_source, key=first_source.get)
+    assert first_source[drop] > 0
+    short = Level(-1, 8, tgt.q, np.delete(tgt.monos, drop, axis=0))
+    with pytest.raises(ValueError, match="is outside the target level") as raised:
+        differential_coo(-1, src, short)
+    image, source = (tuple(int(i) for i in part.split(", ") if i) for part in
+                     re.match(r"image term \((.*?),?\) of \((.*?),?\) is", str(raised.value)).groups())
+    assert image == tuple(tgt.monos[drop].tolist()) and image in differential(-1, {source: 1})
 
-    top = (1 << 16) - 1
+
+def test_level_keys_refuse_indices_past_their_width():
+    """Keys are colex ranks, read from a table with one row per index
+    minus k; a level whose indices minus k reach 2^16, or whose ranks could
+    reach 2^63, is refused with k, h and q named, and so is an index below
+    k, not wrapped into a false match."""
+    top = (1 << KEY_BITS) - 1
     level = Level(0, 1, 2, [(0, top)])
     assert level.find(level.pack(np.array([[0, top]]))).tolist() == [0]
     with pytest.raises(OverflowError, match="k=0, h=1, q=2"):
         Level(0, 1, 2, [(0, top + 1)])
     with pytest.raises(OverflowError, match="k=0, h=1, q=2"):
         level.pack(np.array([[-1, 3]]))
+    # at q = 20 the int64 rank limit comes first: the largest index c with
+    # C(c + 1, 20) <= 2^63, and the index after it
+    q = 20
+    c = next(c for c in range(q, top) if comb(c + 2, q) > 1 << 63)
+    row = np.arange(c - q + 1, c + 1) - 1  # the indices, k = -1
+    level = Level(-1, 3, q, [row])
+    assert level.pack(row[None]).tolist() == [comb(c + 1, q) - 1]
+    assert level.find(level.pack(row[None])).tolist() == [0]
+    with pytest.raises(OverflowError, match="k=-1, h=3, q=20"):
+        Level(-1, 3, q, [row + 1])
+
+
+def test_level_keys_are_colex_ranks():
+    """The key of a row is sum_j C(c_j, j + 1) over its indices minus k,
+    c_0 < ... < c_{q-1}; a row that is not strictly increasing, or has an
+    index past the level's largest, gets the key -1, which no row has."""
+    rows = [(2, 3, 7), (2, 4, 5), (3, 5, 9), (6, 7, 8)]
+    level = Level(2, 9, 3, rows)
+    c = np.array(rows) - 2
+    want = [sum(comb(int(x), j + 1) for j, x in enumerate(r)) for r in c]
+    assert level.pack(np.array(rows)).tolist() == want
+    assert level.find(level.pack(np.array(rows[::-1]))).tolist() == [
+        level.monos.tolist().index(list(r)) for r in rows[::-1]]
+    assert level.pack(np.array([(2, 2, 7), (3, 2, 5), (2, 3, 10)])).tolist() == [-1, -1, -1]
+    assert level.find(np.array([-1, 10 ** 6])).tolist() == [-1, -1]

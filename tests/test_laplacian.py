@@ -90,15 +90,15 @@ def _flipped(matrix, level_rows, level_cols, image, source):
 def test_definition_checks_codifferential_against_transpose(monkeypatch):
     from afflap import laplacian
 
-    real = laplacian.codifferential_coo
+    real = laplacian.codifferential_transpose_coo
 
     def one_sign_flipped(k, src, tgt):
-        return _flipped(real(k, src, tgt), tgt, src, (2, 3), (5,))
+        return _flipped(real(k, src, tgt), src, tgt, (5,), (2, 3))
 
     basis = enumerate_block(2, 2)
     assert codifferential(2, {(5,): 1}) == {(2, 3): 1}
     laplacian_by_definition(2, basis)
-    monkeypatch.setattr(laplacian, "codifferential_coo", one_sign_flipped)
+    monkeypatch.setattr(laplacian, "codifferential_transpose_coo", one_sign_flipped)
     with pytest.raises(ClaimFalsified):
         laplacian_by_definition(2, basis)
 
@@ -226,18 +226,19 @@ def test_spectrum_builds_each_level_once(monkeypatch):
 
 def test_oracle_paths_enumerate_their_block_once(monkeypatch):
     """laplacian_by_definition and harmonic_basis check the basis against
-    the same levels they build Gamma on: one enumeration of the block."""
+    the same levels they build Gamma on: one enumeration of the block, by
+    ``block_levels``."""
     from afflap import laplacian
 
     basis = enumerate_block(2, 8)
-    real = laplacian.enumerate_block
+    real = laplacian.block_levels
     calls = []
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(laplacian, "enumerate_block", counting)
+    monkeypatch.setattr(laplacian, "block_levels", counting)
     for oracle in (laplacian_by_definition, harmonic_basis):
         calls.clear()
         oracle(2, basis)
@@ -383,24 +384,23 @@ def test_homology_kernels_run_only_on_rank_deficient_slices(monkeypatch):
 
 
 def test_a_modular_rank_deficit_sends_one_component_to_exact_elimination(monkeypatch):
-    """One rank too few mod p on a component of full rank makes
-    ``fraction_kernel`` run on that component too; it returns no vector, and
-    the homology table does not change."""
+    """A component of full rank left unproved mod p (one zero pivot too
+    many) makes ``fraction_kernel`` run on that component too; it returns no
+    vector, and the homology table does not change."""
     from afflap import linalg
 
     want = homology_table(2, 8)
-    real = linalg._echelon_mod_p
+    real = linalg._nonsingular_mod_p
     lowered = []
 
     def one_too_few(stack, p):
         before = stack.copy()
-        ranks = real(stack, p)
-        if not lowered and stack.shape[1] == stack.shape[2]:
-            full = np.flatnonzero(ranks == stack.shape[1])
-            if full.size:
-                ranks[full[0]] -= 1
-                lowered.append(before[full[0]].tolist())
-        return ranks
+        full = real(stack, p)
+        if not lowered and full.any():
+            c = int(np.argmax(full))
+            full[c] = False
+            lowered.append(before[c].tolist())
+        return full
 
     runs = []
     exact = linalg.fraction_kernel
@@ -409,7 +409,7 @@ def test_a_modular_rank_deficit_sends_one_component_to_exact_elimination(monkeyp
         runs.append((rows, exact(rows)))
         return runs[-1][1]
 
-    monkeypatch.setattr(linalg, "_echelon_mod_p", one_too_few)
+    monkeypatch.setattr(linalg, "_nonsingular_mod_p", one_too_few)
     monkeypatch.setattr(linalg, "fraction_kernel", recording)
     got = homology_table(2, 8)
     assert (got.entries, got.chains) == (want.entries, want.chains)

@@ -216,6 +216,36 @@ def test_level_kernels_skip_the_components_of_full_modular_rank(monkeypatch):
     assert calls == [[[1, 1], [1, 1]]]
 
 
+def test_level_kernels_send_unproved_components_to_exact_elimination(monkeypatch):
+    """The modular pass proves a component nonsingular only when every
+    pivot down its diagonal is nonzero: [[0, 1], [1, 0]] is nonsingular but
+    unproved, so ``fraction_kernel`` runs on it and returns no vector; the
+    positive definite [[2, 1], [1, 2]] beside it is proved and skipped."""
+    level = np.zeros((4, 4), dtype=np.int64)
+    level[:2, :2] = [[0, 1], [1, 0]]
+    level[2:, 2:] = [[2, 1], [1, 2]]
+    calls = []
+    exact = linalg.fraction_kernel
+    monkeypatch.setattr(linalg, "fraction_kernel", lambda m: calls.append(m) or exact(m))
+    assert level_kernels(from_rows(level), [2, 2]) == [[], []]
+    assert calls == [[[0, 1], [1, 0]]]
+
+
+def test_stable_order_widens_narrow_keys_before_packing():
+    """int32 keys whose packed words pass 2^31 are packed in int64."""
+    key = np.array([40000, 3, 40000, 1] * 30000, dtype=np.int32)
+    assert linalg.stable_order(key).tolist() == np.argsort(key, kind="stable").tolist()
+
+
+def test_gram_diagonal_keys_pass_int32():
+    """A Gram sum over more than 46341 columns has diagonal keys past 2^31."""
+    n = 50000
+    a = Coo((1, n), np.zeros(2, dtype=np.int64), np.array([3, n - 1]), np.array([2, -1]))
+    got = gram([a], "x")
+    assert int_matrix(got).columns[n - 1] == {3: -2, n - 1: 1}
+    assert int_matrix(got).columns[3] == {3: 4, n - 1: -2}
+
+
 def test_level_nullities_are_exact_or_none():
     """Exact nullities where prod (S - lam I) = 0, in the order of the lams,
     and None where it is not: a Jordan block at a listed lam, an eigenvalue

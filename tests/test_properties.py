@@ -11,6 +11,7 @@ no sign logic.
 """
 
 import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from afflap.chains import (
     adjoint_action,
     adjoint_coo,
     codifferential,
-    codifferential_coo,
+    codifferential_transpose_coo,
     conjugate_action,
     differential,
     differential_coo,
@@ -50,7 +51,10 @@ from afflap.linalg import (
     level_ranks_mod_p,
     nullity_mod_p,
     rank_mod_p,
+    sparse_sum,
+    stable_order,
 )
+from afflap.linalg import _nonsingular_mod_p
 from afflap.series import Series, product_over
 from afflap.sl2 import HalfLaurent, RepRingElement, weyl_inverse, weyl_map
 from test_linalg import int_matrix
@@ -258,7 +262,9 @@ def test_level_arrays_match_the_per_monomial_operators(k, h):
         if q:
             assert (_array_slices(lambda: differential_coo(k, src, level[q - 1]), src, level[q - 1], 0)
                     == _slice_matrices(lambda c: differential(k, c), parts, src, (-1, 0)))
-        assert (_array_slices(lambda: codifferential_coo(k, src, level[q + 1]), src, level[q + 1], 0)
+        assert (_array_slices(lambda: coo_sum((len(level[q + 1]), len(src)),
+                                              codifferential_transpose_coo(k, src, level[q + 1]).T),
+                              src, level[q + 1], 0)
                 == _slice_matrices(lambda c: codifferential(k, c), parts, src, (1, 0)))
         for g in (1, -1):
             assert (_array_slices(lambda: adjoint_coo(g, k, src), src, src, g)
@@ -448,6 +454,114 @@ def test_level_ranks_refuse_a_component_across_two_slices():
     assert rank_mod_p(level, [0, 1]) == [1, 3]
     with pytest.raises(ValueError, match="component"):
         level_ranks_mod_p(level, [(2, 2), (2, 2)])
+
+
+# ---------------------------------------------------------------------------
+# packed-word sums, stable orders, modular nonsingularity and exact kernels
+
+@st.composite
+def keyed_terms(draw):
+    """(shape, keys, vals): terms on a small grid, with repeated keys,
+    values that cancel to 0 and negative values; sometimes a key or a value
+    range wide enough that the packed words would pass 2^63."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    wide = draw(st.sampled_from((None, "key", "value")))
+    if wide:  # keys past 2^62, or values spread over 2^58 on keys up to 6 * 2^10
+        rows = 1 << (60 if wide == "key" else 10)
+    big = 1 << 57 if wide == "value" else 5  # 35 terms of one key sum below 2^63
+    keys = draw(st.lists(st.integers(0, rows * cols - 1), max_size=30))
+    vals = [draw(st.integers(-big, big)) for _ in keys]
+    # each key also appears once more with its value negated: those cancel
+    cancel = draw(st.lists(st.sampled_from(range(len(keys))), max_size=5)) if keys else []
+    keys += [keys[i] for i in cancel]
+    vals += [-vals[i] for i in cancel]
+    return (rows, cols), np.array(keys, dtype=np.int64), np.array(vals, dtype=np.int64)
+
+
+@PROPERTY
+@given(keyed_terms())
+@example(((2, 2), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)))  # empty
+@example(((1 << 40, 8), np.array([5, 5, 1 << 42]), np.array([3, -3, 7])))  # argsort path
+@example(((3, 3), np.array([4, 4, 4, 0]), np.array([-(1 << 62), 1 << 62, -2, 1 << 62])))
+def test_coo_from_keys_is_the_dict_sum(case):
+    """The compressed matrix holds exactly the nonzero sums of the terms
+    per key, sorted by column and then by row."""
+    shape, keys, vals = case
+    want = {key: v for key, v in sparse_sum(zip(keys.tolist(), vals.tolist())).items()}
+    got = coo_from_keys(shape, keys, vals)
+    nrows = shape[0]
+    assert dict(zip((got.cols * nrows + got.rows).tolist(), got.vals.tolist())) == want
+    assert np.all(np.diff(got.cols * nrows + got.rows) > 0)
+    assert got.rows.dtype == got.cols.dtype == got.vals.dtype == np.int64
+
+
+@PROPERTY
+@given(st.lists(st.integers(-(1 << 62), 1 << 62), max_size=40), st.booleans())
+@example([3, -1, 3, 0, -1], False)
+def test_stable_order_is_the_stable_argsort(values, narrow):
+    """Narrow keys take the packed-word sort, wide ones the argsort."""
+    key = np.array([v % 7 if narrow else v for v in values], dtype=np.int64)
+    assert stable_order(key).tolist() == np.argsort(key, kind="stable").tolist()
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.data())
+@example(2, None)
+def test_a_modular_nonsingularity_proof_is_sound(n, data):
+    """Whenever every pivot down the diagonal is nonzero mod p the matrix
+    has full rational rank; a nonsingular matrix with a zero leading pivot
+    is left unproved, and a positive definite one is proved."""
+    if data is None:
+        rows = [[0, 1], [1, 0]]
+    else:
+        rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+    proved = _nonsingular_mod_p(np.array([rows], dtype=np.int64) % DEFAULT_PRIME,
+                                DEFAULT_PRIME)[0]
+    if proved:
+        assert bareiss_rank(rows) == len(rows)
+    if rows[0][0] == 0:
+        assert not proved
+    gram_rows = (np.array(rows).T @ np.array(rows) + np.eye(len(rows), dtype=np.int64)).tolist()
+    assert _nonsingular_mod_p(np.array([gram_rows]) % DEFAULT_PRIME, DEFAULT_PRIME)[0]
+
+
+def reduced_kernel(rows: list) -> list:
+    """The reduced echelon kernel basis by Gauss-Jordan elimination over
+    Fraction: the oracle for ``fraction_kernel``."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots: list = []
+    for col in range(len(m[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                m[i] = [a - m[i][col] * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    kernel = []
+    for f in (c for c in range(len(m[0])) if c not in pivots):
+        vec = {f: Fraction(1)}
+        vec.update((pc, -m[r][f]) for r, pc in enumerate(pivots) if pc < f and m[r][f])
+        kernel.append(vec)
+    return kernel
+
+
+@PROPERTY
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 4), st.data())
+def test_fraction_kernel_is_the_reduced_kernel(n, m, r, data):
+    """``fraction_kernel`` solves its triangular systems in integers over
+    the last pivot; its basis is the Gauss-Jordan one over Fraction, on
+    products of rank at most r, which have wide kernels and big minors."""
+    a = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=r, max_size=r),
+                           min_size=n, max_size=n))
+    b = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=m, max_size=m),
+                           min_size=r, max_size=r))
+    rows = (np.array(a, dtype=np.int64).reshape(n, r) @ np.array(b, dtype=np.int64).reshape(r, m)).tolist()
+    assert fraction_kernel(rows) == reduced_kernel(rows)
 
 
 # ---------------------------------------------------------------------------
