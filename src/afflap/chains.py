@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .generators import epsilon, generator_degree
-from .linalg import Coo, IntMatrix, coo_from_keys, floor_mod, sparse_sum, stable_order
+from .linalg import Coo, IntMatrix, coo_from_keys, floor_mod, runs, sparse_sum, stable_order
 
 Monomial = tuple
 Chain = dict
@@ -616,26 +616,10 @@ def _without(q: int, drop) -> list:
     return [c for c in range(q) if c not in drop]
 
 
-# candidate images times their width built at once by one operator pass
-PASS_BUDGET = 1 << 16
-
-
-def _runs(cost: np.ndarray):
-    """Ranges [a, b) of consecutive rows whose costs sum to at most
-    ``PASS_BUDGET``, or of one row alone that costs more, covering all
-    rows."""
-    total = np.cumsum(cost)
-    a = 0
-    while a < cost.size:
-        b = int(np.searchsorted(total, (total[a - 1] if a else 0) + PASS_BUDGET, side="right"))
-        yield a, max(b, a + 1)
-        a = max(b, a + 1)
-
-
 def differential_coo(k: int, src: Level, tgt: Level) -> Coo:
     """Matrix of ``differential`` from the level ``src`` to the level
     ``tgt`` of dimension q - 1, by its rule, in one pass over all pairs of
-    factors s < t of each run of monomials (``_runs``)."""
+    factors s < t of each run of monomials (``linalg.runs``)."""
     m, q = src.monos, src.q
     pairs = list(combinations(range(q), 2))
     if not pairs:
@@ -643,7 +627,7 @@ def differential_coo(k: int, src: Level, tgt: Level) -> Coo:
     s, t = np.array(pairs).T
     others = [_without(q, pair) for pair in pairs]
     entries = []
-    for a, b in _runs(np.full(len(m), len(pairs) * q)):
+    for a, b in runs(np.full(len(m), len(pairs) * q)):
         run = m[a:b]
         entries.append(_replaced(src, tgt, run[:, others], run[:, s] + run[:, t],
                                  _eps(run[:, t] - run[:, s]), s + t + 1, a))
@@ -656,7 +640,7 @@ def codifferential_transpose_coo(k: int, src: Level, tgt: Level) -> Coo:
     orientation of the differential from ``tgt`` to ``src``, which check 1
     compares it with; built by the splitting rule in one pass over all
     factor positions s and splittings of each run of monomials
-    (``_runs``).
+    (``linalg.runs``).
 
     The factor e_i splits into the e_a ^ e_b with a + b = i, k <= a < b and
     eps(b - a) = eps(i - 2a) != 0, that is a != 2i (mod 3): with
@@ -674,7 +658,7 @@ def codifferential_transpose_coo(k: int, src: Level, tgt: Level) -> Coo:
     count = np.maximum(last - (last - skip) // 3, 0)
     others = [_without(q, (s,)) for s in range(q)]
     entries = []
-    for r0, r1 in _runs(count.sum(axis=1) * (q + 1)):
+    for r0, r1 in runs(count.sum(axis=1) * (q + 1)):
         n = count[r0:r1].ravel()
         at = np.repeat(np.arange(n.size), n)  # the (monomial, position) of each splitting
         t = np.arange(at.size) - np.repeat(np.cumsum(n) - n, n)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chains import enumerate_block, levels, weight_dim_table
+from .chains import block_levels, weight_dim_table
 from .generators import epsilon
 from .series import DEFAULT_ORDER, Series, inverse_theta_neg, product_over, theta
 from .sl2 import HalfLaurent, RepRingElement, singular_block_dims, weyl_inverse, weyl_map
@@ -208,7 +208,7 @@ def _check_gen_L1(order: int):
     degrees = {lam + w * (w - 1) // 2 for w in _GEN_L1_WINDOW for lam in range(anchor)}
     enumerated: dict = {}
     for h in degrees:
-        for level in levels(enumerate_block(1, h)).values():
+        for level in block_levels(1, h).values():
             for w, (start, end) in level.bounds.items():
                 enumerated[w, h] = enumerated.get((w, h), 0) + end - start
     for w in _GEN_L1_WINDOW:

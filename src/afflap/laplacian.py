@@ -97,7 +97,7 @@ from .linalg import (
     sparse_sum,
     strip_integer_roots,
 )
-from .sl2 import ClaimFalsified, sl2_level
+from .sl2 import ClaimFalsified, require_equal, sl2_level
 
 # ---------------------------------------------------------------------------
 # the two constructions, as chain operators
@@ -171,8 +171,8 @@ def _gamma_levels(k: int, h: int, by_q: dict):
     ``gram`` over the stacked D_q and D_{q+1}^T.  Each D_q is built once and
     compared with the matrix of the codifferential from level q-1, built on
     its own by its splitting rule and transposed into the orientation of
-    D_q: the compressed arrays must be equal.  On a mismatch their
-    difference names the (q, w) of its first column in ClaimFalsified.
+    D_q: the two must be equal (``require_equal``), or ClaimFalsified names
+    the (q, w) of the first column of their difference.
     """
 
     def boundary(q: int) -> Coo:
@@ -181,12 +181,9 @@ def _gamma_levels(k: int, h: int, by_q: dict):
             return Coo.empty((0, len(src)))
         tgt = by_q.get(q - 1) or Level(k, h, q - 1)
         d = differential_coo(k, src, tgt)
-        delta_t = codifferential_transpose_coo(k, tgt, src)
-        if not all(map(np.array_equal, d[1:], delta_t[1:])):
-            diff = coo_sum(d.shape, d, delta_t.scaled(-1))
-            raise ClaimFalsified(
-                f"codifferential is not the transpose of the differential on "
-                f"k={k}, h={h}, q={q}, w={src.weights[diff.cols[0]]}")
+        require_equal(d, codifferential_transpose_coo(k, tgt, src), src.weights,
+                      f"codifferential is not the transpose of the differential on "
+                      f"k={k}, h={h}, q={q}")
         return d
 
     upper: dict = {}  # q + 1 -> D_{q+1}, kept for that level
@@ -353,13 +350,11 @@ def _certify_level(k: int, h: int, level: Level, gamma: Coo, result: SpectrumRes
     else:
         sign = 1 if k == -1 else -1
         casimir = sl2_level(k, level)[1]
-        diff = coo_sum((n, n), gamma.scaled(2), coo_diag(np.full(n, -2 * h)),
-                       casimir.scaled(-sign))
+        require_equal(gamma.scaled(2),
+                      coo_sum((n, n), coo_diag(np.full(n, 2 * h)), casimir.scaled(sign)),
+                      level.weights,
+                      f"2 Gamma != 2h I {'+' if sign > 0 else '-'} C on k={k}, h={h}, q={q}")
         del casimir  # not held through checks 5 and 6
-        if diff.vals.size:
-            raise ClaimFalsified(
-                f"2 Gamma != 2h I {'+' if sign > 0 else '-'} C on "
-                f"k={k}, h={h}, q={q}, w={level.weights[diff.cols[0]]}")
         pieces = []  # (w', eigenvalue, multiplicity) of the pieces that occur, by increasing w'
         for wp in reversed(range(max(map(abs, dims)) + 1)):
             m_pred = dims.get(wp, 0) - dims.get(wp + 1, 0)

@@ -13,10 +13,13 @@ sum that can cancel (chains, ring elements, matrix columns) is formed by
 ``sparse_sum``, the one place that drops zero entries.
 ``_level_components`` splits a block-diagonal matrix into the connected
 components of its sparsity graph, stacked one shape at a time over all
-blocks.  ``level_nullities`` proves each block's nullities exactly from the
-traces of its residual product prod (S - lam I), multiplied through the
-components.  Elimination modulo one word-size prime (numpy) gives one-sided
-bounds, since the rank over GF(p) never exceeds the rational rank:
+blocks.  ``runs`` is the one loop that bounds memory: the operator passes
+of ``chains``, the Gram sums and the component stacks take their items in
+runs whose costs sum to at most ``PASS_BUDGET``.  ``level_nullities``
+proves each block's nullities exactly from the traces of its residual
+product prod (S - lam I), multiplied through the components.  Elimination
+modulo one word-size prime (numpy) gives one-sided bounds, since the rank
+over GF(p) never exceeds the rational rank:
 ``level_ranks_mod_p`` sums the component ranks per block, and
 ``level_kernels`` runs ``fraction_kernel`` (Bareiss, then back-substitution
 in integers) only on the components that elimination down the diagonal mod
@@ -134,8 +137,23 @@ class IntMatrix:
 # ---------------------------------------------------------------------------
 # int64 coordinate arrays: sums, transposes and Gram sums of whole levels
 
-# expanded (row, col) pairs held at once by one chunk of ``gram``
-GRAM_PAIR_BUDGET = 1 << 14
+# the cost of one run of ``runs``: candidate entries held at once by one
+# operator pass, expanded pairs of one ``gram`` run, or dense entries of one
+# stack of ``_level_components``
+PASS_BUDGET = 1 << 14
+
+
+def runs(cost: np.ndarray):
+    """Ranges [a, b) of consecutive items whose costs sum to at most
+    ``PASS_BUDGET``, or of one item alone that costs more, covering all
+    items in order."""
+    total = np.cumsum(cost)
+    a = 0
+    while a < cost.size:
+        cut = np.searchsorted(total, (total[a - 1] if a else 0) + PASS_BUDGET, side="right")
+        b = max(int(cut), a + 1)
+        yield a, b
+        a = b
 
 
 class Coo(NamedTuple):
@@ -283,14 +301,15 @@ def gram(parts: list, where: str) -> Coo:
     and its diagonal is the sum of A[r, j]^2 over each column.
     ``stable_order`` puts the entries in row order, each row by column, so
     the partners of an entry are the ones of its row before itself, and
-    then in column order for the expansion.  The output columns are
-    taken in chunks of at most ``GRAM_PAIR_BUDGET`` pairs (a column never
-    splits), each summed by ``_key_sums``, so terms of different parts
-    that cancel do so before the next chunk is expanded.  Positions are
-    held as int32 while n and the entry count stay below 2^31.  A sum of at
-    most c terms of size at most m^2, where c is the largest number of
-    entries of a column and m the largest |A[r, i]|, stays below 2^62 when
-    m^2 c does; otherwise this raises OverflowError naming ``where``.
+    then in column order for the expansion.  The entries are taken in
+    ``runs``, each costing its number of pairs, and each run is summed by
+    ``_key_sums``, so terms of different parts that cancel do so before the
+    next run is expanded; a column that spans two runs is summed with the
+    rest at the end.  Positions are held as int32 while n and the entry
+    count stay below 2^31.  A sum of at most c terms of size at most m^2,
+    where c is the largest number of entries of a column and m the largest
+    |A[r, i]|, stays below 2^62 when m^2 c does, and so does each partial
+    sum of a run; otherwise this raises OverflowError naming ``where``.
     Integer arithmetic throughout.
     """
     n = parts[0].shape[1]
@@ -314,25 +333,18 @@ def gram(parts: list, where: str) -> Coo:
     col, val, first, m = outer[order], vals[order], first[order], order.astype(index)
     m -= first
     del order
-    ends = np.cumsum(m)  # pairs expanded up to each entry, inclusive
-    col_ends = np.flatnonzero(np.append(col[1:] != col[:-1], True))
-    diagonal = col[col_ends] * np.int64(n + 1), np.add.reduceat(val * val, np.append(0, col_ends[:-1] + 1))
-    pairs_to = ends[col_ends]
+    starts = np.flatnonzero(np.diff(col, prepend=-1))
+    diagonal = col[starts] * np.int64(n + 1), np.add.reduceat(val * val, starts)
     keys, values = [], []
-    lo = 0
-    while lo < col.size:
-        base = int(ends[lo] - m[lo])
-        cut = np.searchsorted(pairs_to, base + GRAM_PAIR_BUDGET, side="right")
-        hi = col_ends[max(cut - 1, np.searchsorted(col_ends, lo))] + 1
+    for lo, hi in runs(m):
         count = m[lo:hi]
-        partner = (np.arange(int(ends[hi - 1]) - base)
-                   + np.repeat(first[lo:hi] - ends[lo:hi] + count + base, count))
+        partner = (np.arange(int(count.sum()))
+                   + np.repeat(first[lo:hi] - (np.cumsum(count) - count), count))
         key, value = _key_sums(np.repeat(col[lo:hi] * np.int64(n), count) + outer[partner],
                                np.repeat(val[lo:hi], count) * vals[partner])
         keys.append(key)
         values.append(value)
-        lo = hi
-    del col, val, first, m, ends, outer, vals
+    del col, val, first, m, outer, vals
     upper, values = np.concatenate(keys), np.concatenate(values)
     j = upper // n
     i = upper - j * n  # row i < column j
@@ -434,10 +446,6 @@ def exact_nullity(matrix: Coo, lam: int = 0) -> int:
 # ---------------------------------------------------------------------------
 # modular elimination (certified one-sided bounds)
 
-# entries of one stack of ``_level_components``
-STACK_BUDGET = 1 << 18
-
-
 def _echelon_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     """The rank over GF(p) of each matrix in the int64 stack ``a`` (shape
     (m, rows, cols), entries in [0, p)), an (m,) array; ``a`` is eliminated
@@ -533,8 +541,8 @@ def _level_components(matrix: Coo, shapes):
     column j, and in a square block row i is also joined to column i.
     Components without a row or a column are left out.  Runs follow the
     order of shape, and components in a run the order of their least
-    vertex.  A run's m r x c matrices hold at most the entries of the
-    dense blocks, and at most ``STACK_BUDGET``, unless one alone needs more.
+    vertex.  A run's m r x c matrices hold at most ``PASS_BUDGET``
+    entries, unless one alone needs more (``runs``).
     Raises ValueError when the blocks do not tile the matrix or a component
     crosses two blocks (an entry lies outside them).
     """
@@ -576,16 +584,14 @@ def _level_components(matrix: Coo, shapes):
     entry_row = _local_index(row_comp, row_count)[matrix.rows[by_pos]]
     entry_col = _local_index(col_comp, col_count)[matrix.cols[by_pos]]
     entry_val = matrix.vals[by_pos]
-    budget = min(int(shapes.prod(axis=1).sum()), STACK_BUDGET)
     shape_of = np.stack((row_count[order], col_count[order]), axis=1)
     group_starts = np.flatnonzero(np.any(np.diff(shape_of, axis=0, prepend=-1) != 0, axis=1))
     for g0, g1 in zip(group_starts.tolist(), [*group_starts[1:].tolist(), order.size]):
         sr, sc = shape_of[g0].tolist()
         if not sr or not sc:
             continue
-        turn = max(1, budget // (sr * sc))
-        for a in range(g0, g1, turn):
-            b = min(g1, a + turn)
+        for r0, r1 in runs(np.full(g1 - g0, sr * sc)):
+            a, b = g0 + r0, g0 + r1
             lo, hi = np.searchsorted(entry_pos, (a, b))
             stack = np.zeros((b - a, sr, sc), dtype=np.int64)
             stack[entry_pos[lo:hi] - a, entry_row[lo:hi], entry_col[lo:hi]] = entry_val[lo:hi]

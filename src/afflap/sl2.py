@@ -3,6 +3,8 @@ Clebsch-Gordan singular vectors, and the sl2 action on chain blocks.
 ``sl2_level`` is the one source of the checked e_{+-1} matrices of a
 ``chains.Level``: the Laplacian certificate takes the level Casimir from
 it, and the singular route cuts its E_1 slices from the level matrix.
+``require_equal`` is the one comparison of two level matrices that checks
+1-4 of the Laplacian certificate make.
 
 Dominant weights are stored doubled (2w is a non-negative integer), so all
 bookkeeping stays integral even for half-integer weights.  The same doubling
@@ -29,6 +31,16 @@ from .linalg import Coo, bareiss_rank, coo_diag, coo_sum, gram, sparse_sum
 
 class ClaimFalsified(AssertionError):
     """An exactly computed quantity contradicts a predicted law."""
+
+
+def require_equal(left: Coo, right: Coo, weights: np.ndarray, claim: str) -> None:
+    """Raise ClaimFalsified("<claim>, w=<w>") unless the compressed level
+    matrices ``left`` and ``right`` are equal, array by array.  Their
+    difference is formed only on a mismatch, in the orientation of
+    ``left``; w is the weight, in ``weights``, of its first column."""
+    if not all(map(np.array_equal, left, right)):
+        diff = coo_sum(left.shape, left, right.scaled(-1))
+        raise ClaimFalsified(f"{claim}, w={weights[diff.cols[0]]}")
 
 
 class _SparseRingElement:
@@ -346,15 +358,12 @@ def sl2_level(k: int, level: Level) -> tuple[Coo, Coo]:
     _check_lands(up, level, 1, where)
     down = adjoint_coo(-1, k, level)
     _check_lands(down, level, -1, where)
-    diff = coo_sum((n, n), up, down.T.scaled(-1))
-    if diff.vals.size:
-        raise ClaimFalsified(
-            f"e_-1 is not the transpose of e_1 on {where}, w={weights[diff.cols[0]]}")
+    require_equal(up, coo_sum((n, n), down.T), weights,
+                  f"e_-1 is not the transpose of e_1 on {where}")
     lower_raise = gram([up], where)     # e_-1 e_1 = E^T E
     raise_lower = gram([up.T], where)   # e_1 e_-1 = E E^T
-    diff = coo_sum((n, n), raise_lower, lower_raise.scaled(-1), coo_diag(-weights))
-    if diff.vals.size:
-        raise ClaimFalsified(f"[e_1, e_-1] != w I on {where}, w={weights[diff.cols[0]]}")
+    require_equal(raise_lower, coo_sum((n, n), lower_raise, coo_diag(weights)), weights,
+                  f"[e_1, e_-1] != w I on {where}")
     return up, coo_sum((n, n), lower_raise, coo_diag(weights * weights), raise_lower)
 
 

@@ -1,11 +1,11 @@
 import re
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 import numpy as np
 import pytest
 
-from afflap import chains
+from afflap import chains, linalg
 from afflap.chains import (
     KEY_BITS,
     Level,
@@ -386,26 +386,44 @@ def test_weight_dim_table_exact_beyond_int64():
 
 
 def dict_dp_rows(k: int, h_max: int, by_q: bool) -> list[dict]:
-    """The dimension tables by a dict DP, the oracle for ``chains._dim_grid``:
-    ``rows[h]`` maps (q, w) to the number of monomials of degree h with q
-    factors and weight w, or (0, w) to the count over all q without ``by_q``.
+    """The dimension tables by a DP in Python ints, the oracle for
+    ``chains._dim_grid``: ``rows[h]`` maps (q, w) to the number of monomials
+    of degree h with q factors and weight w, or (0, w) to the count over all
+    q without ``by_q``.
 
-    Each generator runs over the rows from the highest h down, in place, and
-    never touches an entry with h + deg a > h_max; a degree-zero generator
-    reads a copy of its row.  Counts are Python ints, which do not overflow.
+    Row h is one Python int that holds the count of (q, w) in its field
+    number q * (2 Q + 1) + w + Q of B bits, with Q the most generators
+    whose degrees fit in h_max (so |w| <= q <= Q) and 2^B above every count
+    of one degree.  Each generator of degree d and weight e runs over the
+    rows from the highest h down, in place, adding row h shifted by the
+    fields of (by_q, e) to row h + d: one shift and one add per row, and no
+    field carries into the next.  A degree-zero generator reads the row
+    before adding to it.  The fields are read back as bytes.
     """
-    rows: list[dict] = [{} for _ in range(h_max + 1)]
-    rows[0][0, 0] = 1
+    gens = []
     a = k
     while (d := generator_degree(a)) <= h_max:
-        e = epsilon(a)
-        for h in range(h_max - d, -1, -1):
-            src, dst = (rows[h], rows[h + d]) if d else (dict(rows[h]), rows[h])
-            for (q, w), n in src.items():
-                key = (q + by_q, w + e)
-                dst[key] = dst.get(key, 0) + n
+        gens.append((d, epsilon(a)))
         a += 1
-    return rows
+    q_max = sum(1 for total in accumulate(d for d, _ in gens) if total <= h_max)
+    counts = [1] + [0] * h_max  # monomials of each degree, over all q and w
+    for d, _ in gens:
+        for h in range(h_max - d, -1, -1):
+            counts[h + d] += counts[h]
+    size = max(counts).bit_length() // 8 + 1  # bytes of one field
+    span = 2 * q_max + 1  # fields of one q
+    rows = [0] * (h_max + 1)
+    rows[0] = 1 << 8 * size * q_max  # (q, w) = (0, 0)
+    for d, e in gens:
+        shift = 8 * size * (span * by_q + e)
+        for h in range(h_max - d, -1, -1):
+            rows[h + d] += rows[h] << shift if shift >= 0 else rows[h] >> -shift
+    tables = []
+    for row in rows:
+        raw = row.to_bytes(row.bit_length() // 8 + 1, "little")
+        fields = (int.from_bytes(raw[f:f + size], "little") for f in range(0, len(raw), size))
+        tables.append({(f // span, f % span - q_max): n for f, n in enumerate(fields) if n})
+    return tables
 
 
 def assert_tight_grid(k: int, h_max: int, by_q: bool, table: dict, dtype) -> None:
@@ -480,20 +498,20 @@ def test_generating_product_equals_enumeration():
 
 
 def test_operator_passes_in_runs_build_the_same_matrices(monkeypatch):
-    """Runs of monomials bounded by ``PASS_BUDGET``, down to one monomial
-    per run, build the same D_q and delta^T as one pass; an image outside
-    the target names its own source monomial from any run."""
+    """Runs of monomials bounded by ``linalg.PASS_BUDGET``, down to one
+    monomial per run, build the same D_q and delta^T as one pass; an image
+    outside the target names its own source monomial from any run."""
     by_q = block_levels(-1, 8)
     pairs = [(by_q[q], by_q[q - 1]) for q in by_q if q - 1 in by_q]
     want = [(differential_coo(-1, src, tgt), codifferential_transpose_coo(-1, tgt, src))
             for src, tgt in pairs]
     for budget in (1, 100):
-        monkeypatch.setattr(chains, "PASS_BUDGET", budget)
+        monkeypatch.setattr(linalg, "PASS_BUDGET", budget)
         for (src, tgt), (d, delta_t) in zip(pairs, want):
             for got, ref in ((differential_coo(-1, src, tgt), d),
                              (codifferential_transpose_coo(-1, tgt, src), delta_t)):
                 assert all(np.array_equal(x, y) for x, y in zip(got[1:], ref[1:]))
-    monkeypatch.setattr(chains, "PASS_BUDGET", 1)
+    monkeypatch.setattr(linalg, "PASS_BUDGET", 1)
     (src, tgt), (d, _) = pairs[0], want[0]
     # the image whose first source comes last: with one monomial per run,
     # the error is raised from a run past the first

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from afflap.identities import (
@@ -342,23 +343,24 @@ def test_table_failure(monkeypatch):
 
 def test_gen_L1_enumeration_anchor_failure(monkeypatch):
     from afflap import identities
-    from afflap.chains import BlockBasis, weight
-
-    real = identities.enumerate_block
+    from afflap.chains import Level, block_levels, enumerate_block
 
     def padded(k, h):
-        """The block, with one of its weight -4 monomials repeated in degree 13."""
-        monos = list(real(k, h))
+        """The levels of the block, with one of its weight -4 monomials
+        repeated in degree 13."""
+        by_q = block_levels(k, h)
         if h == 13:
-            monos += [m for m in monos if weight(m) == -4][:1]
-        return BlockBasis(k, h, monos)
+            q, level = next((q, level) for q, level in by_q.items() if -4 in level.bounds)
+            a = level.bounds[-4][0]
+            by_q[q] = Level(k, h, q, np.concatenate((level.monos, level.monos[a:a + 1])))
+        return by_q
 
     # w = -4 shifts the degree by 10, so eigenvalue 3 sits in degree 13
-    monkeypatch.setattr(identities, "enumerate_block", padded)
+    monkeypatch.setattr(identities, "block_levels", padded)
     rep = verify_identity("gen_L1", 12)
     assert not rep.passed
     assert rep.note == "eigenvalue multiplicities of L(1) are independent of the weight"
-    dim = real(1, 13, -4).dim
+    dim = enumerate_block(1, 13, -4).dim
     assert rep.first_mismatch == {"position": "(w=-4, x^3) via enumeration",
                                   "lhs": repr(dim), "rhs": repr(dim + 1)}
 

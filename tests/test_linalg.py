@@ -121,7 +121,7 @@ def test_ranks_agree_on_random_matrices():
 
 def test_rank_mod_p_bounds_its_stacks(monkeypatch):
     """A stack of component matrices holds at most the n^2 entries of the
-    dense blocks and at most ``STACK_BUDGET``: one dense component is
+    dense blocks and at most ``PASS_BUDGET``: one dense component is
     eliminated alone under each shift, and same-shape components share
     stacks up to the budget."""
     sizes = []
@@ -139,7 +139,7 @@ def test_rank_mod_p_bounds_its_stacks(monkeypatch):
     assert rank_mod_p(coo_diag([1] * 4), [1, 0]) == [0, 4]
     assert sizes[4:] == [4, 4]
     # three dense 3x3 blocks under a budget of 18 entries: two, then one
-    monkeypatch.setattr(linalg, "STACK_BUDGET", 18)
+    monkeypatch.setattr(linalg, "PASS_BUDGET", 18)
     level = from_rows(np.kron(np.eye(3, dtype=np.int64), dense))
     assert level_ranks_mod_p(level, [(3, 3)] * 3) == [3, 3, 3]
     assert sizes[6:] == [18, 9]
@@ -413,11 +413,12 @@ def int_matrix(matrix: Coo) -> IntMatrix:
 
 
 def test_gram_is_the_sum_of_the_products(monkeypatch):
-    """gram(parts) equals the sum of A^T A over the parts, with chunk
-    budgets from one pair (every column its own chunk) to all of them."""
+    """gram(parts) equals the sum of A^T A over the parts, with run
+    budgets from one pair (every entry its own run, so a column is split)
+    to all of them."""
     rng = random.Random(11)
     for budget in (1, 3, 40, 1 << 14):
-        monkeypatch.setattr(linalg, "GRAM_PAIR_BUDGET", budget)
+        monkeypatch.setattr(linalg, "PASS_BUDGET", budget)
         for _ in range(25):
             n = rng.randint(1, 7)
             parts, want = [], IntMatrix(n, n)

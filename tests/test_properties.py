@@ -12,12 +12,14 @@ no sign logic.
 
 import operator
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from afflap import linalg
 from afflap.chains import (
     BlockBasis,
     Level,
@@ -51,6 +53,7 @@ from afflap.linalg import (
     level_ranks_mod_p,
     nullity_mod_p,
     rank_mod_p,
+    runs,
     sparse_sum,
     stable_order,
 )
@@ -502,6 +505,22 @@ def test_stable_order_is_the_stable_argsort(values, narrow):
     """Narrow keys take the packed-word sort, wide ones the argsort."""
     key = np.array([v % 7 if narrow else v for v in values], dtype=np.int64)
     assert stable_order(key).tolist() == np.argsort(key, kind="stable").tolist()
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 50), max_size=40), st.integers(1, 60))
+@example([], 1)
+@example([0, 70, 0, 0, 3], 10)  # an item over the budget, and items of no cost
+def test_runs_cover_every_item_in_order_under_the_budget(cost, budget):
+    """The runs tile the items in order, none is empty, and each costs at
+    most ``PASS_BUDGET`` unless it is one item alone."""
+    cost = np.array(cost, dtype=np.int64)
+    with patch.object(linalg, "PASS_BUDGET", budget):
+        got = list(runs(cost))
+    assert [i for a, b in got for i in range(a, b)] == list(range(cost.size))
+    for a, b in got:
+        assert b > a
+        assert b - a == 1 or cost[a:b].sum() <= budget
 
 
 @PROPERTY
