@@ -19,12 +19,13 @@ runs whose costs sum to at most ``PASS_BUDGET``.  ``level_nullities``
 proves each block's nullities exactly from the traces of its residual
 product prod (S - lam I), multiplied through the components.  Elimination
 modulo one word-size prime (numpy) gives one-sided bounds, since the rank
-over GF(p) never exceeds the rational rank:
-``level_ranks_mod_p`` sums the component ranks per block, and
-``level_kernels`` runs ``fraction_kernel`` (Bareiss, then back-substitution
-in integers) only on the components that elimination down the diagonal mod
-p does not prove nonsingular; its docstring argues that this is the reduced
-kernel basis of each block.
+over GF(p) never exceeds the rational rank.  ``_ranks_mod_p`` is the one
+modular eliminator: it ranks each matrix of a component stack down the
+diagonal and searches only where a pivot is zero.  ``level_ranks_mod_p``
+sums the component ranks per block, and ``level_kernels`` runs
+``fraction_kernel`` (Bareiss, then back-substitution in integers) only on
+the components of less than full modular rank; its docstring argues that
+this is the reduced kernel basis of each block.
 ``rank_mod_p``, ``nullity_mod_p`` and ``certify_full_rank``, the one-block
 forms of ``level_ranks_mod_p``, are kept only because the benchmark's
 tracer (``perfbench/tracer.py``) binds them.
@@ -446,62 +447,41 @@ def exact_nullity(matrix: Coo, lam: int = 0) -> int:
 # ---------------------------------------------------------------------------
 # modular elimination (certified one-sided bounds)
 
-def _echelon_mod_p(a: np.ndarray, p: int) -> np.ndarray:
-    """The rank over GF(p) of each matrix in the int64 stack ``a`` (shape
-    (m, rows, cols), entries in [0, p)), an (m,) array; ``a`` is eliminated
-    in place.
+def _ranks_mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """The rank over GF(p) of each matrix of the int64 stack ``a`` (shape
+    (m, r, c), entries in [0, p)), an (m,) array; ``a`` is eliminated in
+    place.
 
-    Rows are never swapped.  At each column every matrix takes as its pivot
-    the first row that is nonzero there and holds no earlier pivot, and each
-    other such row r becomes pv * r - f * pivot_row (mod p), with pv the
-    pivot and f the entry of r in that column: a fraction-free update whose
-    products stay below p**2 < 2**63.
+    Step j first makes the pivot a[j, j] nonzero where it can: only the
+    matrices whose pivot is zero search, each swapping row j and column j
+    with the row and column of the first nonzero entry, in row-major order,
+    of its trailing block a[j:, j:].  Then, with no search and no row
+    gathered, each row i > j becomes pv * (row i) - f * (row j) (mod p) on
+    the contiguous trailing block, with pv = a[j, j] and f the entry of row
+    i in column j, so products stay below p^2 < 2^63.  Swaps keep the rank,
+    and so does the update when pv != 0: it scales row i by pv and clears
+    its column-j entry, which no later step reads, so it is not written.
+    When pv = 0 the trailing block is zero and stays zero.  The rank is the
+    number of nonzero diagonal entries at the end.
     """
-    m, nrows, ncols = a.shape
-    if not nrows:
-        return np.zeros(m, dtype=np.int64)
-    free = np.ones((m, nrows), dtype=bool)
-    ids = np.arange(m)
-    for col in range(ncols):
-        cand = (a[:, :, col] != 0) & free
-        rows = cand.argmax(axis=1)
-        live = cand[ids, rows]
-        if not live.any():
-            continue
-        pm, pr = ids[live], rows[live]
-        free[pm, pr] = False
-        cand[pm, pr] = False
-        mi, ri = np.nonzero(cand)
-        if mi.size:
-            pivot = a[mi, rows[mi], col:]
-            a[mi, ri, col:] = (pivot[:, :1] * a[mi, ri, col:]
-                               - a[mi, ri, col, None] * pivot) % p
-    return nrows - free.sum(axis=1)
-
-
-def _nonsingular_mod_p(a: np.ndarray, p: int) -> np.ndarray:
-    """For each matrix of the int64 stack ``a`` of square matrices (shape
-    (m, n, n), entries in [0, p)), whether elimination down the diagonal
-    meets a nonzero pivot in every column mod p, which proves it
-    nonsingular; an (m,) bool array.  ``a`` is eliminated in place.
-
-    There is no pivot search and no row is gathered: step c replaces each
-    row r > c by pv * r - f * (row c) (mod p) on the contiguous trailing
-    block, with pv = a[c, c] and f the entry of r in column c, so products
-    stay below p^2 < 2^63; later steps leave pv in place on the diagonal.
-    The step multiplies the determinant by pv^(n - c - 1) and makes column
-    c zero below the pivot; so if every pivot is nonzero mod p, the
-    determinant is a nonzero multiple of their product mod p, and the
-    matrix is nonsingular over GF(p) and over Q.  A zero pivot proves
-    nothing: the matrix may still be nonsingular.
-    """
-    n = a.shape[1]
-    for c in range(n - 1):
-        block = a[:, c, c, None, None] * a[:, c + 1:, c + 1:]
-        block -= a[:, c + 1:, c, None] * a[:, c, None, c + 1:]
-        a[:, c + 1:, c + 1:] = floor_mod(block, p)
+    _, r, c = a.shape
+    n = min(r, c)
+    for j in range(n):
+        pv = a[:, j, j]  # a view, so it sees the swaps
+        if np.count_nonzero(pv) < pv.size:
+            g = np.flatnonzero(pv == 0)
+            trail = a[g, j:, j:].reshape(g.size, -1) != 0
+            live = trail.any(axis=1)
+            g, first = g[live], trail[live].argmax(axis=1)
+            row, col = first // (c - j) + j, first % (c - j) + j
+            a[g, j], a[g, row] = a[g, row], a[g, j]
+            a[g, :, j], a[g, :, col] = a[g, :, col], a[g, :, j]
+        if j + 1 < n:
+            block = pv[:, None, None] * a[:, j + 1:, j + 1:]
+            block -= a[:, j + 1:, j, None] * a[:, j, None, j + 1:]
+            a[:, j + 1:, j + 1:] = floor_mod(block, p)
     d = np.arange(n)
-    return (a[:, d, d] != 0).all(axis=1)
+    return (a[:, d, d] != 0).sum(axis=1)
 
 
 def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -607,13 +587,13 @@ def level_ranks_mod_p(matrix: Coo, shapes) -> list[int]:
     Permuting the rows and columns of a block makes it block diagonal over
     its sparsity components (``_level_components``), so its rank is the sum
     of theirs.  Each run of components is eliminated by one
-    ``_echelon_mod_p`` pass per stack.  Raises ValueError as
+    ``_ranks_mod_p`` pass per stack.  Raises ValueError as
     ``_level_components`` does.
     """
     shapes = np.array(shapes, dtype=np.int64).reshape(-1, 2)
     ranks = np.zeros(len(shapes), dtype=np.int64)
     for blk, _, stack in _level_components(matrix, shapes):
-        np.add.at(ranks, blk, _echelon_mod_p(stack % DEFAULT_PRIME, DEFAULT_PRIME))
+        np.add.at(ranks, blk, _ranks_mod_p(floor_mod(stack, DEFAULT_PRIME), DEFAULT_PRIME))
     return ranks.tolist()
 
 
@@ -622,10 +602,9 @@ def level_kernels(matrix: Coo, sizes) -> list[list[dict[int, Fraction]]]:
     of the given ``sizes`` in order, in block-local indices; ``matrix``
     holds no entry outside the blocks.
 
-    One stacked ``_nonsingular_mod_p`` pass per run of same-size sparsity
+    One stacked ``_ranks_mod_p`` pass per run of same-size sparsity
     components (``_level_components``) proves the nonsingular ones: a
-    component whose pivots down the diagonal are all nonzero mod p has a
-    nonzero determinant mod p, so full rank over Q, and adds no vector.
+    component of full rank mod p has full rank over Q, and adds no vector.
     ``fraction_kernel`` runs on the exact dense rows of each other component
     (its indices in increasing order); each vector is mapped back to the
     indices of its block, and each block's vectors are returned in the
@@ -647,8 +626,8 @@ def level_kernels(matrix: Coo, sizes) -> list[list[dict[int, Fraction]]]:
     starts = np.cumsum(sizes) - sizes
     kernels: list = [[] for _ in sizes]
     for blk, rows, stack in _level_components(matrix, np.stack((sizes, sizes), axis=1)):
-        full = _nonsingular_mod_p(floor_mod(stack, DEFAULT_PRIME), DEFAULT_PRIME)
-        for c in np.flatnonzero(~full).tolist():
+        ranks = _ranks_mod_p(floor_mod(stack, DEFAULT_PRIME), DEFAULT_PRIME)
+        for c in np.flatnonzero(ranks < stack.shape[1]).tolist():
             b = int(blk[c])
             index = (rows[c] - starts[b]).tolist()
             kernels[b] += [{index[i]: x for i, x in vec.items()}

@@ -22,7 +22,7 @@ from .chains import (
     Level,
     adjoint_coo,
     block_dim_table,
-    enumerate_block,
+    block_levels,
     levels,
     weight_dim_table,
 )
@@ -367,36 +367,42 @@ def sl2_level(k: int, level: Level) -> tuple[Coo, Coo]:
     return up, coo_sum((n, n), lower_raise, coo_diag(weights * weights), raise_lower)
 
 
-def singular_multiplicities(k: int, basis: BlockBasis) -> RepRingElement:
-    """Isotypic multiplicities of ``basis``, a union of whole (q, w) slices
-    closed under the sl2 action, summed over q.  Each level passes the
-    checks of ``sl2_level``; on each of its (q, w >= 0) slices two counts
-    must agree: dim ker E_w, by exact elimination, with E_w the block of E
-    from the (q, w) slice to the (q, w+1) slice, and dim(q, w) - dim(q, w+1).
-    The multiplicities must fill the basis.
+def _level_multiplicities(k: int, level: Level) -> RepRingElement:
+    """Isotypic multiplicities of one level closed under the sl2 action.
+    The level passes the checks of ``sl2_level``; on each of its
+    (q, w >= 0) slices two counts must agree: dim ker E_w, by exact
+    elimination, with E_w the block of E from the (q, w) slice to the
+    (q, w+1) slice, and dim(q, w) - dim(q, w+1).  The multiplicities must
+    fill the level.
     """
+    up = sl2_level(k, level)[0]
+    mults: dict[int, int] = {}
+    for w, (a, b) in level.bounds.items():
+        if w < 0:
+            continue
+        raising = up.block(*level.span(w + 1), a, b)
+        kernel = b - a - bareiss_rank(raising.dense().tolist())
+        diff = b - a - raising.shape[0]  # dim(q, w + 1)
+        if kernel != diff:
+            raise ClaimFalsified(
+                f"multiplicity methods disagree on k={k}, h={level.h}, q={level.q}, "
+                f"w={w}: kernel {kernel}, difference {diff}")
+        mults[2 * w] = kernel
+    result = RepRingElement(mults)
+    if result.dimension() != len(level):
+        raise ClaimFalsified(
+            f"multiplicities account for {result.dimension()} of {len(level)} "
+            f"dimensions on k={k}, h={level.h}")
+    return result
+
+
+def singular_multiplicities(k: int, basis: BlockBasis) -> RepRingElement:
+    """The sum of the ``_level_multiplicities`` of the levels of ``basis``,
+    a union of whole (q, w) slices closed under the sl2 action."""
     if k % 3 != 2:
         raise ValueError("chain blocks are sl2-modules for k = -1 (mod 3)")
-    mults: dict[int, int] = {}
-    for q, level in levels(basis).items():
-        up = sl2_level(k, level)[0]
-        for w, (a, b) in level.bounds.items():
-            if w < 0:
-                continue
-            raising = up.block(*level.span(w + 1), a, b)
-            kernel = b - a - bareiss_rank(raising.dense().tolist())
-            diff = b - a - raising.shape[0]  # dim(q, w + 1)
-            if kernel != diff:
-                raise ClaimFalsified(
-                    f"multiplicity methods disagree on k={k}, h={basis.h}, q={q}, "
-                    f"w={w}: kernel {kernel}, difference {diff}")
-            mults[2 * w] = mults.get(2 * w, 0) + kernel
-    result = RepRingElement(mults)
-    if result.dimension() != basis.dim:
-        raise ClaimFalsified(
-            f"multiplicities account for {result.dimension()} of {basis.dim} "
-            f"dimensions on k={k}, h={basis.h}")
-    return result
+    return sum((_level_multiplicities(k, level) for level in levels(basis).values()),
+               RepRingElement.zero())
 
 
 # The blocks we are willing to decompose with dense matrix arithmetic.
@@ -413,7 +419,8 @@ def singular_block_dims(k: int, h_max: int) -> dict[tuple[int, int, int], int]:
     dim(w) - dim(w+1) from ``weight_dim_table``.  No count may be negative
     and the per-q counts must sum to the weight count; on blocks of
     dimension at most MATRIX_ROUTE_CUT both must equal the kernel
-    dimensions of the matrix route, ``singular_multiplicities``.
+    dimensions of the matrix route, the ``_level_multiplicities`` of each
+    level of ``block_levels``.
     """
     if k % 3 != 2:
         raise ValueError("singular subspaces need k = -1 (mod 3)")
@@ -428,8 +435,8 @@ def singular_block_dims(k: int, h_max: int) -> dict[tuple[int, int, int], int]:
         qs = sorted({q for q, _ in by_level})
         matrix = None
         if sum(dims.values()) <= MATRIX_ROUTE_CUT:
-            block = enumerate_block(k, h)
-            matrix = {q: singular_multiplicities(k, block.restrict(q=q)) for q in qs}
+            matrix = {q: _level_multiplicities(k, level)
+                      for q, level in block_levels(k, h).items()}
         for w in range(max(dims, default=-1) + 1):
             value = dims.get(w, 0) - dims.get(w + 1, 0)
             if value < 0:

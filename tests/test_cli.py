@@ -2,6 +2,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from afflap import chains, cli
@@ -58,6 +59,31 @@ def test_homology_text_and_exit(capsys):
         q = int(row.split()[0].split("=")[1])
         dims_by_q[q] = dims_by_q.get(q, 0) + 1
     assert dims_by_q == {0: 1, 1: 3, 2: 5, 3: 7}
+
+
+def test_a_modular_rank_that_proves_a_singular_component_exits_1(capsys, monkeypatch):
+    """Mutant: ``_ranks_mod_p`` reports full rank for every singular
+    component of seven rows.  Up to degree 8 of L(2) there is one, the w = 0
+    slice of the (q, h) = (3, 6) level, so its kernel is never computed and
+    the closed-form comparison names the lost class."""
+    from afflap import linalg
+
+    real = linalg._ranks_mod_p
+    raised = []
+
+    def over_reported(stack, p):
+        ranks = real(stack, p)
+        if stack.shape[1:] == (7, 7):
+            raised.extend(np.flatnonzero(ranks < 7).tolist())
+            ranks[:] = 7
+        return ranks
+
+    monkeypatch.setattr(linalg, "_ranks_mod_p", over_reported)
+    code, out, _ = run(capsys, "homology", "--k", "2", "--h-max", "8", "--jobs", "1")
+    assert len(raised) == 1
+    assert code == 1
+    assert out.endswith("DEVIATIONS from the closed forms:\n"
+                        "  (q=3, w=0, h=6): computed 0, expected 1\n")
 
 
 def test_homology_includes_chains(capsys):

@@ -384,23 +384,24 @@ def test_homology_kernels_run_only_on_rank_deficient_slices(monkeypatch):
 
 
 def test_a_modular_rank_deficit_sends_one_component_to_exact_elimination(monkeypatch):
-    """A component of full rank left unproved mod p (one zero pivot too
-    many) makes ``fraction_kernel`` run on that component too; it returns no
+    """A component of full rank whose modular rank is reported one short
+    makes ``fraction_kernel`` run on that component too; it returns no
     vector, and the homology table does not change."""
     from afflap import linalg
 
     want = homology_table(2, 8)
-    real = linalg._nonsingular_mod_p
+    real = linalg._ranks_mod_p
     lowered = []
 
     def one_too_few(stack, p):
         before = stack.copy()
-        full = real(stack, p)
+        ranks = real(stack, p)
+        full = ranks == stack.shape[1]
         if not lowered and full.any():
             c = int(np.argmax(full))
-            full[c] = False
+            ranks[c] -= 1
             lowered.append(before[c].tolist())
-        return full
+        return ranks
 
     runs = []
     exact = linalg.fraction_kernel
@@ -409,7 +410,7 @@ def test_a_modular_rank_deficit_sends_one_component_to_exact_elimination(monkeyp
         runs.append((rows, exact(rows)))
         return runs[-1][1]
 
-    monkeypatch.setattr(linalg, "_nonsingular_mod_p", one_too_few)
+    monkeypatch.setattr(linalg, "_ranks_mod_p", one_too_few)
     monkeypatch.setattr(linalg, "fraction_kernel", recording)
     got = homology_table(2, 8)
     assert (got.entries, got.chains) == (want.entries, want.chains)

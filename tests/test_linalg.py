@@ -125,13 +125,13 @@ def test_rank_mod_p_bounds_its_stacks(monkeypatch):
     eliminated alone under each shift, and same-shape components share
     stacks up to the budget."""
     sizes = []
-    echelon = linalg._echelon_mod_p
+    ranks = linalg._ranks_mod_p
 
     def recording(a, p):
         sizes.append(a.size)
-        return echelon(a, p)
+        return ranks(a, p)
 
-    monkeypatch.setattr(linalg, "_echelon_mod_p", recording)
+    monkeypatch.setattr(linalg, "_ranks_mod_p", recording)
     dense = [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
     assert rank_mod_p(from_rows(dense), [1, 4, 0, 1]) == [1, 2, 3, 1]
     assert sizes == [9] * 4
@@ -216,11 +216,11 @@ def test_level_kernels_skip_the_components_of_full_modular_rank(monkeypatch):
     assert calls == [[[1, 1], [1, 1]]]
 
 
-def test_level_kernels_send_unproved_components_to_exact_elimination(monkeypatch):
-    """The modular pass proves a component nonsingular only when every
-    pivot down its diagonal is nonzero: [[0, 1], [1, 0]] is nonsingular but
-    unproved, so ``fraction_kernel`` runs on it and returns no vector; the
-    positive definite [[2, 1], [1, 2]] beside it is proved and skipped."""
+def test_level_kernels_prove_a_component_with_a_zero_leading_pivot(monkeypatch):
+    """A zero pivot on the diagonal is swapped for a nonzero entry of the
+    trailing block: [[0, 1], [1, 0]] is proved nonsingular like the positive
+    definite [[2, 1], [1, 2]] beside it, so ``fraction_kernel`` never runs
+    and no vector is returned."""
     level = np.zeros((4, 4), dtype=np.int64)
     level[:2, :2] = [[0, 1], [1, 0]]
     level[2:, 2:] = [[2, 1], [1, 2]]
@@ -228,7 +228,24 @@ def test_level_kernels_send_unproved_components_to_exact_elimination(monkeypatch
     exact = linalg.fraction_kernel
     monkeypatch.setattr(linalg, "fraction_kernel", lambda m: calls.append(m) or exact(m))
     assert level_kernels(from_rows(level), [2, 2]) == [[], []]
-    assert calls == [[[0, 1], [1, 0]]]
+    assert calls == []
+
+
+def test_stacked_ranks_mod_p_match_exact_ranks():
+    """``_ranks_mod_p`` gives each matrix of a stack its own rank, whatever
+    its neighbours: products through spaces of dimension at most 3, some
+    with entries zeroed, so zero pivots turn up on and off the fast path.
+    Entries are in [-3, 3] and shapes at most 6 x 6, so every minor is below
+    p (Hadamard) and the ranks mod p are the rational ones."""
+    rng = np.random.default_rng(11)
+    p = linalg.DEFAULT_PRIME
+    for trial in range(300):
+        m, r, c = rng.integers(1, 5), rng.integers(1, 7), rng.integers(1, 7)
+        inner = rng.integers(0, min(r, c, 3) + 1)
+        a = rng.integers(-1, 2, (m, r, inner)) @ rng.integers(-1, 2, (m, inner, c))
+        a *= rng.random(a.shape) < 0.7
+        want = [bareiss_rank(x) for x in a.tolist()]
+        assert linalg._ranks_mod_p(a % p, p).tolist() == want, a.tolist()
 
 
 def test_stable_order_widens_narrow_keys_before_packing():

@@ -57,7 +57,7 @@ from afflap.linalg import (
     sparse_sum,
     stable_order,
 )
-from afflap.linalg import _nonsingular_mod_p
+from afflap.linalg import _ranks_mod_p
 from afflap.series import Series, product_over
 from afflap.sl2 import HalfLaurent, RepRingElement, weyl_inverse, weyl_map
 from test_linalg import int_matrix
@@ -527,22 +527,22 @@ def test_runs_cover_every_item_in_order_under_the_budget(cost, budget):
 @given(st.integers(1, 6), st.data())
 @example(2, None)
 def test_a_modular_nonsingularity_proof_is_sound(n, data):
-    """Whenever every pivot down the diagonal is nonzero mod p the matrix
-    has full rational rank; a nonsingular matrix with a zero leading pivot
-    is left unproved, and a positive definite one is proved."""
+    """A matrix is proved nonsingular exactly when it has full rational
+    rank: with entries in [-3, 3] and n <= 6 every minor is below p
+    (Hadamard), so the rank mod p is the rational rank, a zero leading
+    pivot included.  A positive definite matrix is proved."""
     if data is None:
         rows = [[0, 1], [1, 0]]
     else:
         rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                                   min_size=n, max_size=n))
-    proved = _nonsingular_mod_p(np.array([rows], dtype=np.int64) % DEFAULT_PRIME,
-                                DEFAULT_PRIME)[0]
-    if proved:
-        assert bareiss_rank(rows) == len(rows)
-    if rows[0][0] == 0:
-        assert not proved
+
+    def proved(rows):
+        return _ranks_mod_p(np.array([rows]) % DEFAULT_PRIME, DEFAULT_PRIME)[0] == len(rows)
+
+    assert proved(rows) == (bareiss_rank(rows) == len(rows))
     gram_rows = (np.array(rows).T @ np.array(rows) + np.eye(len(rows), dtype=np.int64)).tolist()
-    assert _nonsingular_mod_p(np.array([gram_rows]) % DEFAULT_PRIME, DEFAULT_PRIME)[0]
+    assert proved(gram_rows)
 
 
 def reduced_kernel(rows: list) -> list:
