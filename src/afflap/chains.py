@@ -416,7 +416,8 @@ def _dim_grid(k: int, h_max: int, by_q: bool) -> tuple[np.ndarray, int]:
 @lru_cache(maxsize=2)
 def block_dim_table(k: int, h_max: int) -> dict:
     """dim C_q^{(w,h)}(L(k)) for all h <= h_max, as a map (q, w, h) -> dim.
-    A run reads one table per k in {-1, 2}, so two are kept."""
+    No run reads a table twice; the cache stays because perfbench/tracer.py
+    counts ``chains.block_dim_table.builds`` from its ``cache_info()``."""
     g, width = _dim_grid(k, h_max, True)
     hs, qs, ws = np.nonzero(g)
     return {(q, w, h): n for h, q, w, n in

@@ -325,20 +325,19 @@ def _doubled(w) -> int:
 # ---------------------------------------------------------------------------
 # chain blocks as sl2-modules, one (q, h) level at a time
 
-def _check_lands(matrix: Coo, level: Level, g: int, where: str) -> None:
-    """Check 2, one half: every image of e_g from weight w has weight
-    w + g.  A failure names the slice of the first failing column's pair of
-    weights {w, w + g} where the e_1 matrix starts: the lower one."""
+def _check_lands(up: Coo, level: Level, where: str) -> None:
+    """Check 2, first half: every image of e_1 from weight w has weight
+    w + 1.  A failure names the slice of the first failing column."""
     weights = level.weights
-    bad = np.flatnonzero(weights[matrix.rows] != weights[matrix.cols] + g)
+    bad = np.flatnonzero(weights[up.rows] != weights[up.cols] + 1)
     if bad.size:
-        i = bad[np.argmin(matrix.cols[bad])]
-        row, col = matrix.rows[i], matrix.cols[i]
+        i = bad[np.argmin(up.cols[bad])]
+        row, col = up.rows[i], up.cols[i]
         w = int(weights[col])
         raise ClaimFalsified(
-            f"e_{g} leaves weight {w + g} on {where}, w={min(w, w + g)}: image term "
+            f"e_1 leaves weight {w + 1} on {where}, w={w}: image term "
             f"{tuple(level.monos[row].tolist())} of {tuple(level.monos[col].tolist())} "
-            f"is outside the target block (k={level.k}, h={level.h}, w={w + g})")
+            f"is outside the target block (k={level.k}, h={level.h}, w={w + 1})")
 
 
 def sl2_level(k: int, level: Level) -> tuple[Coo, Coo]:
@@ -346,18 +345,17 @@ def sl2_level(k: int, level: Level) -> tuple[Coo, Coo]:
     rule, and C = E^T E + w^2 I + E E^T the Casimir; both keep q, E raises
     w by one and C keeps it.  The level first passes checks 2 and 3 of the
     ``laplacian`` docstring: E lands in weight w + 1 and the matrix of
-    e_{-1}, built on its own by its image rule, equals E^T; and
-    E E^T - E^T E = w I, which is [e_1, e_{-1}] = e_0.  So the level is an
-    sl2-module, and C acts by w'(w'+1) on its isotypic piece of dominant
-    weight w'.  A failure raises ClaimFalsified naming k, h, q and the w of
+    e_{-1}, built on its own by its image rule, equals E^T, so it lands in
+    weight w - 1; and E E^T - E^T E = w I, which is [e_1, e_{-1}] = e_0.
+    So the level is an sl2-module, and C acts by w'(w'+1) on its isotypic
+    piece of dominant weight w'.  A failure raises ClaimFalsified naming k, h, q and the w of
     the first failing column of the e_1 matrix.
     """
     n, weights = len(level), level.weights
     where = f"k={k}, h={level.h}, q={level.q}"
     up = adjoint_coo(1, k, level)
-    _check_lands(up, level, 1, where)
+    _check_lands(up, level, where)
     down = adjoint_coo(-1, k, level)
-    _check_lands(down, level, -1, where)
     require_equal(up, coo_sum((n, n), down.T), weights,
                   f"e_-1 is not the transpose of e_1 on {where}")
     lower_raise = gram([up], where)     # e_-1 e_1 = E^T E
@@ -416,11 +414,13 @@ def singular_block_dims(k: int, h_max: int) -> dict[tuple[int, int, int], int]:
 
     Counted from the dimension tables, each built once: per q as
     dim(q, w) - dim(q, w+1) from ``block_dim_table``, and summed over q as
-    dim(w) - dim(w+1) from ``weight_dim_table``.  No count may be negative
-    and the per-q counts must sum to the weight count; on blocks of
-    dimension at most MATRIX_ROUTE_CUT both must equal the kernel
-    dimensions of the matrix route, the ``_level_multiplicities`` of each
-    level of ``block_levels``.
+    dim(w) - dim(w+1) from ``weight_dim_table``.  No per-q count may be
+    negative, and the per-q counts must sum to the weight count, which is
+    then non-negative too.  On blocks of dimension at most
+    MATRIX_ROUTE_CUT the per-q counts must equal the kernel dimensions of
+    the matrix route, the ``_level_multiplicities`` of each level of
+    ``block_levels``; their sum, the weight count, then equals the matrix
+    route's total.
     """
     if k % 3 != 2:
         raise ValueError("singular subspaces need k = -1 (mod 3)")
@@ -438,13 +438,6 @@ def singular_block_dims(k: int, h_max: int) -> dict[tuple[int, int, int], int]:
             matrix = {q: _level_multiplicities(k, level)
                       for q, level in block_levels(k, h).items()}
         for w in range(max(dims, default=-1) + 1):
-            value = dims.get(w, 0) - dims.get(w + 1, 0)
-            if value < 0:
-                raise ClaimFalsified(
-                    f"weight dimensions not unimodal at k={k}, h={h}, w={w}")
-            if matrix is not None and sum(m.mult(2 * w) for m in matrix.values()) != value:
-                raise ClaimFalsified(
-                    f"singular dimension mismatch at k={k}, h={h}, w={w}")
             by_q: dict[int, int] = {}
             for q in qs:
                 v = by_level.get((q, w), 0) - by_level.get((q, w + 1), 0)
@@ -457,7 +450,7 @@ def singular_block_dims(k: int, h_max: int) -> dict[tuple[int, int, int], int]:
                     q: n for q, m in matrix.items() if (n := m.mult(2 * w))}:
                 raise ClaimFalsified(
                     f"singular dimensions by q mismatch at k={k}, h={h}, w={w}")
-            if sum(by_q.values()) != value:
+            if sum(by_q.values()) != dims.get(w, 0) - dims.get(w + 1, 0):
                 raise ClaimFalsified(
                     f"singular dimensions by q do not sum to the weight count at "
                     f"k={k}, h={h}, w={w}")

@@ -228,7 +228,9 @@ def test_falsified_claim_exits_1(capsys, monkeypatch):
 
 def test_singular_route_disagreement_exits_1(capsys, monkeypatch):
     """Weight counts that disagree with the matrix route of
-    singular_block_dims raise ClaimFalsified, which main reports."""
+    singular_block_dims raise ClaimFalsified, which main reports.  The
+    per-q counts still equal the matrix route's, so the check that their
+    sum is the weight count kills the fault."""
     from afflap import sl2
 
     real = sl2.weight_dim_table
@@ -238,11 +240,12 @@ def test_singular_route_disagreement_exits_1(capsys, monkeypatch):
         return {**table, **{(0, h): table.get((0, h), 0) + 1 for h in range(h_max + 1)}}
 
     monkeypatch.setattr(sl2, "weight_dim_table", one_more_at_weight_0)
-    with pytest.raises(ClaimFalsified, match="^singular dimension mismatch at k=2, h=0, w=0$"):
+    message = "singular dimensions by q do not sum to the weight count at k=2, h=0, w=0"
+    with pytest.raises(ClaimFalsified, match=f"^{message}$"):
         sl2.singular_block_dims(2, 0)
     code, out, err = run(capsys, "singular", "--k", "2", "--h-max", "2", "--jobs", "1")
     assert (code, out) == (1, "")
-    assert err == "falsified claim: singular dimension mismatch at k=2, h=0, w=0\n"
+    assert err == f"falsified claim: {message}\n"
 
 
 def _block_dim(k: int, h: int) -> int:
@@ -251,7 +254,9 @@ def _block_dim(k: int, h: int) -> int:
 
 def test_singular_rejects_non_unimodal_weight_counts(capsys, monkeypatch):
     """Above MATRIX_ROUTE_CUT the weight counts are the only route, so a
-    negative difference fails the run instead of printing as zero."""
+    negative difference fails the run instead of printing as zero.  The
+    per-q counts are non-negative, so the check that they sum to the weight
+    count kills the fault."""
     from afflap import sl2
 
     real = sl2.weight_dim_table
@@ -264,7 +269,8 @@ def test_singular_rejects_non_unimodal_weight_counts(capsys, monkeypatch):
     monkeypatch.setattr(sl2, "weight_dim_table", dip_at_weight_0)
     code, out, err = run(capsys, "singular", "--k", "-1", "--h-max", "5", "--jobs", "1")
     assert (code, out) == (1, "")
-    assert err == "falsified claim: weight dimensions not unimodal at k=-1, h=5, w=0\n"
+    assert err == ("falsified claim: singular dimensions by q do not sum to the weight "
+                   "count at k=-1, h=5, w=0\n")
 
 
 def test_singular_rejects_by_q_counts_that_miss_the_weight_count(capsys, monkeypatch):

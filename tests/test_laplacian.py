@@ -127,24 +127,42 @@ def test_certificate_rejects_a_lowering_matrix_that_is_not_the_transpose(monkeyp
         spectrum(2, 4)
 
 
-def test_certificate_rejects_a_raising_image_of_the_wrong_weight(monkeypatch):
+def _image_that_keeps_its_weight(monkeypatch, g):
+    """Give the e_g matrix of the (2, 4) block one extra entry, on the
+    diagonal at the first monomial that e_g does not kill.  Returns that
+    monomial."""
     from afflap import sl2
 
     real = sl2.adjoint_coo
-    target, _ = _first_image_monomial(2, 4, 1)
+    target, _ = _first_image_monomial(2, 4, g)
 
-    def escapes(g, k, level):
-        matrix = real(g, k, level)
+    def escapes(gen, k, level):
+        matrix = real(gen, k, level)
         at = _row(level, target)
-        if g != 1 or at < 0:
+        if gen != g or at < 0:
             return matrix
         return Coo(matrix.shape, np.append(matrix.rows, at), np.append(matrix.cols, at),
                    np.append(matrix.vals, 1))
 
     monkeypatch.setattr(sl2, "adjoint_coo", escapes)
+    return target
+
+
+def test_certificate_rejects_a_raising_image_of_the_wrong_weight(monkeypatch):
+    target = _image_that_keeps_its_weight(monkeypatch, 1)
     q, w = len(target), weight(target)
     with pytest.raises(ClaimFalsified, match=rf"^e_1 leaves weight {w + 1} "
                                              rf"on k=2, h=4, q={q}, w={w}: "):
+        spectrum(2, 4)
+
+
+def test_certificate_rejects_a_lowering_image_of_the_wrong_weight(monkeypatch):
+    """e_-1 has no landing check of its own: an extra image term that keeps
+    its weight is not in E^T, so the transpose check names its slice."""
+    target = _image_that_keeps_its_weight(monkeypatch, -1)
+    assert (len(target), weight(target)) == (3, -1)
+    with pytest.raises(ClaimFalsified, match=r"^e_-1 is not the transpose of e_1 "
+                                             r"on k=2, h=4, q=3, w=-1$"):
         spectrum(2, 4)
 
 
@@ -580,6 +598,34 @@ def test_a_moved_unit_of_multiplicity_fails_the_nullity_check(monkeypatch, capsy
     out, err = capsys.readouterr()
     assert (out, moved) == ("", [49])
     assert err == "falsified claim: eigenvalue 6 on k=-1, h=6, q=4, w=0: nullity 7, predicted 8\n"
+
+
+@pytest.mark.parametrize("shift, message", [
+    (1, "eigenvalue 4 on k=-1, h=3, q=2, w=-1: nullity 0, predicted 2"),
+    (-1, "residual product does not annihilate k=-1, h=3, q=2, w=-3"),
+])
+def test_mislabelled_weight_counts_fail_check_6(monkeypatch, capsys, shift, message):
+    """Check 5 reads its weight counts from the level's slice bounds, and
+    nothing but check 6 compares them with Gamma.  Moving every weight
+    label of the (q, h) = (2, 3) level of L(-1) up by one gives counts with
+    a dip at w' = 0; moving them down by one gives non-negative counts that
+    do not fill the slices of weight -3 and -2.  Either way the CLI exits 1
+    from check 6."""
+    from afflap import cli, laplacian
+
+    real = laplacian.block_levels
+
+    def relabelled(k, h):
+        by_q = real(k, h)
+        if h == 3:
+            by_q[2].bounds = {w + shift: ab for w, ab in by_q[2].bounds.items()}
+        return by_q
+
+    assert {w: b - a for w, (a, b) in real(-1, 3)[2].bounds.items()} == {
+        -2: 2, -1: 4, 0: 6, 1: 4, 2: 2}
+    monkeypatch.setattr(laplacian, "block_levels", relabelled)
+    assert cli.main(["spectrum", "--k", "-1", "--h-max", "3", "--jobs", "1"]) == 1
+    assert capsys.readouterr() == ("", f"falsified claim: {message}\n")
 
 
 def test_scalar_law_names_the_first_failing_slice(monkeypatch, capsys):
