@@ -365,7 +365,8 @@ def _certify_level(k: int, h: int, level: Level, gamma: Coo, result: SpectrumRes
             if m_pred:
                 lam = predicted_eigenvalue(k, wp, h)
                 if lam < 0:
-                    raise ClaimFalsified(f"negative predicted eigenvalue at k={k}, h={h}, w'={wp}")
+                    raise ClaimFalsified(
+                        f"negative predicted eigenvalue at k={k}, h={h}, q={q}, w'={wp}")
                 pieces.insert(0, (wp, lam, m_pred))
         predicted = [[(wp, lam, m) for wp, lam, m in pieces if wp >= abs(w)] for w in dims]
     expected = []

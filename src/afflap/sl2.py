@@ -2,7 +2,8 @@
 Clebsch-Gordan singular vectors, and the sl2 action on chain blocks.
 ``sl2_level`` is the one source of the checked e_{+-1} matrices of a
 ``chains.Level``: the Laplacian certificate takes the level Casimir from
-it, and the singular route cuts its E_1 slices from the level matrix.
+it, and the singular route reads its multiplicities off the slice sizes
+of a level that passes those checks.
 ``require_equal`` is the one comparison of two level matrices that checks
 1-4 of the Laplacian certificate make.
 
@@ -26,7 +27,7 @@ from .chains import (
     levels,
     weight_dim_table,
 )
-from .linalg import Coo, bareiss_rank, coo_diag, coo_sum, gram, sparse_sum
+from .linalg import Coo, coo_diag, coo_sum, gram, sparse_sum
 
 
 class ClaimFalsified(AssertionError):
@@ -366,32 +367,14 @@ def sl2_level(k: int, level: Level) -> tuple[Coo, Coo]:
 
 
 def _level_multiplicities(k: int, level: Level) -> RepRingElement:
-    """Isotypic multiplicities of one level closed under the sl2 action.
-    The level passes the checks of ``sl2_level``; on each of its
-    (q, w >= 0) slices two counts must agree: dim ker E_w, by exact
-    elimination, with E_w the block of E from the (q, w) slice to the
-    (q, w+1) slice, and dim(q, w) - dim(q, w+1).  The multiplicities must
-    fill the level.
-    """
-    up = sl2_level(k, level)[0]
-    mults: dict[int, int] = {}
-    for w, (a, b) in level.bounds.items():
-        if w < 0:
-            continue
-        raising = up.block(*level.span(w + 1), a, b)
-        kernel = b - a - bareiss_rank(raising.dense().tolist())
-        diff = b - a - raising.shape[0]  # dim(q, w + 1)
-        if kernel != diff:
-            raise ClaimFalsified(
-                f"multiplicity methods disagree on k={k}, h={level.h}, q={level.q}, "
-                f"w={w}: kernel {kernel}, difference {diff}")
-        mults[2 * w] = kernel
-    result = RepRingElement(mults)
-    if result.dimension() != len(level):
-        raise ClaimFalsified(
-            f"multiplicities account for {result.dimension()} of {len(level)} "
-            f"dimensions on k={k}, h={level.h}")
-    return result
+    """Isotypic multiplicities of one level.  The level passes checks 2-3
+    of ``sl2_level``, so it is a finite-dimensional sl2-module, and by
+    Weyl's complete reducibility (Humphreys, GTM 9, 6.3 and 7.2) its
+    multiplicity of dominant weight w >= 0 is dim ker E_w = dim(q, w) -
+    dim(q, w+1), read from the sizes of its slices."""
+    sl2_level(k, level)
+    dims = {w: b - a for w, (a, b) in level.bounds.items()}
+    return RepRingElement({2 * w: n - dims.get(w + 1, 0) for w, n in dims.items() if w >= 0})
 
 
 def singular_multiplicities(k: int, basis: BlockBasis) -> RepRingElement:
@@ -403,7 +386,10 @@ def singular_multiplicities(k: int, basis: BlockBasis) -> RepRingElement:
                RepRingElement.zero())
 
 
-# The blocks we are willing to decompose with dense matrix arithmetic.
+# The blocks whose levels are enumerated and checked against the dimension
+# table.  ``verify`` reads ``singular_block_dims(2, 31)``, whose top block
+# has 379 608 monomials, so enumerating and checking every block would cost
+# seconds.
 MATRIX_ROUTE_CUT = 220
 
 
@@ -415,12 +401,11 @@ def singular_block_dims(k: int, h_max: int) -> dict[tuple[int, int, int], int]:
     Counted from the dimension tables, each built once: per q as
     dim(q, w) - dim(q, w+1) from ``block_dim_table``, and summed over q as
     dim(w) - dim(w+1) from ``weight_dim_table``.  No per-q count may be
-    negative, and the per-q counts must sum to the weight count, which is
-    then non-negative too.  On blocks of dimension at most
-    MATRIX_ROUTE_CUT the per-q counts must equal the kernel dimensions of
-    the matrix route, the ``_level_multiplicities`` of each level of
-    ``block_levels``; their sum, the weight count, then equals the matrix
-    route's total.
+    negative, and the per-q counts must sum to the weight count.  On blocks
+    of dimension at most MATRIX_ROUTE_CUT each level of ``block_levels``
+    passes the checks of ``sl2_level``, and the size of each of its (q, w)
+    slices, at every w, must equal the ``block_dim_table`` entry; a
+    mismatch names the first differing (q, w).
     """
     if k % 3 != 2:
         raise ValueError("singular subspaces need k = -1 (mod 3)")
@@ -432,11 +417,19 @@ def singular_block_dims(k: int, h_max: int) -> dict[tuple[int, int, int], int]:
         level_dims[h][q, w] = n
     out: dict[tuple[int, int, int], int] = {}
     for h, (dims, by_level) in enumerate(zip(weight_dims, level_dims)):
-        qs = sorted({q for q, _ in by_level})
-        matrix = None
         if sum(dims.values()) <= MATRIX_ROUTE_CUT:
-            matrix = {q: _level_multiplicities(k, level)
-                      for q, level in block_levels(k, h).items()}
+            enumerated = {}
+            for q, level in block_levels(k, h).items():
+                sl2_level(k, level)
+                enumerated.update(((q, w), b - a) for w, (a, b) in level.bounds.items())
+            differing = sorted(key for key in enumerated.keys() | by_level.keys()
+                               if enumerated.get(key, 0) != by_level.get(key, 0))
+            if differing:
+                q, w = differing[0]
+                raise ClaimFalsified(
+                    f"block dimension table disagrees with the enumerated level at "
+                    f"k={k}, h={h}, q={q}, w={w}")
+        qs = sorted({q for q, _ in by_level})
         for w in range(max(dims, default=-1) + 1):
             by_q: dict[int, int] = {}
             for q in qs:
@@ -446,10 +439,6 @@ def singular_block_dims(k: int, h_max: int) -> dict[tuple[int, int, int], int]:
                         f"weight dimensions not unimodal at k={k}, h={h}, q={q}, w={w}")
                 if v:
                     by_q[q] = v
-            if matrix is not None and by_q != {
-                    q: n for q, m in matrix.items() if (n := m.mult(2 * w))}:
-                raise ClaimFalsified(
-                    f"singular dimensions by q mismatch at k={k}, h={h}, w={w}")
             if sum(by_q.values()) != dims.get(w, 0) - dims.get(w + 1, 0):
                 raise ClaimFalsified(
                     f"singular dimensions by q do not sum to the weight count at "

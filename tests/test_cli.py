@@ -227,10 +227,10 @@ def test_falsified_claim_exits_1(capsys, monkeypatch):
 
 
 def test_singular_route_disagreement_exits_1(capsys, monkeypatch):
-    """Weight counts that disagree with the matrix route of
+    """Weight counts that disagree with the per-q counts of
     singular_block_dims raise ClaimFalsified, which main reports.  The
-    per-q counts still equal the matrix route's, so the check that their
-    sum is the weight count kills the fault."""
+    block table still equals the enumerated levels, so the check that the
+    per-q counts sum to the weight count kills the fault."""
     from afflap import sl2
 
     real = sl2.weight_dim_table
@@ -369,7 +369,8 @@ def test_version_flag(capsys):
 def test_spectrum_rejects_a_negative_predicted_eigenvalue(capsys, monkeypatch):
     """Check 5 refuses a negative eigenvalue law: patched to go negative at
     the dominant weight w' = 2 of L(-1) only, it fails the first block where
-    that piece occurs, before any nullity is computed."""
+    that piece occurs, naming the level's q, before any nullity is
+    computed."""
     from afflap import laplacian
 
     real = laplacian.predicted_eigenvalue
@@ -377,7 +378,7 @@ def test_spectrum_rejects_a_negative_predicted_eigenvalue(capsys, monkeypatch):
                         lambda k, w, h: -1 if (k, w) == (-1, 2) else real(k, w, h))
     code, out, err = run(capsys, "spectrum", "--k", "-1", "--h-max", "4", "--jobs", "1")
     assert (code, out) == (1, "")
-    assert err == "falsified claim: negative predicted eigenvalue at k=-1, h=1, w'=2\n"
+    assert err == "falsified claim: negative predicted eigenvalue at k=-1, h=1, q=2, w'=2\n"
 
 
 def test_spectrum_rejects_a_negative_scalar_eigenvalue(capsys, monkeypatch):

@@ -194,9 +194,8 @@ def test_certificate_rejects_a_broken_sl2_relation(monkeypatch):
 
 
 def test_singular_route_shares_the_bracket_check(monkeypatch):
-    """The singular multiplicities of a small block take their E_w from the
-    same checked slices as the certificate, so a broken bracket stops them
-    too."""
+    """The singular route checks the levels of a small block with the same
+    ``sl2_level`` as the certificate, so a broken bracket stops it too."""
     from afflap.sl2 import MATRIX_ROUTE_CUT, singular_block_dims
 
     assert enumerate_block(2, 4).dim <= MATRIX_ROUTE_CUT

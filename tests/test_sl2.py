@@ -244,42 +244,58 @@ def test_singular_block_dims_examples():
         singular_block_dims(2, -1)
 
 
-def _singular_fault(monkeypatch, capsys, moves: dict, message: str) -> None:
-    """Add ``moves`` to the (2, 2) block table: the singular route raises
-    ``message``, and ``afflap singular`` exits 1 with it."""
+def _singular_fault(monkeypatch, capsys, moves: dict, message: str, h_max: int = 2) -> None:
+    """Add ``moves`` to the block table of L(2): the singular route up to
+    degree ``h_max`` raises ``message``, and ``afflap singular`` exits 1
+    with it."""
     from afflap import sl2
 
     real = sl2.block_dim_table
 
-    def moved(k, h_max):
-        table = dict(real(k, h_max))
-        if (k, h_max) == (2, 2):
+    def moved(k, top):
+        table = dict(real(k, top))
+        if k == 2:
             for key, n in moves.items():
                 table[key] += n
         return table
 
     monkeypatch.setattr(sl2, "block_dim_table", moved)
     with pytest.raises(ClaimFalsified, match=f"^{message}$"):
-        singular_block_dims(2, 2)
-    assert main(["singular", "--k", "2", "--h-max", "2", "--jobs", "1"]) == 1
+        singular_block_dims(2, h_max)
+    assert main(["singular", "--k", "2", "--h-max", str(h_max), "--jobs", "1"]) == 1
     assert capsys.readouterr() == ("", f"falsified claim: {message}\n")
 
 
 def test_singular_by_q_is_checked_against_the_matrix_route(monkeypatch, capsys):
     """The copy of V(1) in q = 1 of the (2, 2) block moved to q = 2, at all
     three of its weights: every weight total and every per-q count stays
-    non-negative, so only the matrix route sees the move, at w = 1."""
+    non-negative, so only the enumeration of the block's levels sees the
+    move, first at (q, w) = (1, -1)."""
     _singular_fault(monkeypatch, capsys,
                     {(q, w, 2): (-1 if q == 1 else 1) for q in (1, 2) for w in (-1, 0, 1)},
-                    "singular dimensions by q mismatch at k=2, h=2, w=1")
+                    "block dimension table disagrees with the enumerated level at "
+                    "k=2, h=2, q=1, w=-1")
+
+
+def test_singular_reads_the_negative_weights_of_small_blocks(monkeypatch, capsys):
+    """One more (q, w) = (1, -1) count in the (2, 2) block changes no
+    difference at w >= 0, so no singular count sees it; the enumeration of
+    the block's levels compares every weight."""
+    _singular_fault(monkeypatch, capsys, {(1, -1, 2): 1},
+                    "block dimension table disagrees with the enumerated level at "
+                    "k=2, h=2, q=1, w=-1", h_max=4)
 
 
 def test_singular_by_q_is_checked_for_unimodality(monkeypatch, capsys):
-    """One count moved between q = 1 and q = 2 at weight 1 of the (2, 2)
-    block keeps every weight total, but the q = 2 count turns negative at
-    w = 0."""
-    _singular_fault(monkeypatch, capsys, {(1, 1, 2): -1, (2, 1, 2): 1},
-                    "weight dimensions not unimodal at k=2, h=2, q=2, w=0")
+    """One count moved from q = 2 to q = 1 at weight 1 of the (2, 10) block,
+    which is above MATRIX_ROUTE_CUT, keeps every weight total, but the
+    q = 1 count turns negative at w = 0."""
+    from afflap import sl2
+
+    assert sum(n for (_, _, h), n in sl2.block_dim_table(2, 10).items()
+               if h == 10) > sl2.MATRIX_ROUTE_CUT
+    _singular_fault(monkeypatch, capsys, {(1, 1, 10): 1, (2, 1, 10): -1},
+                    "weight dimensions not unimodal at k=2, h=10, q=1, w=0", h_max=10)
 
 
 def test_singular_block_dims_top_weight():
